@@ -18,8 +18,7 @@ from .genfun import (GenSpec, RationalFn, chi_angle_eval, chi_closed, chi_closed
                      series_convolution_residual)
 from .kibble import (CorrMatrix, f_U3_closed, f_U3_compare, kibble_closed_eval,
                      kibble_denominator, kibble_series_oracle)
-from .poly import (Poly, TrigSum, TrigTerm, poly_arith, poly_eval, poly_rho_coeff,
-                   trig_product_to_sum, trig_to_poly)
+from .poly import Poly, TrigSum, TrigTerm, trig_product_to_sum, trig_to_poly
 from .qseries import (QContext, conjecture_probe, d2_coeff, d_coeff, hb_poly,
                       idb_check, q_symbols, tn_construct)
 
@@ -31,9 +30,8 @@ __all__ = [
     "chi_series_oracle", "marginal_check", "numerator_l",
     "series_convolution_residual", "CorrMatrix", "f_U3_closed", "f_U3_compare",
     "kibble_closed_eval", "kibble_denominator", "kibble_series_oracle", "Poly",
-    "TrigSum", "TrigTerm", "poly_arith", "poly_eval", "poly_rho_coeff",
-    "trig_product_to_sum", "trig_to_poly", "QContext", "conjecture_probe",
-    "d2_coeff", "d_coeff", "hb_poly", "idb_check", "q_symbols", "tn_construct",
+    "TrigSum", "TrigTerm", "trig_product_to_sum", "trig_to_poly", "QContext",
+    "conjecture_probe", "d2_coeff", "d_coeff", "hb_poly", "idb_check", "q_symbols", "tn_construct",
     "ChebsumError", "ArityError", "ConvergenceError", "DegeneratePivot",
     "DomainError", "MissingAssignment", "OverlapError", "ScaleError",
     "SingularAngle", "UnknownId",

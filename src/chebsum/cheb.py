@@ -1,8 +1,10 @@
 """Chebyshev polynomials of both kinds and geometric trigonometric sums.
 
-Evaluation runs the three-term recurrence P_{n+1} = 2x P_n - P_{n-1} with
-(T_0, T_1) = (1, x) and (U_0, U_1) = (1, 2x), so arguments outside [-1, 1]
-are legal.  Negative indices are mapped first:
+``recur`` is the package's one three-term recurrence, for floats, Fractions,
+``Poly`` objects and numpy arrays alike; T_n, U_n and the q-families h_n, b_n
+of ``qseries`` all run on it.  The Chebyshev step is P_{n+1} = 2x P_n - P_{n-1}
+with (T_0, T_1) = (1, x) and (U_0, U_1) = (1, 2x), so arguments outside
+[-1, 1] are legal.  Negative indices are mapped first:
 
     T_{-i} = T_i          U_{-1} = 0,  U_{-i} = -U_{i-2}  (i >= 2)
 
@@ -16,7 +18,6 @@ expansions of any number of geometric directions.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -44,18 +45,37 @@ def _mapped(kind: str, n: int) -> tuple[int, int]:
     raise ValueError(f"kind must be T or U, got {kind!r}")
 
 
+def recur(out, p0, p1, step):
+    """Fill ``out`` (a list or a preallocated numpy array) in place and return it.
+
+    out[0] = p0, out[1] = p1 and out[m+1] = step(m, out[m], out[m-1]).
+    """
+    count = len(out)
+    if count:
+        out[0] = p0
+    if count > 1:
+        out[1] = p1
+    for m in range(1, count - 1):
+        out[m + 1] = step(m, out[m], out[m - 1])
+    return out
+
+
+def _cheb_step(x):
+    return lambda m, p1, p0: 2 * x * p1 - p0
+
+
+def _cheb_nth(kind: str, n: int, x, one):
+    """P_n(x) for n >= 0 from the seeds (one, x) or (one, 2x)."""
+    p1 = x if kind == "T" else 2 * x
+    return recur([None] * (n + 1), one, p1, _cheb_step(x))[n]
+
+
 def cheb_eval(c: ChebIndex, x):
     """Value of T_n or U_n at x, exact when x is exact."""
     sign, n = _mapped(c.kind, c.index)
     if sign == 0:
         return 0 * x
-    p0 = 1
-    p1 = x if c.kind == "T" else 2 * x
-    if n == 0:
-        return sign * p0
-    for _ in range(n - 1):
-        p0, p1 = p1, 2 * x * p1 - p0
-    return sign * p1
+    return sign * _cheb_nth(c.kind, n, x, 1)
 
 
 def cheb_seq(kind: str, start: int, count: int, x) -> list:
@@ -66,15 +86,8 @@ def cheb_seq(kind: str, start: int, count: int, x) -> list:
     """
     if count <= 0:
         return []
-    v0 = cheb_eval(ChebIndex(kind, start), x)
-    if count == 1:
-        return [v0]
-    v1 = cheb_eval(ChebIndex(kind, start + 1), x)
-    out = [v0, v1]
-    for _ in range(count - 2):
-        v0, v1 = v1, 2 * x * v1 - v0
-        out.append(v1)
-    return out
+    return recur([None] * count, cheb_eval(ChebIndex(kind, start), x),
+                 cheb_eval(ChebIndex(kind, start + 1), x), _cheb_step(x))
 
 
 @lru_cache(maxsize=None)
@@ -82,14 +95,7 @@ def _cheb_poly_cached(kind: str, n: int, var: str) -> Poly:
     sign, m = _mapped(kind, n)
     if sign == 0:
         return Poly.zero((var,))
-    x = Poly.variable(var)
-    p0 = Poly.const(1, (var,))
-    p1 = x if kind == "T" else 2 * x
-    if m == 0:
-        return sign * p0
-    for _ in range(m - 1):
-        p0, p1 = p1, 2 * x * p1 - p0
-    return sign * p1
+    return sign * _cheb_nth(kind, m, Poly.variable(var), Poly.const(1, (var,)))
 
 
 def cheb_poly(c: ChebIndex, var: str = "x1") -> Poly:
@@ -163,24 +169,11 @@ def multi_trig_sum(kind: str, rhos: Sequence[float], alphas: Sequence[float],
     return total / den
 
 
-def cheb_pell_residual(n: int, x: Fraction) -> Fraction:
-    """T_n(x)^2 - (x^2 - 1) U_{n-1}(x)^2 - 1, identically zero."""
-    t = cheb_eval(ChebIndex("T", n), x)
-    u = cheb_eval(ChebIndex("U", n - 1), x)
-    return t * t - (x * x - 1) * u * u - 1
-
-
 def cheb_values_row(kind: str, x: float, count: int) -> "object":
     """numpy array [P_0(x), ..., P_{count-1}(x)] for lattice summations."""
     import numpy as np
 
-    out = np.empty(count)
-    out[0] = 1.0
-    if count > 1:
-        out[1] = x if kind == "T" else 2 * x
-        for i in range(2, count):
-            out[i] = 2 * x * out[i - 1] - out[i - 2]
-    return out
+    return np.array(cheb_seq(kind, 0, count, x), dtype=float)
 
 
 def cheb_seq_grid(kind: str, start: int, count: int, x):
@@ -188,22 +181,8 @@ def cheb_seq_grid(kind: str, start: int, count: int, x):
     import numpy as np
 
     x = np.asarray(x, dtype=float)
-    out = np.empty((count,) + x.shape)
-    sign0, n0 = _mapped(kind, start)
-    sign1, n1 = _mapped(kind, start + 1)
-    out[0] = sign0 * _cheb_grid_single(kind, n0, x) if sign0 else 0.0
-    if count > 1:
-        out[1] = sign1 * _cheb_grid_single(kind, n1, x) if sign1 else 0.0
-        for i in range(2, count):
-            out[i] = 2 * x * out[i - 1] - out[i - 2]
-    return out
-
-
-def _cheb_grid_single(kind: str, n: int, x):
-    p0 = 1.0 + 0.0 * x
-    p1 = x if kind == "T" else 2 * x
-    if n == 0:
-        return p0
-    for _ in range(n - 1):
-        p0, p1 = p1, 2 * x * p1 - p0
-    return p1
+    seeds = []
+    for index in (start, start + 1):
+        sign, n = _mapped(kind, index)
+        seeds.append(sign * _cheb_nth(kind, n, x, 1.0 + 0.0 * x) if sign else 0.0)
+    return recur(np.empty((count,) + x.shape), *seeds, _cheb_step(x))

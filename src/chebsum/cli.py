@@ -33,14 +33,15 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-def _parse_rho_pairs(text: str) -> dict[tuple[int, int], float]:
+def _parse_rho_pairs(text: str, value=float) -> dict[tuple[int, int], object]:
+    """Pair list like 12=0.6,13=0.8 (values parsed by ``value``); "" gives {}."""
     out = {}
-    for item in text.split(","):
+    for item in text.split(",") if text else ():
         key, _, val = item.partition("=")
         key = key.strip()
         if len(key) != 2 or not key.isdigit():
             raise ValueError(f"pair key must be two digits ij, got {key!r}")
-        out[(int(key[0]), int(key[1]))] = float(val)
+        out[(int(key[0]), int(key[1]))] = value(val)
     return out
 
 
@@ -78,26 +79,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     chi = sub.add_parser("chi", help="mixed generating functions")
     csub = chi.add_subparsers(dest="action", required=True)
-    cb = csub.add_parser("build")
-    cb.add_argument("--k", type=int, required=True)
-    cb.add_argument("--n", type=int, required=True)
-    cb.add_argument("--t", type=str, default="")
-    _common_flags(cb)
-    ce = csub.add_parser("eval")
-    ce.add_argument("--k", type=int, required=True)
-    ce.add_argument("--n", type=int, required=True)
-    ce.add_argument("--t", type=str, default="")
-    ce.add_argument("--x", type=str, required=True)
-    ce.add_argument("--rho", type=float, required=True)
-    _common_flags(ce)
-    cv = csub.add_parser("verify")
-    cv.add_argument("--k", type=int, required=True)
-    cv.add_argument("--n", type=int, required=True)
-    cv.add_argument("--t", type=str, default="")
-    cv.add_argument("--trials", type=int, default=50)
-    cv.add_argument("--rho-max", type=float, default=0.5)
-    cv.add_argument("--order", type=int, default=200)
-    _common_flags(cv)
+    cp = {}
+    for action in ("build", "eval", "verify"):
+        p = cp[action] = csub.add_parser(action)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--t", type=str, default="")
+        _common_flags(p)
+    cp["eval"].add_argument("--x", type=str, required=True)
+    cp["eval"].add_argument("--rho", type=float, required=True)
+    cp["verify"].add_argument("--trials", type=int, default=50)
+    cp["verify"].add_argument("--rho-max", type=float, default=0.5)
+    cp["verify"].add_argument("--order", type=int, default=200)
 
     kb = sub.add_parser("kibble", help="correlation-matrix lattice sums")
     ksub = kb.add_subparsers(dest="action", required=True)
@@ -199,10 +192,7 @@ def _cmd_chi(args) -> int:
 
 def _cmd_kibble(args) -> int:
     if args.action == "denominator":
-        pairs = {k: Fraction(v) for k, v in
-                 ((key, val) for key, val in _parse_rho_fractions(args.rho).items())}
-        n = args.n
-        K = CorrMatrix.from_dict(n, pairs)
+        K = CorrMatrix.from_dict(args.n, _parse_rho_pairs(args.rho, Fraction))
         p = kibble_denominator(K, symbolic=args.symbolic)
         _emit(args, camp.canonical_json(p.to_json_dict()) + "\n")
         return 0
@@ -225,17 +215,6 @@ def _cmd_kibble(args) -> int:
     _emit(args, camp.emit_ndjson([rep]))
     _human([rep])
     return 0 if rep.passed else 1
-
-
-def _parse_rho_fractions(text: str) -> dict[tuple[int, int], Fraction]:
-    out = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        key, _, val = item.partition("=")
-        key = key.strip()
-        out[(int(key[0]), int(key[1]))] = Fraction(val)
-    return out
 
 
 def _cmd_q(args) -> int:
@@ -322,13 +301,15 @@ def _human(reports) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # Config file supplies defaults; explicit flags win because they are
-    # parsed afterwards.
-    if "--config" in argv:
-        at = argv.index("--config")
-        with open(argv[at + 1]) as fh:
-            parser.set_defaults(**json.load(fh))
     try:
+        # Config file supplies defaults; explicit flags win because they are
+        # parsed afterwards.
+        if "--config" in argv:
+            at = argv.index("--config")
+            if at + 1 == len(argv):
+                parser.error("argument --config: expected one argument")
+            with open(argv[at + 1]) as fh:
+                parser.set_defaults(**json.load(fh))
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ScaleError
+from .errors import ChebsumError, ScaleError
 from .poly import Poly, TrigTerm, trig_to_poly
 
 MAX_ARITY = 5
@@ -65,8 +65,8 @@ def build_w(n: int) -> WPoly:
         cosine = trig_to_poly(TrigTerm("cos", tuple(signs), 1))
         factors.append(1 - 2 * rho * cosine + rho * rho)
     w = _balanced_product(factors)
-    for i in range(1, n + 1):
-        assert not w.uses(f"s{i}"), "sine markers must cancel in the full product"
+    if any(w.uses(f"s{i}") for i in range(1, n + 1)):
+        raise ChebsumError("sine markers must cancel in the full product")
     w = w.drop_vars([v for v in w.vars if v.startswith("s")])
     # Re-embed so every x1..xn is present even where it cancelled (n=1 edge).
     want = tuple([f"x{i}" for i in range(1, n + 1)] + ["rho"])
@@ -86,7 +86,8 @@ def build_w_recursive(n: int) -> WPoly:
     left = prev.subs(f"x{a}", plus)
     right = prev.subs(f"x{a}", minus)
     w = left * right
-    assert not w.uses(f"s{a}") and not w.uses(f"s{b}"), "markers must cancel after doubling"
+    if w.uses(f"s{a}") or w.uses(f"s{b}"):
+        raise ChebsumError("markers must cancel after doubling")
     w = w.drop_vars([v for v in w.vars if v.startswith("s")])
     want = tuple([f"x{i}" for i in range(1, n + 1)] + ["rho"])
     return WPoly(n, w.embed(want))

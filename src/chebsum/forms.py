@@ -182,13 +182,18 @@ def registry_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def known_form(form_id: str, **shifts) -> RationalFn:
-    """The transcribed closed form as a rational function over slot variables."""
+def _built(form_id: str, **shifts) -> tuple[GenSpec, Poly]:
+    """The registered builder's (spec, transcribed numerator)."""
     try:
         builder = _REGISTRY[form_id]
     except KeyError:
         raise UnknownId(f"no registered form {form_id!r}") from None
-    spec, num = builder(**shifts)
+    return builder(**shifts)
+
+
+def known_form(form_id: str, **shifts) -> RationalFn:
+    """The transcribed closed form as a rational function over slot variables."""
+    spec, num = _built(form_id, **shifts)
     K = spec.slots
     want = tuple([f"x{i}" for i in range(1, K + 1)] + ["rho"])
     num = num.embed(want) if num.vars != want else num
@@ -196,11 +201,7 @@ def known_form(form_id: str, **shifts) -> RationalFn:
 
 
 def known_form_spec(form_id: str, **shifts) -> GenSpec:
-    try:
-        builder = _REGISTRY[form_id]
-    except KeyError:
-        raise UnknownId(f"no registered form {form_id!r}") from None
-    return builder(**shifts)[0]
+    return _built(form_id, **shifts)[0]
 
 
 @dataclass(frozen=True)

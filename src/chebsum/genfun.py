@@ -78,13 +78,9 @@ def _check_scale(spec: GenSpec) -> None:
 
 def _product_polys(spec: GenSpec, count: int) -> list[Poly]:
     """P_0 .. P_{count-1} as exact polynomials in x1..x_{k+n}."""
-    out = []
-    for i in range(count):
-        p = Poly.const(1)
-        for s in range(1, spec.slots + 1):
-            p = p * cheb_poly(ChebIndex(spec.kind(s), i + spec.t[s - 1]), var=f"x{s}")
-        out.append(p)
-    return out
+    return [math.prod((cheb_poly(ChebIndex(spec.kind(s), i + spec.t[s - 1]), var=f"x{s}")
+                       for s in range(1, spec.slots + 1)), start=Poly.const(1))
+            for i in range(count)]
 
 
 @lru_cache(maxsize=512)
@@ -160,36 +156,43 @@ def chi_closed_value(spec: GenSpec, xs: Sequence, rho):
     """
     _check_scale(spec)
     K = spec.slots
-    order = 2 ** K
     point = {f"x{i + 1}": xs[i] for i in range(K)}
     wc = [c.eval(point) for c in w_rho_coeff_polys(K)]
-    prods = _product_values(spec, order, xs)
+    return _convolve(wc, _product_values(spec, 2 ** K, xs), rho, 2 ** K)
+
+
+def _convolve(wc, prods, rho, order: int):
+    """l / w from the evaluated rho-coefficients wc of w and the products P_i.
+
+    Shared by the scalar and the grid evaluators; the running sums start
+    from the integer 0 so exact inputs stay exact.
+    """
     num = 0
     rp = 1
     for j in range(order):
         cj = 0
         for m in range(j + 1):
-            cj += wc[m] * prods[j - m]
-        num += rp * cj
-        rp *= rho
+            cj = cj + wc[m] * prods[j - m]
+        num = num + rp * cj
+        rp = rp * rho
     den = 0
     rp = 1
     for c in wc:
-        den += c * rp
-        rp *= rho
+        den = den + c * rp
+        rp = rp * rho
     return num / den
 
 
 def _product_values(spec: GenSpec, count: int, xs: Sequence) -> list:
     rows = [cheb_seq(spec.kind(s), spec.t[s - 1], count, xs[s - 1])
             for s in range(1, spec.slots + 1)]
-    out = []
-    for i in range(count):
-        v = rows[0][i]
-        for r in rows[1:]:
-            v = v * r[i]
-        out.append(v)
-    return out
+    return [math.prod(r[i] for r in rows) for i in range(count)]
+
+
+def _grid_products(spec: GenSpec, count: int, xs_arrays):
+    """P_0 .. P_{count-1} over numpy arrays, shape (count, *broadcast shape)."""
+    return math.prod(cheb_seq_grid(spec.kind(s), spec.t[s - 1], count, xs_arrays[s - 1])
+                     for s in range(1, spec.slots + 1))
 
 
 def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
@@ -197,29 +200,10 @@ def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
     import numpy as np
 
     K = spec.slots
-    order = 2 ** K
     arrays = {f"x{i + 1}": np.asarray(a, dtype=float) for i, a in enumerate(xs_arrays)}
-    rho = np.asarray(rho_array, dtype=float)
     wc = [c.eval_grid(arrays) for c in w_rho_coeff_polys(K)]
-    rows = [cheb_seq_grid(spec.kind(s), spec.t[s - 1], order, arrays[f"x{s}"])
-            for s in range(1, K + 1)]
-    prods = rows[0].copy()
-    for r in rows[1:]:
-        prods = prods * r
-    num = 0.0
-    rp = 1.0
-    for j in range(order):
-        cj = 0.0
-        for m in range(j + 1):
-            cj = cj + wc[m] * prods[j - m]
-        num = num + rp * cj
-        rp = rp * rho
-    den = 0.0
-    rp = 1.0
-    for c in wc:
-        den = den + c * rp
-        rp = rp * rho
-    return num / den
+    prods = _grid_products(spec, 2 ** K, xs_arrays)
+    return _convolve(wc, prods, np.asarray(rho_array, dtype=float), 2 ** K)
 
 
 # ------------------------------------------------------------------ series oracle
@@ -275,11 +259,7 @@ def chi_series_oracle_grid(spec: GenSpec, xs_arrays, rho_array, J: int):
     import numpy as np
 
     rho = np.asarray(rho_array, dtype=float)
-    rows = [cheb_seq_grid(spec.kind(s), spec.t[s - 1], J + 1, xs_arrays[s - 1])
-            for s in range(1, spec.slots + 1)]
-    prods = rows[0].copy()
-    for r in rows[1:]:
-        prods = prods * r
+    prods = _grid_products(spec, J + 1, xs_arrays)
     total = np.zeros(rho.shape)
     rp = np.ones(rho.shape)
     for j in range(J + 1):

@@ -286,46 +286,24 @@ def kibble_denominator(K: CorrMatrix, symbolic: bool = False) -> Poly:
 
 
 def f_U3_closed(x: float, y: float, z: float,
-                r12: float, r13: float, r23: float) -> float:
+                r12: float, r13: float, r23: float, symmetrized: bool = False) -> float:
     """The published explicit three-variable f_U expression, transcribed literally.
 
     Known to deviate from the closed evaluator and the oracle away from
-    symmetric special cases; ``f_U3_compare`` reports the discrepancy.
+    symmetric special cases; ``f_U3_compare`` reports the discrepancy.  With
+    ``symmetrized`` the z**2 coefficient uses (r12 - r13*r23) instead of the
+    printed (r12 - r12*r23), the value forced by coordinate-permutation
+    symmetry; that reading matches the closed evaluator to rounding at every
+    sampled point.
     """
     for r in (r12, r13, r23):
         if abs(r) >= 1:
             raise DomainError(f"|rho| must be < 1, got {r}")
     p = r12 * r13 * r23
+    zc = r12 - r13 * r23 if symmetrized else r12 - r12 * r23
     num = (4 * r12 * r13 * (r23 - r12 * r13) * (1 - r23 ** 2) * x ** 2
            + 4 * r12 * r23 * (r13 - r12 * r23) * (1 - r13 ** 2) * y ** 2
-           + 4 * r13 * r23 * (r12 - r12 * r23) * (1 - r12 ** 2) * z ** 2
-           - 4 * (r13 - r12 * r23) * (r23 - r12 * r13) * (1 + p) * x * y
-           - 4 * (r12 - r13 * r23) * (r23 - r12 * r13) * (1 + p) * x * z
-           - 4 * (r13 - r12 * r23) * (r12 - r23 * r13) * (1 + p) * y * z
-           + (1 - r12 ** 2) * (1 - r13 ** 2) * (1 - r23 ** 2) * (1 - p))
-    w2 = build_w(2).poly
-    den = (w2.eval({"x1": x, "x2": y, "rho": r12})
-           * w2.eval({"x1": x, "x2": z, "rho": r13})
-           * w2.eval({"x1": y, "x2": z, "rho": r23}))
-    return num / den
-
-
-def f_U3_symmetrized(x: float, y: float, z: float,
-                     r12: float, r13: float, r23: float) -> float:
-    """The symmetry-consistent reading of the published expression.
-
-    Identical to ``f_U3_closed`` except that the z**2 coefficient uses
-    (r12 - r13*r23), the value forced by coordinate-permutation symmetry.
-    Used only inside comparison reports; it matches the closed evaluator to
-    rounding at every sampled point.
-    """
-    for r in (r12, r13, r23):
-        if abs(r) >= 1:
-            raise DomainError(f"|rho| must be < 1, got {r}")
-    p = r12 * r13 * r23
-    num = (4 * r12 * r13 * (r23 - r12 * r13) * (1 - r23 ** 2) * x ** 2
-           + 4 * r12 * r23 * (r13 - r12 * r23) * (1 - r13 ** 2) * y ** 2
-           + 4 * r13 * r23 * (r12 - r13 * r23) * (1 - r12 ** 2) * z ** 2
+           + 4 * r13 * r23 * zc * (1 - r12 ** 2) * z ** 2
            - 4 * (r13 - r12 * r23) * (r23 - r12 * r13) * (1 + p) * x * y
            - 4 * (r12 - r13 * r23) * (r23 - r12 * r13) * (1 + p) * x * z
            - 4 * (r13 - r12 * r23) * (r12 - r23 * r13) * (1 + p) * y * z
@@ -362,7 +340,7 @@ def f_U3_compare(x: float, y: float, z: float, r12: float, r13: float, r23: floa
     return FU3Comparison(
         (x, y, z, r12, r13, r23),
         f_U3_closed(x, y, z, r12, r13, r23),
-        f_U3_symmetrized(x, y, z, r12, r13, r23),
+        f_U3_closed(x, y, z, r12, r13, r23, symmetrized=True),
         kibble_closed_eval("U", alphas, K),
         kibble_series_oracle("U", [x, y, z], K, cutoff),
     )

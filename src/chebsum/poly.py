@@ -123,21 +123,11 @@ class Poly:
         i = self.vars.index(var)
         return max((e[i] for e in self.terms), default=0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def uses(self, var: str) -> bool:
         if var not in self.vars:
             return False
         i = self.vars.index(var)
         return any(e[i] for e in self.terms)
-
-    def constant_value(self) -> Scalar:
-        """The value of a constant polynomial (0 for the zero polynomial)."""
-        for exps, c in self.terms.items():
-            if any(exps):
-                raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * len(self.vars), 0)
 
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in canonical graded-lexicographic order."""
@@ -460,31 +450,6 @@ def _reduce_markers(variables: tuple[str, ...],
             else:
                 out[exps] = nc
     return {e: _normalize_scalar(c) for e, c in out.items() if c != 0}
-
-
-# ------------------------------------------------------------------ spec ops
-
-
-def poly_arith(op: str, a: Poly, b: Poly) -> Poly:
-    """Dispatch exact add/sub/mul on two polynomials."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_eval(p: Poly, point: Mapping[str, object]):
-    return p.eval(point)
-
-
-def poly_rho_coeff(p: Poly, m: int) -> Poly:
-    """Coefficient of rho**m, i.e. the m-th rho-Taylor coefficient at rho=0."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return p.coeff_of("rho", m)
 
 
 # ----------------------------------------------------------- trigonometric sums

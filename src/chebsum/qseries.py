@@ -10,7 +10,9 @@ and reduces to U_n at q = 0.  The reversed family is
     b_{n+1} = -2 q^n x b_n + q^{n-1}(1 - q^n) b_{n-1},    b_0 = 1, b_1 = -2x
 
 (the recurrence's printed seed b_1 = 1 contradicts the defining relation;
-b_0 = 1, b_1 = -2x is forced and closes the recurrence).
+b_0 = 1, b_1 = -2x is forced and closes the recurrence).  Both families are
+rolled by ``hb_values`` on the package's one three-term recurrence,
+``cheb.recur``, for float, Fraction and polynomial arguments alike.
 
 b_n is, up to (q)_n, the n-th Taylor coefficient in rho of the infinite
 product W_1(x|rho,q) = prod_j (1 - 2 x rho q^j + rho^2 q^{2j}); the bivariate
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cheb import ChebIndex, cheb_poly
+from .cheb import ChebIndex, cheb_poly, cheb_seq, recur
 from .denom import w_rho_coeff_polys
 from .errors import ChebsumError, ConvergenceError, DegeneratePivot, DomainError
 from .poly import Poly
@@ -91,7 +93,8 @@ class QContext:
         while len(self._qq) <= n:
             m = len(self._qq)
             nxt = self._qq[-1] * (1 - self.q ** m)
-            assert nxt == (1 - self.q) ** m * self.bracket_factorial(m)
+            if nxt != (1 - self.q) ** m * self.bracket_factorial(m):
+                raise ChebsumError(f"(q;q)_{m} disagrees with (1-q)^{m} [{m}]_q!")
             self._qq.append(nxt)
         return self._qq[n]
 
@@ -137,6 +140,28 @@ def q_symbols(ctx: QContext, which: str, *args) -> Fraction:
 # ------------------------------------------------------------ the polynomials
 
 
+def hb_values(ctx: QContext, kind: str, x, count: int) -> list:
+    """[p_0(x), ..., p_{count-1}(x)] for p = h or b, by the one recurrence.
+
+    x may be a float (float in, float out), a Fraction or a ``Poly``.  Powers
+    of q come from a table built by repeated multiplication, not ``q ** m``,
+    so float values keep the bits of the rolled products.
+    """
+    if kind not in ("h", "b"):
+        raise ValueError(f"kind must be h or b, got {kind!r}")
+    q = float(ctx.q) if isinstance(x, float) else ctx.q
+    one = 1.0 if isinstance(x, float) else 1
+    qpow = [one]
+    for _ in range(count):
+        qpow.append(qpow[-1] * q)
+    if kind == "h":
+        step = lambda m, p1, p0: 2 * x * p1 - (one - qpow[m]) * p0
+    else:
+        step = lambda m, p1, p0: -2 * qpow[m] * x * p1 + qpow[m - 1] * (one - qpow[m]) * p0
+    p0 = x ** 0 if isinstance(x, Poly) else one
+    return recur([None] * count, p0, 2 * x if kind == "h" else -2 * x, step)
+
+
 def hb_poly(ctx: QContext, kind: str, n: int) -> Poly:
     """h_n or b_n as an exact polynomial in x1 via its three-term recurrence."""
     if kind not in ("h", "b"):
@@ -144,37 +169,9 @@ def hb_poly(ctx: QContext, kind: str, n: int) -> Poly:
     if n < 0:
         return Poly.zero(("x1",))
     key = (kind, n)
-    if key in ctx._polys:
-        return ctx._polys[key]
-    x = Poly.variable("x1")
-    q = ctx.q
-    if kind == "h":
-        p0, p1 = Poly.const(1, ("x1",)), 2 * x
-        for m in range(1, n):
-            p0, p1 = p1, 2 * x * p1 - (1 - q ** m) * p0
-    else:
-        p0, p1 = Poly.const(1, ("x1",)), -2 * x
-        for m in range(1, n):
-            p0, p1 = p1, -2 * q ** m * x * p1 + q ** (m - 1) * (1 - q ** m) * p0
-    out = p0 if n == 0 else p1
-    ctx._polys[key] = out
-    return out
-
-
-def h_values(ctx: QContext, x, count: int) -> list:
-    """[h_0(x), ..., h_{count-1}(x)] by rolling the recurrence; float in, float out."""
-    if count <= 0:
-        return []
-    q = float(ctx.q) if isinstance(x, float) else ctx.q
-    one = 1.0 if isinstance(x, float) else 1
-    vals = [one]
-    if count > 1:
-        vals.append(2 * x)
-    qn = one
-    for m in range(1, count - 1):
-        qn = qn * q
-        vals.append(2 * x * vals[m] - (one - qn) * vals[m - 1])
-    return vals
+    if key not in ctx._polys:
+        ctx._polys[key] = hb_values(ctx, kind, Poly.variable("x1"), n + 1)[n]
+    return ctx._polys[key]
 
 
 def _univar_coeffs(p: Poly, var: str = "x1") -> list[Fraction]:
@@ -244,23 +241,6 @@ def d_truncated_product(ctx: QContext, n: int, factors: int) -> Poly:
     return ctx.qq(n) * prod.coeff_of("rho", n)
 
 
-def b_values(ctx: QContext, x, count: int) -> list:
-    """[b_0(x), ..., b_{count-1}(x)] by rolling the reversed recurrence."""
-    if count <= 0:
-        return []
-    q = float(ctx.q) if isinstance(x, float) else ctx.q
-    one = 1.0 if isinstance(x, float) else 1
-    vals = [one]
-    if count > 1:
-        vals.append(-2 * x)
-    qm = one  # q^m
-    for m in range(1, count - 1):
-        qprev = qm
-        qm = qm * q
-        vals.append(-2 * qm * x * vals[m] + qprev * (one - qm) * vals[m - 1])
-    return vals
-
-
 def d2_values(ctx: QContext, x: float, y: float, count: int) -> list[float]:
     """[d2_0(x,y), ..., d2_{count-1}(x,y)] without symbolic expansion.
 
@@ -270,8 +250,8 @@ def d2_values(ctx: QContext, x: float, y: float, count: int) -> list[float]:
     """
     root = math.sqrt(max(0.0, (1 - x * x) * (1 - y * y)))
     cplus, cminus = x * y - root, x * y + root
-    bp = b_values(ctx, float(cplus), count)
-    bm = b_values(ctx, float(cminus), count)
+    bp = hb_values(ctx, "b", float(cplus), count)
+    bm = hb_values(ctx, "b", float(cminus), count)
     out = []
     for m in range(count):
         out.append(sum(float(ctx.binom(m, r)) * bp[r] * bm[m - r] for r in range(m + 1)))
@@ -296,7 +276,8 @@ def d2_coeff(ctx: QContext, n: int) -> Poly:
         bm = _compose(hb_poly(ctx, "b", m), cplus)
         bn = _compose(hb_poly(ctx, "b", n - m), cminus)
         acc = acc + ctx.binom(n, m) * (bm * bn)
-    assert not acc.uses("s1") and not acc.uses("s2"), "markers must cancel in pairs"
+    if acc.uses("s1") or acc.uses("s2"):
+        raise ChebsumError("markers must cancel in pairs")
     out = acc.drop_vars([v for v in acc.vars if v.startswith("s")])
     want = ("x1", "x2")
     out = out if out.vars == want else out.embed(want)
@@ -373,9 +354,8 @@ def ft_moment_U(ctx: QContext, n: int) -> TruncatedRational:
     """
     if n % 2:
         return TruncatedRational(Fraction(0), 0.0, 0)
-    K = ctx.tail_index()
-    d_val = sum((Fraction(-1) ** (k - 1) * ctx.q ** _comb2(k) for k in range(1, K + 1)),
-                Fraction(0))
+    d = d_of_q(ctx)
+    K, d_val = d.terms, d.value
     if d_val == 0:
         raise DegeneratePivot("d(q) truncation vanished; cannot normalize f_t")
     num = sum((Fraction(-1) ** (k - 1) * (1 + min(n, 2 * k - 2)) * ctx.q ** _comb2(k)
@@ -449,9 +429,8 @@ def tn_construct(ctx: QContext, n: int) -> TnResult:
 
 def ft_u_coeffs(ctx: QContext) -> list[Fraction]:
     """Truncated U-expansion of f_t: coefficient of U_{2k-2} for k = 1..K, times c."""
-    K = ctx.tail_index()
-    d_val = sum((Fraction(-1) ** (k - 1) * ctx.q ** _comb2(k) for k in range(1, K + 1)),
-                Fraction(0))
+    d = d_of_q(ctx)
+    K, d_val = d.terms, d.value
     return [Fraction(-1) ** (k - 1) * ctx.q ** _comb2(k) / d_val for k in range(1, K + 1)]
 
 
@@ -469,7 +448,8 @@ def poly_to_u_basis(p: Poly, var: str = "x1") -> list[Fraction]:
         out[d] = w
         for e, uc in enumerate(_univar_coeffs(cheb_poly(ChebIndex("U", d), var=var), var)):
             dense[e] -= w * uc
-    assert all(c == 0 for c in dense)
+    if any(c != 0 for c in dense):
+        raise ChebsumError("U-basis peeling left a nonzero remainder")
     return out
 
 
@@ -481,6 +461,14 @@ def ft_inner_product(ctx: QContext, p: Poly, var: str = "x1") -> Fraction:
 
 
 # ------------------------------------------------------------- numeric checks
+
+
+def _qq_floats(q: float, count: int) -> list[float]:
+    """[(q;q)_0, ..., (q;q)_{count-1}] in floats."""
+    out = [1.0]
+    for m in range(1, count):
+        out.append(out[-1] * (1 - q ** m))
+    return out
 
 
 def w1_product_value(ctx: QContext, x: float, rho: float, factors: int) -> float:
@@ -515,10 +503,8 @@ def chi1t_check(ctx: QContext, t: int, x: float, rho: float,
     if abs(rho) >= 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     q = float(ctx.q)
-    hv = h_values(ctx, float(x), t + J + 2)
-    qqf = [1.0]
-    for m in range(1, J + 1):
-        qqf.append(qqf[-1] * (1 - q ** m))
+    hv = hb_values(ctx, "h", float(x), t + J + 2)
+    qqf = _qq_floats(q, J + 1)
     lhs = sum(rho ** j / qqf[j] * hv[t + j] for j in range(J + 1))
     w1 = w1_product_value(ctx, float(x), rho, factors)
     rhs = sum(float(ctx.binom(t, j)) * (-rho) ** j * q ** _comb2(j) * hv[t - j]
@@ -543,12 +529,10 @@ def final_identity_check(ctx: QContext, x: float, y: float, rho: float,
     if abs(rho) >= 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     q = float(ctx.q)
-    hx = h_values(ctx, float(x), J + 1)
-    hy = h_values(ctx, float(y), J + 1)
+    hx = hb_values(ctx, "h", float(x), J + 1)
+    hy = hb_values(ctx, "h", float(y), J + 1)
     d2v = d2_values(ctx, float(x), float(y), J + 1)
-    qqf = [1.0]
-    for m in range(1, J + 1):
-        qqf.append(qqf[-1] * (1 - q ** m))
+    qqf = _qq_floats(q, J + 1)
     lhs = 0.0
     for j in range(J + 1):
         inner = 0.0
@@ -556,9 +540,7 @@ def final_identity_check(ctx: QContext, x: float, y: float, rho: float,
             inner += float(ctx.binom(j, m)) * d2v[m] * hx[j - m] * hy[j - m]
         lhs += rho ** j / qqf[j] * inner
     kmax = J // 2 + 40
-    qq_long = [1.0]
-    for m in range(1, kmax + 1):
-        qq_long.append(qq_long[-1] * (1 - q ** m))
+    qq_long = _qq_floats(q, kmax + 1)
     rhs = 0.0
     for k in range(kmax):
         term = (-1) ** k * q ** _comb2(k) * rho ** (2 * k) / qq_long[k]
@@ -581,10 +563,7 @@ def fh_integral_check(ctx: QContext, nodes: int = 128) -> IdentityReport:
     total = 0.0
     for xv, wv in zip(xs, ws):
         g = 0.0
-        u0, u1 = 1.0, 2 * xv
-        uvals = [u0, u1]
-        for m in range(2, 2 * K):
-            uvals.append(2 * xv * uvals[-1] - uvals[-2])
+        uvals = cheb_seq("U", 0, 2 * K, xv)
         for k in range(1, K + 1):
             g += (-1) ** (k - 1) * q ** _comb2(k) * uvals[2 * k - 2]
         total += wv * (2 / math.pi) * g

@@ -16,11 +16,6 @@ def cheb1_nodes(n: int) -> list[float]:
     return [math.cos((2 * i - 1) * math.pi / (2 * n)) for i in range(1, n + 1)]
 
 
-def cheb1_integrate(f, n: int) -> float:
-    """Approximate integral of f(x)/(pi sqrt(1-x^2)) dx over [-1, 1]."""
-    return sum(f(x) for x in cheb1_nodes(n)) / n
-
-
 def cheb2_nodes_weights(n: int) -> tuple[list[float], list[float]]:
     nodes, weights = [], []
     for i in range(1, n + 1):
@@ -29,8 +24,3 @@ def cheb2_nodes_weights(n: int) -> tuple[list[float], list[float]]:
         weights.append(math.pi / (n + 1) * math.sin(th) ** 2)
     return nodes, weights
 
-
-def cheb2_integrate(f, n: int) -> float:
-    """Approximate integral of f(x)*sqrt(1-x^2) dx over [-1, 1]."""
-    nodes, weights = cheb2_nodes_weights(n)
-    return sum(w * f(x) for x, w in zip(nodes, weights))

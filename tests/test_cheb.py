@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebsum.cheb import (ChebIndex, cheb_eval, cheb_linearize_UU, cheb_poly,
-                          cheb_seq, geom_trig_sum, multi_trig_sum)
+                          cheb_seq, cheb_seq_grid, cheb_values_row, geom_trig_sum,
+                          multi_trig_sum)
 from chebsum.errors import ArityError, DomainError
 from chebsum.poly import Poly
 
@@ -48,6 +49,22 @@ def test_cheb_seq_matches_pointwise():
     vals = cheb_seq("U", -3, 8, x)
     for j, v in enumerate(vals):
         assert abs(v - cheb_eval(ChebIndex("U", -3 + j), x)) < 1e-12
+
+
+def test_one_recurrence_across_value_types():
+    import numpy as np
+
+    arr = np.array([-1.0, -0.93, -0.4, 0.0, 0.37, 0.81, 1.0, 1.2])
+    for kind in ("T", "U"):
+        for start in range(-3, 4):
+            grid = cheb_seq_grid(kind, start, 12, arr)
+            for i in range(arr.size):
+                assert list(grid[:, i]) == cheb_seq(kind, start, 12, float(arr[i]))
+            xf = Fraction(-2, 9)
+            assert cheb_seq(kind, start, 12, xf) == [
+                cheb_poly(ChebIndex(kind, start + j)).eval({"x1": xf}) for j in range(12)]
+        for x in (0.37, -0.93):
+            assert list(cheb_values_row(kind, x, 20)) == cheb_seq(kind, 0, 20, x)
 
 
 def test_linearize_UU():

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, schemas, byte determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -98,6 +99,9 @@ def test_verify_all_byte_identical(tmp_path):
     args = ["verify", "all", "--trials", "3", "--points", "5", "--seed", "7",
             "--nodes", "128"]
     _, a = run(args, tmp_path, name="a.json")
+    # Pinned bytes: a change to any record or float in the report shows here.
+    assert hashlib.sha256(a.encode()).hexdigest() == (
+        "5d1c2801b8141df30fc436974a4ccceb3657f6d103016fecf18819516d04caf2")
     _, b = run(args, tmp_path, name="b.json")
     assert a == b
     _, c = run(args + ["--jobs", "3"], tmp_path, name="c.json")
@@ -127,6 +131,8 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["w", "build"]) == 2
     assert main(["kibble", "eval", "--kind", "U", "--x", "0.5,0.5",
                  "--rho", "bogus"]) == 2
+    assert main(["kibble", "denominator", "--n", "3", "--rho", "1=1/2"]) == 2
+    assert main(["w", "check", "--config"]) == 2
 
 
 def test_stdout_without_json_flag(capsys):

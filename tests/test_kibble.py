@@ -10,7 +10,7 @@ import pytest
 
 from chebsum.errors import DomainError, ScaleError, SingularAngle
 from chebsum.genfun import GenSpec, chi_closed_value
-from chebsum.kibble import (CorrMatrix, f_U3_closed, f_U3_compare, f_U3_symmetrized,
+from chebsum.kibble import (CorrMatrix, f_U3_closed, f_U3_compare,
                             kibble_closed_eval, kibble_denominator,
                             kibble_series_oracle)
 from chebsum.denom import build_w
@@ -108,7 +108,7 @@ def test_fU3_collapses_when_third_coordinate_decouples():
         want = chi_closed_value(GenSpec(0, 2, (0, 0)), [x, y], r12)
         assert abs(got - want) < 1e-12
         assert f_U3_closed(x, y, z, 0.0, 0.0, 0.0) == pytest.approx(1.0)
-        assert f_U3_symmetrized(x, y, z, r12, 0.0, 0.0) == pytest.approx(want)
+        assert f_U3_closed(x, y, z, r12, 0.0, 0.0, symmetrized=True) == pytest.approx(want)
 
 
 @pytest.mark.parametrize("n", [4, 5])

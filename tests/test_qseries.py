@@ -10,12 +10,12 @@ from chebsum.errors import ConvergenceError, DomainError
 from chebsum.genfun import GenSpec, chi_closed_value
 from chebsum.poly import Poly
 from chebsum.quadrature import cheb1_nodes
-from chebsum.qseries import (QContext, b_values, chi1t_check, conjecture_probe,
+from chebsum.qseries import (QContext, chi1t_check, conjecture_probe,
                              d2_coeff, d2_values, d_coeff, d_of_q,
                              d_truncated_product, fh_integral_check,
                              final_identity_check, ft_inner_product, ft_moment_U,
-                             ft_u_coeffs, gamma_moment, h_values, hU_coeff,
-                             hb_poly, idb_check, poly_to_u_basis, q_symbols,
+                             ft_u_coeffs, gamma_moment, hU_coeff, hb_poly,
+                             hb_values, idb_check, poly_to_u_basis, q_symbols,
                              tn_construct)
 
 F = Fraction
@@ -117,11 +117,16 @@ def test_d_truncated_product_converges(ctx):
 
 def test_rolled_value_sequences(ctx):
     xv = 0.43
-    hv = h_values(ctx, xv, 9)
-    bv = b_values(ctx, xv, 9)
+    hv = hb_values(ctx, "h", xv, 9)
+    bv = hb_values(ctx, "b", xv, 9)
     for n in range(9):
         assert hv[n] == pytest.approx(hb_poly(ctx, "h", n).eval({"x1": xv}), abs=1e-12)
         assert bv[n] == pytest.approx(hb_poly(ctx, "b", n).eval({"x1": xv}), abs=1e-12)
+    # The same recurrence at an exact argument gives the polynomials' values exactly.
+    xf = F(3, 7)
+    for kind in ("h", "b"):
+        vals = hb_values(ctx, kind, xf, 9)
+        assert vals == [hb_poly(ctx, kind, n).eval({"x1": xf}) for n in range(9)]
 
 
 def test_d2_printed_displays():
