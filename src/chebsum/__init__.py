@@ -10,7 +10,7 @@ brute-force series oracles.
 from .cheb import ChebIndex, cheb_eval, cheb_linearize_UU, cheb_poly, geom_trig_sum, multi_trig_sum
 from .denom import WPoly, build_w, build_w_recursive, w_specialize_one
 from .errors import (ArityError, ChebsumError, ConvergenceError, DegeneratePivot,
-                     DomainError, MissingAssignment, OverlapError, ScaleError,
+                     DomainError, ExponentError, MissingAssignment, OverlapError, ScaleError,
                      SingularAngle, UnknownId)
 from .forms import compare_form, known_form, known_form_spec, registry_ids
 from .genfun import (GenSpec, RationalFn, chi_angle_eval, chi_closed, chi_closed_value,
@@ -33,6 +33,6 @@ __all__ = [
     "TrigSum", "TrigTerm", "trig_product_to_sum", "trig_to_poly", "QContext",
     "conjecture_probe", "d2_coeff", "d_coeff", "hb_poly", "idb_check", "q_symbols", "tn_construct",
     "ChebsumError", "ArityError", "ConvergenceError", "DegeneratePivot",
-    "DomainError", "MissingAssignment", "OverlapError", "ScaleError",
+    "DomainError", "ExponentError", "MissingAssignment", "OverlapError", "ScaleError",
     "SingularAngle", "UnknownId",
 ]

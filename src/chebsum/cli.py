@@ -308,8 +308,14 @@ def main(argv=None) -> int:
             at = argv.index("--config")
             if at + 1 == len(argv):
                 parser.error("argument --config: expected one argument")
-            with open(argv[at + 1]) as fh:
-                parser.set_defaults(**json.load(fh))
+            try:
+                with open(argv[at + 1]) as fh:
+                    config = json.load(fh)
+            except (OSError, ValueError) as exc:
+                parser.error(f"argument --config: cannot load {argv[at + 1]}: {exc}")
+            if not isinstance(config, dict):
+                parser.error(f"argument --config: {argv[at + 1]} must hold a JSON object")
+            parser.set_defaults(**config)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -17,6 +17,10 @@ class ArityError(ChebsumError):
     """Parallel argument lists have inconsistent lengths."""
 
 
+class ExponentError(ChebsumError):
+    """A monomial exponent is negative or not an integer."""
+
+
 class DomainError(ChebsumError):
     """A numeric argument lies outside the region where the formula converges."""
 

@@ -76,30 +76,26 @@ def _check_scale(spec: GenSpec) -> None:
         raise ScaleError(f"k + n = {spec.slots} exceeds the supported maximum {MAX_SLOTS}")
 
 
-def _product_polys(spec: GenSpec, count: int) -> list[Poly]:
-    """P_0 .. P_{count-1} as exact polynomials in x1..x_{k+n}."""
-    return [math.prod((cheb_poly(ChebIndex(spec.kind(s), i + spec.t[s - 1]), var=f"x{s}")
-                       for s in range(1, spec.slots + 1)), start=Poly.const(1))
-            for i in range(count)]
+def _cheb_factors(spec: GenSpec, i: int) -> list[Poly]:
+    """C_{1,i} .. C_{K,i}: the univariate Chebyshev factors of P_i, one per slot."""
+    return [cheb_poly(ChebIndex(spec.kind(s), i + spec.t[s - 1]), var=f"x{s}")
+            for s in range(1, spec.slots + 1)]
 
 
 @lru_cache(maxsize=512)
 def _numerator_cached(k: int, n: int, t: tuple[int, ...]) -> Poly:
+    # l = sum_i rho^i [w]_{<2^K-i} C_{1,i} ... C_{K,i}, with [w]_{<d} the terms
+    # of w below rho^d: the convolution regrouped by i, one factor at a time.
     spec = GenSpec(k, n, t)
     K = spec.slots
     order = 2 ** K
-    coeffs = w_rho_coeff_polys(K)
-    prods = _product_polys(spec, order)
-    rho = Poly.variable("rho")
-    rho_pows = [Poly.const(1)] + [rho ** j for j in range(1, order)]
+    w = build_w(K).poly
     acc = Poly.zero()
-    for m, cm in enumerate(coeffs):
-        if cm.is_zero() or m >= order:
-            continue
-        for i in range(order - m):
-            if prods[i].is_zero():
-                continue
-            acc = acc + (cm * prods[i]) * rho_pows[m + i]
+    for i in range(order):
+        term = w.truncate("rho", order - i) * Poly(("rho",), {(i,): 1})
+        for factor in _cheb_factors(spec, i):
+            term = term * factor
+        acc = acc + term
     want = tuple([f"x{i}" for i in range(1, K + 1)] + ["rho"])
     return acc if acc.vars == want else acc.embed(want)
 
@@ -122,13 +118,13 @@ def series_convolution_residual(spec: GenSpec, order: int) -> Poly:
     This is the rho^order coefficient of w * chi - l as a formal power series.
     """
     _check_scale(spec)
-    coeffs = w_rho_coeff_polys(spec.slots)
-    prods = _product_polys(spec, order + 1)
     acc = Poly.zero()
-    for m, cm in enumerate(coeffs):
-        if m > order or cm.is_zero():
-            continue
-        acc = acc + cm * prods[order - m]
+    for m, cm in enumerate(w_rho_coeff_polys(spec.slots)):
+        if m > order:
+            break
+        for factor in _cheb_factors(spec, order - m):
+            cm = cm * factor
+        acc = acc + cm
     if order < 2 ** spec.slots:
         acc = acc - numerator_l(spec).coeff_of("rho", order)
     return acc
@@ -147,6 +143,19 @@ def _domain_check(spec: GenSpec, xs: Sequence[float], rho: float) -> None:
             raise DomainError(f"|x_i| must be <= 1, got {x}")
 
 
+def _grid_domain_check(spec: GenSpec, xs_arrays, rho) -> None:
+    """``_domain_check`` over numpy arrays, one whole-array reduction each."""
+    import numpy as np
+
+    if len(xs_arrays) != spec.slots:
+        raise DomainError(f"need {spec.slots} coordinate arrays, got {len(xs_arrays)}")
+    if rho.size and np.abs(rho).max() >= 1:
+        raise DomainError(f"|rho| must be < 1, got max |rho| = {np.abs(rho).max()}")
+    for a in xs_arrays:
+        if a.size and np.abs(a).max() > 1:
+            raise DomainError(f"|x_i| must be <= 1, got max |x_i| = {np.abs(a).max()}")
+
+
 def chi_closed_value(spec: GenSpec, xs: Sequence, rho):
     """Evaluate the closed form at a point without expanding the numerator.
 
@@ -155,6 +164,7 @@ def chi_closed_value(spec: GenSpec, xs: Sequence, rho):
     the symbolic path produces.  Exact inputs give an exact value.
     """
     _check_scale(spec)
+    _domain_check(spec, xs, rho)
     K = spec.slots
     point = {f"x{i + 1}": xs[i] for i in range(K)}
     wc = [c.eval(point) for c in w_rho_coeff_polys(K)]
@@ -201,9 +211,11 @@ def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
 
     K = spec.slots
     arrays = {f"x{i + 1}": np.asarray(a, dtype=float) for i, a in enumerate(xs_arrays)}
+    rho = np.asarray(rho_array, dtype=float)
+    _grid_domain_check(spec, list(arrays.values()), rho)
     wc = [c.eval_grid(arrays) for c in w_rho_coeff_polys(K)]
     prods = _grid_products(spec, 2 ** K, xs_arrays)
-    return _convolve(wc, prods, np.asarray(rho_array, dtype=float), 2 ** K)
+    return _convolve(wc, prods, rho, 2 ** K)
 
 
 # ------------------------------------------------------------------ series oracle

@@ -1,9 +1,21 @@
 """Exact sparse multivariate polynomial arithmetic with a trigonometric layer.
 
-A polynomial is a mapping from exponent tuples to nonzero rational
-coefficients over an ordered variable list.  Coefficients are Python ints or
+A polynomial is a mapping from monomials to nonzero rational coefficients
+over an ordered variable list.  Coefficients are Python ints or
 ``fractions.Fraction``; all arithmetic is exact, floats appear only when a
 polynomial is *evaluated* at float inputs.
+
+Representation: every monomial is one packed int.  Variable i of the list
+owns the bit field [FIELD_BITS * i, FIELD_BITS * (i + 1)) of the key; the
+field's low bits hold the exponent, 0 .. EXP_LIMIT - 1, and its top bit is a
+guard.  A monomial product is one integer add: two exponents below EXP_LIMIT
+sum below 2 * EXP_LIMIT, so nothing carries into the next field, and a sum
+that reaches EXP_LIMIT sets the guard bit, which one mask test over the
+result turns into a ``ScaleError``; exponents never wrap.  The layout is
+private to this module.  ``Poly.terms`` is a read-only view keyed by exponent
+tuples (aligned with ``vars``) in the packed dict's insertion order; its
+``len`` and ``values()`` read the packed dict, and the tuple keys are
+unpacked once per polynomial, on first use, and kept on it.
 
 Three families of variables are allowed, with a fixed global order:
 
@@ -12,8 +24,8 @@ Three families of variables are allowed, with a fixed global order:
 ``xk`` plays the role of cos of the k-th angle, the marker ``sk`` plays the
 role of sin of the same angle, and ``rho`` is the series variable.  Marker
 exponents are kept in {0, 1} by rewriting ``sk**2 -> 1 - xk**2`` after every
-multiplication, so every polynomial lives in a canonical basis and two equal
-polynomials compare equal as dictionaries.
+multiplication that involves a marker, so every polynomial lives in a
+canonical basis and two equal polynomials compare equal as dictionaries.
 
 The trigonometric layer (``TrigTerm``/``TrigSum``) represents finite
 combinations of cos/sin of integer combinations of angles.  It converts
@@ -29,13 +41,20 @@ strings.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from functools import reduce
+from operator import or_
+from typing import Iterable, NamedTuple
 
-from .errors import ArityError, MissingAssignment, OverlapError
+from .errors import ArityError, ExponentError, MissingAssignment, OverlapError, ScaleError
 
 Scalar = int | Fraction
 Exponents = tuple[int, ...]
+
+FIELD_BITS = 16                      # bits per variable in a packed monomial
+EXP_LIMIT = 1 << (FIELD_BITS - 1)    # exponents run over 0 .. EXP_LIMIT - 1
+_FIELD = (1 << FIELD_BITS) - 1
 
 
 def var_sort_key(name: str) -> tuple[int, int]:
@@ -52,109 +71,194 @@ def var_sort_key(name: str) -> tuple[int, int]:
     raise ValueError(f"unsupported variable name: {name!r}")
 
 
+def _canonical(variables: Iterable[str]) -> tuple[str, ...]:
+    vs = tuple(variables)
+    if list(vs) != sorted(vs, key=var_sort_key):
+        raise ValueError(f"variables not in canonical order: {vs}")
+    return vs
+
+
 def _normalize_scalar(c: Scalar) -> Scalar:
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
 
 
+# ------------------------------------------------------------- packed monomials
+
+
+def _pack(exps: Exponents) -> int:
+    key = 0
+    for i, e in enumerate(exps):
+        key |= e << (FIELD_BITS * i)
+    return key
+
+
+def _unpack(key: int, n: int) -> Exponents:
+    return tuple((key >> (FIELD_BITS * i)) & _FIELD for i in range(n))
+
+
+def _check_guards(packed: dict[int, Scalar], n: int) -> None:
+    """Raise ScaleError if any exponent of any key reached EXP_LIMIT."""
+    guards = EXP_LIMIT * (((1 << (FIELD_BITS * n)) - 1) // _FIELD)
+    if reduce(or_, packed, 0) & guards:
+        raise ScaleError(f"an exponent reached the supported limit {EXP_LIMIT}")
+
+
+def _remap(packed: dict[int, Scalar], moves: Iterable[tuple[int, int]]) -> dict[int, Scalar]:
+    """Move exponent fields by (source index, target index) pairs, keeping order.
+
+    Fields that no pair names are dropped; consecutive moves are done as one
+    masked shift.
+    """
+    runs: list[list[int]] = []
+    for src, dst in moves:
+        if runs and runs[-1][0] + runs[-1][2] == src and runs[-1][1] + runs[-1][2] == dst:
+            runs[-1][2] += 1
+        else:
+            runs.append([src, dst, 1])
+    shifts = [(FIELD_BITS * src, (1 << (FIELD_BITS * width)) - 1, FIELD_BITS * dst)
+              for src, dst, width in runs]
+    return {sum(((k >> src) & mask) << dst for src, mask, dst in shifts): c
+            for k, c in packed.items()}
+
+
+class _TermsView(Mapping):
+    """Read-only exponent-tuple view of a polynomial's terms."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Poly):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._packed)
+
+    def values(self):
+        return self._poly._packed.values()
+
+    def items(self):
+        return self._poly._tuple_terms().items()
+
+    def __iter__(self):
+        return iter(self._poly._tuple_terms())
+
+    def __getitem__(self, exps: Exponents) -> Scalar:
+        return self._poly._tuple_terms()[exps]
+
+    def __repr__(self) -> str:
+        return repr(self._poly._tuple_terms())
+
+
 class Poly:
     """Immutable-by-convention sparse polynomial.
 
     ``terms`` maps exponent tuples (aligned with ``vars``) to nonzero
-    coefficients.  The zero polynomial has an empty ``terms`` dict.
-    Instances are never mutated after construction; every operation returns
-    a new Poly.
+    coefficients.  The zero polynomial has no terms.  Instances are never
+    mutated after construction; every operation returns a new Poly.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_packed", "_tuples")
 
-    def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar] | None = None,
-                 *, _clean: bool = True):
-        vs = tuple(variables)
-        if list(vs) != sorted(vs, key=var_sort_key):
-            raise ValueError(f"variables not in canonical order: {vs}")
+    def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar] | None = None):
+        vs = _canonical(variables)
+        packed: dict[int, Scalar] = {}
+        for exps, c in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != len(vs):
+                raise ArityError(f"exponent tuple {exps} does not match arity {len(vs)}")
+            for e in exps:
+                if not isinstance(e, int) or e < 0:
+                    raise ExponentError(f"exponent {e!r} in {exps} is not a nonnegative integer")
+                if e >= EXP_LIMIT:
+                    raise ScaleError(f"exponent {e} in {exps} exceeds the supported limit "
+                                     f"{EXP_LIMIT - 1}")
+            c = _normalize_scalar(c)
+            if c != 0:
+                packed[_pack(exps)] = c
         self.vars = vs
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            cleaned = {}
-            for exps, c in terms.items():
-                if len(exps) != len(vs):
-                    raise ArityError(f"exponent tuple {exps} does not match arity {len(vs)}")
-                c = _normalize_scalar(c)
-                if c != 0:
-                    cleaned[tuple(exps)] = c
-            self.terms = _reduce_markers(vs, cleaned)
-        else:
-            self.terms = dict(terms)
+        self._packed = _reduce_markers(vs, packed)
+        self._tuples = None
+
+    @classmethod
+    def _make(cls, variables: tuple[str, ...], packed: dict[int, Scalar]) -> Poly:
+        """Wrap canonical variables and a packed dict without checks."""
+        p = object.__new__(cls)
+        p.vars = variables
+        p._packed = packed
+        p._tuples = None
+        return p
+
+    @property
+    def terms(self) -> Mapping[Exponents, Scalar]:
+        return _TermsView(self)
+
+    def _tuple_terms(self) -> dict[Exponents, Scalar]:
+        if self._tuples is None:
+            n = len(self.vars)
+            self._tuples = {_unpack(k, n): c for k, c in self._packed.items()}
+        return self._tuples
 
     # ---------------------------------------------------------------- builders
 
     @classmethod
     def zero(cls, variables: Iterable[str] = ()) -> Poly:
-        return cls(variables, {})
+        return cls._make(_canonical(variables), {})
 
     @classmethod
     def const(cls, value: Scalar, variables: Iterable[str] = ()) -> Poly:
-        vs = tuple(variables)
+        vs = _canonical(variables)
         value = _normalize_scalar(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
-        if value == 0:
-            return cls(vs, {})
-        return cls(vs, {(0,) * len(vs): value}, _clean=False)
+        return cls._make(vs, {0: value} if value != 0 else {})
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str] | None = None) -> Poly:
-        vs = tuple(variables) if variables is not None else (name,)
+        vs = _canonical(variables if variables is not None else (name,))
         if name not in vs:
             raise ValueError(f"{name} not among {vs}")
-        exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: 1}, _clean=False)
+        return cls._make(vs, {1 << (FIELD_BITS * vs.index(name)): 1})
 
     # ------------------------------------------------------------- inspection
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def degree(self, var: str) -> int:
         """Largest exponent of ``var`` (0 if absent or zero polynomial)."""
         if var not in self.vars:
             return 0
-        i = self.vars.index(var)
-        return max((e[i] for e in self.terms), default=0)
+        shift = FIELD_BITS * self.vars.index(var)
+        return max(((k >> shift) & _FIELD for k in self._packed), default=0)
 
     def uses(self, var: str) -> bool:
         if var not in self.vars:
             return False
-        i = self.vars.index(var)
-        return any(e[i] for e in self.terms)
+        mask = _FIELD << (FIELD_BITS * self.vars.index(var))
+        return any(k & mask for k in self._packed)
 
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in canonical graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        n = len(self.vars)
+        return sorted(((_unpack(k, n), c) for k, c in self._packed.items()),
+                      key=lambda kv: (sum(kv[0]), kv[0]))
 
     # ------------------------------------------------------------ arithmetic
 
     def embed(self, variables: Iterable[str]) -> Poly:
         """Reindex into a superset variable list (canonical order required)."""
-        vs = tuple(variables)
+        vs = _canonical(variables)
         if vs == self.vars:
             return self
-        pos = []
-        for v in self.vars:
+        moves = []
+        for i, v in enumerate(self.vars):
             if v not in vs:
                 raise ValueError(f"cannot embed: {v} missing from {vs}")
-            pos.append(vs.index(v))
-        n = len(vs)
-        out: dict[Exponents, Scalar] = {}
-        for exps, c in self.terms.items():
-            ne = [0] * n
-            for p, e in zip(pos, exps):
-                ne[p] = e
-            out[tuple(ne)] = c
-        return Poly(vs, out, _clean=False)
+            moves.append((i, vs.index(v)))
+        return Poly._make(vs, _remap(self._packed, moves))
 
     def _union_vars(self, other: Poly) -> tuple[str, ...]:
+        if self.vars == other.vars:
+            return self.vars
         return tuple(sorted(set(self.vars) | set(other.vars), key=var_sort_key))
 
     @staticmethod
@@ -170,20 +274,19 @@ class Poly:
         if other is None:
             return NotImplemented
         vs = self._union_vars(other)
-        a, b = self.embed(vs), other.embed(vs)
-        out = dict(a.terms)
-        for exps, c in b.terms.items():
-            nc = out.get(exps, 0) + c
+        out = dict(self.embed(vs)._packed)
+        for k, c in other.embed(vs)._packed.items():
+            nc = out.get(k, 0) + c
             if nc == 0:
-                out.pop(exps, None)
+                out.pop(k, None)
             else:
-                out[exps] = _normalize_scalar(nc)
-        return Poly(vs, out, _clean=False)
+                out[k] = _normalize_scalar(nc)
+        return Poly._make(vs, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()}, _clean=False)
+        return Poly._make(self.vars, {k: -c for k, c in self._packed.items()})
 
     def __sub__(self, other) -> Poly:
         other = self._coerce(other)
@@ -200,27 +303,32 @@ class Poly:
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return Poly(self.vars, {})
-            return Poly(self.vars,
-                        {e: _normalize_scalar(c * other) for e, c in self.terms.items()},
-                        _clean=False)
+                return Poly._make(self.vars, {})
+            return Poly._make(self.vars, {k: _normalize_scalar(c * other)
+                                          for k, c in self._packed.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         vs = self._union_vars(other)
-        a, b = self.embed(vs), other.embed(vs)
-        if len(b.terms) > len(a.terms):
+        a, b = self.embed(vs)._packed, other.embed(vs)._packed
+        if len(b) > len(a):
             a, b = b, a
-        out: dict[Exponents, Scalar] = {}
-        for eb, cb in b.terms.items():
-            for ea, ca in a.terms.items():
-                exps = tuple(i + j for i, j in zip(ea, eb))
-                nc = out.get(exps, 0) + ca * cb
-                if nc == 0:
-                    out.pop(exps, None)
+        a_items = list(a.items())
+        out: dict[int, Scalar] = {}
+        get = out.get
+        for kb, cb in b.items():
+            for ka, ca in a_items:
+                k = ka + kb
+                c = get(k)
+                if c is None:
+                    out[k] = ca * cb
                 else:
-                    out[exps] = nc
-        out = _reduce_markers(vs, out)
-        return Poly(vs, out, _clean=False)
+                    c = c + ca * cb
+                    if c == 0:
+                        del out[k]
+                    else:
+                        out[k] = c
+        _check_guards(out, len(vs))
+        return Poly._make(vs, _reduce_markers(vs, out))
 
     __rmul__ = __mul__
 
@@ -241,12 +349,12 @@ class Poly:
         if other is None:
             return NotImplemented
         if self.vars == other.vars:
-            return self.terms == other.terms
+            return self._packed == other._packed
         vs = self._union_vars(other)
-        return self.embed(vs).terms == other.embed(vs).terms
+        return self.embed(vs)._packed == other.embed(vs)._packed
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self._packed.items())))
 
     # ------------------------------------------------------- structural ops
 
@@ -257,8 +365,7 @@ class Poly:
             raise ValueError("rename would collide variables")
         order = sorted(range(len(new_names)), key=lambda i: var_sort_key(new_names[i]))
         vs = tuple(new_names[i] for i in order)
-        out = {tuple(exps[i] for i in order): c for exps, c in self.terms.items()}
-        return Poly(vs, out, _clean=False)
+        return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(order))))
 
     def drop_vars(self, names: Iterable[str]) -> Poly:
         """Remove variables that carry no exponent anywhere."""
@@ -268,8 +375,14 @@ class Poly:
                 raise ValueError(f"cannot drop used variable {nm}")
         keep = [i for i, v in enumerate(self.vars) if v not in names]
         vs = tuple(self.vars[i] for i in keep)
-        out = {tuple(e[i] for i in keep): c for e, c in self.terms.items()}
-        return Poly(vs, out, _clean=False)
+        return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(keep))))
+
+    def _split(self, var: str) -> tuple[tuple[str, ...], int, list[tuple[int, int]]]:
+        """(the other variables, the shift of var's field, the moves that drop it)."""
+        i = self.vars.index(var)
+        rest = self.vars[:i] + self.vars[i + 1:]
+        moves = [(j, j - (j > i)) for j in range(len(self.vars)) if j != i]
+        return rest, FIELD_BITS * i, moves
 
     def subs(self, name: str, replacement: Poly | Scalar) -> Poly:
         """Substitute a polynomial (or constant) for one variable."""
@@ -277,29 +390,33 @@ class Poly:
             return self
         if isinstance(replacement, (int, Fraction)):
             replacement = Poly.const(replacement)
-        i = self.vars.index(name)
-        rest_vars = tuple(v for v in self.vars if v != name)
-        groups: dict[int, dict[Exponents, Scalar]] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            re = tuple(exps[:i] + exps[i + 1:])
-            groups.setdefault(e, {})[re] = c
+        rest_vars, shift, moves = self._split(name)
+        groups: dict[int, dict[int, Scalar]] = {}
+        for k, c in self._packed.items():
+            groups.setdefault((k >> shift) & _FIELD, {})[k] = c
         result = Poly.zero(rest_vars)
         powers: dict[int, Poly] = {0: Poly.const(1)}
         for e in sorted(groups):
             if e not in powers:
                 powers[e] = replacement ** e
-            result = result + Poly(rest_vars, groups[e], _clean=False) * powers[e]
+            result = result + Poly._make(rest_vars, _remap(groups[e], moves)) * powers[e]
         return result
 
     def coeff_of(self, var: str, power: int) -> Poly:
         """The coefficient of ``var**power`` as a polynomial in the rest."""
         if var not in self.vars:
             return self if power == 0 else Poly.zero(self.vars)
-        i = self.vars.index(var)
-        rest = tuple(v for v in self.vars if v != var)
-        out = {tuple(e[:i] + e[i + 1:]): c for e, c in self.terms.items() if e[i] == power}
-        return Poly(rest, out, _clean=False)
+        rest, shift, moves = self._split(var)
+        picked = {k: c for k, c in self._packed.items() if (k >> shift) & _FIELD == power}
+        return Poly._make(rest, _remap(picked, moves))
+
+    def truncate(self, var: str, below: int) -> Poly:
+        """The terms whose exponent of ``var`` is below ``below``."""
+        if var not in self.vars:
+            return self if below > 0 else Poly.zero(self.vars)
+        shift = FIELD_BITS * self.vars.index(var)
+        return Poly._make(self.vars, {k: c for k, c in self._packed.items()
+                                      if (k >> shift) & _FIELD < below})
 
     def rho_coeffs(self) -> list[Poly]:
         """Coefficients of rho**0 .. rho**deg as polynomials in the x variables."""
@@ -315,7 +432,7 @@ class Poly:
         Raises MissingAssignment if a variable with a nonzero exponent has no
         value.
         """
-        if not self.terms:
+        if not self._packed:
             return 0
         nvars = len(self.vars)
         vals = [assignment.get(v) for v in self.vars]
@@ -376,7 +493,7 @@ class Poly:
 
     def render(self) -> str:
         """Plain-text form: "c * x1^a * rho^r" joined by " + "."""
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
@@ -407,7 +524,7 @@ class Poly:
 
 
 def _marker_pairs(variables: tuple[str, ...]) -> list[tuple[int, int]]:
-    """(marker position, partner x position) for every sk present."""
+    """(marker field shift, partner x field shift) for every sk present."""
     index = {v: i for i, v in enumerate(variables)}
     pairs = []
     for v, i in index.items():
@@ -415,41 +532,39 @@ def _marker_pairs(variables: tuple[str, ...]) -> list[tuple[int, int]]:
             partner = "x" + v[1:]
             if partner not in index:
                 raise ValueError(f"marker {v} lacks partner {partner} in {variables}")
-            pairs.append((i, index[partner]))
+            pairs.append((FIELD_BITS * i, FIELD_BITS * index[partner]))
     return pairs
 
 
 def _reduce_markers(variables: tuple[str, ...],
-                    terms: dict[Exponents, Scalar]) -> dict[Exponents, Scalar]:
+                    terms: dict[int, Scalar]) -> dict[int, Scalar]:
     """Rewrite sk**e with e >= 2 via sk**2 = 1 - xk**2 until all marker exponents are 0/1."""
-    if not any(v[0] == "s" for v in variables):
-        return terms
-    if not any(e[i] >= 2 for e in terms for i, v in enumerate(variables) if v[0] == "s"):
+    # The bits of a marker field above its lowest are set iff its exponent is >= 2.
+    high = sum((_FIELD - 1) << (FIELD_BITS * i) for i, v in enumerate(variables) if v[0] == "s")
+    if not high or not any(k & high for k in terms):
         return terms
     pairs = _marker_pairs(variables)
-    out: dict[Exponents, Scalar] = {}
+    out: dict[int, Scalar] = {}
     stack = list(terms.items())
     while stack:
-        exps, c = stack.pop()
-        for spos, xpos in pairs:
-            e = exps[spos]
+        key, c = stack.pop()
+        for sshift, xshift in pairs:
+            e = (key >> sshift) & _FIELD
             if e >= 2:
                 half, rem = divmod(e, 2)
-                base = list(exps)
-                base[spos] = rem
+                base = key - ((e - rem) << sshift)
                 # (1 - x^2)^half expanded binomially
                 for t in range(half + 1):
-                    ne = base.copy()
-                    ne[xpos] += 2 * t
-                    stack.append((tuple(ne), c * math.comb(half, t) * (-1) ** t))
+                    stack.append((base + ((2 * t) << xshift), c * math.comb(half, t) * (-1) ** t))
                 break
         else:
-            nc = out.get(exps, 0) + c
+            nc = out.get(key, 0) + c
             if nc == 0:
-                out.pop(exps, None)
+                out.pop(key, None)
             else:
-                out[exps] = nc
-    return {e: _normalize_scalar(c) for e, c in out.items() if c != 0}
+                out[key] = nc
+    _check_guards(out, len(variables))
+    return {k: _normalize_scalar(c) for k, c in out.items() if c != 0}
 
 
 # ----------------------------------------------------------- trigonometric sums

@@ -140,38 +140,55 @@ def q_symbols(ctx: QContext, which: str, *args) -> Fraction:
 # ------------------------------------------------------------ the polynomials
 
 
-def hb_values(ctx: QContext, kind: str, x, count: int) -> list:
+def hb_values(ctx: QContext, kind: str, x, count: int, rolled: Sequence = ()) -> list:
     """[p_0(x), ..., p_{count-1}(x)] for p = h or b, by the one recurrence.
 
     x may be a float (float in, float out), a Fraction or a ``Poly``.  Powers
     of q come from a table built by repeated multiplication, not ``q ** m``,
-    so float values keep the bits of the rolled products.
+    so float values keep the bits of the rolled products.  ``rolled`` may
+    hold p_0 .. p_{j-1} from an earlier call at the same x; the roll then
+    resumes from its last two entries and every entry is the one a roll from
+    p_0 gives.
     """
     if kind not in ("h", "b"):
         raise ValueError(f"kind must be h or b, got {kind!r}")
+    if count <= len(rolled):
+        return list(rolled[:count])
     q = float(ctx.q) if isinstance(x, float) else ctx.q
     one = 1.0 if isinstance(x, float) else 1
     qpow = [one]
     for _ in range(count):
         qpow.append(qpow[-1] * q)
+    start = max(len(rolled) - 2, 0)
+    qpow = qpow[start:]  # the steps below index from the first seed
     if kind == "h":
         step = lambda m, p1, p0: 2 * x * p1 - (one - qpow[m]) * p0
     else:
         step = lambda m, p1, p0: -2 * qpow[m] * x * p1 + qpow[m - 1] * (one - qpow[m]) * p0
-    p0 = x ** 0 if isinstance(x, Poly) else one
-    return recur([None] * count, p0, 2 * x if kind == "h" else -2 * x, step)
+    if start:
+        seeds = rolled[start], rolled[start + 1]
+    else:
+        seeds = x ** 0 if isinstance(x, Poly) else one, 2 * x if kind == "h" else -2 * x
+    return list(rolled[:start]) + recur([None] * (count - start), *seeds, step)
 
 
 def hb_poly(ctx: QContext, kind: str, n: int) -> Poly:
-    """h_n or b_n as an exact polynomial in x1 via its three-term recurrence."""
+    """h_n or b_n as an exact polynomial in x1 via its three-term recurrence.
+
+    Every entry of the roll is kept in ``ctx``, and a longer roll resumes
+    from the entries already there.
+    """
     if kind not in ("h", "b"):
         raise ValueError(f"kind must be h or b, got {kind!r}")
     if n < 0:
         return Poly.zero(("x1",))
-    key = (kind, n)
-    if key not in ctx._polys:
-        ctx._polys[key] = hb_values(ctx, kind, Poly.variable("x1"), n + 1)[n]
-    return ctx._polys[key]
+    if (kind, n) not in ctx._polys:
+        rolled = []
+        while (kind, len(rolled)) in ctx._polys:
+            rolled.append(ctx._polys[kind, len(rolled)])
+        for m, p in enumerate(hb_values(ctx, kind, Poly.variable("x1"), n + 1, rolled)):
+            ctx._polys[kind, m] = p
+    return ctx._polys[kind, n]
 
 
 def _univar_coeffs(p: Poly, var: str = "x1") -> list[Fraction]:
@@ -236,8 +253,7 @@ def d_truncated_product(ctx: QContext, n: int, factors: int) -> Poly:
         a = q ** j
         prod = prod * (1 - 2 * a * x * rho + a * a * rho * rho)
         # Truncate above rho^n as we go; higher orders never feed back down.
-        prod = Poly(prod.vars, {e: c for e, c in prod.terms.items()
-                                if e[prod.vars.index("rho")] <= n}, _clean=False)
+        prod = prod.truncate("rho", n + 1)
     return ctx.qq(n) * prod.coeff_of("rho", n)
 
 

@@ -133,6 +133,14 @@ def test_usage_errors_exit_2(tmp_path):
                  "--rho", "bogus"]) == 2
     assert main(["kibble", "denominator", "--n", "3", "--rho", "1=1/2"]) == 2
     assert main(["w", "check", "--config"]) == 2
+    assert main(["--config", str(tmp_path / "missing.json"), "w", "check"]) == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["--config", str(bad), "w", "check"]) == 2
+    assert main(["chi", "eval", "--k", "0", "--n", "1", "--t", "0",
+                 "--x", "2", "--rho", "0.5"]) == 2
+    assert main(["chi", "eval", "--k", "0", "--n", "1", "--t", "0",
+                 "--x", "0.5", "--rho", "1.5"]) == 2
 
 
 def test_stdout_without_json_flag(capsys):

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from chebsum.cheb import ChebIndex, cheb_poly
+from chebsum.denom import w_rho_coeff_polys
 from chebsum.errors import DomainError, ScaleError, SingularAngle
 from chebsum.genfun import (GenSpec, chi_angle_eval, chi_closed, chi_closed_value,
-                            chi_series_oracle, chi_series_tail_bound,
+                            chi_closed_values_grid, chi_series_oracle, chi_series_tail_bound,
                             marginal_check, numerator_l, positivity_grid_min,
                             series_convolution_residual)
 from chebsum.poly import Poly
@@ -64,6 +65,69 @@ def test_series_oracle_domain_errors():
         chi_series_oracle(spec, [0.5], 1.0, 10)
     with pytest.raises(DomainError):
         chi_series_oracle(spec, [1.5], 0.5, 10)
+
+
+def test_closed_value_domain_errors():
+    import numpy as np
+
+    spec = GenSpec(0, 1, (0,))
+    with pytest.raises(DomainError):
+        chi_closed_value(spec, [2.0], 0.5)
+    with pytest.raises(DomainError):
+        chi_closed_value(spec, [Fraction(1, 2)], Fraction(3, 2))
+    with pytest.raises(DomainError):
+        chi_closed_value(spec, [0.5, 0.5], 0.5)
+    xs = [np.array([0.5, -1.0, 1.0])]
+    assert chi_closed_values_grid(spec, xs, np.array([0.5, 0.1, -0.9])).shape == (3,)
+    with pytest.raises(DomainError):
+        chi_closed_values_grid(spec, [np.array([0.5, 1.5])], np.array([0.5, 0.5]))
+    with pytest.raises(DomainError):
+        chi_closed_values_grid(spec, xs, np.array([0.5, -1.0, 0.1]))
+    with pytest.raises(DomainError):
+        chi_closed_values_grid(GenSpec(1, 1, (0, 0)), xs, np.array([0.5, 0.1, 0.1]))
+
+
+def _convolution_products(spec, count):
+    """P_0 .. P_{count-1}, each expanded in full."""
+    return [math.prod((cheb_poly(ChebIndex(spec.kind(s), i + spec.t[s - 1]), var=f"x{s}")
+                       for s in range(1, spec.slots + 1)), start=Poly.const(1))
+            for i in range(count)]
+
+
+def _convolution_numerator(spec):
+    """l = sum_{j < 2^K} rho^j sum_m [rho^m](w) P_{j-m}, each c_m times a full P_i."""
+    order = 2 ** spec.slots
+    prods = _convolution_products(spec, order)
+    acc = Poly.zero()
+    for m, cm in enumerate(w_rho_coeff_polys(spec.slots)):
+        for i in range(order - m):
+            acc = acc + (cm * prods[i]) * RHO ** (m + i)
+    return acc
+
+
+def _convolution_residual(spec, order):
+    prods = _convolution_products(spec, order + 1)
+    acc = Poly.zero()
+    for m, cm in enumerate(w_rho_coeff_polys(spec.slots)):
+        if m <= order:
+            acc = acc + cm * prods[order - m]
+    if order < 2 ** spec.slots:
+        acc = acc - _convolution_numerator(spec).coeff_of("rho", order)
+    return acc
+
+
+def test_factored_convolution_matches_full_products():
+    # numerator_l and series_convolution_residual multiply one Chebyshev
+    # factor at a time; the plain convolution over expanded P_i must agree.
+    for K in (1, 2, 3):
+        for k in range(K + 1):
+            for t in ((0,) * K, (-1, 2, -2)[:K]):
+                spec = GenSpec(k, K - k, t)
+                assert numerator_l(spec) == _convolution_numerator(spec)
+                top = 2 ** K
+                for order in (top - 1, top, top + 2):
+                    assert series_convolution_residual(spec, order) == \
+                        _convolution_residual(spec, order)
 
 
 def test_closed_symbolic_matches_numeric_exactly():

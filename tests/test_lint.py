@@ -14,3 +14,35 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in src/chebsum: {found}"
+
+
+# The packed monomial layout (field constants, storage attribute, pack
+# helpers) is a decision of poly.py alone; other modules read ``Poly.terms``.
+PACKED_LAYOUT_NAMES = {"FIELD_BITS", "EXP_LIMIT", "_FIELD", "_packed", "_pack", "_unpack",
+                       "_tuples", "_tuple_terms"}
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_packed_layout_stays_in_poly():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {name for name, _ in _names(tree)}
+        if path.name == "poly.py":
+            # The list above must name what poly.py really uses.
+            assert PACKED_LAYOUT_NAMES <= names
+            continue
+        found += [f"{path.name}:{line} {name}" for name, line in _names(tree)
+                  if name in PACKED_LAYOUT_NAMES]
+    assert not found, f"packed monomial layout named outside poly.py: {found}"

@@ -1,15 +1,19 @@
 """Core polynomial and trigonometric-layer tests."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebsum.errors import MissingAssignment, OverlapError
-from chebsum.poly import (Poly, TrigTerm, TrigSum, make_trig_term, trig_product_to_sum,
-                          trig_to_poly)
+import chebsum
+from chebsum.errors import (ChebsumError, ExponentError, MissingAssignment, OverlapError,
+                            ScaleError)
+from chebsum.poly import (EXP_LIMIT, Poly, TrigTerm, TrigSum, make_trig_term,
+                          trig_product_to_sum, trig_to_poly, var_sort_key)
 
 X1 = Poly.variable("x1")
 X2 = Poly.variable("x2")
@@ -31,6 +35,124 @@ def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def _reference_reduce(variables, terms):
+    """Marker reduction sk**2 -> 1 - xk**2 on exponent tuples."""
+    pairs = [(i, variables.index("x" + v[1:])) for i, v in enumerate(variables) if v[0] == "s"]
+    if not any(e[i] >= 2 for e in terms for i, _ in pairs):
+        return terms
+    out = {}
+    stack = list(terms.items())
+    while stack:
+        exps, c = stack.pop()
+        for spos, xpos in pairs:
+            e = exps[spos]
+            if e >= 2:
+                half, rem = divmod(e, 2)
+                base = list(exps)
+                base[spos] = rem
+                for t in range(half + 1):
+                    ne = base.copy()
+                    ne[xpos] += 2 * t
+                    stack.append((tuple(ne), c * math.comb(half, t) * (-1) ** t))
+                break
+        else:
+            nc = out.get(exps, 0) + c
+            if nc == 0:
+                out.pop(exps, None)
+            else:
+                out[exps] = nc
+    return {e: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+            for e, c in out.items()}
+
+
+def reference_product(p, q):
+    """(variables, terms) of p * q by the exponent-tuple loop, in its term order."""
+    vs = tuple(sorted(set(p.vars) | set(q.vars), key=var_sort_key))
+    a, b = dict(p.embed(vs).terms.items()), dict(q.embed(vs).terms.items())
+    if len(b) > len(a):
+        a, b = b, a
+    out = {}
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            exps = tuple(i + j for i, j in zip(ea, eb))
+            nc = out.get(exps, 0) + ca * cb
+            if nc == 0:
+                out.pop(exps, None)
+            else:
+                out[exps] = nc
+    return vs, _reference_reduce(vs, out)
+
+
+VAR_SETS = [("x1",), ("x1", "x2", "rho"), ("x2", "rho"), ("x1", "s1"),
+            ("x1", "x2", "s1", "s2"), ("x2", "s2", "rho")]
+
+
+def marker_polys():
+    coeff = st.integers(-4, 4) | st.integers(-4, 4).map(lambda n: Fraction(n, 3))
+    return st.sampled_from(VAR_SETS).flatmap(lambda vs: st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(vs)), coeff, max_size=6).map(
+        lambda terms: Poly(vs, terms)))
+
+
+def _typed(items):
+    return [(e, type(c), c) for e, c in items]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(marker_polys(), marker_polys())
+def test_product_matches_tuple_reference(a, b):
+    vs, want = reference_product(a, b)
+    got = a * b
+    assert got.vars == vs
+    assert _typed(got.terms.items()) == _typed(want.items())
+    assert len(got.terms) == len(want)
+    assert list(got.terms.values()) == list(want.values())
+
+
+def test_terms_view():
+    p = 3 * X1 ** 2 * RHO - Fraction(1, 2) * RHO + 1
+    assert p.vars == ("x1", "rho")
+    assert len(p.terms) == 3
+    assert dict(p.terms) == {(2, 1): 3, (0, 1): Fraction(-1, 2), (0, 0): 1}
+    assert list(p.terms) == [e for e, _ in p.terms.items()]
+    assert p.terms[(2, 1)] == 3 and (0, 1) in p.terms and (1, 1) not in p.terms
+    assert p.terms.get((5, 5), 0) == 0
+    assert Poly(p.vars, p.terms) == p
+
+
+def test_exponent_overflow_raises_scale_error():
+    top = Poly(("x1",), {(EXP_LIMIT - 2,): 1})
+    assert (top * X1).degree("x1") == EXP_LIMIT - 1
+    with pytest.raises(ScaleError):
+        top * X1 * X1
+    with pytest.raises(ScaleError):
+        X1 ** EXP_LIMIT
+    # A neighbouring field is left alone: no carry out of the overflowing one.
+    with pytest.raises(ScaleError):
+        (top * X1).embed(("x1", "x2")) * (X1 * X2)
+    # Marker reduction raises x1's exponent by two: s1^2 -> 1 - x1^2.
+    s1 = Poly.variable("s1", ("x1", "s1"))
+    with pytest.raises(ScaleError):
+        Poly(("x1", "s1"), {(EXP_LIMIT - 2, 1): 1}) * s1
+
+
+def test_out_of_range_exponents_at_construction():
+    with pytest.raises(ExponentError):
+        Poly(("x1",), {(-1,): 1})
+    with pytest.raises(ExponentError):
+        Poly(("x1", "rho"), {(1, 0.5): 1})
+    with pytest.raises(ScaleError):
+        Poly(("x1",), {(EXP_LIMIT,): 1})
+    assert Poly(("x1",), {(EXP_LIMIT - 1,): 2}).degree("x1") == EXP_LIMIT - 1
+    for exps in ([-2, 0], [0, EXP_LIMIT]):
+        with pytest.raises(ChebsumError):
+            Poly.from_json_dict({"vars": ["x1", "rho"], "terms": [{"coeff": "1/1", "exps": exps}]})
+    # The published JSON schema states the same range.
+    schema = json.loads((Path(chebsum.__file__).parent / "schemas" / "poly.schema.json").read_text())
+    exps = schema["properties"]["terms"]["items"]["properties"]["exps"]["items"]
+    assert (exps["minimum"], exps["maximum"]) == (0, EXP_LIMIT - 1)
 
 
 def test_additive_inverse_and_identities():
