@@ -20,7 +20,7 @@ from .kibble import (CorrMatrix, f_U3_closed, f_U3_compare, kibble_closed_eval,
                      kibble_denominator, kibble_series_oracle)
 from .poly import Poly, TrigSum, TrigTerm, trig_product_to_sum, trig_to_poly
 from .qseries import (QContext, conjecture_probe, d2_coeff, d_coeff, hb_poly,
-                      idb_check, q_symbols, tn_construct)
+                      idb_check, tn_construct)
 
 __all__ = [
     "ChebIndex", "cheb_eval", "cheb_linearize_UU", "cheb_poly", "geom_trig_sum",
@@ -31,7 +31,7 @@ __all__ = [
     "series_convolution_residual", "CorrMatrix", "f_U3_closed", "f_U3_compare",
     "kibble_closed_eval", "kibble_denominator", "kibble_series_oracle", "Poly",
     "TrigSum", "TrigTerm", "trig_product_to_sum", "trig_to_poly", "QContext",
-    "conjecture_probe", "d2_coeff", "d_coeff", "hb_poly", "idb_check", "q_symbols", "tn_construct",
+    "conjecture_probe", "d2_coeff", "d_coeff", "hb_poly", "idb_check", "tn_construct",
     "ChebsumError", "ArityError", "ConvergenceError", "DegeneratePivot",
     "DomainError", "ExponentError", "MissingAssignment", "OverlapError", "ScaleError",
     "SingularAngle", "UnknownId",

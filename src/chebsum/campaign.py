@@ -1,12 +1,13 @@
 """Verification campaigns: reproducible case generation, records, reports.
 
 Every suite exposes a case count and a pure per-index case function, so a
-campaign is fully determined by (suite, params); workers can compute cases
-in any order and the report canonicalizes by case index.  Records are
-emitted as newline-delimited JSON with sorted keys and compact separators,
-so identical parameters (including the seed) produce byte-identical output
-regardless of worker count.  Timing is kept out of the machine records and
-reported only on the human side.
+campaign is fully determined by (suite, params).  Campaigns run in one
+process: each suite computes its cases in index order, and the caches of
+denominators, Chebyshev polynomials and numerators carry over from one
+suite to the next.  Records are emitted as newline-delimited JSON with
+sorted keys and compact separators, so identical parameters (including the
+seed) produce byte-identical output.  Timing is kept out of the machine
+records and reported only on the human side.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,7 +36,6 @@ class Campaign:
     order: int = 200
     tol: float = 1e-8
     cutoff: int = 40
-    jobs: int = 1
     nodes: int = 128
 
     def __post_init__(self):
@@ -476,29 +475,17 @@ class Report:
                 "failures": self.failures, "pass": self.passed}
 
 
-def _one_case(args) -> dict:
-    campaign, index = args
-    _, case_fn = _SUITES[campaign.suite]
-    return case_fn(campaign, index)
-
-
 def run_campaign(campaign: Campaign) -> Report:
-    """Run every case of a suite; order of results is canonical by index."""
+    """Run every case of a suite in index order, in this process."""
     import time
 
     if campaign.suite not in _SUITES:
         raise ValueError(f"unknown suite {campaign.suite!r}; "
                          f"choose from {', '.join(ALL_SUITES)}")
-    count_fn, _ = _SUITES[campaign.suite]
-    n = count_fn(campaign)
+    count_fn, case_fn = _SUITES[campaign.suite]
     t0 = time.perf_counter()
-    if campaign.jobs > 1:
-        with ProcessPoolExecutor(max_workers=campaign.jobs) as pool:
-            records = list(pool.map(_one_case, [(campaign, i) for i in range(n)]))
-    else:
-        records = [_one_case((campaign, i)) for i in range(n)]
-    rep = Report(campaign.suite, records, time.perf_counter() - t0)
-    return rep
+    records = [case_fn(campaign, i) for i in range(count_fn(campaign))]
+    return Report(campaign.suite, records, time.perf_counter() - t0)
 
 
 def canonical_json(obj) -> str:

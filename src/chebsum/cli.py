@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout (or --json PATH); the human summary
 goes to stderr.  Exit status: 0 on success/pass, 1 on verification failure,
 2 on usage or domain errors.  Reports are reproducible byte for byte for a
-fixed --seed, independent of --jobs.
+fixed --seed.  Campaigns run in one process; ``verify`` accepts --jobs N
+and ignores it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ def _emit(args, text: str) -> None:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--json", dest="json_path", default=None,
                    help="write machine output to this path instead of stdout")
@@ -138,6 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--order", type=int, default=150)
     v.add_argument("--cutoff", type=int, default=30)
     v.add_argument("--nodes", type=int, default=128)
+    v.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: campaigns run in one process")
     _common_flags(v)
     return top
 
@@ -148,8 +150,7 @@ def _cmd_w(args) -> int:
         _emit(args, camp.canonical_json(w.poly.to_json_dict()) + "\n")
         print(f"w_{args.n}: {len(w.poly.terms)} terms", file=sys.stderr)
         return 0
-    rep = camp.run_campaign(camp.Campaign("w", seed=args.seed, jobs=args.jobs,
-                                          tol=args.tol))
+    rep = camp.run_campaign(camp.Campaign("w", seed=args.seed, tol=args.tol))
     _emit(args, camp.emit_ndjson([rep]))
     _human([rep])
     return 0 if rep.passed else 1
@@ -211,7 +212,7 @@ def _cmd_kibble(args) -> int:
         return 0
     rep = camp.run_campaign(camp.Campaign("kibble", trials=args.trials,
                                           seed=args.seed, cutoff=args.cutoff,
-                                          jobs=args.jobs, tol=args.tol))
+                                          tol=args.tol))
     _emit(args, camp.emit_ndjson([rep]))
     _human([rep])
     return 0 if rep.passed else 1
@@ -285,7 +286,7 @@ def _cmd_verify(args) -> int:
         reports.append(camp.run_campaign(camp.Campaign(
             s, trials=args.trials, points=args.points, seed=args.seed,
             rho_max=args.rho_max, order=args.order, tol=args.tol,
-            cutoff=args.cutoff, jobs=args.jobs, nodes=args.nodes)))
+            cutoff=args.cutoff, nodes=args.nodes)))
     _emit(args, camp.emit_ndjson(reports))
     _human(reports)
     return 0 if all(r.passed for r in reports) else 1

@@ -271,6 +271,7 @@ def chi_series_oracle_grid(spec: GenSpec, xs_arrays, rho_array, J: int):
     import numpy as np
 
     rho = np.asarray(rho_array, dtype=float)
+    _grid_domain_check(spec, [np.asarray(a, dtype=float) for a in xs_arrays], rho)
     prods = _grid_products(spec, J + 1, xs_arrays)
     total = np.zeros(rho.shape)
     rp = np.ones(rho.shape)
@@ -368,6 +369,8 @@ def marginal_check(n: int, j: int, nodes: int = 128, tol: float = 1e-9,
         raise ValueError("need 1 <= j <= n")
     if n > 3:
         raise ScaleError("marginal checks supported for n <= 3")
+    if nodes < 1:
+        raise DomainError(f"quadrature needs nodes >= 1, got {nodes}")
     spec = GenSpec(n, 0, (0,) * n)
     theta = (2 * np.arange(1, nodes + 1) - 1) * math.pi / (2 * nodes)
     quad_nodes = np.cos(theta)

@@ -2,8 +2,10 @@
 
 A polynomial is a mapping from monomials to nonzero rational coefficients
 over an ordered variable list.  Coefficients are Python ints or
-``fractions.Fraction``; all arithmetic is exact, floats appear only when a
-polynomial is *evaluated* at float inputs.
+``fractions.Fraction`` (the constructor and ``Poly.const`` convert any other
+number, a float included, to the exact Fraction of its value); all
+arithmetic is exact, floats appear only when a polynomial is *evaluated* at
+float inputs.
 
 Representation: every monomial is one packed int.  Variable i of the list
 owns the bit field [FIELD_BITS * i, FIELD_BITS * (i + 1)) of the key; the
@@ -82,6 +84,11 @@ def _normalize_scalar(c: Scalar) -> Scalar:
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _exact(c) -> Scalar:
+    """A coefficient as an int or an exact Fraction (floats convert exactly)."""
+    return _normalize_scalar(c if isinstance(c, (int, Fraction)) else Fraction(c))
 
 
 # ------------------------------------------------------------- packed monomials
@@ -173,7 +180,7 @@ class Poly:
                 if e >= EXP_LIMIT:
                     raise ScaleError(f"exponent {e} in {exps} exceeds the supported limit "
                                      f"{EXP_LIMIT - 1}")
-            c = _normalize_scalar(c)
+            c = _exact(c)
             if c != 0:
                 packed[_pack(exps)] = c
         self.vars = vs
@@ -208,7 +215,7 @@ class Poly:
     @classmethod
     def const(cls, value: Scalar, variables: Iterable[str] = ()) -> Poly:
         vs = _canonical(variables)
-        value = _normalize_scalar(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
+        value = _exact(value)
         return cls._make(vs, {0: value} if value != 0 else {})
 
     @classmethod
@@ -354,7 +361,15 @@ class Poly:
         return self.embed(vs)._packed == other.embed(vs)._packed
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self._packed.items())))
+        # Equality embeds both sides first, so hash only what survives an
+        # embedding: each monomial as its (variable, exponent > 0) pairs.  A
+        # constant hashes as its coefficient, since Poly.const(c) == c.
+        if self._packed.keys() <= {0}:
+            return hash(self._packed.get(0, 0))
+        n = len(self.vars)
+        return hash(frozenset(
+            (tuple((v, e) for v, e in zip(self.vars, _unpack(k, n)) if e), c)
+            for k, c in self._packed.items()))
 
     # ------------------------------------------------------- structural ops
 

@@ -98,14 +98,6 @@ class QContext:
             self._qq.append(nxt)
         return self._qq[n]
 
-    def poch(self, a, n: int) -> Fraction:
-        """(a; q)_n = prod_{j<n} (1 - a q^j), with (a; q)_0 = 1."""
-        a = Fraction(a)
-        out = Fraction(1)
-        for j in range(n):
-            out *= 1 - a * self.q ** j
-        return out
-
     def binom(self, n: int, k: int) -> Fraction:
         """q-binomial; zero outside 0 <= k <= n."""
         if not 0 <= k <= n:
@@ -122,19 +114,6 @@ class QContext:
                 return K
         raise ConvergenceError(
             f"|q| = {float(aq):.4f} too close to 1 for tail epsilon {self.tail_eps}")
-
-
-def q_symbols(ctx: QContext, which: str, *args) -> Fraction:
-    """Dispatch: bracket(n) | factorial(n) | binomial(n, k) | pochhammer(a, n)."""
-    if which == "bracket":
-        return ctx.bracket(*args)
-    if which == "factorial":
-        return ctx.bracket_factorial(*args)
-    if which == "binomial":
-        return ctx.binom(*args)
-    if which == "pochhammer":
-        return ctx.poch(*args)
-    raise ValueError(f"unknown q-symbol family {which!r}")
 
 
 # ------------------------------------------------------------ the polynomials
@@ -198,15 +177,6 @@ def _univar_coeffs(p: Poly, var: str = "x1") -> list[Fraction]:
     for exps, c in p.terms.items():
         e = exps[p.vars.index(var)] if var in p.vars else 0
         out[e] += Fraction(c)
-    return out
-
-
-def _compose(p: Poly, arg: Poly, var: str = "x1") -> Poly:
-    """p(arg) for univariate p."""
-    coeffs = _univar_coeffs(p, var)
-    out = Poly.const(coeffs[-1]) if coeffs else Poly.zero()
-    for c in reversed(coeffs[:-1]):
-        out = out * arg + c
     return out
 
 
@@ -277,8 +247,9 @@ def d2_values(ctx: QContext, x: float, y: float, count: int) -> list[float]:
 def d2_coeff(ctx: QContext, n: int) -> Poly:
     """(q)_n times the rho^n Taylor coefficient of W_2, in variables x1, x2.
 
-    Assembled by the product rule from the univariate coefficients at the
-    sum and difference angles; the sine markers cancel in pairs.
+    Assembled by the product rule from b_0 .. b_n rolled at the sum and
+    difference angles, cos(a -/+ b) = x1 x2 -/+ s1 s2; the sine markers
+    cancel in pairs.
     """
     key = ("d2", n)
     if key in ctx._polys:
@@ -286,12 +257,11 @@ def d2_coeff(ctx: QContext, n: int) -> Poly:
     vars4 = ("x1", "x2", "s1", "s2")
     xx = Poly.variable("x1", vars4) * Poly.variable("x2", vars4)
     ss = Poly.variable("s1", vars4) * Poly.variable("s2", vars4)
-    cplus, cminus = xx - ss, xx + ss
+    bp = hb_values(ctx, "b", xx - ss, n + 1)
+    bm = hb_values(ctx, "b", xx + ss, n + 1)
     acc = Poly.zero()
     for m in range(n + 1):
-        bm = _compose(hb_poly(ctx, "b", m), cplus)
-        bn = _compose(hb_poly(ctx, "b", n - m), cminus)
-        acc = acc + ctx.binom(n, m) * (bm * bn)
+        acc = acc + ctx.binom(n, m) * (bp[m] * bm[n - m])
     if acc.uses("s1") or acc.uses("s2"):
         raise ChebsumError("markers must cancel in pairs")
     out = acc.drop_vars([v for v in acc.vars if v.startswith("s")])

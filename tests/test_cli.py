@@ -104,6 +104,7 @@ def test_verify_all_byte_identical(tmp_path):
         "5d1c2801b8141df30fc436974a4ccceb3657f6d103016fecf18819516d04caf2")
     _, b = run(args, tmp_path, name="b.json")
     assert a == b
+    # --jobs is accepted and ignored: campaigns run in one process.
     _, c = run(args + ["--jobs", "3"], tmp_path, name="c.json")
     assert a == c
     # A different seed changes the sampled cases.
@@ -141,6 +142,10 @@ def test_usage_errors_exit_2(tmp_path):
                  "--x", "2", "--rho", "0.5"]) == 2
     assert main(["chi", "eval", "--k", "0", "--n", "1", "--t", "0",
                  "--x", "0.5", "--rho", "1.5"]) == 2
+    assert main(["verify", "marginals", "--nodes", "0"]) == 2
+    # Only verify still takes --jobs, and there it is ignored.
+    assert main(["w", "check", "--jobs", "2"]) == 2
+    assert main(["q", "check", "--suite", "d2", "--jobs", "2"]) == 2
 
 
 def test_stdout_without_json_flag(capsys):

@@ -10,9 +10,9 @@ from chebsum.cheb import ChebIndex, cheb_poly
 from chebsum.denom import w_rho_coeff_polys
 from chebsum.errors import DomainError, ScaleError, SingularAngle
 from chebsum.genfun import (GenSpec, chi_angle_eval, chi_closed, chi_closed_value,
-                            chi_closed_values_grid, chi_series_oracle, chi_series_tail_bound,
-                            marginal_check, numerator_l, positivity_grid_min,
-                            series_convolution_residual)
+                            chi_closed_values_grid, chi_series_oracle, chi_series_oracle_grid,
+                            chi_series_tail_bound, marginal_check, numerator_l,
+                            positivity_grid_min, series_convolution_residual)
 from chebsum.poly import Poly
 
 X1, X2 = Poly.variable("x1"), Poly.variable("x2")
@@ -85,6 +85,15 @@ def test_closed_value_domain_errors():
         chi_closed_values_grid(spec, xs, np.array([0.5, -1.0, 0.1]))
     with pytest.raises(DomainError):
         chi_closed_values_grid(GenSpec(1, 1, (0, 0)), xs, np.array([0.5, 0.1, 0.1]))
+    assert chi_series_oracle_grid(spec, xs, np.array([0.5, 0.1, -0.9]), 20).shape == (3,)
+    with pytest.raises(DomainError):
+        chi_series_oracle_grid(spec, [np.array([2.0])], np.array([0.5]), 20)
+    with pytest.raises(DomainError):
+        chi_series_oracle_grid(spec, [np.array([0.5])], np.array([1.5]), 20)
+    with pytest.raises(DomainError):
+        chi_series_oracle_grid(GenSpec(1, 1, (0, 0)), xs, np.array([0.5, 0.1, 0.1]), 20)
+    with pytest.raises(DomainError):
+        marginal_check(1, 1, nodes=0)
 
 
 def _convolution_products(spec, count):

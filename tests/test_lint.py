@@ -46,3 +46,23 @@ def test_packed_layout_stays_in_poly():
         found += [f"{path.name}:{line} {name}" for name, line in _names(tree)
                   if name in PACKED_LAYOUT_NAMES]
     assert not found, f"packed monomial layout named outside poly.py: {found}"
+
+
+# Campaigns run in one process: a pool of workers was slower than running
+# the suites serially and rebuilt every cache cold in each worker.
+CONCURRENCY_MODULES = ("concurrent", "multiprocessing", "threading")
+
+
+def test_no_process_or_thread_pools():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in CONCURRENCY_MODULES]
+    assert not found, f"concurrency imports in src/chebsum: {found}"

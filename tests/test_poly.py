@@ -111,6 +111,36 @@ def test_product_matches_tuple_reference(a, b):
     assert list(got.terms.values()) == list(want.values())
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_polys())
+def test_hash_agrees_with_equality(a):
+    # Equality embeds both sides into the union of their variables first.
+    for vs in (("x1", "x2", "x3", "rho"), ("x1", "x2", "s1", "s2", "rho")):
+        wide = a.embed(vs)
+        assert wide == a and hash(wide) == hash(a)
+    used = tuple(v for v in a.vars if a.uses(v))
+    narrow = a.drop_vars([v for v in a.vars if v not in used])
+    assert narrow == a and hash(narrow) == hash(a)
+    if not used:
+        # Poly.const(c) == c, so a constant hashes as its coefficient.
+        c = a.terms.get((0, 0, 0), 0)
+        assert a == c and hash(a) == hash(c)
+    reordered = Poly(a.vars, dict(reversed(list(a.terms.items()))))
+    assert reordered == a and hash(reordered) == hash(a)
+    assert len({a, a.embed(("x1", "x2", "x3", "rho")), narrow}) == 1
+
+
+def test_float_coefficients_stored_exactly():
+    got = Poly(("x1",), {(1,): 0.5}).terms[(1,)]
+    assert got == Fraction(1, 2) and type(got) is Fraction
+    whole = Poly(("x1",), {(1,): 2.0}).terms[(1,)]
+    assert whole == 2 and type(whole) is int
+    assert Poly(("x1",), {(1,): 0.1}).terms[(1,)] == Fraction(0.1)
+    assert Poly(("x1",), {(1,): 0.5}) == Poly.const(0.5) * X1
+    assert Poly.const(0.5, ("x1",)) == Fraction(1, 2)
+    assert hash(Poly.const(0.5, ("x1",))) == hash(Fraction(1, 2))
+
+
 def test_terms_view():
     p = 3 * X1 ** 2 * RHO - Fraction(1, 2) * RHO + 1
     assert p.vars == ("x1", "rho")

@@ -15,7 +15,7 @@ from chebsum.qseries import (QContext, chi1t_check, conjecture_probe,
                              d_truncated_product, fh_integral_check,
                              final_identity_check, ft_inner_product, ft_moment_U,
                              ft_u_coeffs, gamma_moment, hU_coeff, hb_poly,
-                             hb_values, idb_check, poly_to_u_basis, q_symbols,
+                             hb_values, idb_check, poly_to_u_basis,
                              tn_construct)
 
 F = Fraction
@@ -29,15 +29,14 @@ def ctx():
 
 
 def test_q_symbols(ctx):
-    assert q_symbols(ctx, "bracket", 3) == F(7, 4)
-    assert q_symbols(ctx, "bracket", 0) == 0
-    assert q_symbols(ctx, "pochhammer", F(1, 3), 0) == 1
-    got = q_symbols(ctx, "binomial", 4, 2)
+    assert ctx.bracket(3) == F(7, 4)
+    assert ctx.bracket(0) == 0
+    got = ctx.binom(4, 2)
     assert got == ctx.qq(4) / (ctx.qq(2) * ctx.qq(2))
     # Factorial route gives the same value.
     assert got == ctx.bracket_factorial(4) / (ctx.bracket_factorial(2) ** 2)
-    assert q_symbols(ctx, "binomial", 3, 5) == 0
-    assert q_symbols(ctx, "binomial", 3, -1) == 0
+    assert ctx.binom(3, 5) == 0
+    assert ctx.binom(3, -1) == 0
 
 
 def test_pochhammer_factorial_consistency(ctx):
@@ -143,6 +142,33 @@ def test_d2_printed_displays():
         assert d2_coeff(ctx, 4) == (b(4) * by(4)
                                     - q ** 4 * (ctx.qq(4) / (ctx.qq(1) * ctx.qq(2))) * b(2) * by(2)
                                     + q ** 5 * ctx.qq(4) / ctx.qq(2)) * (1 / q ** 6)
+
+
+def _compose(p, arg):
+    """p(arg) for p univariate in x1, by Horner's rule over its coefficients."""
+    coeffs = [F(0)] * (p.degree("x1") + 1)
+    for (e,), c in p.terms.items():
+        coeffs[e] = F(c)
+    out = Poly.const(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out = out * arg + c
+    return out
+
+
+def test_d2_matches_composed_b():
+    # d2_n = sum_m qbinom(n, m) b_m(cos(a+b)) b_{n-m}(cos(a-b)), with each b_m
+    # substituted into x1 x2 -/+ s1 s2 rather than rolled there.
+    vars4 = ("x1", "x2", "s1", "s2")
+    xx = Poly.variable("x1", vars4) * Poly.variable("x2", vars4)
+    ss = Poly.variable("s1", vars4) * Poly.variable("s2", vars4)
+    for qv in Q_SET:
+        ctx = QContext(qv)
+        for n in range(8):
+            want = sum((ctx.binom(n, m) * _compose(hb_poly(ctx, "b", m), xx - ss)
+                        * _compose(hb_poly(ctx, "b", n - m), xx + ss)
+                        for m in range(n + 1)), Poly.zero())
+            got = d2_coeff(ctx, n)
+            assert got.vars == ("x1", "x2") and got == want
 
 
 def test_d2_symmetry_and_values(ctx):
