@@ -56,7 +56,6 @@ def _emit(args, text: str) -> None:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--json", dest="json_path", default=None,
                    help="write machine output to this path instead of stdout")
 
@@ -88,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         _common_flags(p)
     cp["eval"].add_argument("--x", type=str, required=True)
     cp["eval"].add_argument("--rho", type=float, required=True)
+    cp["verify"].add_argument("--tol", type=float, default=1e-8)
     cp["verify"].add_argument("--trials", type=int, default=50)
     cp["verify"].add_argument("--rho-max", type=float, default=0.5)
     cp["verify"].add_argument("--order", type=int, default=200)
@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also sum the truncated lattice to this cutoff")
     _common_flags(ke)
     kv = ksub.add_parser("verify")
-    kv.add_argument("--n", type=int, default=3)
     kv.add_argument("--trials", type=int, default=50)
     kv.add_argument("--cutoff", type=int, default=40)
     _common_flags(kv)
@@ -138,6 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--order", type=int, default=150)
     v.add_argument("--cutoff", type=int, default=30)
     v.add_argument("--nodes", type=int, default=128)
+    v.add_argument("--tol", type=float, default=1e-8,
+                   help="bound of the chi-forms and chi-oracle suites; "
+                        "the other suites use fixed bounds")
     v.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: campaigns run in one process")
     _common_flags(v)
@@ -150,7 +152,7 @@ def _cmd_w(args) -> int:
         _emit(args, camp.canonical_json(w.poly.to_json_dict()) + "\n")
         print(f"w_{args.n}: {len(w.poly.terms)} terms", file=sys.stderr)
         return 0
-    rep = camp.run_campaign(camp.Campaign("w", seed=args.seed, tol=args.tol))
+    rep = camp.run_campaign(camp.Campaign("w", seed=args.seed))
     _emit(args, camp.emit_ndjson([rep]))
     _human([rep])
     return 0 if rep.passed else 1
@@ -211,8 +213,7 @@ def _cmd_kibble(args) -> int:
         _emit(args, camp.canonical_json(payload) + "\n")
         return 0
     rep = camp.run_campaign(camp.Campaign("kibble", trials=args.trials,
-                                          seed=args.seed, cutoff=args.cutoff,
-                                          tol=args.tol))
+                                          seed=args.seed, cutoff=args.cutoff))
     _emit(args, camp.emit_ndjson([rep]))
     _human([rep])
     return 0 if rep.passed else 1

@@ -168,21 +168,29 @@ def chi_closed_value(spec: GenSpec, xs: Sequence, rho):
     K = spec.slots
     point = {f"x{i + 1}": xs[i] for i in range(K)}
     wc = [c.eval(point) for c in w_rho_coeff_polys(K)]
-    return _convolve(wc, _product_values(spec, 2 ** K, xs), rho, 2 ** K)
+    return _ratio(_coeffs(wc, _product_values(spec, 2 ** K, xs), 2 ** K), wc, rho)
 
 
-def _convolve(wc, prods, rho, order: int):
-    """l / w from the evaluated rho-coefficients wc of w and the products P_i.
+def _coeffs(wc, prods, order: int) -> list:
+    """c_j = sum_m wc[m] * P_{j-m} for j < order: the rho-free half of l / w.
 
-    Shared by the scalar and the grid evaluators; the running sums start
-    from the integer 0 so exact inputs stay exact.
+    Shared by the scalar and the grid evaluators, like ``_ratio``; the sums
+    start from the integer 0 so exact inputs stay exact.
     """
-    num = 0
-    rp = 1
+    cs = []
     for j in range(order):
         cj = 0
         for m in range(j + 1):
             cj = cj + wc[m] * prods[j - m]
+        cs.append(cj)
+    return cs
+
+
+def _ratio(cs, wc, rho):
+    """l / w = sum_j c_j rho^j / sum_m wc[m] rho^m, summed in rising powers of rho."""
+    num = 0
+    rp = 1
+    for cj in cs:
         num = num + rp * cj
         rp = rp * rho
     den = 0
@@ -205,17 +213,56 @@ def _grid_products(spec: GenSpec, count: int, xs_arrays):
                      for s in range(1, spec.slots + 1))
 
 
+_BLOCK_POINTS = 2 ** 15
+
+
+def _leading_slice(a, ndim: int, sl):
+    """``a`` cut to ``sl`` along the leading axis of an ndim-dimensional broadcast.
+
+    Axes align from the right, so an array with fewer axes, or with length 1
+    on that axis, is broadcast there and passes unchanged.
+    """
+    axis = a.ndim - ndim
+    if axis < 0 or sl is ... or a.shape[axis] == 1:
+        return a
+    return a[(slice(None),) * axis + (sl,)]
+
+
 def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
-    """Vectorized float closed-form evaluation over numpy arrays."""
+    """Vectorized float closed form l / w over numpy arrays.
+
+    The x arrays broadcast to one grid shape G.  ``rho_array`` broadcasts
+    against G, and may carry extra leading axes: rho of shape (R, 1, ..., 1)
+    evaluates R values of rho over the whole grid in one call.  The result has
+    shape ``np.broadcast_shapes(rho.shape, G)``.
+
+    The grid is walked along its leading axis in blocks of about 2^15 points.
+    Everything that does not depend on rho (the rho-coefficients of w, the
+    Chebyshev products P_i and the convolution coefficients c_j) is computed
+    once per block and shared by every rho value, so working memory is bounded
+    by the block and not by the grid.  Each element goes through the same
+    floating-point operations in the same order as an unblocked evaluation,
+    so the values do not depend on the block size.
+    """
     import numpy as np
 
     K = spec.slots
-    arrays = {f"x{i + 1}": np.asarray(a, dtype=float) for i, a in enumerate(xs_arrays)}
+    xs = [np.asarray(a, dtype=float) for a in xs_arrays]
     rho = np.asarray(rho_array, dtype=float)
-    _grid_domain_check(spec, list(arrays.values()), rho)
-    wc = [c.eval_grid(arrays) for c in w_rho_coeff_polys(K)]
-    prods = _grid_products(spec, 2 ** K, xs_arrays)
-    return _convolve(wc, prods, rho, 2 ** K)
+    _grid_domain_check(spec, xs, rho)
+    grid = np.broadcast_shapes(*(a.shape for a in xs))
+    out = np.empty(np.broadcast_shapes(rho.shape, grid))
+    lead = (slice(None),) * (out.ndim - len(grid))
+    step = max(1, _BLOCK_POINTS // max(1, math.prod(grid[1:])))
+    coeff_polys = w_rho_coeff_polys(K)
+    # Walk the result's axis, not the grid's: rho may be longer there.
+    for start in range(0, out.shape[len(lead)] if grid else 1, step):
+        sl = slice(start, start + step) if grid else ...
+        xb = [_leading_slice(a, len(grid), sl) for a in xs]
+        wc = [c.eval_grid({f"x{i + 1}": a for i, a in enumerate(xb)}) for c in coeff_polys]
+        cs = _coeffs(wc, _grid_products(spec, 2 ** K, xb), 2 ** K)
+        out[lead + (sl,)] = _ratio(cs, wc, _leading_slice(rho, len(grid), sl))
+    return out
 
 
 # ------------------------------------------------------------------ series oracle
@@ -377,18 +424,21 @@ def marginal_check(n: int, j: int, nodes: int = 128, tol: float = 1e-9,
     rest = np.linspace(-0.95, 0.95, grid_points)
     axes = [quad_nodes] * j + [rest] * (n - j)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    rhos = np.asarray(rho_values, dtype=float)
+    vals = chi_closed_values_grid(spec, mesh, rhos.reshape((-1,) + (1,) * n))
+    if j < n:
+        lower = GenSpec(n - j, 0, (0,) * (n - j))
+        rest_mesh = np.meshgrid(*([rest] * (n - j)), indexing="ij", sparse=True)
+        lower_vals = chi_closed_values_grid(lower, rest_mesh,
+                                            rhos.reshape((-1,) + (1,) * (n - j)))
     max_dev_one = 0.0
     max_dev_lower = 0.0 if j < n else None
-    for rho in rho_values:
-        vals = chi_closed_values_grid(spec, mesh, np.asarray(rho))
-        integral = vals.mean(axis=tuple(range(j)))
+    for r in range(len(rhos)):
+        integral = vals[r].mean(axis=tuple(range(j)))
         max_dev_one = max(max_dev_one, float(np.max(np.abs(integral - 1.0))))
         if j < n:
-            lower = GenSpec(n - j, 0, (0,) * (n - j))
-            rest_mesh = np.meshgrid(*([rest] * (n - j)), indexing="ij", sparse=True)
-            lower_vals = chi_closed_values_grid(lower, rest_mesh, np.asarray(rho))
             max_dev_lower = max(max_dev_lower,
-                                float(np.max(np.abs(integral - lower_vals))))
+                                float(np.max(np.abs(integral - lower_vals[r]))))
     return MarginalReport(n, j, nodes, tuple(float(r) for r in rho_values),
                           max_dev_one, max_dev_lower, tol)
 
@@ -401,8 +451,6 @@ def positivity_grid_min(n: int, grid_points: int = 11,
     spec = GenSpec(n, 0, (0,) * n)
     axis = np.linspace(-1.0, 1.0, grid_points)
     mesh = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
-    best = math.inf
-    for rho in rho_values:
-        vals = chi_closed_values_grid(spec, mesh, np.asarray(rho))
-        best = min(best, float(vals.min()))
-    return best
+    rhos = np.asarray(rho_values, dtype=float)
+    vals = chi_closed_values_grid(spec, mesh, rhos.reshape((-1,) + (1,) * n))
+    return min((float(v.min()) for v in vals), default=math.inf)

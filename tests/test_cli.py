@@ -148,6 +148,17 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["q", "check", "--suite", "d2", "--jobs", "2"]) == 2
 
 
+def test_unread_flags_exit_2():
+    # kibble verify samples n = 2..5 and has no --n; --tol is taken only where
+    # a bound reads it (chi verify, verify).
+    assert main(["kibble", "verify", "--trials", "1", "--n", "3"]) == 2
+    assert main(["w", "check", "--tol", "1e-300"]) == 2
+    assert main(["kibble", "verify", "--trials", "1", "--tol", "1e-300"]) == 2
+    assert main(["chi", "eval", "--k", "0", "--n", "1", "--x", "0.5", "--rho", "0.5",
+                 "--tol", "1e-3"]) == 2
+    assert main(["q", "check", "--suite", "d2", "--tol", "1e-3"]) == 2
+
+
 def test_stdout_without_json_flag(capsys):
     code = main(["chi", "eval", "--k", "1", "--n", "0", "--t", "0",
                  "--x", "0.5", "--rho", "0.25"])

@@ -2,11 +2,12 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from chebsum.cheb import ChebIndex, cheb_poly
+from chebsum.cheb import ChebIndex, cheb_poly, cheb_seq_grid
 from chebsum.denom import w_rho_coeff_polys
 from chebsum.errors import DomainError, ScaleError, SingularAngle
 from chebsum.genfun import (GenSpec, chi_angle_eval, chi_closed, chi_closed_value,
@@ -137,6 +138,66 @@ def test_factored_convolution_matches_full_products():
                 for order in (top - 1, top, top + 2):
                     assert series_convolution_residual(spec, order) == \
                         _convolution_residual(spec, order)
+
+
+def _unblocked_closed_grid(spec, xs_arrays, rho):
+    """l / w over the whole grid at once: one eval_grid, one product array."""
+    K = spec.slots
+    wc = [c.eval_grid({f"x{i + 1}": a for i, a in enumerate(xs_arrays)})
+          for c in w_rho_coeff_polys(K)]
+    prods = math.prod(cheb_seq_grid(spec.kind(s), spec.t[s - 1], 2 ** K, xs_arrays[s - 1])
+                      for s in range(1, K + 1))
+    num, rp = 0, 1
+    for j in range(2 ** K):
+        cj = 0
+        for m in range(j + 1):
+            cj = cj + wc[m] * prods[j - m]
+        num = num + rp * cj
+        rp = rp * rho
+    den, rp = 0, 1
+    for c in wc:
+        den = den + c * rp
+        rp = rp * rho
+    return num / den
+
+
+def test_blocked_grid_is_bit_identical():
+    import numpy as np
+
+    spec = GenSpec(1, 2, (2, -1, 3))
+    rng = np.random.default_rng(5)
+    axes = [np.sort(rng.uniform(-1, 1, 64)) for _ in range(3)]
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    # 64^3 points span eight blocks; four rho values ride along one call.
+    rhos = np.array([-0.9, -0.3, 0.4, 0.95]).reshape(4, 1, 1, 1)
+    got = chi_closed_values_grid(spec, mesh, rhos)
+    assert got.shape == (4, 64, 64, 64)
+    assert np.array_equal(got, _unblocked_closed_grid(spec, mesh, rhos))
+    assert np.array_equal(got[1], _unblocked_closed_grid(spec, mesh, np.asarray(-0.3)))
+    # A rho that varies along the blocked axis is cut block by block.
+    dense = [np.ascontiguousarray(np.broadcast_to(a, (64, 64, 64))) for a in mesh]
+    rho_rows = rng.uniform(-0.9, 0.9, (64, 1, 1))
+    assert np.array_equal(chi_closed_values_grid(spec, dense, rho_rows),
+                          _unblocked_closed_grid(spec, dense, rho_rows))
+    # x constant along the blocked axis while rho is not: each row is written.
+    wide = [rng.uniform(-1, 1, (1, 40000))]
+    rho_col = np.array([[-0.5], [0.2], [0.7]])
+    one = GenSpec(0, 1, (1,))
+    assert np.array_equal(chi_closed_values_grid(one, wide, rho_col),
+                          _unblocked_closed_grid(one, wide, rho_col))
+    with pytest.raises(DomainError):
+        chi_closed_values_grid(spec, mesh, np.array([0.5, -0.2, 1.0, 0.3]).reshape(4, 1, 1, 1))
+
+
+def test_marginal_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        rep = marginal_check(3, 3, nodes=128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 128 * 2 ** 20
 
 
 def test_closed_symbolic_matches_numeric_exactly():
