@@ -20,7 +20,7 @@ from .denom import build_w
 from .errors import ChebsumError
 from .genfun import GenSpec, chi_closed, chi_closed_value, chi_series_oracle
 from .kibble import CorrMatrix, kibble_closed_eval, kibble_denominator, kibble_series_oracle
-from .qseries import (QContext, chi1t_check, conjecture_probe, d2_coeff, d_coeff,
+from .qseries import (QContext, chi1t_check, conjecture_probe, d2_coeff, d2_values, d_coeff,
                       final_identity_check, hb_poly, idb_check)
 
 
@@ -256,10 +256,24 @@ def _cmd_q(args) -> int:
                                 "abs_err": rep.abs_diff, "pass": good})
                 ok = ok and good
         elif args.suite == "d2":
-            for n in range(1, min(args.nmax, 8) + 1):
+            # d2_n expanded exactly, against the product form at two seeded points.
+            import random
+
+            rng = random.Random(f"{args.seed}:d2:{qv}")
+            points = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
+            nmax = min(args.nmax, 8)
+            values = [d2_values(ctx, x, y, nmax + 1) for x, y in points]
+            for n in range(1, nmax + 1):
                 p = d2_coeff(ctx, n)
-                records.append({"suite": "d2", "q": str(qv), "n": n,
-                                "terms": len(p.terms), "pass": True})
+                # The point nearest to (or furthest past) its bound is recorded.
+                err, bound = max(((abs(p.eval({"x1": x, "x2": y}) - v[n]),
+                                   1e-9 * max(1.0, abs(v[n])))
+                                  for (x, y), v in zip(points, values)),
+                                 key=lambda eb: eb[0] / eb[1])
+                good = err <= bound
+                records.append({"suite": "d2", "q": str(qv), "n": n, "terms": len(p.terms),
+                                "abs_err": err, "bound": bound, "pass": good})
+                ok = ok and good
         else:  # final-identity
             import random
 

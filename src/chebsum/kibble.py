@@ -190,6 +190,21 @@ def _plan_cost(n: int, order: list[int], caps: dict) -> float:
     return cost
 
 
+def _in_c_order(arr):
+    """``arr`` in C order, rewritten over its base if it is a permuted view.
+
+    A view here permutes the axes after the first of a C-contiguous base, so
+    the two orders agree on axis 0 and the base is rewritten one slice along
+    it at a time, without a second full-size array.
+    """
+    if arr.flags.c_contiguous:
+        return arr
+    out = arr.base.reshape(arr.shape)
+    for i in range(len(arr)):
+        out[i] = arr[i].copy()
+    return out
+
+
 def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
                          cutoff: int, budget: float = DEFAULT_BUDGET,
                          cap_eps: float = CAP_EPS) -> float:
@@ -229,27 +244,30 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
     arr = np.ones((1,) * n)
     axis_of = {v: i for i, v in enumerate(order)}
     for stage, v in enumerate(order):
+        # v's axis is 0: the vertices before it in ``order`` are summed out.
         for u in order[stage + 1:]:
             e = (min(v, u), max(v, u))
             cap = caps[e]
             if cap == 0:
                 continue
-            ax_v, ax_u = axis_of[v], axis_of[u]
-            sa, sb = arr.shape[ax_v], arr.shape[ax_u]
-            shape = list(arr.shape)
-            shape[ax_v] = sa + cap
-            shape[ax_u] = sb + cap
-            out = np.zeros(shape)
+            # u's axis moves next to v's in a C-contiguous copy, so each
+            # shifted add below runs over sa * sb contiguous blocks.
+            ax_u = axis_of[u]
+            arr = np.ascontiguousarray(np.moveaxis(arr, ax_u, 1))
+            sa, sb = arr.shape[:2]
+            out = np.zeros((sa + cap, sb + cap) + arr.shape[2:])
+            tmp = np.empty_like(arr)
             w = 1.0
             for s in range(cap + 1):
-                sl = [slice(None)] * arr.ndim
-                sl[ax_v] = slice(s, s + sa)
-                sl[ax_u] = slice(s, s + sb)
-                out[tuple(sl)] += w * arr
+                out[s:s + sa, s:s + sb] += np.multiply(arr, w, out=tmp)
                 w *= rho[e]
-            arr = out
-        row = cheb_values_row(kind, float(xs[v - 1]), arr.shape[axis_of[v]])
-        arr = np.tensordot(arr, row, axes=([axis_of[v]], [0]))
+            arr = np.moveaxis(out, 1, ax_u)
+            del out, tmp   # keeps the peak at arr, out and one product
+        # tensordot sums in an order set by the memory layout: C order, as
+        # on a freshly allocated array.
+        arr = _in_c_order(arr)
+        row = cheb_values_row(kind, float(xs[v - 1]), arr.shape[0])
+        arr = np.tensordot(arr, row, axes=([0], [0]))
         dropped = axis_of.pop(v)
         for u in axis_of:
             if axis_of[u] > dropped:

@@ -35,6 +35,18 @@ products of sines and cosines to linear-combination form (sign-vector
 expansion) and realizes any single cos/sin term as a polynomial in xk, sk
 via angle addition.
 
+Products are fraction-free.  When either factor may hold a ``Fraction``,
+each factor is scaled to integers by the lcm of its denominators, the double
+loop and the marker reduction run on those integers, and each result term is
+divided once by the product of the two scales.  Term order and coefficient
+types are those of the same loop run on the Fractions themselves: a term is
+an ``int`` where only int-by-int products made it and a ``Fraction``
+otherwise, and every coefficient is normalized when marker reduction runs.
+Every polynomial carries an int-only bit (no ``Fraction`` coefficient), set
+where its dict is built from operands whose bits are known, so a product of
+two integer polynomials takes the plain integer loop without scanning its
+coefficients; elsewhere the bit is computed on first use.
+
 Serialized form (stable across runs): terms ordered graded-lexicographically
 (total degree first, then the exponent tuple), coefficients as "num/den"
 strings.
@@ -165,7 +177,7 @@ class Poly:
     mutated after construction; every operation returns a new Poly.
     """
 
-    __slots__ = ("vars", "_packed", "_tuples")
+    __slots__ = ("vars", "_packed", "_tuples", "_ints")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar] | None = None):
         vs = _canonical(variables)
@@ -186,15 +198,27 @@ class Poly:
         self.vars = vs
         self._packed = _reduce_markers(vs, packed)
         self._tuples = None
+        self._ints = None
 
     @classmethod
-    def _make(cls, variables: tuple[str, ...], packed: dict[int, Scalar]) -> Poly:
-        """Wrap canonical variables and a packed dict without checks."""
+    def _make(cls, variables: tuple[str, ...], packed: dict[int, Scalar],
+              ints: bool | None = None) -> Poly:
+        """Wrap canonical variables and a packed dict without checks.
+
+        ``ints`` is the int-only bit when the caller knows it, else None.
+        """
         p = object.__new__(cls)
         p.vars = variables
         p._packed = packed
         p._tuples = None
+        p._ints = ints
         return p
+
+    def _int_only(self) -> bool:
+        """True iff no coefficient is a Fraction (computed once if not known)."""
+        if self._ints is None:
+            self._ints = Fraction not in set(map(type, self._packed.values()))
+        return self._ints
 
     @property
     def terms(self) -> Mapping[Exponents, Scalar]:
@@ -210,20 +234,20 @@ class Poly:
 
     @classmethod
     def zero(cls, variables: Iterable[str] = ()) -> Poly:
-        return cls._make(_canonical(variables), {})
+        return cls._make(_canonical(variables), {}, True)
 
     @classmethod
     def const(cls, value: Scalar, variables: Iterable[str] = ()) -> Poly:
         vs = _canonical(variables)
         value = _exact(value)
-        return cls._make(vs, {0: value} if value != 0 else {})
+        return cls._make(vs, {0: value} if value != 0 else {}, not isinstance(value, Fraction))
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str] | None = None) -> Poly:
         vs = _canonical(variables if variables is not None else (name,))
         if name not in vs:
             raise ValueError(f"{name} not among {vs}")
-        return cls._make(vs, {1 << (FIELD_BITS * vs.index(name)): 1})
+        return cls._make(vs, {1 << (FIELD_BITS * vs.index(name)): 1}, True)
 
     # ------------------------------------------------------------- inspection
 
@@ -261,7 +285,7 @@ class Poly:
             if v not in vs:
                 raise ValueError(f"cannot embed: {v} missing from {vs}")
             moves.append((i, vs.index(v)))
-        return Poly._make(vs, _remap(self._packed, moves))
+        return Poly._make(vs, _remap(self._packed, moves), self._ints)
 
     def _union_vars(self, other: Poly) -> tuple[str, ...]:
         if self.vars == other.vars:
@@ -288,12 +312,12 @@ class Poly:
                 out.pop(k, None)
             else:
                 out[k] = _normalize_scalar(nc)
-        return Poly._make(vs, out)
+        return Poly._make(vs, out, True if self._ints and other._ints else None)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly._make(self.vars, {k: -c for k, c in self._packed.items()})
+        return Poly._make(self.vars, {k: -c for k, c in self._packed.items()}, self._ints)
 
     def __sub__(self, other) -> Poly:
         other = self._coerce(other)
@@ -310,32 +334,22 @@ class Poly:
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return Poly._make(self.vars, {})
+                return Poly._make(self.vars, {}, True)
             return Poly._make(self.vars, {k: _normalize_scalar(c * other)
-                                          for k, c in self._packed.items()})
+                                          for k, c in self._packed.items()},
+                              True if self._ints and not isinstance(other, Fraction) else None)
         if not isinstance(other, Poly):
             return NotImplemented
         vs = self._union_vars(other)
-        a, b = self.embed(vs)._packed, other.embed(vs)._packed
-        if len(b) > len(a):
+        a, b = self.embed(vs), other.embed(vs)
+        if len(b._packed) > len(a._packed):
             a, b = b, a
-        a_items = list(a.items())
-        out: dict[int, Scalar] = {}
-        get = out.get
-        for kb, cb in b.items():
-            for ka, ca in a_items:
-                k = ka + kb
-                c = get(k)
-                if c is None:
-                    out[k] = ca * cb
-                else:
-                    c = c + ca * cb
-                    if c == 0:
-                        del out[k]
-                    else:
-                        out[k] = c
+        # Both loops give the same terms; the bit only picks the faster one.
+        if not (a._int_only() and b._int_only()):
+            return _fraction_free_product(vs, a._packed, b._packed)
+        out, _ = _product_loop(a._packed, b._packed)
         _check_guards(out, len(vs))
-        return Poly._make(vs, _reduce_markers(vs, out))
+        return Poly._make(vs, _reduce_markers(vs, out), True)
 
     __rmul__ = __mul__
 
@@ -380,7 +394,8 @@ class Poly:
             raise ValueError("rename would collide variables")
         order = sorted(range(len(new_names)), key=lambda i: var_sort_key(new_names[i]))
         vs = tuple(new_names[i] for i in order)
-        return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(order))))
+        return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(order))),
+                          self._ints)
 
     def drop_vars(self, names: Iterable[str]) -> Poly:
         """Remove variables that carry no exponent anywhere."""
@@ -390,7 +405,8 @@ class Poly:
                 raise ValueError(f"cannot drop used variable {nm}")
         keep = [i for i, v in enumerate(self.vars) if v not in names]
         vs = tuple(self.vars[i] for i in keep)
-        return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(keep))))
+        return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(keep))),
+                          self._ints)
 
     def _split(self, var: str) -> tuple[tuple[str, ...], int, list[tuple[int, int]]]:
         """(the other variables, the shift of var's field, the moves that drop it)."""
@@ -411,10 +427,12 @@ class Poly:
             groups.setdefault((k >> shift) & _FIELD, {})[k] = c
         result = Poly.zero(rest_vars)
         powers: dict[int, Poly] = {0: Poly.const(1)}
+        part_ints = True if self._ints else None
         for e in sorted(groups):
             if e not in powers:
                 powers[e] = replacement ** e
-            result = result + Poly._make(rest_vars, _remap(groups[e], moves)) * powers[e]
+            result = result + Poly._make(rest_vars, _remap(groups[e], moves),
+                                         part_ints) * powers[e]
         return result
 
     def coeff_of(self, var: str, power: int) -> Poly:
@@ -423,7 +441,7 @@ class Poly:
             return self if power == 0 else Poly.zero(self.vars)
         rest, shift, moves = self._split(var)
         picked = {k: c for k, c in self._packed.items() if (k >> shift) & _FIELD == power}
-        return Poly._make(rest, _remap(picked, moves))
+        return Poly._make(rest, _remap(picked, moves), True if self._ints else None)
 
     def truncate(self, var: str, below: int) -> Poly:
         """The terms whose exponent of ``var`` is below ``below``."""
@@ -431,7 +449,8 @@ class Poly:
             return self if below > 0 else Poly.zero(self.vars)
         shift = FIELD_BITS * self.vars.index(var)
         return Poly._make(self.vars, {k: c for k, c in self._packed.items()
-                                      if (k >> shift) & _FIELD < below})
+                                      if (k >> shift) & _FIELD < below},
+                          True if self._ints else None)
 
     def rho_coeffs(self) -> list[Poly]:
         """Coefficients of rho**0 .. rho**deg as polynomials in the x variables."""
@@ -536,6 +555,104 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
+
+
+def _product_loop(a: dict[int, Scalar],
+                  b: dict[int, Scalar]) -> tuple[dict[int, Scalar], list[int]]:
+    """The terms of a product before marker reduction, and the keys that cancelled.
+
+    ``b``'s terms run outside, ``a``'s inside; a key enters the result at its
+    first product and is deleted whenever its running sum reaches zero.
+    """
+    a_items = list(a.items())
+    out: dict[int, Scalar] = {}
+    cancelled: list[int] = []
+    get = out.get
+    for kb, cb in b.items():
+        for ka, ca in a_items:
+            k = ka + kb
+            c = get(k)
+            if c is None:
+                out[k] = ca * cb
+            else:
+                c = c + ca * cb
+                if c == 0:
+                    del out[k]
+                    cancelled.append(k)
+                else:
+                    out[k] = c
+    return out, cancelled
+
+
+def _scaled(packed: dict[int, Scalar]) -> tuple[int, dict[int, int]]:
+    """(the lcm L of the coefficients' denominators, the coefficients times L)."""
+    scale = math.lcm(*[c.denominator for c in packed.values()])
+    return scale, {k: c.numerator * (scale // c.denominator) for k, c in packed.items()}
+
+
+def _fraction_keys(a: dict[int, Scalar], b: dict[int, Scalar],
+                   ia: dict[int, int], ib: dict[int, int],
+                   out: dict[int, int], cancelled: list[int]) -> set[int]:
+    """The keys of ``out`` that ``_product_loop(a, b)`` leaves as Fractions.
+
+    A sum is a Fraction once a product with a Fraction factor has entered it
+    since the key was last created.  ``ia`` and ``ib`` are the scaled factors
+    that made ``out``; they replay, in loop order, each key that cancelled and
+    came back.
+    """
+    fa = {k for k, c in a.items() if isinstance(c, Fraction)}
+    fb = {k for k, c in b.items() if isinstance(c, Fraction)}
+    frac = {ka + kb for kb in b for ka in (a if kb in fb else fa)}
+    for k in out.keys() & cancelled:
+        c = None
+        for kb, cb in ib.items():
+            ca = ia.get(k - kb)
+            if ca is None:
+                continue
+            touched = (k - kb) in fa or kb in fb
+            if c is None:
+                c, is_frac = ca * cb, touched
+            else:
+                c += ca * cb
+                if c == 0:
+                    c = None
+                else:
+                    is_frac = is_frac or touched
+        if is_frac:
+            frac.add(k)
+        else:
+            frac.discard(k)
+    return frac.intersection(out)
+
+
+def _fraction_free_product(variables: tuple[str, ...], a: dict[int, Scalar],
+                           b: dict[int, Scalar]) -> Poly:
+    """``Poly._make(variables, a) * Poly._make(variables, b)`` on integers.
+
+    Gives the terms, term order and coefficient types of the same loop and
+    marker reduction run on the Fractions, with one division per term.
+    """
+    sa, ia = _scaled(a)
+    sb, ib = _scaled(b)
+    out, cancelled = _product_loop(ia, ib)
+    _check_guards(out, len(variables))
+    scale = sa * sb
+    reduced = _reduce_markers(variables, out)
+    if reduced is not out:
+        # Marker reduction normalizes every coefficient, on Fractions as here.
+        terms = {}
+        ints = True
+        for k, c in reduced.items():
+            whole, rest = divmod(c, scale)
+            if rest:
+                terms[k] = Fraction(c, scale)
+                ints = False
+            else:
+                terms[k] = whole
+        return Poly._make(variables, terms, ints)
+    frac = _fraction_keys(a, b, ia, ib, out, cancelled)
+    terms = {k: Fraction(c, scale) if k in frac else c // scale for k, c in out.items()}
+    return Poly._make(variables, terms, not frac)
 
 
 def _marker_pairs(variables: tuple[str, ...]) -> list[tuple[int, int]]:

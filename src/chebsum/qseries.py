@@ -32,6 +32,12 @@ t_n = h_n - ortho_chi_{n-2} h_{n-2}; the constants come from the moments
 gamma_n of h_n against f_t.  Every infinite sum here is truncated at an index
 K with |q|^C(K,2) below a configurable tail epsilon and each numeric report
 carries its truncation bound.
+
+Everything that depends only on q and the tail epsilon is memoised on the
+``QContext``, never at module level: (q;q)_n and [n]_q!, the rolled h_n and b_n,
+d_n and d2_n, and the truncated sums d(q), the f_t moments of U_n and the
+moments gamma_n.  A fresh context therefore recomputes all of it, and so does
+a context with another tail epsilon.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ class QContext:
         self._qq: list[Fraction] = [Fraction(1)]          # (q;q)_n
         self._bracket_fact: list[Fraction] = [Fraction(1)]  # [n]_q!
         self._polys: dict = {}
+        self._moments: dict = {}   # d(q), the f_t moments of U_n, gamma_n
 
     def __repr__(self):
         return f"QContext(q={self.q})"
@@ -317,11 +324,12 @@ class TruncatedRational:
 
 def d_of_q(ctx: QContext) -> TruncatedRational:
     """d(q) = sum_{k>=1} (-1)^(k-1) q^C(k,2), truncated at the tail index."""
-    K = ctx.tail_index()
-    val = sum((Fraction(-1) ** (k - 1) * ctx.q ** _comb2(k) for k in range(1, K + 1)),
-              Fraction(0))
-    bound = _geom_tail(ctx, K)
-    return TruncatedRational(val, bound, K)
+    if "d" not in ctx._moments:
+        K = ctx.tail_index()
+        val = sum((Fraction(-1) ** (k - 1) * ctx.q ** _comb2(k) for k in range(1, K + 1)),
+                  Fraction(0))
+        ctx._moments["d"] = TruncatedRational(val, _geom_tail(ctx, K), K)
+    return ctx._moments["d"]
 
 
 def _geom_tail(ctx: QContext, K: int, poly_factor: float = 1.0) -> float:
@@ -340,13 +348,17 @@ def ft_moment_U(ctx: QContext, n: int) -> TruncatedRational:
     """
     if n % 2:
         return TruncatedRational(Fraction(0), 0.0, 0)
-    d = d_of_q(ctx)
-    K, d_val = d.terms, d.value
-    if d_val == 0:
-        raise DegeneratePivot("d(q) truncation vanished; cannot normalize f_t")
-    num = sum((Fraction(-1) ** (k - 1) * (1 + min(n, 2 * k - 2)) * ctx.q ** _comb2(k)
-               for k in range(1, K + 1)), Fraction(0))
-    return TruncatedRational(num / d_val, _geom_tail(ctx, K, poly_factor=n + 1.0), K)
+    key = ("U", n)
+    if key not in ctx._moments:
+        d = d_of_q(ctx)
+        K, d_val = d.terms, d.value
+        if d_val == 0:
+            raise DegeneratePivot("d(q) truncation vanished; cannot normalize f_t")
+        num = sum((Fraction(-1) ** (k - 1) * (1 + min(n, 2 * k - 2)) * ctx.q ** _comb2(k)
+                   for k in range(1, K + 1)), Fraction(0))
+        ctx._moments[key] = TruncatedRational(num / d_val,
+                                              _geom_tail(ctx, K, poly_factor=n + 1.0), K)
+    return ctx._moments[key]
 
 
 def hU_coeff(ctx: QContext, n: int, k: int) -> Fraction:
@@ -361,15 +373,18 @@ def gamma_moment(ctx: QContext, n: int) -> TruncatedRational:
     """gamma_n: moment of h_n against f_t (0 for odd n)."""
     if n % 2:
         return TruncatedRational(Fraction(0), 0.0, 0)
-    K = ctx.tail_index()
-    total = Fraction(0)
-    bound = 0.0
-    for k in range(n // 2 + 1):
-        m = ft_moment_U(ctx, n - 2 * k)
-        c = hU_coeff(ctx, n, k)
-        total += c * m.value
-        bound += abs(float(c)) * m.tail_bound
-    return TruncatedRational(total, bound, K)
+    key = ("gamma", n)
+    if key not in ctx._moments:
+        K = ctx.tail_index()
+        total = Fraction(0)
+        bound = 0.0
+        for k in range(n // 2 + 1):
+            m = ft_moment_U(ctx, n - 2 * k)
+            c = hU_coeff(ctx, n, k)
+            total += c * m.value
+            bound += abs(float(c)) * m.tail_bound
+        ctx._moments[key] = TruncatedRational(total, bound, K)
+    return ctx._moments[key]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -82,6 +83,26 @@ def test_q_check_and_probe(tmp_path):
     assert code == 0
     first = json.loads(text.splitlines()[0])
     assert first["verdict"] == "REPRESENTABLE"
+
+
+def test_q_check_d2_compares_values(tmp_path, monkeypatch):
+    args = ["q", "check", "--suite", "d2", "--q", "1/3", "--nmax", "3"]
+    code, text = run(args, tmp_path)
+    assert code == 0
+    records = [json.loads(line) for line in text.splitlines()]
+    assert [r["n"] for r in records] == [1, 2, 3]
+    assert all(r["pass"] and r["abs_err"] <= r["bound"] for r in records)
+
+    import chebsum.cli as cli
+    right = cli.d2_coeff
+    # d2_2 with one coefficient off by 1/1000 must fail the check.
+    monkeypatch.setattr(cli, "d2_coeff",
+                        lambda ctx, n: right(ctx, n) + (n == 2) * Fraction(1, 1000))
+    code, text = run(args, tmp_path, name="wrong.json")
+    assert code == 1
+    records = [json.loads(line) for line in text.splitlines()]
+    assert [r["pass"] for r in records] == [True, False, True]
+    assert records[1]["abs_err"] > records[1]["bound"]
 
 
 def test_verify_all_passes_and_validates(tmp_path):

@@ -10,7 +10,8 @@ import pytest
 
 from chebsum.errors import DomainError, ScaleError, SingularAngle
 from chebsum.genfun import GenSpec, chi_closed_value
-from chebsum.kibble import (CorrMatrix, f_U3_closed, f_U3_compare,
+from chebsum.cheb import cheb_values_row
+from chebsum.kibble import (CAP_EPS, CorrMatrix, _edge_caps, f_U3_closed, f_U3_compare,
                             kibble_closed_eval, kibble_denominator,
                             kibble_series_oracle)
 from chebsum.denom import build_w
@@ -209,3 +210,56 @@ def test_oracle_guards():
         kibble_closed_eval("U", [0.0, 1.0, 2.0], K)
     with pytest.raises(ScaleError):
         kibble_series_oracle("T", [0.0] * 6, CorrMatrix.from_dict(6, {}), 5)
+
+
+def _oracle_strided(kind, xs, K, cutoff):
+    """The lattice sum with each edge added in place along its own axes."""
+    n = K.n
+    caps = _edge_caps(K, cutoff, CAP_EPS)
+    order = sorted(range(1, n + 1), key=lambda v: sum(c for e, c in caps.items() if v in e))
+    rho = {e: float(v) for e, v in K.entries}
+    arr = np.ones((1,) * n)
+    axis_of = {v: i for i, v in enumerate(order)}
+    for stage, v in enumerate(order):
+        for u in order[stage + 1:]:
+            e = (min(v, u), max(v, u))
+            cap = caps[e]
+            if cap == 0:
+                continue
+            ax_v, ax_u = axis_of[v], axis_of[u]
+            sa, sb = arr.shape[ax_v], arr.shape[ax_u]
+            shape = list(arr.shape)
+            shape[ax_v] = sa + cap
+            shape[ax_u] = sb + cap
+            out = np.zeros(shape)
+            w = 1.0
+            for s in range(cap + 1):
+                sl = [slice(None)] * arr.ndim
+                sl[ax_v] = slice(s, s + sa)
+                sl[ax_u] = slice(s, s + sb)
+                out[tuple(sl)] += w * arr
+                w *= rho[e]
+            arr = out
+        row = cheb_values_row(kind, float(xs[v - 1]), arr.shape[axis_of[v]])
+        arr = np.tensordot(arr, row, axes=([axis_of[v]], [0]))
+        dropped = axis_of.pop(v)
+        for u in axis_of:
+            if axis_of[u] > dropped:
+                axis_of[u] -= 1
+    return float(arr)
+
+
+def test_oracle_layout_is_bit_identical():
+    # 20 seeded matrices over n = 3..5; the first has a zero entry (cap 0).
+    rng = random.Random(2024)
+    for trial in range(20):
+        n = 3 + trial % 3
+        pairs = {(i, j): rng.uniform(-0.3, 0.3) for i in range(1, n + 1)
+                 for j in range(i + 1, n + 1)}
+        if trial == 0:
+            pairs[(1, 3)] = 0.0
+        K = CorrMatrix.from_dict(n, pairs)
+        xs = [rng.uniform(-1, 1) for _ in range(n)]
+        for kind in ("T", "U"):
+            assert kibble_series_oracle(kind, xs, K, 12) == _oracle_strided(kind, xs, K, 12)
+

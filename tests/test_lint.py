@@ -66,3 +66,40 @@ def test_no_process_or_thread_pools():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] in CONCURRENCY_MODULES]
     assert not found, f"concurrency imports in src/chebsum: {found}"
+
+
+# The benchmark's cold passes clear only the program's known lru caches, so a
+# cache kept at module level by the exact layers would survive and warm them.
+# poly.py and qseries.py keep memos on the objects that own them (QContext).
+COLD_MODULES = ("poly.py", "qseries.py")
+CACHE_DECORATORS = {"lru_cache", "cache"}
+DICT_FACTORIES = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary",
+                  "WeakValueDictionary"}
+
+
+def _is_dict_value(node):
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in DICT_FACTORIES
+    return False
+
+
+def test_no_module_level_caches_in_cold_layers():
+    found = []
+    for name in COLD_MODULES:
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{name}:{node.lineno} functools.{alias.name}"
+                          for alias in node.names if alias.name in CACHE_DECORATORS]
+            elif (isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{name}:{node.lineno} functools.{node.attr}")
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None \
+                    and _is_dict_value(stmt.value):
+                found.append(f"{name}:{stmt.lineno} module-level dict")
+    assert not found, f"module-level caches in the cold exact layers: {found}"

@@ -111,6 +111,54 @@ def test_product_matches_tuple_reference(a, b):
     assert list(got.terms.values()) == list(want.values())
 
 
+def fraction_marker_polys():
+    # Denominators that share no factor, so products carry wide lcm scales.
+    frac = st.builds(lambda n, b, k: Fraction(n, b ** k), st.integers(-30, 30),
+                     st.sampled_from((7, 11, 13)), st.integers(0, 4))
+    coeff = st.integers(-6, 6) | frac
+    return st.sampled_from(VAR_SETS).flatmap(lambda vs: st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(vs)), coeff, max_size=6).map(
+        lambda terms: Poly(vs, terms)))
+
+
+def fraction_pairs():
+    """Two factors; in the second form (p + r) * (p - r), whose cross terms cancel."""
+    pair = st.tuples(fraction_marker_polys(), fraction_marker_polys())
+    return pair | pair.map(lambda pr: (pr[0] + pr[1], pr[0] - pr[1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fraction_pairs())
+def test_fraction_free_product_matches_reference(pair):
+    a, b = pair
+    vs, want = reference_product(a, b)
+    got = a * b
+    assert got.vars == vs
+    assert _typed(got.terms.items()) == _typed(want.items())
+
+
+def test_fraction_free_types_follow_a_recreated_term():
+    # x^2 gets 1/7 (a Fraction), then -1/7 cancels it, then 2 * 3 creates it
+    # again from ints only: the loop leaves an int there, not Fraction(6).
+    a = Poly(("x1",), {(0,): 3, (1,): Fraction(-1, 7), (2,): Fraction(1, 7)})
+    b = Poly(("x1",), {(0,): 1, (1,): 1, (2,): 2})
+    got = dict((a * b).terms.items())
+    assert got == dict(reference_product(a, b)[1].items())
+    assert type(got[(2,)]) is int and got[(2,)] == 6
+    assert type(got[(1,)]) is Fraction
+
+
+def test_int_product_keeps_int_bit():
+    p = (X1 + 2 * X2 - 3 * RHO) ** 3
+    s = Poly.variable("s1", ("x1", "s1"))
+    for got in (p * (X1 - X2), (Poly.variable("x1", ("x1", "s1")) + s) ** 4):
+        assert got._ints is True
+        assert {type(c) for c in got.terms.values()} == {int}
+    half = Poly.const(Fraction(1, 2), ("x1",))
+    mixed = (X1 + half) * (X1 - half)
+    assert mixed._int_only() is False and Fraction in {type(c) for c in mixed.terms.values()}
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(small_polys())
 def test_hash_agrees_with_equality(a):

@@ -16,7 +16,7 @@ from chebsum.qseries import (QContext, chi1t_check, conjecture_probe,
                              final_identity_check, ft_inner_product, ft_moment_U,
                              ft_u_coeffs, gamma_moment, hU_coeff, hb_poly,
                              hb_values, idb_check, poly_to_u_basis,
-                             tn_construct)
+                             tn_construct, TruncatedRational)
 
 F = Fraction
 X = Poly.variable("x1")
@@ -334,6 +334,55 @@ def test_common_denominator_probe():
     mixed = conjecture_probe("common-denominator", n_h=0, m_t=1)
     assert not mixed["all_above_vanish"]
     assert mixed["persisting_decay_ratios"]
+
+
+def _truncated_moments(q, eps, n):
+    """(K, d(q), the f_t moment of U_n, gamma_n), with each sum written out."""
+    K = next(K for K in range(3, 401) if float(abs(q)) ** (K * (K - 1) // 2) < eps)
+    c2 = [k * (k - 1) // 2 for k in range(K + 1)]
+    d = sum(F(-1) ** (k - 1) * q ** c2[k] for k in range(1, K + 1))
+
+    def moment_u(m):
+        return sum(F(-1) ** (k - 1) * (1 + min(m, 2 * k - 2)) * q ** c2[k]
+                   for k in range(1, K + 1)) / d
+
+    def qq(m):
+        out = F(1)
+        for j in range(1, m + 1):
+            out *= 1 - q ** j
+        return out
+
+    gamma = sum((q ** k - q ** (n - k + 1)) / (1 - q ** (n - k + 1))
+                * qq(n) / (qq(k) * qq(n - k)) * moment_u(n - 2 * k)
+                for k in range(n // 2 + 1))
+    return K, d, moment_u(n), gamma
+
+
+@pytest.mark.parametrize("q", Q_SET)
+def test_memoised_moments_match_truncated_sums(q):
+    seen = {}
+    for eps in (1e-30, 1e-12):
+        ctx = QContext(q, tail_eps=eps)
+        for n in (0, 2, 4, 6, 8):
+            K, d, u, gamma = _truncated_moments(q, eps, n)
+            for _ in range(2):   # the second call reads the context's memo
+                assert (d_of_q(ctx).terms, d_of_q(ctx).value) == (K, d)
+                assert ft_moment_U(ctx, n).value == u
+                assert gamma_moment(ctx, n).value == gamma
+        seen[eps] = d_of_q(ctx)
+    # Another tail epsilon is another context, with its own truncation.
+    assert seen[1e-30].terms > seen[1e-12].terms
+    assert seen[1e-30].value != seen[1e-12].value
+
+
+def test_moment_memo_belongs_to_its_context():
+    ctx = QContext(F(1, 2))
+    want = ft_moment_U(ctx, 4)
+    ctx._moments[("U", 4)] = TruncatedRational(F(7), 0.0, 0)
+    assert ft_moment_U(ctx, 4).value == 7
+    fresh = QContext(F(1, 2))
+    assert ft_moment_U(fresh, 4) == want
+    assert gamma_moment(fresh, 4) != gamma_moment(ctx, 4)
 
 
 def test_d_internal_check_fires_on_cache_poisoning(ctx):
