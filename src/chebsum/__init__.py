@@ -7,32 +7,31 @@ rational arithmetic, and verifies every closed form against independent
 brute-force series oracles.
 """
 
-from .cheb import ChebIndex, cheb_eval, cheb_linearize_UU, cheb_poly, geom_trig_sum, multi_trig_sum
+from .cheb import ChebIndex, cheb_eval, cheb_poly, geom_trig_sum, multi_trig_sum
 from .denom import WPoly, build_w, build_w_recursive, w_specialize_one
 from .errors import (ArityError, ChebsumError, ConvergenceError, DegeneratePivot,
-                     DomainError, ExponentError, MissingAssignment, OverlapError, ScaleError,
+                     DomainError, ExponentError, MissingAssignment, ScaleError,
                      SingularAngle, UnknownId)
 from .forms import compare_form, known_form, known_form_spec, registry_ids
 from .genfun import (GenSpec, RationalFn, chi_angle_eval, chi_closed, chi_closed_value,
-                     chi_series_oracle, marginal_check, numerator_l,
+                     chi_series_oracle_grid, marginal_check, numerator_l,
                      series_convolution_residual)
 from .kibble import (CorrMatrix, f_U3_closed, f_U3_compare, kibble_closed_eval,
                      kibble_denominator, kibble_series_oracle)
-from .poly import Poly, TrigSum, TrigTerm, trig_product_to_sum, trig_to_poly
+from .poly import Poly
 from .qseries import (QContext, conjecture_probe, d2_coeff, d_coeff, hb_poly,
                       idb_check, tn_construct)
 
 __all__ = [
-    "ChebIndex", "cheb_eval", "cheb_linearize_UU", "cheb_poly", "geom_trig_sum",
+    "ChebIndex", "cheb_eval", "cheb_poly", "geom_trig_sum",
     "multi_trig_sum", "WPoly", "build_w", "build_w_recursive", "w_specialize_one",
     "compare_form", "known_form", "known_form_spec", "registry_ids", "GenSpec",
     "RationalFn", "chi_angle_eval", "chi_closed", "chi_closed_value",
-    "chi_series_oracle", "marginal_check", "numerator_l",
+    "chi_series_oracle_grid", "marginal_check", "numerator_l",
     "series_convolution_residual", "CorrMatrix", "f_U3_closed", "f_U3_compare",
     "kibble_closed_eval", "kibble_denominator", "kibble_series_oracle", "Poly",
-    "TrigSum", "TrigTerm", "trig_product_to_sum", "trig_to_poly", "QContext",
-    "conjecture_probe", "d2_coeff", "d_coeff", "hb_poly", "idb_check", "tn_construct",
-    "ChebsumError", "ArityError", "ConvergenceError", "DegeneratePivot",
-    "DomainError", "ExponentError", "MissingAssignment", "OverlapError", "ScaleError",
+    "QContext", "conjecture_probe", "d2_coeff", "d_coeff", "hb_poly", "idb_check",
+    "tn_construct", "ChebsumError", "ArityError", "ConvergenceError", "DegeneratePivot",
+    "DomainError", "ExponentError", "MissingAssignment", "ScaleError",
     "SingularAngle", "UnknownId",
 ]

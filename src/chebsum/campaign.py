@@ -39,12 +39,21 @@ class Campaign:
     nodes: int = 128
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0 < self.rho_max < 1:
-            raise ValueError("rho_max must lie in (0, 1)")
+        check_sampling(self.trials, self.rho_max, self.order)
+        if self.points < 1:
+            raise ValueError("points must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+
+
+def check_sampling(trials: int, rho_max: float, order: int) -> None:
+    """Raise ValueError unless trials >= 1, 0 < rho_max < 1 and order >= 0."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0 < rho_max < 1:
+        raise ValueError("rho_max must lie in (0, 1)")
+    if order < 0:
+        raise ValueError("order must be >= 0")
 
 
 def _rng(c: Campaign, *tags) -> random.Random:

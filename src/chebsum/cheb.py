@@ -11,8 +11,9 @@ with (T_0, T_1) = (1, x) and (U_0, U_1) = (1, 2x), so arguments outside
 which is exactly what the recurrence run backwards produces.
 
 The geometric sums evaluate sum_{n>=0} rho^n cos(n*alpha + beta) (and the
-sin analog) in closed form, and their multi-index generalization over subset
-expansions of any number of geometric directions.
+sin analog) in closed form, for the angle path of ``genfun``, and their
+multi-index generalization over subset expansions of any number of geometric
+directions, for the lattice sums of ``kibble``.
 """
 
 from __future__ import annotations
@@ -101,13 +102,6 @@ def _cheb_poly_cached(kind: str, n: int, var: str) -> Poly:
 def cheb_poly(c: ChebIndex, var: str = "x1") -> Poly:
     """T_n or U_n as an exact univariate polynomial in ``var``."""
     return _cheb_poly_cached(c.kind, c.index, var)
-
-
-def cheb_linearize_UU(n: int, m: int) -> list[int]:
-    """Indices in the product expansion U_n U_m = sum_j U_{n+m-2j}, j = 0..min(n,m)."""
-    if n < 0 or m < 0:
-        raise ValueError("linearization indices must be nonnegative")
-    return [n + m - 2 * j for j in range(min(n, m) + 1)]
 
 
 def geom_trig_sum(kind: str, rho: float, alpha: float, beta: float) -> float:

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
 from . import campaign as camp
 from .denom import build_w
 from .errors import ChebsumError
-from .genfun import GenSpec, chi_closed, chi_closed_value, chi_series_oracle
+from .genfun import GenSpec, chi_closed, chi_closed_value, chi_series_oracle_grid
 from .kibble import CorrMatrix, kibble_closed_eval, kibble_denominator, kibble_series_oracle
 from .qseries import (QContext, chi1t_check, conjecture_probe, d2_coeff, d2_values, d_coeff,
                       final_identity_check, hb_poly, idb_check)
@@ -119,7 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     qc.add_argument("--suite", required=True,
                     choices=["duality", "idb", "chi1t", "d2", "final-identity"])
     qc.add_argument("--q", type=str, default="1/3", help="comma list of rationals")
-    qc.add_argument("--nmax", type=int, default=10)
+    qc.add_argument("--nmax", type=int, default=None,
+                    help="largest index checked; default and limit per suite: "
+                         "duality 10 (no limit), idb 6, chi1t 5, d2 8 (from 1); "
+                         "final-identity takes none")
     _common_flags(qc)
     qp = qsub.add_parser("probe")
     qp.add_argument("--conjecture", required=True,
@@ -173,16 +177,16 @@ def _cmd_chi(args) -> int:
         val = chi_closed_value(spec, xs, args.rho)
         _emit(args, camp.canonical_json({"value": val}) + "\n")
         return 0
-    # single-spec verify
-    import random
-
+    # single-spec verify: the oracle in one call over all trials
+    camp.check_sampling(args.trials, args.rho_max, args.order)
     rng = random.Random(f"{args.seed}:chi-verify")
+    trials = [([rng.uniform(-1, 1) for _ in range(spec.slots)],
+               rng.uniform(-args.rho_max, args.rho_max)) for _ in range(args.trials)]
+    points, rhos = zip(*trials)
+    series = chi_series_oracle_grid(spec, list(zip(*points)), rhos, args.order)
     worst, argmax = 0.0, None
-    for _ in range(args.trials):
-        xs = [rng.uniform(-1, 1) for _ in range(spec.slots)]
-        rho = rng.uniform(-args.rho_max, args.rho_max)
-        err = abs(chi_closed_value(spec, xs, rho)
-                  - chi_series_oracle(spec, xs, rho, args.order))
+    for (xs, rho), oracle in zip(trials, series):
+        err = abs(chi_closed_value(spec, xs, rho) - float(oracle))
         if err > worst:
             worst, argmax = err, {"x": xs, "rho": rho}
     ok = worst <= args.tol
@@ -219,6 +223,10 @@ def _cmd_kibble(args) -> int:
     return 0 if rep.passed else 1
 
 
+# q check --nmax per suite: (smallest, default, largest); final-identity takes none.
+_Q_NMAX = {"duality": (0, 10, math.inf), "idb": (0, 6, 6), "chi1t": (0, 5, 5), "d2": (1, 8, 8)}
+
+
 def _cmd_q(args) -> int:
     qs = [Fraction(v) for v in args.q.split(",")]
     records = []
@@ -233,23 +241,31 @@ def _cmd_q(args) -> int:
                                                 rho_order=args.rho_order))
         _emit(args, "\n".join(camp.canonical_json(r) for r in records) + "\n")
         return 0
+    low, nmax, high = _Q_NMAX.get(args.suite, (None, None, None))
+    if args.nmax is not None:
+        if low is None:
+            raise ValueError(f"--suite {args.suite} takes no --nmax")
+        if not low <= args.nmax <= high:
+            raise ValueError(f"--nmax for --suite {args.suite} must lie in "
+                             f"{low}..{high}, got {args.nmax}")
+        nmax = args.nmax
     ok = True
     for qv in qs:
         ctx = QContext(qv)
         if args.suite == "duality":
-            for n in range(args.nmax + 1):
+            for n in range(nmax + 1):
                 good = d_coeff(ctx, n) == hb_poly(ctx, "b", n)
                 records.append({"suite": "duality", "q": str(qv), "n": n, "pass": good})
                 ok = ok and good
         elif args.suite == "idb":
-            for n in range(min(args.nmax, 6) + 1):
+            for n in range(nmax + 1):
                 for k in range(9):
                     good = idb_check(ctx, n, k).passed
                     records.append({"suite": "idb", "q": str(qv), "n": n, "k": k,
                                     "pass": good})
                     ok = ok and good
         elif args.suite == "chi1t":
-            for t in range(min(args.nmax, 5) + 1):
+            for t in range(nmax + 1):
                 rep = chi1t_check(ctx, t, 0.3, 0.4)
                 good = rep.abs_diff <= 1e-9
                 records.append({"suite": "chi1t", "q": str(qv), "t": t,
@@ -257,11 +273,8 @@ def _cmd_q(args) -> int:
                 ok = ok and good
         elif args.suite == "d2":
             # d2_n expanded exactly, against the product form at two seeded points.
-            import random
-
             rng = random.Random(f"{args.seed}:d2:{qv}")
             points = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
-            nmax = min(args.nmax, 8)
             values = [d2_values(ctx, x, y, nmax + 1) for x, y in points]
             for n in range(1, nmax + 1):
                 p = d2_coeff(ctx, n)
@@ -275,8 +288,6 @@ def _cmd_q(args) -> int:
                                 "abs_err": err, "bound": bound, "pass": good})
                 ok = ok and good
         else:  # final-identity
-            import random
-
             rng = random.Random(f"{args.seed}:final:{qv}")
             worst = 0.0
             for _ in range(10):

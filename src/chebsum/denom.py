@@ -8,7 +8,8 @@ Two independent constructions are provided and must agree exactly:
       prod (1 - 2*rho*cos(i_1 a_1 + ... + i_n a_n) + rho^2)
 
   has 2**(n-1) quadratic factors; each cosine is expanded into the x/s basis
-  and the sine markers cancel in the full product.
+  by angle addition (x_i = cos a_i, marker s_i = sin a_i) and the sine
+  markers cancel in the full product.
 
 * ``build_w_recursive``: doubling.  w_n is obtained from w_{n-1} by replacing
   its last variable with cos(a + b) in one factor and cos(a - b) in the other
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ChebsumError, ScaleError
-from .poly import Poly, TrigTerm, trig_to_poly
+from .poly import Poly
 
 MAX_ARITY = 5
 
@@ -42,6 +43,19 @@ def _check_arity(n: int) -> None:
         raise ScaleError(f"arity must be >= 1, got {n}")
     if n > MAX_ARITY:
         raise ScaleError(f"arity {n} exceeds the supported maximum {MAX_ARITY}")
+
+
+def _cos_of_sum(signs: list[int]) -> Poly:
+    """cos(sum_i signs[i-1] a_i) by angle addition, skipping zero signs."""
+    cos_acc, sin_acc = Poly.const(1), Poly.zero()
+    for i, sign in enumerate(signs, start=1):
+        if sign == 0:
+            continue
+        cos_p = Poly.variable(f"x{i}")
+        sin_p = sign * Poly.variable(f"s{i}", (f"x{i}", f"s{i}"))
+        cos_acc, sin_acc = (cos_acc * cos_p - sin_acc * sin_p,
+                            sin_acc * cos_p + cos_acc * sin_p)
+    return cos_acc
 
 
 def _balanced_product(factors: list[Poly]) -> Poly:
@@ -62,8 +76,7 @@ def build_w(n: int) -> WPoly:
     factors = []
     for bits in range(2 ** (n - 1)):
         signs = [1] + [1 if (bits >> j) & 1 else -1 for j in range(n - 1)]
-        cosine = trig_to_poly(TrigTerm("cos", tuple(signs), 1))
-        factors.append(1 - 2 * rho * cosine + rho * rho)
+        factors.append(1 - 2 * rho * _cos_of_sum(signs) + rho * rho)
     w = _balanced_product(factors)
     if any(w.uses(f"s{i}") for i in range(1, n + 1)):
         raise ChebsumError("sine markers must cancel in the full product")
@@ -81,8 +94,8 @@ def build_w_recursive(n: int) -> WPoly:
         return build_w(1)
     prev = build_w_recursive(n - 1).poly
     a, b = n - 1, n
-    plus = trig_to_poly(TrigTerm("cos", (0,) * (a - 1) + (1, 1), 1))   # cos(a_{n-1} + a_n)
-    minus = trig_to_poly(TrigTerm("cos", (0,) * (a - 1) + (1, -1), 1))  # cos(a_{n-1} - a_n)
+    plus = _cos_of_sum([0] * (a - 1) + [1, 1])    # cos(a_{n-1} + a_n)
+    minus = _cos_of_sum([0] * (a - 1) + [1, -1])  # cos(a_{n-1} - a_n)
     left = prev.subs(f"x{a}", plus)
     right = prev.subs(f"x{a}", minus)
     w = left * right

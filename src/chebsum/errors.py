@@ -9,10 +9,6 @@ class MissingAssignment(ChebsumError):
     """A polynomial was evaluated without a value for a variable it uses."""
 
 
-class OverlapError(ChebsumError):
-    """Sine and cosine index lists passed to a product-to-sum expansion overlap."""
-
-
 class ArityError(ChebsumError):
     """Parallel argument lists have inconsistent lengths."""
 

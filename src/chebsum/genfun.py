@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .cheb import ChebIndex, cheb_poly, cheb_seq, cheb_seq_grid
+from .cheb import ChebIndex, cheb_poly, cheb_seq, cheb_seq_grid, geom_trig_sum
 from .denom import build_w, w_rho_coeff_polys
 from .errors import DomainError, ScaleError, SingularAngle
 from .poly import Poly
@@ -268,29 +268,12 @@ def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
 # ------------------------------------------------------------------ series oracle
 
 
-def chi_series_oracle(spec: GenSpec, xs: Sequence[float], rho: float, J: int) -> float:
-    """Truncated defining series sum_{j<=J} rho^j P_j(xs).
-
-    Tail bound: |P_j| <= prod_s (j + t_s + 1) for |x| <= 1, so the truncation
-    error is at most sum_{j>J} |rho|^j prod_s (j + |t_s| + 1); see
-    ``chi_series_tail_bound``.
-    """
-    _domain_check(spec, xs, rho)
-    rows = [cheb_seq(spec.kind(s), spec.t[s - 1], J + 1, xs[s - 1])
-            for s in range(1, spec.slots + 1)]
-    total = 0.0
-    rp = 1.0
-    for j in range(J + 1):
-        term = rp
-        for r in rows:
-            term *= r[j]
-        total += term
-        rp *= rho
-    return total
-
-
 def chi_series_tail_bound(spec: GenSpec, rho: float, J: int) -> float:
-    """Upper bound on the truncation error of ``chi_series_oracle``."""
+    """Upper bound on the truncation error of ``chi_series_oracle_grid``.
+
+    For |x_i| <= 1, |P_j| <= prod_s (j + |t_s| + 1), so the error is at most
+    sum_{j>J} |rho|^j prod_s (j + |t_s| + 1).
+    """
     r = abs(rho)
     if r >= 1:
         raise DomainError("tail bound needs |rho| < 1")
@@ -314,7 +297,10 @@ def chi_series_tail_bound(spec: GenSpec, rho: float, J: int) -> float:
 
 
 def chi_series_oracle_grid(spec: GenSpec, xs_arrays, rho_array, J: int):
-    """Vectorized truncated series over numpy arrays."""
+    """Truncated defining series sum_{j<=J} rho^j P_j(xs), over numpy arrays.
+
+    The x values and rho broadcast together; scalars give a 0-d array.
+    """
     import numpy as np
 
     rho = np.asarray(rho_array, dtype=float)
@@ -337,8 +323,7 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
     Agrees with the closed form at x_i = cos(alpha_i).  For every sign vector
     i over the slots the contribution is
 
-        (-1)^(sum over U slots of (i_s+1)/2)
-        * (trig(B') - rho*trig(B'-A)) / (1 - 2 rho cos(A) + rho^2)
+        (-1)^(sum over U slots of (i_s+1)/2) * geom_trig_sum(trig, rho, A, B')
 
     with A = sum i_s alpha_s and B' shifting U slots by t_s + 1 and T slots by
     t_s; trig is sin for an odd number of U slots and cos otherwise, and the
@@ -359,7 +344,7 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
         if sa == 0.0:
             raise SingularAngle(f"sin(alpha_{s + 1}) = 0; use the closed form instead")
         sin_prod *= sa
-    trig = math.sin if n % 2 else math.cos
+    trig = "sin" if n % 2 else "cos"
     global_sign = (-1) ** ((n + 1) // 2) if n % 2 else (-1) ** (n // 2)
     total = 0.0
     for bits in range(2 ** K):
@@ -372,9 +357,7 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
             Bp += signs[s] * shift * alphas[s]
             if s >= spec.k:
                 parity += (signs[s] + 1) // 2
-        num = trig(Bp) - rho * trig(Bp - A)
-        den = 1 - 2 * rho * math.cos(A) + rho * rho
-        total += (-1) ** parity * num / den
+        total += (-1) ** parity * geom_trig_sum(trig, rho, A, Bp)
     return global_sign * total / (2 ** K * sin_prod)
 
 

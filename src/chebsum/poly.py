@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomial arithmetic with a trigonometric layer.
+"""Exact sparse multivariate polynomial arithmetic.
 
 A polynomial is a mapping from monomials to nonzero rational coefficients
 over an ordered variable list.  Coefficients are Python ints or
@@ -29,12 +29,6 @@ exponents are kept in {0, 1} by rewriting ``sk**2 -> 1 - xk**2`` after every
 multiplication that involves a marker, so every polynomial lives in a
 canonical basis and two equal polynomials compare equal as dictionaries.
 
-The trigonometric layer (``TrigTerm``/``TrigSum``) represents finite
-combinations of cos/sin of integer combinations of angles.  It converts
-products of sines and cosines to linear-combination form (sign-vector
-expansion) and realizes any single cos/sin term as a polynomial in xk, sk
-via angle addition.
-
 Products are fraction-free.  When either factor may hold a ``Fraction``,
 each factor is scaled to integers by the lcm of its denominators, the double
 loop and the marker reduction run on those integers, and each result term is
@@ -59,9 +53,9 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .errors import ArityError, ExponentError, MissingAssignment, OverlapError, ScaleError
+from .errors import ArityError, ExponentError, MissingAssignment, ScaleError
 
 Scalar = int | Fraction
 Exponents = tuple[int, ...]
@@ -697,142 +691,3 @@ def _reduce_markers(variables: tuple[str, ...],
                 out[key] = nc
     _check_guards(out, len(variables))
     return {k: _normalize_scalar(c) for k, c in out.items() if c != 0}
-
-
-# ----------------------------------------------------------- trigonometric sums
-
-
-class TrigTerm(NamedTuple):
-    """weight * cos(sum c_i * alpha_i) or weight * sin(...).
-
-    Canonical: the first nonzero coefficient is positive (cos is even, sin is
-    odd so the weight flips sign when a sin term is reflected).
-    """
-
-    kind: str  # "cos" or "sin"
-    coeffs: tuple[int, ...]
-    weight: Scalar
-
-    def angle(self, alphas) -> float:
-        return sum(c * a for c, a in zip(self.coeffs, alphas))
-
-    def eval(self, alphas) -> float:
-        th = self.angle(alphas)
-        return self.weight * (math.cos(th) if self.kind == "cos" else math.sin(th))
-
-
-def make_trig_term(kind: str, coeffs: Iterable[int], weight: Scalar) -> TrigTerm | None:
-    """Canonicalize; returns None for an identically zero term."""
-    if kind not in ("cos", "sin"):
-        raise ValueError(f"kind must be cos or sin, got {kind!r}")
-    coeffs = tuple(coeffs)
-    weight = _normalize_scalar(weight)
-    if weight == 0:
-        return None
-    lead = next((c for c in coeffs if c != 0), 0)
-    if lead == 0 and kind == "sin":
-        return None  # sin(0) = 0
-    if lead < 0:
-        coeffs = tuple(-c for c in coeffs)
-        if kind == "sin":
-            weight = -weight
-    return TrigTerm(kind, coeffs, weight)
-
-
-class TrigSum:
-    """A merged list of TrigTerm with no duplicates and no zero weights."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[TrigTerm | None] = ()):
-        merged: dict[tuple[str, tuple[int, ...]], Scalar] = {}
-        for t in terms:
-            if t is None:
-                continue
-            t = make_trig_term(t.kind, t.coeffs, t.weight)
-            if t is None:
-                continue
-            key = (t.kind, t.coeffs)
-            merged[key] = merged.get(key, 0) + t.weight
-        self.terms = tuple(TrigTerm(k, c, _normalize_scalar(w))
-                           for (k, c), w in sorted(merged.items()) if w != 0)
-
-    def eval(self, alphas) -> float:
-        return sum(t.eval(alphas) for t in self.terms)
-
-    def to_poly(self) -> Poly:
-        out = Poly.zero()
-        for t in self.terms:
-            out = out + trig_to_poly(t)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __repr__(self) -> str:
-        return f"TrigSum({list(self.terms)!r})"
-
-
-def trig_product_to_sum(sines: Iterable[int], cosines: Iterable[int]) -> TrigSum:
-    """Expand prod sin(alpha_i) * prod cos(alpha_j) over sign vectors.
-
-    With n sines and k cosines the expansion has 2**(n+k) raw terms of kind
-    sin (n odd) or cos (n even), each weighted by
-    (-1)**(sum over sine slots of (i+1)/2) / 2**(n+k), with a global sign
-    (-1)**((n+1)//2) for odd n and (-1)**(n//2) for even n.
-    """
-    sines = list(sines)
-    cosines = list(cosines)
-    if set(sines) & set(cosines):
-        raise OverlapError(f"index lists overlap: {sorted(set(sines) & set(cosines))}")
-    idx = sines + cosines
-    n, k = len(sines), len(cosines)
-    if n + k == 0:
-        return TrigSum([TrigTerm("cos", (), 1)])
-    width = max(idx)
-    kind = "sin" if n % 2 else "cos"
-    global_sign = (-1) ** ((n + 1) // 2) if n % 2 else (-1) ** (n // 2)
-    scale = Fraction(global_sign, 2 ** (n + k))
-    raw = []
-    for bits in range(2 ** (n + k)):
-        coeffs = [0] * width
-        sign_exp = 0
-        for pos, j in enumerate(idx):
-            i = 1 if (bits >> pos) & 1 else -1
-            coeffs[j - 1] += i
-            if pos < n:
-                sign_exp += (i + 1) // 2
-        raw.append(make_trig_term(kind, coeffs, scale * (-1) ** sign_exp))
-    return TrigSum(raw)
-
-
-def _angle_cos_sin(index: int, coeff: int) -> tuple[Poly, Poly]:
-    """cos(c*alpha_index) and sin(c*alpha_index) as polynomials in x_index, s_index."""
-    from .cheb import ChebIndex, cheb_poly
-
-    xv, sv = f"x{index}", f"s{index}"
-    a = abs(coeff)
-    cos_p = cheb_poly(ChebIndex("T", a), var=xv)
-    if a == 0:
-        return cos_p, Poly.zero()
-    sin_p = cheb_poly(ChebIndex("U", a - 1), var=xv) * Poly.variable(sv, (xv, sv))
-    if coeff < 0:
-        sin_p = -sin_p
-    return cos_p, sin_p
-
-
-def trig_to_poly(term: TrigTerm) -> Poly:
-    """Realize weight*cos/sin(sum c_i alpha_i) with x_i = cos(alpha_i), s_i = sin(alpha_i).
-
-    Angle addition is applied one variable at a time; marker exponents stay in
-    {0, 1} because products are reduced as they are formed.
-    """
-    cos_acc, sin_acc = Poly.const(1), Poly.zero()
-    for pos, c in enumerate(term.coeffs):
-        if c == 0:
-            continue
-        cos_p, sin_p = _angle_cos_sin(pos + 1, c)
-        cos_acc, sin_acc = (cos_acc * cos_p - sin_acc * sin_p,
-                            sin_acc * cos_p + cos_acc * sin_p)
-    picked = cos_acc if term.kind == "cos" else sin_acc
-    return picked * term.weight

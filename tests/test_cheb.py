@@ -1,4 +1,4 @@
-"""Chebyshev evaluation, linearization, and geometric-sum tests."""
+"""Chebyshev evaluation and geometric-sum tests."""
 
 import math
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebsum.cheb import (ChebIndex, cheb_eval, cheb_linearize_UU, cheb_poly,
+from chebsum.cheb import (ChebIndex, cheb_eval, cheb_poly,
                           cheb_seq, cheb_seq_grid, cheb_values_row, geom_trig_sum,
                           multi_trig_sum)
 from chebsum.errors import ArityError, DomainError
@@ -65,20 +65,6 @@ def test_one_recurrence_across_value_types():
                 cheb_poly(ChebIndex(kind, start + j)).eval({"x1": xf}) for j in range(12)]
         for x in (0.37, -0.93):
             assert list(cheb_values_row(kind, x, 20)) == cheb_seq(kind, 0, 20, x)
-
-
-def test_linearize_UU():
-    assert cheb_linearize_UU(0, 5) == [5]
-    assert cheb_linearize_UU(2, 2) == [4, 2, 0]
-    assert cheb_linearize_UU(3, 1) == [4, 2]
-    # Exact polynomial identity U_n U_m = sum U_j over the returned indices.
-    for n in range(5):
-        for m in range(5):
-            prod = cheb_poly(ChebIndex("U", n)) * cheb_poly(ChebIndex("U", m))
-            acc = Poly.zero(("x1",))
-            for j in cheb_linearize_UU(n, m):
-                acc = acc + cheb_poly(ChebIndex("U", j))
-            assert prod == acc
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

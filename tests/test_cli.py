@@ -78,6 +78,10 @@ def test_q_check_and_probe(tmp_path):
                       "--nmax", "8"], tmp_path)
     assert code == 0
     assert all(json.loads(line)["pass"] for line in text.splitlines())
+    # Without --nmax a suite runs to its own limit: idb checks n = 0..6, k = 0..8.
+    code, text = run(["q", "check", "--suite", "idb", "--q", "1/3"], tmp_path,
+                     name="idb.json")
+    assert code == 0 and len(text.splitlines()) == 7 * 9
     code, text = run(["q", "probe", "--conjecture", "beta", "--nmax", "3",
                       "--q", "1/2,1/3,2/5"], tmp_path, name="probe.json")
     assert code == 0
@@ -148,7 +152,7 @@ def test_config_file_defaults(tmp_path):
     assert c == a  # positivity cases are seed-independent grids
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["w", "build", "--n", "9"]) == 2
     assert main(["w", "build"]) == 2
     assert main(["kibble", "eval", "--kind", "U", "--x", "0.5,0.5",
@@ -164,6 +168,24 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["chi", "eval", "--k", "0", "--n", "1", "--t", "0",
                  "--x", "0.5", "--rho", "1.5"]) == 2
     assert main(["verify", "marginals", "--nodes", "0"]) == 2
+    # Inputs that would check nothing, or leave the series domain, are refused.
+    chi_verify = ["chi", "verify", "--k", "1", "--n", "0"]
+    assert main(chi_verify + ["--trials", "0"]) == 2
+    assert main(chi_verify + ["--order", "-1"]) == 2
+    assert main(chi_verify + ["--rho-max", "1"]) == 2
+    capsys.readouterr()
+    assert main(["verify", "chi-forms", "--order", "-5"]) == 2
+    assert main(["verify", "chi-oracle", "--points", "0"]) == 2
+    # ... by the campaign's own checks, not by a numpy error on the way.
+    err = capsys.readouterr().err
+    assert "order must be >= 0" in err and "points must be >= 1" in err
+    assert main(["q", "check", "--suite", "duality", "--q", "1/3", "--nmax", "-1"]) == 2
+    assert main(["q", "check", "--suite", "d2", "--nmax", "0"]) == 2
+    # --nmax beyond a suite's limit, or for a suite without one, is refused.
+    assert main(["q", "check", "--suite", "idb", "--nmax", "20"]) == 2
+    assert main(["q", "check", "--suite", "chi1t", "--nmax", "6"]) == 2
+    assert main(["q", "check", "--suite", "d2", "--nmax", "9"]) == 2
+    assert main(["q", "check", "--suite", "final-identity", "--nmax", "3"]) == 2
     # Only verify still takes --jobs, and there it is ignored.
     assert main(["w", "check", "--jobs", "2"]) == 2
     assert main(["q", "check", "--suite", "d2", "--jobs", "2"]) == 2

@@ -1,5 +1,6 @@
 """Denominator polynomial construction tests."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -41,6 +42,16 @@ def test_recursive_equals_direct(n):
     assert build_w_recursive(n).poly == build_w(n).poly
 
 
+def test_term_order_pinned():
+    # eval_grid sums terms in insertion order, so float outputs depend on the
+    # order in which the constructions emit terms, not only on the values.
+    h = hashlib.sha256()
+    for n in range(1, 5):
+        for p in (build_w(n).poly, build_w_recursive(n).poly, *w_rho_coeff_polys(n)):
+            h.update(repr((p.vars, list(p.terms.items()))).encode())
+    assert h.hexdigest() == "7ad0c13a405b53e364a0de9cc03131493c5afdc9cb0b0a2159f8c32d37eb0b42"
+
+
 def test_specialize_one():
     assert w_specialize_one(2) == (1 - 2 * RHO * X2 + RHO ** 2) ** 2
     assert w_specialize_one(3) == w_shifted(2) ** 2
@@ -69,19 +80,15 @@ def test_degree_bounds(n):
 def test_positivity_grid(n):
     # Near the corners the value is as small as (1-|rho|)^(2^n), far below
     # what the expanded 500-term polynomial resolves in floats, so evaluate
-    # through the factored form (the identical polynomial by construction):
-    # every quadratic factor is bounded below by (1-|rho|)^2 > 0.
-    from chebsum.poly import TrigTerm, trig_to_poly
-
+    # through the factored form (the same function by construction), with
+    # x_i = cos(a_i): every quadratic factor is bounded below by (1-|rho|)^2 > 0.
     axis = np.linspace(-1.0, 1.0, 9)
     mesh = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
-    arrays = {f"x{i + 1}": mesh[i] for i in range(n)}
-    for i in range(n):
-        arrays[f"s{i + 1}"] = np.sqrt(1.0 - np.asarray(mesh[i]) ** 2)
+    angles = [np.arccos(m) for m in mesh]
     cosines = []
     for bits in range(2 ** (n - 1)):
         signs = (1,) + tuple(1 if (bits >> j) & 1 else -1 for j in range(n - 1))
-        cosines.append(trig_to_poly(TrigTerm("cos", signs, 1)).eval_grid(arrays))
+        cosines.append(np.cos(sum(s * a for s, a in zip(signs, angles))))
     for rho in (-0.9, -0.5, 0.0, 0.5, 0.9):
         prod = 1.0
         for cv in cosines:

@@ -11,7 +11,7 @@ from chebsum.cheb import ChebIndex, cheb_poly, cheb_seq_grid
 from chebsum.denom import w_rho_coeff_polys
 from chebsum.errors import DomainError, ScaleError, SingularAngle
 from chebsum.genfun import (GenSpec, chi_angle_eval, chi_closed, chi_closed_value,
-                            chi_closed_values_grid, chi_series_oracle, chi_series_oracle_grid,
+                            chi_closed_values_grid, chi_series_oracle_grid,
                             chi_series_tail_bound, marginal_check, numerator_l,
                             positivity_grid_min, series_convolution_residual)
 from chebsum.poly import Poly
@@ -42,11 +42,11 @@ def test_numerator_rho_degree_bound():
 
 def test_series_oracle_examples():
     spec = GenSpec(0, 1, (0,))
-    got = chi_series_oracle(spec, [0.5], 0.5, 60)
+    got = chi_series_oracle_grid(spec, [0.5], 0.5, 60)
     assert abs(got - 4 / 3) < 1e-12
     # rho = 0 keeps only the j = 0 product.
     spec = GenSpec(1, 1, (2, 1))
-    got = chi_series_oracle(spec, [0.3, 0.8], 0.0, 10)
+    got = chi_series_oracle_grid(spec, [0.3, 0.8], 0.0, 10)
     want = (2 * 0.3 ** 2 - 1) * (2 * 0.8)
     assert abs(got - want) < 1e-14
 
@@ -54,18 +54,18 @@ def test_series_oracle_examples():
 def test_series_tail_bound_is_a_bound():
     spec = GenSpec(1, 1, (1, 0))
     xs, rho = [0.3, 0.7], 0.4
-    dense = chi_series_oracle(spec, xs, rho, 400)
+    dense = chi_series_oracle_grid(spec, xs, rho, 400)
     for J in (20, 40, 80):
-        err = abs(chi_series_oracle(spec, xs, rho, J) - dense)
+        err = abs(chi_series_oracle_grid(spec, xs, rho, J) - dense)
         assert err <= chi_series_tail_bound(spec, rho, J)
 
 
 def test_series_oracle_domain_errors():
     spec = GenSpec(0, 1, (0,))
     with pytest.raises(DomainError):
-        chi_series_oracle(spec, [0.5], 1.0, 10)
+        chi_series_oracle_grid(spec, [0.5], 1.0, 10)
     with pytest.raises(DomainError):
-        chi_series_oracle(spec, [1.5], 0.5, 10)
+        chi_series_oracle_grid(spec, [1.5], 0.5, 10)
 
 
 def test_closed_value_domain_errors():
@@ -220,7 +220,7 @@ def test_three_paths_agree():
         xs = [math.cos(a) for a in alphas]
         rho = rng.uniform(-0.5, 0.5)
         closed = chi_closed_value(spec, xs, rho)
-        series = chi_series_oracle(spec, xs, rho, 200)
+        series = chi_series_oracle_grid(spec, xs, rho, 200)
         angle = chi_angle_eval(spec, alphas, rho)
         assert abs(closed - series) < 1e-9
         assert abs(closed - angle) < 1e-10
@@ -282,7 +282,7 @@ def test_u_slot_at_one_becomes_rho_derivative():
         xs = [rng.uniform(-1, 1) for _ in range(k + n - 1)] + [1.0]
         rho = rng.uniform(-0.4, 0.4)
         J = 150
-        lhs = chi_series_oracle(spec, xs, rho, J)
+        lhs = chi_series_oracle_grid(spec, xs, rho, J)
         from chebsum.cheb import ChebIndex, cheb_eval
 
         coeffs = []
@@ -309,8 +309,8 @@ def test_shift_ratio_is_consistent():
         spec_0 = GenSpec(k, n, (0,) * (k + n))
         xs = [rng.uniform(-1, 1) for _ in range(k + n)]
         rho = rng.uniform(-0.4, 0.4)
-        series_ratio = (chi_series_oracle(spec_t, xs, rho, 250)
-                        / chi_series_oracle(spec_0, xs, rho, 250))
+        series_ratio = (chi_series_oracle_grid(spec_t, xs, rho, 250)
+                        / chi_series_oracle_grid(spec_0, xs, rho, 250))
         pt = {f"x{i + 1}": xs[i] for i in range(k + n)}
         pt["rho"] = rho
         sym_ratio = numerator_l(spec_t).eval(pt) / numerator_l(spec_0).eval(pt)

@@ -103,3 +103,30 @@ def test_no_module_level_caches_in_cold_layers():
                     and _is_dict_value(stmt.value):
                 found.append(f"{name}:{stmt.lineno} module-level dict")
     assert not found, f"module-level caches in the cold exact layers: {found}"
+
+
+# A public helper that nothing in the program calls is dead weight; the tests
+# alone are not a caller.  Each exception names why it stays.
+UNCALLED_ALLOWED = {
+    "chi_series_tail_bound": "the truncation bound that series reports are to carry",
+    "cheb1_nodes": "test oracle: quadrature nodes of the moment cross-check",
+    "d_truncated_product": "test oracle: the finite-product route to d_n",
+    "ft_u_coeffs": "test oracle: the U-expansion of f_t that the quadrature integrates",
+}
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def test_public_helpers_have_callers():
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    named: dict[str, int] = {}
+    for path in modules + sorted(PERFBENCH.glob("*.py")):
+        for name, _ in _names(ast.parse(path.read_text(), filename=str(path))):
+            named[name] = named.get(name, 0) + 1
+    found = []
+    for path in modules:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_") and node.name not in named \
+                    and node.name not in UNCALLED_ALLOWED:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, f"public helpers that nothing in src/ or perfbench/ names: {found}"

@@ -1,4 +1,4 @@
-"""Core polynomial and trigonometric-layer tests."""
+"""Core polynomial tests."""
 
 import json
 import math
@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chebsum
-from chebsum.errors import (ChebsumError, ExponentError, MissingAssignment, OverlapError,
-                            ScaleError)
-from chebsum.poly import (EXP_LIMIT, Poly, TrigTerm, TrigSum, make_trig_term,
-                          trig_product_to_sum, trig_to_poly, var_sort_key)
+from chebsum.errors import ChebsumError, ExponentError, MissingAssignment, ScaleError
+from chebsum.poly import EXP_LIMIT, Poly, var_sort_key
 
 X1 = Poly.variable("x1")
 X2 = Poly.variable("x2")
@@ -293,86 +291,6 @@ def test_rho_coeff_reconstructs(p):
     assert acc == p
 
 
-def test_product_to_sum_base_cases():
-    assert trig_product_to_sum([], [1]).terms == (TrigTerm("cos", (1,), 1),)
-    got = trig_product_to_sum([1], [2]).terms
-    assert got == (TrigTerm("sin", (1, -1), Fraction(1, 2)),
-                   TrigTerm("sin", (1, 1), Fraction(1, 2)))
-    got = trig_product_to_sum([1, 2], []).terms
-    assert got == (TrigTerm("cos", (1, -1), Fraction(1, 2)),
-                   TrigTerm("cos", (1, 1), Fraction(-1, 2)))
-
-
-def test_product_to_sum_overlap():
-    with pytest.raises(OverlapError):
-        trig_product_to_sum([1, 2], [2])
-
-
-def test_product_to_sum_numeric():
-    # The expansion must reproduce the product for arbitrary angles.
-    import random
-
-    rng = random.Random(42)
-    for _ in range(20):
-        alphas = [rng.uniform(0, 2 * math.pi) for _ in range(3)]
-        for sines, cosines in (([1], [2]), ([1, 2], []), ([1, 2], [3]),
-                               ([1, 2, 3], []), ([], [1, 2, 3])):
-            direct = math.prod(math.sin(alphas[i - 1]) for i in sines) * \
-                math.prod(math.cos(alphas[j - 1]) for j in cosines)
-            assert abs(trig_product_to_sum(sines, cosines).eval(alphas) - direct) < 1e-12
-
-
-def test_trig_to_poly_examples():
-    assert trig_to_poly(TrigTerm("cos", (2,), 1)) == 2 * X1 ** 2 - 1
-    s1 = Poly.variable("s1", ("x1", "s1"))
-    s2 = Poly.variable("s2", ("x2", "s2"))
-    assert trig_to_poly(TrigTerm("cos", (1, 1), 1)) == X1 * X2 - s1 * s2
-    assert trig_to_poly(TrigTerm("sin", (3,), 1)) == s1 * (4 * X1 ** 2 - 1)
-
-
-def test_trig_to_poly_numeric_and_exact():
-    import random
-
-    rng = random.Random(7)
-    for _ in range(100):
-        coeffs = tuple(rng.randint(-3, 3) for _ in range(3))
-        kind = rng.choice(["cos", "sin"])
-        term = make_trig_term(kind, coeffs, 1)
-        if term is None:
-            continue
-        alphas = [rng.uniform(0, 2 * math.pi) for _ in range(3)]
-        point = {}
-        for i, a in enumerate(alphas, start=1):
-            point[f"x{i}"] = math.cos(a)
-            point[f"s{i}"] = math.sin(a)
-        assert abs(trig_to_poly(term).eval(point) - term.eval(alphas)) < 1e-12
-    # Exact at a rational point on the unit circle (3-4-5 triangle).
-    c, s = Fraction(3, 5), Fraction(4, 5)
-    for n, expected in ((1, s), (2, 2 * s * c), (3, s * (4 * c * c - 1))):
-        got = trig_to_poly(TrigTerm("sin", (n,), 1)).eval({"x1": c, "s1": s})
-        assert got == expected
-
-
-def test_product_to_sum_composed_with_to_poly():
-    # Expanding then realizing equals the direct product of the single-angle
-    # realizations, for every disjoint split of {1, 2, 3}.
-    import itertools
-
-    idx = (1, 2, 3)
-    for r in range(len(idx) + 1):
-        for sines in itertools.combinations(idx, r):
-            rest = [j for j in idx if j not in sines]
-            for rr in range(len(rest) + 1):
-                for cosines in itertools.combinations(rest, rr):
-                    direct = Poly.const(1)
-                    for i in sines:
-                        direct = direct * trig_to_poly(TrigTerm("sin", (0,) * (i - 1) + (1,), 1))
-                    for j in cosines:
-                        direct = direct * trig_to_poly(TrigTerm("cos", (0,) * (j - 1) + (1,), 1))
-                    expanded = trig_product_to_sum(sines, cosines).to_poly()
-                    assert expanded == direct
-
-
 def test_canonical_serialization():
     p = (1 - 2 * RHO * X1 + RHO ** 2) * (X2 + 1)
     data = p.to_json_dict()
@@ -387,10 +305,3 @@ def test_render():
     assert Poly.zero().render() == "0"
     p = Fraction(-3, 2) * X1 ** 2 * RHO + Poly.const(1)
     assert p.render() == "1 + -3/2 * x1^2 * rho"
-
-
-def test_trigsum_merges_duplicates():
-    s = TrigSum([TrigTerm("cos", (1, 0), Fraction(1, 2)),
-                 TrigTerm("cos", (-1, 0), Fraction(1, 2)),
-                 TrigTerm("sin", (0, 0), 5)])
-    assert s.terms == (TrigTerm("cos", (1, 0), 1),)
