@@ -39,21 +39,21 @@ class Campaign:
     nodes: int = 128
 
     def __post_init__(self):
-        check_sampling(self.trials, self.rho_max, self.order)
+        check_sampling(self.trials, self.rho_max, self.order, self.tol)
         if self.points < 1:
             raise ValueError("points must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
-def check_sampling(trials: int, rho_max: float, order: int) -> None:
-    """Raise ValueError unless trials >= 1, 0 < rho_max < 1 and order >= 0."""
+def check_sampling(trials: int, rho_max: float, order: int, tol: float) -> None:
+    """Raise ValueError unless trials >= 1, 0 < rho_max < 1, order >= 0 and tol > 0."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 < rho_max < 1:
         raise ValueError("rho_max must lie in (0, 1)")
     if order < 0:
         raise ValueError("order must be >= 0")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
 
 
 def _rng(c: Campaign, *tags) -> random.Random:

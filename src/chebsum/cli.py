@@ -178,7 +178,7 @@ def _cmd_chi(args) -> int:
         _emit(args, camp.canonical_json({"value": val}) + "\n")
         return 0
     # single-spec verify: the oracle in one call over all trials
-    camp.check_sampling(args.trials, args.rho_max, args.order)
+    camp.check_sampling(args.trials, args.rho_max, args.order, args.tol)
     rng = random.Random(f"{args.seed}:chi-verify")
     trials = [([rng.uniform(-1, 1) for _ in range(spec.slots)],
                rng.uniform(-args.rho_max, args.rho_max)) for _ in range(args.trials)]
@@ -232,6 +232,8 @@ def _cmd_q(args) -> int:
     records = []
     if args.action == "probe":
         if args.conjecture == "beta":
+            if args.nmax < 2:
+                raise ValueError(f"--nmax for --conjecture beta must be >= 2, got {args.nmax}")
             for n in range(2, args.nmax + 1):
                 records.append(conjecture_probe("beta-expansion", n=n, q_values=qs))
         else:

@@ -16,11 +16,14 @@ rolled by ``hb_values`` on the package's one three-term recurrence,
 
 b_n is, up to (q)_n, the n-th Taylor coefficient in rho of the infinite
 product W_1(x|rho,q) = prod_j (1 - 2 x rho q^j + rho^2 q^{2j}); the bivariate
-analog d2_n comes from W_2 = W_1(cos(a+b)) W_1(cos(a-b)) and is assembled as
+analog d2_n comes from W_2 = W_1(cos(a+b)) W_1(cos(a-b)), so
 
-    d2_n(x,y|q) = sum_m qbinom(n,m) b_m(cos(a+b)) b_{n-m}(cos(a-b))
+    d2_n(x,y|q) = sum_m qbinom(n,m) b_m(cos(a+b)) b_{n-m}(cos(a-b)).
 
-expanded in the marker basis, where the sines cancel in pairs.
+With cos(a -/+ b) = x1 x2 -/+ s1 s2 the factors are conjugate halves
+A_m +/- s1 s2 B_m, free of markers; the parts odd in s1 s2 cancel between m
+and n - m, and s1^2 s2^2 = D = (1 - x1^2)(1 - x2^2), so ``d2_coeff`` forms
+d2_n = sum_m qbinom(n,m) (A_m A_{n-m} - D B_m B_{n-m}), one product per pair.
 
 A companion weight for a first-kind q-analog is
 
@@ -29,15 +32,16 @@ A companion weight for a first-kind q-analog is
 
 whose orthogonal polynomials have the two-term shape
 t_n = h_n - ortho_chi_{n-2} h_{n-2}; the constants come from the moments
-gamma_n of h_n against f_t.  Every infinite sum here is truncated at an index
-K with |q|^C(K,2) below a configurable tail epsilon and each numeric report
-carries its truncation bound.
+gamma_n of h_n against f_t; a polynomial is integrated against f_t term by
+term, through the moments of x^e.  Every infinite sum here is truncated at an
+index K with |q|^C(K,2) below a configurable tail epsilon and each numeric
+report carries its truncation bound.
 
 Everything that depends only on q and the tail epsilon is memoised on the
-``QContext``, never at module level: (q;q)_n and [n]_q!, the rolled h_n and b_n,
-d_n and d2_n, and the truncated sums d(q), the f_t moments of U_n and the
-moments gamma_n.  A fresh context therefore recomputes all of it, and so does
-a context with another tail epsilon.
+``QContext``, never at module level: (q;q)_n and [n]_q!, the rolled h_n, b_n
+and halves (A_m, B_m), d_n and d2_n, and the truncated sums d(q), the f_t
+moments of U_n and of x^e, and gamma_n.  A fresh context therefore recomputes
+all of it, and so does a context with another tail epsilon.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ class QContext:
         self._qq: list[Fraction] = [Fraction(1)]          # (q;q)_n
         self._bracket_fact: list[Fraction] = [Fraction(1)]  # [n]_q!
         self._polys: dict = {}
-        self._moments: dict = {}   # d(q), the f_t moments of U_n, gamma_n
+        self._moments: dict = {}   # d(q), the f_t moments of U_n and x^e, gamma_n
 
     def __repr__(self):
         return f"QContext(q={self.q})"
@@ -177,16 +181,6 @@ def hb_poly(ctx: QContext, kind: str, n: int) -> Poly:
     return ctx._polys[kind, n]
 
 
-def _univar_coeffs(p: Poly, var: str = "x1") -> list[Fraction]:
-    """Dense coefficient list c_0..c_deg of a univariate polynomial."""
-    d = p.degree(var)
-    out = [Fraction(0)] * (d + 1)
-    for exps, c in p.terms.items():
-        e = exps[p.vars.index(var)] if var in p.vars else 0
-        out[e] += Fraction(c)
-    return out
-
-
 def d_coeff(ctx: QContext, n: int) -> Poly:
     """(q)_n times the rho^n Taylor coefficient of W_1, via the angle expansion.
 
@@ -254,28 +248,40 @@ def d2_values(ctx: QContext, x: float, y: float, count: int) -> list[float]:
 def d2_coeff(ctx: QContext, n: int) -> Poly:
     """(q)_n times the rho^n Taylor coefficient of W_2, in variables x1, x2.
 
-    Assembled by the product rule from b_0 .. b_n rolled at the sum and
-    difference angles, cos(a -/+ b) = x1 x2 -/+ s1 s2; the sine markers
-    cancel in pairs.
+    The halves b_m(x1 x2 - s1 s2) = A_m + s1 s2 B_m roll on the b recurrence
+    with s1^2 s2^2 = D, from (A_0, B_0) = (1, 0) and (A_1, B_1) = (-2 x1 x2, 2):
+
+        A_{m+1} = -2 q^m (x1 x2 A_m - D B_m) + q^(m-1) (1 - q^m) A_{m-1}
+        B_{m+1} = -2 q^m (x1 x2 B_m - A_m) + q^(m-1) (1 - q^m) B_{m-1}
+
+    The pairs are kept in ``ctx``, and a longer roll resumes from the last two.
     """
     key = ("d2", n)
-    if key in ctx._polys:
-        return ctx._polys[key]
-    vars4 = ("x1", "x2", "s1", "s2")
-    xx = Poly.variable("x1", vars4) * Poly.variable("x2", vars4)
-    ss = Poly.variable("s1", vars4) * Poly.variable("s2", vars4)
-    bp = hb_values(ctx, "b", xx - ss, n + 1)
-    bm = hb_values(ctx, "b", xx + ss, n + 1)
-    acc = Poly.zero()
-    for m in range(n + 1):
-        acc = acc + ctx.binom(n, m) * (bp[m] * bm[n - m])
-    if acc.uses("s1") or acc.uses("s2"):
-        raise ChebsumError("markers must cancel in pairs")
-    out = acc.drop_vars([v for v in acc.vars if v.startswith("s")])
-    want = ("x1", "x2")
-    out = out if out.vars == want else out.embed(want)
-    ctx._polys[key] = out
-    return out
+    if key not in ctx._polys:
+        q, vs = ctx.q, ("x1", "x2")
+        xx = Poly(vs, {(1, 1): 1})
+        dd = Poly(vs, {(0, 0): 1, (2, 0): -1, (0, 2): -1, (2, 2): 1})
+        halves = ctx._polys.setdefault("halves", [])
+        if len(halves) <= n:
+            start = max(len(halves) - 2, 0)
+
+            def step(m, p1, p0):
+                m += start  # recur counts from the first seed
+                (a1, b1), (a0, b0) = p1, p0
+                s, t = -2 * q ** m, q ** (m - 1) * (1 - q ** m)
+                return s * (xx * a1 - dd * b1) + t * a0, s * (xx * b1 - a1) + t * b0
+
+            seeds = halves[start:] if start else [(Poly.const(1, vs), Poly.zero(vs)),
+                                                  (-2 * xx, Poly.const(2, vs))]
+            halves[start:] = recur([None] * (n + 1 - start), *seeds, step)
+        aa = bb = Poly.zero(vs)
+        for m in range(n // 2 + 1):  # the terms at m and n - m are equal
+            w = ctx.binom(n, m) * (1 if 2 * m == n else 2)
+            (a0, b0), (a1, b1) = halves[m], halves[n - m]
+            aa = aa + w * (a0 * a1)
+            bb = bb + w * (b0 * b1)
+        ctx._polys[key] = aa - dd * bb
+    return ctx._polys[key]
 
 
 # ------------------------------------------------------------ exact identities
@@ -435,30 +441,21 @@ def ft_u_coeffs(ctx: QContext) -> list[Fraction]:
     return [Fraction(-1) ** (k - 1) * ctx.q ** _comb2(k) / d_val for k in range(1, K + 1)]
 
 
-def poly_to_u_basis(p: Poly, var: str = "x1") -> list[Fraction]:
-    """Coefficients c_j with p = sum c_j U_j, by leading-term peeling."""
-    coeffs = _univar_coeffs(p, var)
-    out = [Fraction(0)] * len(coeffs)
-    dense = [Fraction(c) for c in coeffs]
-    for d in range(len(dense) - 1, -1, -1):
-        c = dense[d]
-        if c == 0:
-            continue
-        lead = Fraction(2) ** d
-        w = c / lead
-        out[d] = w
-        for e, uc in enumerate(_univar_coeffs(cheb_poly(ChebIndex("U", d), var=var), var)):
-            dense[e] -= w * uc
-    if any(c != 0 for c in dense):
-        raise ChebsumError("U-basis peeling left a nonzero remainder")
-    return out
+def _ft_moment_x(ctx: QContext, e: int) -> Fraction:
+    """int x^e f_t = 2^-e sum_k (C(e,k) - C(e,k-1)) int U_{e-2k} f_t, truncated."""
+    key = ("x", e)
+    if key not in ctx._moments:
+        ctx._moments[key] = sum(((math.comb(e, k) - (math.comb(e, k - 1) if k else 0))
+                                 * ft_moment_U(ctx, e - 2 * k).value
+                                 for k in range(e // 2 + 1)), Fraction(0)) / 2 ** e
+    return ctx._moments[key]
 
 
 def ft_inner_product(ctx: QContext, p: Poly, var: str = "x1") -> Fraction:
-    """Exact integral of p against the truncated f_t, via U-basis moments."""
-    return sum((c * ft_moment_U(ctx, j).value
-                for j, c in enumerate(poly_to_u_basis(p, var)) if c != 0),
-               Fraction(0))
+    """Exact integral of p against the truncated f_t, term by term via monomial moments."""
+    i = p.vars.index(var) if var in p.vars else None
+    return sum((c * _ft_moment_x(ctx, 0 if i is None else exps[i])
+                for exps, c in p.terms.items()), Fraction(0))
 
 
 # ------------------------------------------------------------- numeric checks
@@ -686,8 +683,8 @@ def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
     arity = n_h + m_t
     if arity < 1 or arity > 2:
         raise DomainError("probe supports n_h + m_t in {1, 2}")
-    if rho_order > 12:
-        raise DomainError("rho_order capped at 12")
+    if not 0 <= rho_order <= 12:
+        raise DomainError(f"rho_order must lie in 0..12, got {rho_order}")
     ctx = QContext(q)
     pts = [Fraction(v) for v in xs[:arity]]
     if len(pts) < arity:

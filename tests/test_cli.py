@@ -186,6 +186,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["q", "check", "--suite", "chi1t", "--nmax", "6"]) == 2
     assert main(["q", "check", "--suite", "d2", "--nmax", "9"]) == 2
     assert main(["q", "check", "--suite", "final-identity", "--nmax", "3"]) == 2
+    # A probe that would probe nothing, or a series order below zero, is refused
+    # with the program's own message.
+    capsys.readouterr()
+    assert main(["q", "probe", "--conjecture", "beta", "--nmax", "-2"]) == 2
+    assert main(["q", "probe", "--conjecture", "beta", "--nmax", "1"]) == 2
+    assert main(["q", "probe", "--conjecture", "common-denominator",
+                 "--rho-order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--nmax for --conjecture beta" in captured.err
+    assert "rho_order must lie in 0..12" in captured.err
+    # chi verify applies the campaigns' tol > 0.
+    assert main(chi_verify + ["--tol", "-1"]) == 2
+    assert main(chi_verify + ["--tol", "0"]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
     # Only verify still takes --jobs, and there it is ignored.
     assert main(["w", "check", "--jobs", "2"]) == 2
     assert main(["q", "check", "--suite", "d2", "--jobs", "2"]) == 2

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from chebsum.cheb import ChebIndex, cheb_poly
-from chebsum.errors import ConvergenceError, DomainError
+from chebsum import poly as poly_mod
+from chebsum.errors import ChebsumError, ConvergenceError, DomainError
 from chebsum.genfun import GenSpec, chi_closed_value
 from chebsum.poly import Poly
 from chebsum.quadrature import cheb1_nodes
@@ -15,8 +16,8 @@ from chebsum.qseries import (QContext, chi1t_check, conjecture_probe,
                              d_truncated_product, fh_integral_check,
                              final_identity_check, ft_inner_product, ft_moment_U,
                              ft_u_coeffs, gamma_moment, hU_coeff, hb_poly,
-                             hb_values, idb_check, poly_to_u_basis,
-                             tn_construct, TruncatedRational)
+                             hb_values, idb_check, tn_construct,
+                             TruncatedRational)
 
 F = Fraction
 X = Poly.variable("x1")
@@ -171,6 +172,49 @@ def test_d2_matches_composed_b():
             assert got.vars == ("x1", "x2") and got == want
 
 
+def _d2_with_markers(ctx, n):
+    """d2_n rolled in the marker basis: b at x1 x2 -/+ s1 s2, the product sum, markers dropped."""
+    vars4 = ("x1", "x2", "s1", "s2")
+    xx = Poly.variable("x1", vars4) * Poly.variable("x2", vars4)
+    ss = Poly.variable("s1", vars4) * Poly.variable("s2", vars4)
+    bp = hb_values(ctx, "b", xx - ss, n + 1)
+    bm = hb_values(ctx, "b", xx + ss, n + 1)
+    acc = Poly.zero()
+    for m in range(n + 1):
+        acc = acc + ctx.binom(n, m) * (bp[m] * bm[n - m])
+    assert not acc.uses("s1") and not acc.uses("s2")
+    return acc.drop_vars([v for v in acc.vars if v.startswith("s")]).embed(("x1", "x2"))
+
+
+@pytest.mark.parametrize("q", [F(0), F(1, 2), F(-1, 3), F(-4, 11), F(6, 7)])
+def test_d2_matches_marker_construction(q):
+    # One context, called out of order: the memo and the resumed roll of the
+    # conjugate halves must give what a roll from scratch gives.
+    ctx = QContext(q)
+    for n in (14, 3, 0, 7, 20):
+        got, want = d2_coeff(ctx, n), _d2_with_markers(QContext(q), n)
+        assert got.vars == ("x1", "x2") and got == want
+        assert ({e: type(c) for e, c in got.terms.items()}
+                == {e: type(c) for e, c in want.terms.items()})
+
+
+def test_d2_work_guard(monkeypatch):
+    # d2_0 .. d2_14 at one q cost 37,922 term products rolled in the marker
+    # basis; the conjugate halves need under a third of that.
+    count = [0]
+    loop = poly_mod._product_loop
+
+    def counted(a, b):
+        count[0] += len(a) * len(b)
+        return loop(a, b)
+
+    monkeypatch.setattr(poly_mod, "_product_loop", counted)
+    ctx = QContext(F(-4, 11))
+    for n in range(15):
+        d2_coeff(ctx, n)
+    assert 0 < count[0] <= 11_000
+
+
 def test_d2_symmetry_and_values(ctx):
     for n in range(1, 7):
         p = d2_coeff(ctx, n)
@@ -253,6 +297,61 @@ def test_tn_gram_is_diagonal(ctx):
         for j in range(i):
             assert abs(float(ft_inner_product(ctx, polys[i] * polys[j]))) < 1e-8
         assert ft_inner_product(ctx, polys[i] * polys[i]) > 0
+
+
+def _univar_coeffs(p: Poly, var: str = "x1") -> list[Fraction]:
+    """Dense coefficient list c_0..c_deg of a univariate polynomial."""
+    d = p.degree(var)
+    out = [Fraction(0)] * (d + 1)
+    for exps, c in p.terms.items():
+        e = exps[p.vars.index(var)] if var in p.vars else 0
+        out[e] += Fraction(c)
+    return out
+
+
+def poly_to_u_basis(p: Poly, var: str = "x1") -> list[Fraction]:
+    """Coefficients c_j with p = sum c_j U_j, by leading-term peeling."""
+    coeffs = _univar_coeffs(p, var)
+    out = [Fraction(0)] * len(coeffs)
+    dense = [Fraction(c) for c in coeffs]
+    for d in range(len(dense) - 1, -1, -1):
+        c = dense[d]
+        if c == 0:
+            continue
+        lead = Fraction(2) ** d
+        w = c / lead
+        out[d] = w
+        for e, uc in enumerate(_univar_coeffs(cheb_poly(ChebIndex("U", d), var=var), var)):
+            dense[e] -= w * uc
+    if any(c != 0 for c in dense):
+        raise ChebsumError("U-basis peeling left a nonzero remainder")
+    return out
+
+
+def _peeled_inner_product(ctx, p):
+    """The f_t integral of p through its U-basis coefficients."""
+    return sum((c * ft_moment_U(ctx, j).value
+                for j, c in enumerate(poly_to_u_basis(p)) if c != 0), F(0))
+
+
+def test_inner_product_matches_u_peeling_on_gram(ctx):
+    polys = [tn_construct(ctx, n).poly for n in range(13)]
+    for i in range(13):
+        for j in range(i + 1):
+            p = polys[i] * polys[j]
+            assert ft_inner_product(ctx, p) == _peeled_inner_product(ctx, p)
+
+
+def test_inner_product_matches_u_peeling_on_random_polys():
+    rng = random.Random(13)
+    ctxs = [QContext(q) for q in (F(0), F(1, 2), F(-1, 3), F(-4, 11), F(6, 7))]
+    for i in range(200):
+        ctx = ctxs[i % len(ctxs)]
+        deg = rng.randint(0, 26)
+        p = Poly(("x1",), {(e,): F(rng.randint(-9, 9), rng.randint(1, 9))
+                           for e in range(deg + 1) if rng.random() < 0.7})
+        got = ft_inner_product(ctx, p)
+        assert isinstance(got, Fraction) and got == _peeled_inner_product(ctx, p)
 
 
 def test_poly_to_u_basis_roundtrip(ctx):
