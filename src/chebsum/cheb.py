@@ -108,7 +108,7 @@ def geom_trig_sum(kind: str, rho: float, alpha: float, beta: float) -> float:
     """Closed form of sum_{n>=0} rho^n trig(n*alpha + beta) for |rho| < 1."""
     if kind not in ("sin", "cos"):
         raise ValueError(f"kind must be sin or cos, got {kind!r}")
-    if abs(rho) >= 1:
+    if not abs(rho) < 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     f = math.sin if kind == "sin" else math.cos
     den = 1 - 2 * rho * math.cos(alpha) + rho * rho
@@ -132,7 +132,7 @@ def multi_trig_sum(kind: str, rhos: Sequence[float], alphas: Sequence[float],
     if len(rhos) > MAX_MULTI_DIRECTIONS:
         raise DomainError(f"at most {MAX_MULTI_DIRECTIONS} directions supported")
     for r in rhos:
-        if abs(r) >= 1:
+        if not abs(r) < 1:
             raise DomainError(f"|rho_i| must be < 1, got {r}")
     f = math.sin if kind == "sin" else math.cos
     den = 1.0

@@ -15,6 +15,11 @@ product sequence:
 with negative shifted indices mapped by T_{-i} = T_i, U_{-i} = -U_{i-2}.
 The same convolution must vanish identically at every order above
 2^(k+n) - 1, which is checked by ``series_convolution_residual``.
+It vanishes below order 0 too: the index rules continue cos(i a) and
+sin((i+1) a) / sin a, so P_i is a combination of lambda^i over the
+lambda = e^{i sigma.a}, sigma in {+1,-1}^K, and w = prod (1 - rho lambda).
+So c_j = sum_{m<=j} [rho^m](w) P_{j-m}, the rho^j coefficient of l, equals
+-sum_{m>j}; ``numerator_l`` takes the shorter side.
 
 Three independent evaluation paths are provided: the closed form, a
 truncated-series oracle, and a sign-vector expansion over angles.
@@ -82,22 +87,25 @@ def _cheb_factors(spec: GenSpec, i: int) -> list[Poly]:
             for s in range(1, spec.slots + 1)]
 
 
+def _rho_band(cs: Sequence[Poly], lo: int, hi: int, shift: int) -> Poly:
+    """sum_{lo <= m < hi} cs[m] rho^(m + shift), for shift >= -lo."""
+    return Poly.sum(c * Poly(("rho",), {(m + shift,): 1}) for m, c in enumerate(cs[lo:hi], lo))
+
+
 @lru_cache(maxsize=512)
 def _numerator_cached(k: int, n: int, t: tuple[int, ...]) -> Poly:
-    # l = sum_i rho^i [w]_{<2^K-i} C_{1,i} ... C_{K,i}, with [w]_{<d} the terms
-    # of w below rho^d: the convolution regrouped by i, one factor at a time.
+    # With h = 2^(K-1), c_j takes m <= j for j < h and m > j for j >= h.  By the
+    # index i of P_i, with [w]_{<d}, [w]_{>=d} the terms of w below and from rho^d,
+    #   l = sum_{0<=i<h} rho^i [w]_{<h-i} P_i - sum_{1<=i<=h} rho^-i [w]_{>=h+i} P_-i,
+    # each term multiplied one Chebyshev factor at a time, no index past h + 2.
     spec = GenSpec(k, n, t)
     K = spec.slots
-    order = 2 ** K
-    w = build_w(K).poly
-    acc = Poly.zero()
-    for i in range(order):
-        term = w.truncate("rho", order - i) * Poly(("rho",), {(i,): 1})
-        for factor in _cheb_factors(spec, i):
-            term = term * factor
-        acc = acc + term
-    want = tuple([f"x{i}" for i in range(1, K + 1)] + ["rho"])
-    return acc if acc.vars == want else acc.embed(want)
+    h = 2 ** (K - 1)
+    cs = w_rho_coeff_polys(K)
+    bands = [(i, _rho_band(cs, 0, h - i, i)) for i in range(h)]
+    bands += [(-i, -_rho_band(cs, h + i, 2 * h + 1, -i)) for i in range(1, h + 1)]
+    acc = Poly.sum(math.prod(_cheb_factors(spec, i), start=band) for i, band in bands)
+    return acc.embed([f"x{i}" for i in range(1, K + 1)] + ["rho"])
 
 
 def numerator_l(spec: GenSpec) -> Poly:
@@ -118,13 +126,8 @@ def series_convolution_residual(spec: GenSpec, order: int) -> Poly:
     This is the rho^order coefficient of w * chi - l as a formal power series.
     """
     _check_scale(spec)
-    acc = Poly.zero()
-    for m, cm in enumerate(w_rho_coeff_polys(spec.slots)):
-        if m > order:
-            break
-        for factor in _cheb_factors(spec, order - m):
-            cm = cm * factor
-        acc = acc + cm
+    acc = Poly.sum(math.prod(_cheb_factors(spec, order - m), start=cm)
+                   for m, cm in enumerate(w_rho_coeff_polys(spec.slots)) if m <= order)
     if order < 2 ** spec.slots:
         acc = acc - numerator_l(spec).coeff_of("rho", order)
     return acc
@@ -136,10 +139,10 @@ def series_convolution_residual(spec: GenSpec, order: int) -> Poly:
 def _domain_check(spec: GenSpec, xs: Sequence[float], rho: float) -> None:
     if len(xs) != spec.slots:
         raise DomainError(f"need {spec.slots} coordinates, got {len(xs)}")
-    if abs(rho) >= 1:
+    if not abs(rho) < 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     for x in xs:
-        if abs(x) > 1:
+        if not abs(x) <= 1:
             raise DomainError(f"|x_i| must be <= 1, got {x}")
 
 
@@ -149,10 +152,10 @@ def _grid_domain_check(spec: GenSpec, xs_arrays, rho) -> None:
 
     if len(xs_arrays) != spec.slots:
         raise DomainError(f"need {spec.slots} coordinate arrays, got {len(xs_arrays)}")
-    if rho.size and np.abs(rho).max() >= 1:
+    if rho.size and not np.abs(rho).max() < 1:
         raise DomainError(f"|rho| must be < 1, got max |rho| = {np.abs(rho).max()}")
     for a in xs_arrays:
-        if a.size and np.abs(a).max() > 1:
+        if a.size and not np.abs(a).max() <= 1:
             raise DomainError(f"|x_i| must be <= 1, got max |x_i| = {np.abs(a).max()}")
 
 
@@ -275,7 +278,7 @@ def chi_series_tail_bound(spec: GenSpec, rho: float, J: int) -> float:
     sum_{j>J} |rho|^j prod_s (j + |t_s| + 1).
     """
     r = abs(rho)
-    if r >= 1:
+    if not r < 1:
         raise DomainError("tail bound needs |rho| < 1")
     shifts = [abs(t) for t in spec.t]
     total = 0.0
@@ -334,7 +337,7 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
     K = spec.slots
     if len(alphas) != K:
         raise DomainError(f"need {K} angles, got {len(alphas)}")
-    if abs(rho) >= 1:
+    if not abs(rho) < 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     n = spec.n
     u_slots = range(spec.k, K)

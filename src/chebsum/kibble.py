@@ -58,7 +58,7 @@ class CorrMatrix:
         for (i, j), v in values.items():
             if not 1 <= i < j <= n:
                 raise DomainError(f"pair ({i},{j}) out of range for n={n}")
-            if abs(v) >= 1:
+            if not abs(v) < 1:
                 raise DomainError(f"|rho_{i}{j}| must be < 1, got {v}")
             ent[(i, j)] = v
         for i in range(1, n + 1):
@@ -225,7 +225,7 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
     if len(xs) != n:
         raise DomainError(f"need {n} coordinates, got {len(xs)}")
     for x in xs:
-        if abs(x) > 1:
+        if not abs(x) <= 1:
             raise DomainError(f"|x_m| must be <= 1, got {x}")
     if n > MAX_KIBBLE_N:
         raise ScaleError(f"n = {n} exceeds the supported maximum {MAX_KIBBLE_N}")
@@ -315,7 +315,7 @@ def f_U3_closed(x: float, y: float, z: float,
     sampled point.
     """
     for r in (r12, r13, r23):
-        if abs(r) >= 1:
+        if not abs(r) < 1:
             raise DomainError(f"|rho| must be < 1, got {r}")
     p = r12 * r13 * r23
     zc = r12 - r13 * r23 if symmetrized else r12 - r12 * r23

@@ -294,19 +294,36 @@ class Poly:
             return Poly.const(other)
         return None
 
+    @staticmethod
+    def sum(parts: Iterable[Poly]) -> Poly:
+        """``parts[0] + parts[1] + ...`` (zero if empty), summed into one dict.
+
+        Terms, term order and coefficient types equal the left fold's: a key that
+        cancels re-enters at the end, and the first part's coefficients stay as they are.
+        """
+        parts = list(parts)
+        if not parts:
+            return Poly.zero()
+        vs = parts[0].vars
+        if any(p.vars != vs for p in parts):
+            vs = tuple(sorted(set().union(*[p.vars for p in parts]), key=var_sort_key))
+        ints = all([p._ints for p in parts])
+        packed = [p._packed if p.vars == vs else p.embed(vs)._packed for p in parts]
+        out = dict(packed[0])
+        for terms in packed[1:]:
+            for k, c in terms.items():
+                nc = out.get(k, 0) + c
+                if nc == 0:
+                    del out[k]
+                else:
+                    out[k] = nc if ints else _normalize_scalar(nc)
+        return Poly._make(vs, out, True if ints else None)
+
     def __add__(self, other) -> Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        vs = self._union_vars(other)
-        out = dict(self.embed(vs)._packed)
-        for k, c in other.embed(vs)._packed.items():
-            nc = out.get(k, 0) + c
-            if nc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = _normalize_scalar(nc)
-        return Poly._make(vs, out, True if self._ints and other._ints else None)
+        return Poly.sum((self, other))
 
     __radd__ = __add__
 
@@ -419,15 +436,10 @@ class Poly:
         groups: dict[int, dict[int, Scalar]] = {}
         for k, c in self._packed.items():
             groups.setdefault((k >> shift) & _FIELD, {})[k] = c
-        result = Poly.zero(rest_vars)
-        powers: dict[int, Poly] = {0: Poly.const(1)}
         part_ints = True if self._ints else None
-        for e in sorted(groups):
-            if e not in powers:
-                powers[e] = replacement ** e
-            result = result + Poly._make(rest_vars, _remap(groups[e], moves),
-                                         part_ints) * powers[e]
-        return result
+        return Poly.sum([Poly.zero(rest_vars)] + [
+            Poly._make(rest_vars, _remap(groups[e], moves), part_ints)
+            * (replacement ** e if e else Poly.const(1)) for e in sorted(groups)])
 
     def coeff_of(self, var: str, power: int) -> Poly:
         """The coefficient of ``var**power`` as a polynomial in the rest."""

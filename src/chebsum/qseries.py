@@ -498,7 +498,7 @@ def chi1t_check(ctx: QContext, t: int, x: float, rho: float,
     The closed side is (1/W_1) sum_{j<=t} qbinom(t,j) (-rho)^j q^C(j,2)
     h_{t-j}(x) with W_1 truncated to ``factors`` quadratic factors.
     """
-    if abs(rho) >= 1:
+    if not abs(rho) < 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     q = float(ctx.q)
     hv = hb_values(ctx, "h", float(x), t + J + 2)
@@ -524,7 +524,7 @@ def final_identity_check(ctx: QContext, x: float, y: float, rho: float,
 
     evaluated with truncations on both sides.
     """
-    if abs(rho) >= 1:
+    if not abs(rho) < 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     q = float(ctx.q)
     hx = hb_values(ctx, "h", float(x), J + 1)

@@ -94,6 +94,8 @@ def test_geom_trig_sum():
     assert abs(geom_trig_sum("cos", 0.5, 1.0, 0.3) - truncated) < 1e-12
     with pytest.raises(DomainError):
         geom_trig_sum("cos", 1.0, 0.3, 0.1)
+    with pytest.raises(DomainError):
+        geom_trig_sum("cos", math.nan, 0.3, 0.1)
 
 
 def test_multi_trig_sum_single_direction():
@@ -145,3 +147,5 @@ def test_multi_trig_sum_errors():
         multi_trig_sum("cos", [0.1], [0.2, 0.3], 0.0)
     with pytest.raises(DomainError):
         multi_trig_sum("cos", [1.1], [0.2], 0.0)
+    with pytest.raises(DomainError):
+        multi_trig_sum("cos", [math.nan], [0.2], 0.0)

@@ -201,6 +201,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(chi_verify + ["--tol", "-1"]) == 2
     assert main(chi_verify + ["--tol", "0"]) == 2
     assert "tol must be positive" in capsys.readouterr().err
+    # NaN fails every domain check instead of printing a NaN that is not JSON,
+    # and |x| > 1 is refused before acos with the oracle's own message.
+    chi_eval = ["chi", "eval", "--k", "1", "--n", "0"]
+    assert main(chi_eval + ["--x", "0.5", "--rho", "nan"]) == 2
+    assert main(chi_eval + ["--x", "nan", "--rho", "0.5"]) == 2
+    kibble_eval = ["kibble", "eval", "--kind", "U", "--x"]
+    assert main(kibble_eval + ["0.1,nan,0.3", "--rho", "12=0.1,13=0.2,23=0.3"]) == 2
+    assert main(kibble_eval + ["0.1,0.2,0.3", "--rho", "12=0.1,13=0.2,23=nan"]) == 2
+    capsys.readouterr()
+    assert main(kibble_eval + ["0.1,0.2,0.3", "--rho", "12=0.1,13=0.2,23=nan",
+                               "--oracle-cutoff", "10"]) == 2
+    assert main(["kibble", "eval", "--kind", "T", "--x", "0.1,1.5,0.3",
+                 "--rho", "12=0.1,13=0.2,23=0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "|rho_23| must be < 1, got nan" in captured.err
+    assert "|x_m| must be <= 1, got 1.5" in captured.err
     # Only verify still takes --jobs, and there it is ignored.
     assert main(["w", "check", "--jobs", "2"]) == 2
     assert main(["q", "check", "--suite", "d2", "--jobs", "2"]) == 2

@@ -1,5 +1,6 @@
 """Generating-function engine tests: numerators, oracles, marginals."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from chebsum.cheb import ChebIndex, cheb_poly, cheb_seq_grid
-from chebsum.denom import w_rho_coeff_polys
+import chebsum.poly as poly_mod
+from chebsum.cheb import ChebIndex, _cheb_poly_cached, cheb_poly, cheb_seq_grid
+from chebsum.denom import build_w, w_rho_coeff_polys
 from chebsum.errors import DomainError, ScaleError, SingularAngle
-from chebsum.genfun import (GenSpec, chi_angle_eval, chi_closed, chi_closed_value,
-                            chi_closed_values_grid, chi_series_oracle_grid,
-                            chi_series_tail_bound, marginal_check, numerator_l,
-                            positivity_grid_min, series_convolution_residual)
+from chebsum.genfun import (GenSpec, _cheb_factors, _numerator_cached, chi_angle_eval,
+                            chi_closed, chi_closed_value, chi_closed_values_grid,
+                            chi_series_oracle_grid, chi_series_tail_bound, marginal_check,
+                            numerator_l, positivity_grid_min, series_convolution_residual)
 from chebsum.poly import Poly
 
 X1, X2 = Poly.variable("x1"), Poly.variable("x2")
@@ -95,13 +97,27 @@ def test_closed_value_domain_errors():
         chi_series_oracle_grid(GenSpec(1, 1, (0, 0)), xs, np.array([0.5, 0.1, 0.1]), 20)
     with pytest.raises(DomainError):
         marginal_check(1, 1, nodes=0)
+    # NaN is outside every domain, in a coordinate or in rho.
+    for x, rho in ((math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(DomainError):
+            chi_closed_value(spec, [x], rho)
+        with pytest.raises(DomainError):
+            chi_closed_values_grid(spec, [np.array([0.5, x])], np.array([0.1, rho]))
+    with pytest.raises(DomainError):
+        chi_angle_eval(spec, [1.0], math.nan)
+    with pytest.raises(DomainError):
+        chi_series_tail_bound(spec, math.nan, 10)
+
+
+def _convolution_product(spec, i):
+    """P_i expanded in full; negative i by the rules of ``cheb_poly``."""
+    return math.prod((cheb_poly(ChebIndex(spec.kind(s), i + spec.t[s - 1]), var=f"x{s}")
+                      for s in range(1, spec.slots + 1)), start=Poly.const(1))
 
 
 def _convolution_products(spec, count):
     """P_0 .. P_{count-1}, each expanded in full."""
-    return [math.prod((cheb_poly(ChebIndex(spec.kind(s), i + spec.t[s - 1]), var=f"x{s}")
-                       for s in range(1, spec.slots + 1)), start=Poly.const(1))
-            for i in range(count)]
+    return [_convolution_product(spec, i) for i in range(count)]
 
 
 def _convolution_numerator(spec):
@@ -138,6 +154,77 @@ def test_factored_convolution_matches_full_products():
                 for order in (top - 1, top, top + 2):
                     assert series_convolution_residual(spec, order) == \
                         _convolution_residual(spec, order)
+
+
+def _one_sided_numerator(spec):
+    """l = sum_i rho^i [w]_{<2^K-i} C_{1,i} ... C_{K,i}: every c_j from its long side."""
+    K = spec.slots
+    order = 2 ** K
+    w = build_w(K).poly
+    acc = Poly.zero()
+    for i in range(order):
+        term = w.truncate("rho", order - i) * Poly(("rho",), {(i,): 1})
+        for factor in _cheb_factors(spec, i):
+            term = term * factor
+        acc = acc + term
+    want = tuple([f"x{i}" for i in range(1, K + 1)] + ["rho"])
+    return acc if acc.vars == want else acc.embed(want)
+
+
+def _typed_terms(p):
+    return {e: (c, type(c)) for e, c in p.terms.items()}
+
+
+def _split_specs():
+    """Every (k, n) split with K <= 4: all shifts in -2..2 up to K = 2, seeded ones above."""
+    rng = random.Random(15)
+    for K in range(1, 5):
+        for k in range(K + 1):
+            if K <= 2:
+                shifts = itertools.product(range(-2, 3), repeat=K)
+            else:
+                shifts = [tuple(rng.randint(-2, 2) for _ in range(K))
+                          for _ in range(3 if K == 3 else 2)]
+            for t in shifts:
+                yield GenSpec(k, K - k, t)
+
+
+def test_two_sided_numerator_matches_one_sided():
+    specs = list(_split_specs())
+    assert len({(s.k, s.n) for s in specs}) == 14
+    for spec in specs:
+        got, want = numerator_l(spec), _one_sided_numerator(spec)
+        assert got.vars == want.vars and _typed_terms(got) == _typed_terms(want)
+
+
+def test_convolution_vanishes_at_negative_orders():
+    # The two-sided numerator rests on sum_m [rho^m](w) P_{j-m} = 0 for every
+    # integer j, which cheb_poly's negative-index rules make hold below 0 too.
+    for spec in (GenSpec(1, 0, (2,)), GenSpec(0, 1, (-2,)), GenSpec(0, 2, (-1, 1)),
+                 GenSpec(2, 1, (0, -2, 1)), GenSpec(1, 2, (1, 0, -2))):
+        order = 2 ** spec.slots
+        for j in range(-order, 0):
+            assert Poly.sum(cm * _convolution_product(spec, j - m)
+                            for m, cm in enumerate(w_rho_coeff_polys(spec.slots))).is_zero()
+
+
+@pytest.mark.parametrize("k, n, t", [(0, 4, (-1, 0, 0, 1)), (2, 2, (0, -1, 1, 0))])
+def test_numerator_work_guard(monkeypatch, k, n, t):
+    # The one-sided construction costs these numerators over 300,000 term
+    # products each; from both sides no Chebyshev index passes h + 2.
+    count = [0]
+    loop = poly_mod._product_loop
+
+    def counted(a, b):
+        count[0] += len(a) * len(b)
+        return loop(a, b)
+
+    w_rho_coeff_polys(k + n)
+    _numerator_cached.cache_clear()
+    _cheb_poly_cached.cache_clear()
+    monkeypatch.setattr(poly_mod, "_product_loop", counted)
+    numerator_l(GenSpec(k, n, t))
+    assert 0 < count[0] <= 30_000
 
 
 def _unblocked_closed_grid(spec, xs_arrays, rho):

@@ -29,6 +29,10 @@ def test_corr_matrix_validation():
         CorrMatrix.from_dict(2, {(1, 2): 1.0})
     with pytest.raises(DomainError):
         CorrMatrix.from_dict(2, {(2, 1): 0.5})
+    with pytest.raises(DomainError):
+        CorrMatrix.from_dict(2, {(1, 2): math.nan})
+    with pytest.raises(DomainError):
+        f_U3_closed(0.1, 0.2, 0.3, 0.5, math.nan, 0.5)
     K = CorrMatrix.from_dict(3, {(1, 2): 0.5})
     assert K.rho(2, 1) == 0.5 and K.rho(1, 3) == 0 and K.rho(2, 2) == 0
 
@@ -206,6 +210,8 @@ def test_oracle_guards():
         kibble_series_oracle("T", [0.1, 0.2, 0.3], K, 300, budget=10)
     with pytest.raises(DomainError):
         kibble_series_oracle("T", [1.5, 0.2, 0.3], K, 10)
+    with pytest.raises(DomainError):
+        kibble_series_oracle("T", [0.1, math.nan, 0.3], K, 10)
     with pytest.raises(SingularAngle):
         kibble_closed_eval("U", [0.0, 1.0, 2.0], K)
     with pytest.raises(ScaleError):

@@ -157,6 +157,67 @@ def test_int_product_keeps_int_bit():
     assert mixed._int_only() is False and Fraction in {type(c) for c in mixed.terms.values()}
 
 
+def reference_sum(parts):
+    """(variables, terms) of parts[0] + parts[1] + ... added two at a time on tuples."""
+    if not parts:
+        return (), {}
+    vs, acc = parts[0].vars, dict(parts[0].terms.items())
+    for p in parts[1:]:
+        wide = tuple(sorted(set(vs) | set(p.vars), key=var_sort_key))
+
+        def widen(exps, names):
+            return tuple(exps[names.index(v)] if v in names else 0 for v in wide)
+
+        acc = {widen(e, vs): c for e, c in acc.items()}
+        for e, c in p.terms.items():
+            e = widen(e, p.vars)
+            nc = acc.get(e, 0) + c
+            if nc == 0:
+                del acc[e]
+            else:
+                acc[e] = int(nc) if isinstance(nc, Fraction) and nc.denominator == 1 else nc
+        vs = wide
+    return vs, acc
+
+
+def sum_parts():
+    """Lists of int and Fraction polynomials over mixed variable sets.
+
+    Some lists end with -p, p for their first part p, which cancels each of
+    its keys and brings it back; some start with a part holding Fraction(n)
+    coefficients, which only the later parts' sums normalize.
+    """
+    part = marker_polys() | fraction_marker_polys()
+    unnormalized = part.map(lambda p: p * Poly.const(Fraction(1, 3)) * Poly.const(3))
+    parts = st.lists(part, max_size=5)
+    return (parts
+            | parts.filter(bool).map(lambda ps: ps + [-ps[0], ps[0]])
+            | st.tuples(unnormalized, parts).map(lambda fp: [fp[0]] + fp[1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sum_parts())
+def test_sum_matches_folded_reference(parts):
+    vs, want = reference_sum(parts)
+    got = Poly.sum(parts)
+    assert got.vars == vs
+    assert _typed(got.terms.items()) == _typed(want.items())
+    assert list(got.terms) == list(want)
+
+
+def test_sum_edge_cases():
+    assert Poly.sum([]) == Poly.zero() and Poly.sum([]).vars == ()
+    p = 3 * X1 - RHO
+    assert _typed(Poly.sum([p]).terms.items()) == _typed(p.terms.items())
+    # A key cancelled to zero re-enters at the end.
+    q = Poly.sum([X1 + RHO, -X1, 2 * X1])
+    assert list(q.terms.items()) == [((0, 1), 1), ((1, 0), 2)]
+    # The first part keeps a Fraction(2) coefficient; a later one is normalized.
+    two = Poly.const(Fraction(2, 3), ("x1",)) * Poly.const(3, ("x1",))
+    assert type(Poly.sum([two, X1]).terms[(0,)]) is Fraction
+    assert type(Poly.sum([X1, two]).terms[(0,)]) is int
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(small_polys())
 def test_hash_agrees_with_equality(a):

@@ -1,5 +1,6 @@
 """q-deformation tests: symbols, families, identities, probes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -52,6 +53,10 @@ def test_pochhammer_factorial_consistency(ctx):
 def test_context_guards():
     with pytest.raises(DomainError):
         QContext(F(3, 2))
+    with pytest.raises(DomainError):
+        chi1t_check(QContext(F(1, 2)), 1, 0.3, math.nan)
+    with pytest.raises(DomainError):
+        final_identity_check(QContext(F(1, 2)), 0.3, 0.4, math.nan)
     with pytest.raises(ConvergenceError):
         QContext(F(999999, 1000000)).tail_index()
 
