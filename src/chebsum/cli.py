@@ -18,9 +18,10 @@ from fractions import Fraction
 
 from . import campaign as camp
 from .denom import build_w
-from .errors import ChebsumError, DomainError
+from .errors import ChebsumError
 from .genfun import GenSpec, chi_closed, chi_closed_value, chi_series_oracle_grid
-from .kibble import CorrMatrix, kibble_closed_eval, kibble_denominator, kibble_series_oracle
+from .kibble import (CorrMatrix, _check_unit, kibble_closed_eval, kibble_denominator,
+                     kibble_series_oracle)
 from .qseries import (QContext, chi1t_check, conjecture_probe, d2_coeff, d2_values, d_coeff,
                       final_identity_check, hb_poly, idb_check)
 
@@ -206,9 +207,7 @@ def _cmd_kibble(args) -> int:
     if args.action == "eval":
         xs = _parse_float_list(args.x)
         K = CorrMatrix.from_dict(len(xs), _parse_rho_pairs(args.rho))
-        for v in xs:  # before acos, with the oracle's message; NaN fails too
-            if not abs(v) <= 1:
-                raise DomainError(f"|x_m| must be <= 1, got {v}")
+        _check_unit(xs)  # before acos
         alphas = [math.acos(v) for v in xs]
         closed = kibble_closed_eval(args.kind, alphas, K)
         payload = {"kind": args.kind, "x": xs, "closed": closed}

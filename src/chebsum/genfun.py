@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -72,8 +73,14 @@ class RationalFn:
     denominator: Poly
 
     def eval(self, point):
-        den = self.denominator.eval(point)
-        return self.numerator.eval(point) / den
+        return _divide(self.numerator.eval(point), self.denominator.eval(point))
+
+
+def _divide(num, den):
+    """num / den, exact when both are ints (an int / int is a float)."""
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
 
 
 def _check_scale(spec: GenSpec) -> None:
@@ -201,7 +208,7 @@ def _ratio(cs, wc, rho):
     for c in wc:
         den = den + c * rp
         rp = rp * rho
-    return num / den
+    return _divide(num, den)
 
 
 def _product_values(spec: GenSpec, count: int, xs: Sequence) -> list:

@@ -205,6 +205,13 @@ def _in_c_order(arr):
     return out
 
 
+def _check_unit(xs: Sequence[float]) -> None:
+    """Raise DomainError unless every |x_m| <= 1 (NaN fails too)."""
+    for x in xs:
+        if not abs(x) <= 1:
+            raise DomainError(f"|x_m| must be <= 1, got {x}")
+
+
 def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
                          cutoff: int, budget: float = DEFAULT_BUDGET,
                          cap_eps: float = CAP_EPS) -> float:
@@ -224,9 +231,7 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
     n = K.n
     if len(xs) != n:
         raise DomainError(f"need {n} coordinates, got {len(xs)}")
-    for x in xs:
-        if not abs(x) <= 1:
-            raise DomainError(f"|x_m| must be <= 1, got {x}")
+    _check_unit(xs)
     if n > MAX_KIBBLE_N:
         raise ScaleError(f"n = {n} exceeds the supported maximum {MAX_KIBBLE_N}")
     if n == 1:
@@ -314,6 +319,7 @@ def f_U3_closed(x: float, y: float, z: float,
     symmetry; that reading matches the closed evaluator to rounding at every
     sampled point.
     """
+    _check_unit((x, y, z))
     for r in (r12, r13, r23):
         if not abs(r) < 1:
             raise DomainError(f"|rho| must be < 1, got {r}")
@@ -354,6 +360,7 @@ def f_U3_compare(x: float, y: float, z: float, r12: float, r13: float, r23: floa
                  cutoff: int = 120) -> FU3Comparison:
     """Published formula vs its symmetrized reading vs closed form vs oracle."""
     K = CorrMatrix.from_dict(3, {(1, 2): r12, (1, 3): r13, (2, 3): r23})
+    _check_unit((x, y, z))
     alphas = [math.acos(x), math.acos(y), math.acos(z)]
     return FU3Comparison(
         (x, y, z, r12, r13, r23),

@@ -29,17 +29,15 @@ exponents are kept in {0, 1} by rewriting ``sk**2 -> 1 - xk**2`` after every
 multiplication that involves a marker, so every polynomial lives in a
 canonical basis and two equal polynomials compare equal as dictionaries.
 
-Products are fraction-free.  When either factor may hold a ``Fraction``,
-each factor is scaled to integers by the lcm of its denominators, the double
-loop and the marker reduction run on those integers, and each result term is
-divided once by the product of the two scales.  Term order and coefficient
-types are those of the same loop run on the Fractions themselves: a term is
-an ``int`` where only int-by-int products made it and a ``Fraction``
-otherwise, and every coefficient is normalized when marker reduction runs.
-Every polynomial carries an int-only bit (no ``Fraction`` coefficient), set
-where its dict is built from operands whose bits are known, so a product of
-two integer polynomials takes the plain integer loop without scanning its
-coefficients; elsewhere the bit is computed on first use.
+One rule holds for every polynomial: a coefficient is an ``int`` when its
+denominator is 1 and a ``Fraction`` otherwise.  Products are fraction-free:
+a factor that may hold a ``Fraction`` is scaled to integers by the lcm of
+its denominators, the double loop and the marker reduction run on integers,
+and each result term is divided once by the product of the scales.  Every
+polynomial carries an int-only bit, a speed cache set where its dict is
+built from operands whose bits are known, so an integer factor enters a
+product unscaled without a scan of its coefficients; elsewhere the bit is
+computed on first use.
 
 Serialized form (stable across runs): terms ordered graded-lexicographically
 (total degree first, then the exponent tuple), coefficients as "num/den"
@@ -298,8 +296,8 @@ class Poly:
     def sum(parts: Iterable[Poly]) -> Poly:
         """``parts[0] + parts[1] + ...`` (zero if empty), summed into one dict.
 
-        Terms, term order and coefficient types equal the left fold's: a key that
-        cancels re-enters at the end, and the first part's coefficients stay as they are.
+        Terms and term order equal the left fold's: a key that cancels
+        re-enters at the end.
         """
         parts = list(parts)
         if not parts:
@@ -355,12 +353,15 @@ class Poly:
         a, b = self.embed(vs), other.embed(vs)
         if len(b._packed) > len(a._packed):
             a, b = b, a
-        # Both loops give the same terms; the bit only picks the faster one.
-        if not (a._int_only() and b._int_only()):
-            return _fraction_free_product(vs, a._packed, b._packed)
-        out, _ = _product_loop(a._packed, b._packed)
+        sa, ia = (1, a._packed) if a._int_only() else _scaled(a._packed)
+        sb, ib = (1, b._packed) if b._int_only() else _scaled(b._packed)
+        out = _product_loop(ia, ib)
         _check_guards(out, len(vs))
-        return Poly._make(vs, _reduce_markers(vs, out), True)
+        out = _reduce_markers(vs, out)
+        scale = sa * sb
+        if scale != 1:
+            out = {k: Fraction(c, scale) if c % scale else c // scale for k, c in out.items()}
+        return Poly._make(vs, out, True if scale == 1 else None)
 
     __rmul__ = __mul__
 
@@ -563,16 +564,14 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def _product_loop(a: dict[int, Scalar],
-                  b: dict[int, Scalar]) -> tuple[dict[int, Scalar], list[int]]:
-    """The terms of a product before marker reduction, and the keys that cancelled.
+def _product_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The terms of a product of integer coefficients, before marker reduction.
 
     ``b``'s terms run outside, ``a``'s inside; a key enters the result at its
     first product and is deleted whenever its running sum reaches zero.
     """
     a_items = list(a.items())
-    out: dict[int, Scalar] = {}
-    cancelled: list[int] = []
+    out: dict[int, int] = {}
     get = out.get
     for kb, cb in b.items():
         for ka, ca in a_items:
@@ -584,81 +583,15 @@ def _product_loop(a: dict[int, Scalar],
                 c = c + ca * cb
                 if c == 0:
                     del out[k]
-                    cancelled.append(k)
                 else:
                     out[k] = c
-    return out, cancelled
+    return out
 
 
 def _scaled(packed: dict[int, Scalar]) -> tuple[int, dict[int, int]]:
     """(the lcm L of the coefficients' denominators, the coefficients times L)."""
     scale = math.lcm(*[c.denominator for c in packed.values()])
     return scale, {k: c.numerator * (scale // c.denominator) for k, c in packed.items()}
-
-
-def _fraction_keys(a: dict[int, Scalar], b: dict[int, Scalar],
-                   ia: dict[int, int], ib: dict[int, int],
-                   out: dict[int, int], cancelled: list[int]) -> set[int]:
-    """The keys of ``out`` that ``_product_loop(a, b)`` leaves as Fractions.
-
-    A sum is a Fraction once a product with a Fraction factor has entered it
-    since the key was last created.  ``ia`` and ``ib`` are the scaled factors
-    that made ``out``; they replay, in loop order, each key that cancelled and
-    came back.
-    """
-    fa = {k for k, c in a.items() if isinstance(c, Fraction)}
-    fb = {k for k, c in b.items() if isinstance(c, Fraction)}
-    frac = {ka + kb for kb in b for ka in (a if kb in fb else fa)}
-    for k in out.keys() & cancelled:
-        c = None
-        for kb, cb in ib.items():
-            ca = ia.get(k - kb)
-            if ca is None:
-                continue
-            touched = (k - kb) in fa or kb in fb
-            if c is None:
-                c, is_frac = ca * cb, touched
-            else:
-                c += ca * cb
-                if c == 0:
-                    c = None
-                else:
-                    is_frac = is_frac or touched
-        if is_frac:
-            frac.add(k)
-        else:
-            frac.discard(k)
-    return frac.intersection(out)
-
-
-def _fraction_free_product(variables: tuple[str, ...], a: dict[int, Scalar],
-                           b: dict[int, Scalar]) -> Poly:
-    """``Poly._make(variables, a) * Poly._make(variables, b)`` on integers.
-
-    Gives the terms, term order and coefficient types of the same loop and
-    marker reduction run on the Fractions, with one division per term.
-    """
-    sa, ia = _scaled(a)
-    sb, ib = _scaled(b)
-    out, cancelled = _product_loop(ia, ib)
-    _check_guards(out, len(variables))
-    scale = sa * sb
-    reduced = _reduce_markers(variables, out)
-    if reduced is not out:
-        # Marker reduction normalizes every coefficient, on Fractions as here.
-        terms = {}
-        ints = True
-        for k, c in reduced.items():
-            whole, rest = divmod(c, scale)
-            if rest:
-                terms[k] = Fraction(c, scale)
-                ints = False
-            else:
-                terms[k] = whole
-        return Poly._make(variables, terms, ints)
-    frac = _fraction_keys(a, b, ia, ib, out, cancelled)
-    terms = {k: Fraction(c, scale) if k in frac else c // scale for k, c in out.items()}
-    return Poly._make(variables, terms, not frac)
 
 
 def _marker_pairs(variables: tuple[str, ...]) -> list[tuple[int, int]]:

@@ -294,6 +294,11 @@ def test_closed_symbolic_matches_numeric_exactly():
     want = rf.eval(pt)
     got = chi_closed_value(spec, [Fraction(3, 10), Fraction(7, 10)], Fraction(2, 5))
     assert got == want
+    # Integer inputs too: an int over an int is divided exactly, not as floats.
+    spec = GenSpec(1, 1, (0, 0))
+    for got in (chi_closed_value(spec, [0, 0], 0),
+                chi_closed(spec).eval({"x1": 0, "x2": 0, "rho": 0})):
+        assert type(got) is Fraction and got == Fraction(1)
 
 
 def test_three_paths_agree():

@@ -33,6 +33,11 @@ def test_corr_matrix_validation():
         CorrMatrix.from_dict(2, {(1, 2): math.nan})
     with pytest.raises(DomainError):
         f_U3_closed(0.1, 0.2, 0.3, 0.5, math.nan, 0.5)
+    # Coordinates are checked before acos and the formula, with the oracle's message.
+    for call, xs in ((f_U3_compare, (1.5, 0.2, 0.3)), (f_U3_closed, (1.5, 0.2, 0.3)),
+                     (f_U3_closed, (math.nan, 0.2, 0.3))):
+        with pytest.raises(DomainError, match=r"\|x_m\| must be <= 1"):
+            call(*xs, 0.1, 0.2, 0.3)
     K = CorrMatrix.from_dict(3, {(1, 2): 0.5})
     assert K.rho(2, 1) == 0.5 and K.rho(1, 3) == 0 and K.rho(2, 2) == 0
 

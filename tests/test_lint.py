@@ -17,9 +17,10 @@ def test_no_assert_statements():
 
 
 # The packed monomial layout (field constants, storage attribute, pack
-# helpers) is a decision of poly.py alone; other modules read ``Poly.terms``.
+# helpers) and the int-only speed bit are decisions of poly.py alone; other
+# modules read ``Poly.terms``.
 PACKED_LAYOUT_NAMES = {"FIELD_BITS", "EXP_LIMIT", "_FIELD", "_packed", "_pack", "_unpack",
-                       "_tuples", "_tuple_terms"}
+                       "_tuples", "_tuple_terms", "_ints", "_int_only"}
 
 
 def _names(tree):

@@ -61,8 +61,13 @@ def _reference_reduce(variables, terms):
                 out.pop(exps, None)
             else:
                 out[exps] = nc
+    return out
+
+
+def _canonical_terms(terms):
+    """The terms with every coefficient of denominator 1 made an int."""
     return {e: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-            for e, c in out.items()}
+            for e, c in terms.items()}
 
 
 def reference_product(p, q):
@@ -80,7 +85,7 @@ def reference_product(p, q):
                 out.pop(exps, None)
             else:
                 out[exps] = nc
-    return vs, _reference_reduce(vs, out)
+    return vs, _canonical_terms(_reference_reduce(vs, out))
 
 
 VAR_SETS = [("x1",), ("x1", "x2", "rho"), ("x2", "rho"), ("x1", "s1"),
@@ -135,17 +140,6 @@ def test_fraction_free_product_matches_reference(pair):
     assert _typed(got.terms.items()) == _typed(want.items())
 
 
-def test_fraction_free_types_follow_a_recreated_term():
-    # x^2 gets 1/7 (a Fraction), then -1/7 cancels it, then 2 * 3 creates it
-    # again from ints only: the loop leaves an int there, not Fraction(6).
-    a = Poly(("x1",), {(0,): 3, (1,): Fraction(-1, 7), (2,): Fraction(1, 7)})
-    b = Poly(("x1",), {(0,): 1, (1,): 1, (2,): 2})
-    got = dict((a * b).terms.items())
-    assert got == dict(reference_product(a, b)[1].items())
-    assert type(got[(2,)]) is int and got[(2,)] == 6
-    assert type(got[(1,)]) is Fraction
-
-
 def test_int_product_keeps_int_bit():
     p = (X1 + 2 * X2 - 3 * RHO) ** 3
     s = Poly.variable("s1", ("x1", "s1"))
@@ -184,15 +178,15 @@ def sum_parts():
     """Lists of int and Fraction polynomials over mixed variable sets.
 
     Some lists end with -p, p for their first part p, which cancels each of
-    its keys and brings it back; some start with a part holding Fraction(n)
-    coefficients, which only the later parts' sums normalize.
+    its keys and brings it back; some start with a part made by multiplying
+    by 1/3 and then by 3, whose integral coefficients are ints again.
     """
     part = marker_polys() | fraction_marker_polys()
-    unnormalized = part.map(lambda p: p * Poly.const(Fraction(1, 3)) * Poly.const(3))
+    remade = part.map(lambda p: p * Poly.const(Fraction(1, 3)) * Poly.const(3))
     parts = st.lists(part, max_size=5)
     return (parts
             | parts.filter(bool).map(lambda ps: ps + [-ps[0], ps[0]])
-            | st.tuples(unnormalized, parts).map(lambda fp: [fp[0]] + fp[1]))
+            | st.tuples(remade, parts).map(lambda fp: [fp[0]] + fp[1]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -212,10 +206,41 @@ def test_sum_edge_cases():
     # A key cancelled to zero re-enters at the end.
     q = Poly.sum([X1 + RHO, -X1, 2 * X1])
     assert list(q.terms.items()) == [((0, 1), 1), ((1, 0), 2)]
-    # The first part keeps a Fraction(2) coefficient; a later one is normalized.
+    # 2/3 times 3 is the int 2, whichever part of a sum it is.
     two = Poly.const(Fraction(2, 3), ("x1",)) * Poly.const(3, ("x1",))
-    assert type(Poly.sum([two, X1]).terms[(0,)]) is Fraction
+    assert type(Poly.sum([two, X1]).terms[(0,)]) is int
     assert type(Poly.sum([X1, two]).terms[(0,)]) is int
+
+
+def _assert_canonical(p):
+    bad = [(e, c) for e, c in p.terms.items() if type(c) is not int and c.denominator == 1]
+    assert not bad, f"integral coefficients that are not ints: {bad}"
+
+
+# x^2 gets 1/7, then -1/7 cancels it, then 2 * 3 creates it again.
+RECREATED = (Poly(("x1",), {(0,): 3, (1,): Fraction(-1, 7), (2,): Fraction(1, 7)}),
+             Poly(("x1",), {(0,): 1, (1,): 1, (2,): 2}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(marker_polys() | fraction_marker_polys(),
+                 marker_polys() | fraction_marker_polys()) | st.just(RECREATED))
+def test_results_are_canonical(pair):
+    # Every coefficient whose denominator is 1 is an int, however it was made.
+    p, q = pair
+    third = Poly.const(Fraction(1, 3))
+    remade = p * third * Poly.const(3)
+    results = [p + q, p - q, p * q, q * p, p * Fraction(3, 7), p * Fraction(1, 3) * 3,
+               remade, Poly.sum([remade, q, -p]), Poly.sum([p * third, q * third, p])]
+    for v in p.vars:
+        results += [p.coeff_of(v, 1), p.truncate(v, 2)]
+        if "s" + v[1:] not in p.vars:  # a marker keeps its partner
+            results += [p.subs(v, q), p.subs(v, Fraction(3, 2))]
+    results.append((p * third).rename({"rho": "rho12"}))
+    for got in results:
+        _assert_canonical(got)
+    assert remade == p
+    assert _typed((p * q).terms.items()) == _typed(reference_product(p, q)[1].items())
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
