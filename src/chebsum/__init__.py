@@ -10,8 +10,8 @@ brute-force series oracles.
 from .cheb import ChebIndex, cheb_eval, cheb_poly, geom_trig_sum, multi_trig_sum
 from .denom import WPoly, build_w, build_w_recursive, w_specialize_one
 from .errors import (ArityError, ChebsumError, ConvergenceError, DegeneratePivot,
-                     DomainError, ExponentError, MissingAssignment, ScaleError,
-                     SingularAngle, UnknownId)
+                     DomainError, ExponentError, MarkerError, MissingAssignment,
+                     ScaleError, SingularAngle, UnknownId)
 from .forms import compare_form, known_form, known_form_spec, registry_ids
 from .genfun import (GenSpec, RationalFn, chi_angle_eval, chi_closed, chi_closed_value,
                      chi_series_oracle_grid, marginal_check, numerator_l,
@@ -32,6 +32,6 @@ __all__ = [
     "kibble_closed_eval", "kibble_denominator", "kibble_series_oracle", "Poly",
     "QContext", "conjecture_probe", "d2_coeff", "d_coeff", "hb_poly", "idb_check",
     "tn_construct", "ChebsumError", "ArityError", "ConvergenceError", "DegeneratePivot",
-    "DomainError", "ExponentError", "MissingAssignment", "ScaleError",
+    "DomainError", "ExponentError", "MarkerError", "MissingAssignment", "ScaleError",
     "SingularAngle", "UnknownId",
 ]

@@ -39,3 +39,7 @@ class ConvergenceError(ChebsumError):
 
 class DegeneratePivot(ChebsumError):
     """A linear condition that should determine a constant has a zero pivot."""
+
+
+class MarkerError(ChebsumError):
+    """A sine marker sk would stand without its partner variable xk."""

@@ -16,8 +16,8 @@ that reaches EXP_LIMIT sets the guard bit, which one mask test over the
 result turns into a ``ScaleError``; exponents never wrap.  The layout is
 private to this module.  ``Poly.terms`` is a read-only view keyed by exponent
 tuples (aligned with ``vars``) in the packed dict's insertion order; its
-``len`` and ``values()`` read the packed dict, and the tuple keys are
-unpacked once per polynomial, on first use, and kept on it.
+``len`` reads the packed dict, and the tuple keys and their coefficients
+are made once per polynomial, on first use, and kept on it.
 
 Three families of variables are allowed, with a fixed global order:
 
@@ -29,15 +29,14 @@ exponents are kept in {0, 1} by rewriting ``sk**2 -> 1 - xk**2`` after every
 multiplication that involves a marker, so every polynomial lives in a
 canonical basis and two equal polynomials compare equal as dictionaries.
 
-One rule holds for every polynomial: a coefficient is an ``int`` when its
-denominator is 1 and a ``Fraction`` otherwise.  Products are fraction-free:
-a factor that may hold a ``Fraction`` is scaled to integers by the lcm of
-its denominators, the double loop and the marker reduction run on integers,
-and each result term is divided once by the product of the scales.  Every
-polynomial carries an int-only bit, a speed cache set where its dict is
-built from operands whose bits are known, so an integer factor enters a
-product unscaled without a scan of its coefficients; elsewhere the bit is
-computed on first use.
+Coefficients are stored as int numerators over one positive int
+denominator kept in lowest terms: the gcd of the denominator and every
+numerator is 1, so the pair is canonical and an integer polynomial has
+denominator 1.  Arithmetic runs on integers: a product multiplies the
+numerators and the denominators, a sum scales each part to the lcm of the
+denominators, and each result is reduced by one gcd.  A coefficient is made
+only where one is read (``terms``, ``sorted_terms``, hashing), as an ``int``
+when the denominator divides its numerator and a ``Fraction`` otherwise.
 
 Serialized form (stable across runs): terms ordered graded-lexicographically
 (total degree first, then the exponent tuple), coefficients as "num/den"
@@ -53,7 +52,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable
 
-from .errors import ArityError, ExponentError, MissingAssignment, ScaleError
+from .errors import ArityError, ExponentError, MarkerError, MissingAssignment, ScaleError
 
 Scalar = int | Fraction
 Exponents = tuple[int, ...]
@@ -84,15 +83,23 @@ def _canonical(variables: Iterable[str]) -> tuple[str, ...]:
     return vs
 
 
-def _normalize_scalar(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def _num_den(c) -> tuple[int, int]:
+    """(numerator, denominator) of a number in lowest terms (floats convert exactly)."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
 
-def _exact(c) -> Scalar:
-    """A coefficient as an int or an exact Fraction (floats convert exactly)."""
-    return _normalize_scalar(c if isinstance(c, (int, Fraction)) else Fraction(c))
+def _coeff(num: int, den: int) -> Scalar:
+    """num / den as an int when den divides num, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _lowest(packed: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """(numerators, denominator) divided by their gcd; zero gets denominator 1."""
+    g = den if den == 1 else math.gcd(den, *packed.values())
+    return (packed, den) if g == 1 else ({k: c // g for k, c in packed.items()}, den // g)
 
 
 # ------------------------------------------------------------- packed monomials
@@ -146,7 +153,7 @@ class _TermsView(Mapping):
         return len(self._poly._packed)
 
     def values(self):
-        return self._poly._packed.values()
+        return self._poly._tuple_terms().values()
 
     def items(self):
         return self._poly._tuple_terms().items()
@@ -169,11 +176,11 @@ class Poly:
     mutated after construction; every operation returns a new Poly.
     """
 
-    __slots__ = ("vars", "_packed", "_tuples", "_ints")
+    __slots__ = ("vars", "_packed", "_den", "_tuples")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar] | None = None):
         vs = _canonical(variables)
-        packed: dict[int, Scalar] = {}
+        ratios: dict[int, tuple[int, int]] = {}
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != len(vs):
@@ -184,33 +191,24 @@ class Poly:
                 if e >= EXP_LIMIT:
                     raise ScaleError(f"exponent {e} in {exps} exceeds the supported limit "
                                      f"{EXP_LIMIT - 1}")
-            c = _exact(c)
-            if c != 0:
-                packed[_pack(exps)] = c
+            num, den = _num_den(c)
+            if num:
+                ratios[_pack(exps)] = num, den
+        den = math.lcm(*[d for _, d in ratios.values()])
+        packed = {k: num * (den // d) for k, (num, d) in ratios.items()}
         self.vars = vs
-        self._packed = _reduce_markers(vs, packed)
+        self._packed, self._den = _lowest(_reduce_markers(vs, packed), den)
         self._tuples = None
-        self._ints = None
 
     @classmethod
-    def _make(cls, variables: tuple[str, ...], packed: dict[int, Scalar],
-              ints: bool | None = None) -> Poly:
-        """Wrap canonical variables and a packed dict without checks.
-
-        ``ints`` is the int-only bit when the caller knows it, else None.
-        """
+    def _make(cls, variables: tuple[str, ...], packed: dict[int, int], den: int = 1) -> Poly:
+        """Wrap canonical variables, numerators and their lowest-terms denominator."""
         p = object.__new__(cls)
         p.vars = variables
         p._packed = packed
+        p._den = den
         p._tuples = None
-        p._ints = ints
         return p
-
-    def _int_only(self) -> bool:
-        """True iff no coefficient is a Fraction (computed once if not known)."""
-        if self._ints is None:
-            self._ints = Fraction not in set(map(type, self._packed.values()))
-        return self._ints
 
     @property
     def terms(self) -> Mapping[Exponents, Scalar]:
@@ -219,27 +217,29 @@ class Poly:
     def _tuple_terms(self) -> dict[Exponents, Scalar]:
         if self._tuples is None:
             n = len(self.vars)
-            self._tuples = {_unpack(k, n): c for k, c in self._packed.items()}
+            den = self._den
+            self._tuples = {_unpack(k, n): c if den == 1 else _coeff(c, den)
+                            for k, c in self._packed.items()}
         return self._tuples
 
     # ---------------------------------------------------------------- builders
 
     @classmethod
     def zero(cls, variables: Iterable[str] = ()) -> Poly:
-        return cls._make(_canonical(variables), {}, True)
+        return cls._make(_canonical(variables), {})
 
     @classmethod
     def const(cls, value: Scalar, variables: Iterable[str] = ()) -> Poly:
         vs = _canonical(variables)
-        value = _exact(value)
-        return cls._make(vs, {0: value} if value != 0 else {}, not isinstance(value, Fraction))
+        num, den = _num_den(value)
+        return cls._make(vs, {0: num}, den) if num else cls._make(vs, {})
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str] | None = None) -> Poly:
         vs = _canonical(variables if variables is not None else (name,))
         if name not in vs:
             raise ValueError(f"{name} not among {vs}")
-        return cls._make(vs, {1 << (FIELD_BITS * vs.index(name)): 1}, True)
+        return cls._make(vs, {1 << (FIELD_BITS * vs.index(name)): 1})
 
     # ------------------------------------------------------------- inspection
 
@@ -261,8 +261,8 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in canonical graded-lexicographic order."""
-        n = len(self.vars)
-        return sorted(((_unpack(k, n), c) for k, c in self._packed.items()),
+        n, den = len(self.vars), self._den
+        return sorted(((_unpack(k, n), _coeff(c, den)) for k, c in self._packed.items()),
                       key=lambda kv: (sum(kv[0]), kv[0]))
 
     # ------------------------------------------------------------ arithmetic
@@ -277,7 +277,7 @@ class Poly:
             if v not in vs:
                 raise ValueError(f"cannot embed: {v} missing from {vs}")
             moves.append((i, vs.index(v)))
-        return Poly._make(vs, _remap(self._packed, moves), self._ints)
+        return Poly._make(vs, _remap(self._packed, moves), self._den)
 
     def _union_vars(self, other: Poly) -> tuple[str, ...]:
         if self.vars == other.vars:
@@ -305,8 +305,10 @@ class Poly:
         vs = parts[0].vars
         if any(p.vars != vs for p in parts):
             vs = tuple(sorted(set().union(*[p.vars for p in parts]), key=var_sort_key))
-        ints = all([p._ints for p in parts])
+        den = math.lcm(*[p._den for p in parts])
         packed = [p._packed if p.vars == vs else p.embed(vs)._packed for p in parts]
+        packed = [terms if p._den == den else {k: c * (den // p._den) for k, c in terms.items()}
+                  for p, terms in zip(parts, packed)]
         out = dict(packed[0])
         for terms in packed[1:]:
             for k, c in terms.items():
@@ -314,8 +316,8 @@ class Poly:
                 if nc == 0:
                     del out[k]
                 else:
-                    out[k] = nc if ints else _normalize_scalar(nc)
-        return Poly._make(vs, out, True if ints else None)
+                    out[k] = nc
+        return Poly._make(vs, *_lowest(out, den))
 
     def __add__(self, other) -> Poly:
         other = self._coerce(other)
@@ -326,7 +328,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly._make(self.vars, {k: -c for k, c in self._packed.items()}, self._ints)
+        return Poly._make(self.vars, {k: -c for k, c in self._packed.items()}, self._den)
 
     def __sub__(self, other) -> Poly:
         other = self._coerce(other)
@@ -342,26 +344,20 @@ class Poly:
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly._make(self.vars, {}, True)
-            return Poly._make(self.vars, {k: _normalize_scalar(c * other)
-                                          for k, c in self._packed.items()},
-                              True if self._ints and not isinstance(other, Fraction) else None)
+            num, den = _num_den(other)
+            if num == 0:
+                return Poly._make(self.vars, {})
+            return Poly._make(self.vars, *_lowest({k: c * num for k, c in self._packed.items()},
+                                                  self._den * den))
         if not isinstance(other, Poly):
             return NotImplemented
         vs = self._union_vars(other)
         a, b = self.embed(vs), other.embed(vs)
         if len(b._packed) > len(a._packed):
             a, b = b, a
-        sa, ia = (1, a._packed) if a._int_only() else _scaled(a._packed)
-        sb, ib = (1, b._packed) if b._int_only() else _scaled(b._packed)
-        out = _product_loop(ia, ib)
+        out = _product_loop(a._packed, b._packed)
         _check_guards(out, len(vs))
-        out = _reduce_markers(vs, out)
-        scale = sa * sb
-        if scale != 1:
-            out = {k: Fraction(c, scale) if c % scale else c // scale for k, c in out.items()}
-        return Poly._make(vs, out, True if scale == 1 else None)
+        return Poly._make(vs, *_lowest(_reduce_markers(vs, out), a._den * b._den))
 
     __rmul__ = __mul__
 
@@ -381,21 +377,23 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.vars == other.vars:
-            return self._packed == other._packed
-        vs = self._union_vars(other)
-        return self.embed(vs)._packed == other.embed(vs)._packed
+        a, b = self, other
+        if a.vars != b.vars:
+            vs = self._union_vars(other)
+            a, b = self.embed(vs), other.embed(vs)
+        return a._den == b._den and a._packed == b._packed
 
     def __hash__(self):
         # Equality embeds both sides first, so hash only what survives an
-        # embedding: each monomial as its (variable, exponent > 0) pairs.  A
-        # constant hashes as its coefficient, since Poly.const(c) == c.
+        # embedding: the denominator and each monomial as its (variable,
+        # exponent > 0) pairs.  A constant hashes as its coefficient, since
+        # Poly.const(c) == c.
         if self._packed.keys() <= {0}:
-            return hash(self._packed.get(0, 0))
+            return hash(_coeff(self._packed.get(0, 0), self._den))
         n = len(self.vars)
-        return hash(frozenset(
+        return hash((self._den, frozenset(
             (tuple((v, e) for v, e in zip(self.vars, _unpack(k, n)) if e), c)
-            for k, c in self._packed.items()))
+            for k, c in self._packed.items())))
 
     # ------------------------------------------------------- structural ops
 
@@ -407,7 +405,7 @@ class Poly:
         order = sorted(range(len(new_names)), key=lambda i: var_sort_key(new_names[i]))
         vs = tuple(new_names[i] for i in order)
         return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(order))),
-                          self._ints)
+                          self._den)
 
     def drop_vars(self, names: Iterable[str]) -> Poly:
         """Remove variables that carry no exponent anywhere."""
@@ -418,7 +416,7 @@ class Poly:
         keep = [i for i, v in enumerate(self.vars) if v not in names]
         vs = tuple(self.vars[i] for i in keep)
         return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(keep))),
-                          self._ints)
+                          self._den)
 
     def _split(self, var: str) -> tuple[tuple[str, ...], int, list[tuple[int, int]]]:
         """(the other variables, the shift of var's field, the moves that drop it)."""
@@ -428,18 +426,19 @@ class Poly:
         return rest, FIELD_BITS * i, moves
 
     def subs(self, name: str, replacement: Poly | Scalar) -> Poly:
-        """Substitute a polynomial (or constant) for one variable."""
+        """Substitute a polynomial (or constant) for one variable (xk only without sk)."""
         if name not in self.vars:
             return self
+        if name[0] == "x" and "s" + name[1:] in self.vars:
+            raise MarkerError(f"cannot substitute for {name}: marker s{name[1:]} needs it")
         if isinstance(replacement, (int, Fraction)):
             replacement = Poly.const(replacement)
         rest_vars, shift, moves = self._split(name)
-        groups: dict[int, dict[int, Scalar]] = {}
+        groups: dict[int, dict[int, int]] = {}
         for k, c in self._packed.items():
             groups.setdefault((k >> shift) & _FIELD, {})[k] = c
-        part_ints = True if self._ints else None
         return Poly.sum([Poly.zero(rest_vars)] + [
-            Poly._make(rest_vars, _remap(groups[e], moves), part_ints)
+            Poly._make(rest_vars, *_lowest(_remap(groups[e], moves), self._den))
             * (replacement ** e if e else Poly.const(1)) for e in sorted(groups)])
 
     def coeff_of(self, var: str, power: int) -> Poly:
@@ -448,16 +447,15 @@ class Poly:
             return self if power == 0 else Poly.zero(self.vars)
         rest, shift, moves = self._split(var)
         picked = {k: c for k, c in self._packed.items() if (k >> shift) & _FIELD == power}
-        return Poly._make(rest, _remap(picked, moves), True if self._ints else None)
+        return Poly._make(rest, *_lowest(_remap(picked, moves), self._den))
 
     def truncate(self, var: str, below: int) -> Poly:
         """The terms whose exponent of ``var`` is below ``below``."""
         if var not in self.vars:
             return self if below > 0 else Poly.zero(self.vars)
         shift = FIELD_BITS * self.vars.index(var)
-        return Poly._make(self.vars, {k: c for k, c in self._packed.items()
-                                      if (k >> shift) & _FIELD < below},
-                          True if self._ints else None)
+        return Poly._make(self.vars, *_lowest({k: c for k, c in self._packed.items()
+                                               if (k >> shift) & _FIELD < below}, self._den))
 
     def rho_coeffs(self) -> list[Poly]:
         """Coefficients of rho**0 .. rho**deg as polynomials in the x variables."""
@@ -588,12 +586,6 @@ def _product_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _scaled(packed: dict[int, Scalar]) -> tuple[int, dict[int, int]]:
-    """(the lcm L of the coefficients' denominators, the coefficients times L)."""
-    scale = math.lcm(*[c.denominator for c in packed.values()])
-    return scale, {k: c.numerator * (scale // c.denominator) for k, c in packed.items()}
-
-
 def _marker_pairs(variables: tuple[str, ...]) -> list[tuple[int, int]]:
     """(marker field shift, partner x field shift) for every sk present."""
     index = {v: i for i, v in enumerate(variables)}
@@ -602,20 +594,19 @@ def _marker_pairs(variables: tuple[str, ...]) -> list[tuple[int, int]]:
         if v[0] == "s":
             partner = "x" + v[1:]
             if partner not in index:
-                raise ValueError(f"marker {v} lacks partner {partner} in {variables}")
+                raise MarkerError(f"marker {v} lacks partner {partner} in {variables}")
             pairs.append((FIELD_BITS * i, FIELD_BITS * index[partner]))
     return pairs
 
 
-def _reduce_markers(variables: tuple[str, ...],
-                    terms: dict[int, Scalar]) -> dict[int, Scalar]:
+def _reduce_markers(variables: tuple[str, ...], terms: dict[int, int]) -> dict[int, int]:
     """Rewrite sk**e with e >= 2 via sk**2 = 1 - xk**2 until all marker exponents are 0/1."""
     # The bits of a marker field above its lowest are set iff its exponent is >= 2.
     high = sum((_FIELD - 1) << (FIELD_BITS * i) for i, v in enumerate(variables) if v[0] == "s")
     if not high or not any(k & high for k in terms):
         return terms
     pairs = _marker_pairs(variables)
-    out: dict[int, Scalar] = {}
+    out: dict[int, int] = {}
     stack = list(terms.items())
     while stack:
         key, c = stack.pop()
@@ -635,4 +626,4 @@ def _reduce_markers(variables: tuple[str, ...],
             else:
                 out[key] = nc
     _check_guards(out, len(variables))
-    return {k: _normalize_scalar(c) for k, c in out.items() if c != 0}
+    return out

@@ -79,6 +79,7 @@ class QContext:
         self.tail_eps = tail_eps
         self._qq: list[Fraction] = [Fraction(1)]          # (q;q)_n
         self._bracket_fact: list[Fraction] = [Fraction(1)]  # [n]_q!
+        self._binoms: dict[int, list[Fraction]] = {}        # row n of q-binomials
         self._polys: dict = {}
         self._moments: dict = {}   # d(q), the f_t moments of U_n and x^e, gamma_n
 
@@ -113,7 +114,9 @@ class QContext:
         """q-binomial; zero outside 0 <= k <= n."""
         if not 0 <= k <= n:
             return Fraction(0)
-        return self.qq(n) / (self.qq(n - k) * self.qq(k))
+        if n not in self._binoms:
+            self._binoms[n] = [self.qq(n) / (self.qq(n - j) * self.qq(j)) for j in range(n + 1)]
+        return self._binoms[n][k]
 
     def tail_index(self) -> int:
         """Smallest K >= 3 with |q|^C(K,2) < tail_eps."""

@@ -16,11 +16,11 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src/chebsum: {found}"
 
 
-# The packed monomial layout (field constants, storage attribute, pack
-# helpers) and the int-only speed bit are decisions of poly.py alone; other
-# modules read ``Poly.terms``.
+# The packed monomial layout (field constants, storage attributes, pack
+# helpers) and the numerators-over-one-denominator form are decisions of
+# poly.py alone; other modules read ``Poly.terms``.
 PACKED_LAYOUT_NAMES = {"FIELD_BITS", "EXP_LIMIT", "_FIELD", "_packed", "_pack", "_unpack",
-                       "_tuples", "_tuple_terms", "_ints", "_int_only"}
+                       "_tuples", "_tuple_terms", "_den", "_lowest", "_coeff"}
 
 
 def _names(tree):

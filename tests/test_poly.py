@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chebsum
-from chebsum.errors import ChebsumError, ExponentError, MissingAssignment, ScaleError
+from chebsum.errors import (ChebsumError, ExponentError, MarkerError, MissingAssignment,
+                            ScaleError)
 from chebsum.poly import EXP_LIMIT, Poly, var_sort_key
 
 X1 = Poly.variable("x1")
@@ -140,15 +141,43 @@ def test_fraction_free_product_matches_reference(pair):
     assert _typed(got.terms.items()) == _typed(want.items())
 
 
-def test_int_product_keeps_int_bit():
-    p = (X1 + 2 * X2 - 3 * RHO) ** 3
-    s = Poly.variable("s1", ("x1", "s1"))
-    for got in (p * (X1 - X2), (Poly.variable("x1", ("x1", "s1")) + s) ** 4):
-        assert got._ints is True
-        assert {type(c) for c in got.terms.values()} == {int}
-    half = Poly.const(Fraction(1, 2), ("x1",))
-    mixed = (X1 + half) * (X1 - half)
-    assert mixed._int_only() is False and Fraction in {type(c) for c in mixed.terms.values()}
+def _assert_lowest_terms(p):
+    nums = list(p._packed.values())
+    assert all(type(c) is int for c in nums) and type(p._den) is int
+    assert math.gcd(p._den, *nums) == 1
+    assert p._den == math.lcm(*[Fraction(c).denominator for c in p.terms.values()])
+
+
+WIDE = ("x1", "x2", "s1", "s2", "rho")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(marker_polys() | fraction_marker_polys(),
+                 marker_polys() | fraction_marker_polys()))
+def test_stored_pair_is_lowest_terms(pair):
+    # A Poly stores int numerators over one denominator, the lcm of its
+    # coefficients' denominators, and no factor is common to all of them.
+    p, q = pair
+    results = [p + q, p - q, p * q, p * 3, -6 * p, p * Fraction(7, 3), Fraction(3, 14) * p,
+               Poly.sum([p, q, p * Fraction(1, 7)]), p.embed(WIDE),
+               p.rename({"rho": "rho12"}), Poly.from_json_dict(p.to_json_dict()),
+               Poly(p.vars, {e: 6 * c for e, c in p.terms.items()})]
+    for v in p.vars:
+        results += [p.coeff_of(v, 0), p.coeff_of(v, 1), p.truncate(v, 1), p.truncate(v, 2)]
+        if not (v[0] == "x" and "s" + v[1:] in p.vars):
+            results += [p.subs(v, q), p.subs(v, Fraction(3, 2))]
+    for got in results:
+        _assert_lowest_terms(got)
+
+
+def test_subs_keeps_marker_partner():
+    # s1 needs x1 to reduce s1^2 = 1 - x1^2, so x1 cannot be substituted away.
+    xs, s1 = Poly.variable("x1", ("x1", "s1")), Poly.variable("s1", ("x1", "s1"))
+    with pytest.raises(MarkerError):
+        (s1 + xs).subs("x1", X2)
+    with pytest.raises(MarkerError):
+        Poly(("s1",), {(2,): 1})
+    assert (s1 + xs).subs("s1", X2) == X1 + X2
 
 
 def reference_sum(parts):

@@ -1,5 +1,7 @@
 """q-deformation tests: symbols, families, identities, probes."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -228,6 +230,20 @@ def test_d2_symmetry_and_values(ctx):
     for m in range(7):
         want = d2_coeff(ctx, m).eval({"x1": 0.37, "x2": -0.81})
         assert vals[m] == pytest.approx(want, abs=1e-12)
+
+
+def test_q_family_outputs_pinned():
+    # The exact polynomials and each coefficient's type (int when integral,
+    # else Fraction) at one q, as to_json_dict writes them.
+    ctx = QContext(F(-4, 11))
+    polys = ([hb_poly(ctx, kind, n) for kind in ("h", "b") for n in range(25)]
+             + [d_coeff(ctx, n) for n in range(13)] + [d2_coeff(ctx, n) for n in range(15)]
+             + [tn_construct(ctx, n).poly for n in range(13)])
+    h = hashlib.sha256()
+    for p in polys:
+        h.update(json.dumps(p.to_json_dict()).encode())
+        h.update(repr([type(c).__name__ for _, c in p.sorted_terms()]).encode())
+    assert h.hexdigest() == "1ceb906ebba09f7fa1d172055f7ac905984c3ecefd1b9f8814326b22cffd264c"
 
 
 def test_idb_examples(ctx):
