@@ -22,8 +22,7 @@ from .errors import ChebsumError
 from .genfun import GenSpec, chi_closed, chi_closed_value, chi_series_oracle_grid
 from .kibble import (CorrMatrix, _check_unit, kibble_closed_eval, kibble_denominator,
                      kibble_series_oracle)
-from .qseries import (QContext, chi1t_check, conjecture_probe, d2_coeff, d2_values, d_coeff,
-                      final_identity_check, hb_poly, idb_check)
+from .qseries import conjecture_probe
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -229,18 +228,16 @@ _Q_NMAX = {"duality": (0, 10, math.inf), "idb": (0, 6, 6), "chi1t": (0, 5, 5), "
 
 def _cmd_q(args) -> int:
     qs = [Fraction(v) for v in args.q.split(",")]
-    records = []
     if args.action == "probe":
         if args.conjecture == "beta":
             if args.nmax < 2:
                 raise ValueError(f"--nmax for --conjecture beta must be >= 2, got {args.nmax}")
-            for n in range(2, args.nmax + 1):
-                records.append(conjecture_probe("beta-expansion", n=n, q_values=qs))
+            records = [conjecture_probe("beta-expansion", n=n, q_values=qs)
+                       for n in range(2, args.nmax + 1)]
         else:
-            for (nh, mt) in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-                records.append(conjecture_probe("common-denominator", n_h=nh,
-                                                m_t=mt, q=qs[0],
-                                                rho_order=args.rho_order))
+            records = [conjecture_probe("common-denominator", n_h=nh, m_t=mt, q=qs[0],
+                                        rho_order=args.rho_order)
+                       for nh, mt in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
         _emit(args, "\n".join(camp.canonical_json(r) for r in records) + "\n")
         return 0
     low, nmax, high = _Q_NMAX.get(args.suite, (None, None, None))
@@ -251,56 +248,8 @@ def _cmd_q(args) -> int:
             raise ValueError(f"--nmax for --suite {args.suite} must lie in "
                              f"{low}..{high}, got {args.nmax}")
         nmax = args.nmax
-    ok = True
-    for qv in qs:
-        ctx = QContext(qv)
-        if args.suite == "duality":
-            for n in range(nmax + 1):
-                good = d_coeff(ctx, n) == hb_poly(ctx, "b", n)
-                records.append({"suite": "duality", "q": str(qv), "n": n, "pass": good})
-                ok = ok and good
-        elif args.suite == "idb":
-            for n in range(nmax + 1):
-                for k in range(9):
-                    good = idb_check(ctx, n, k).passed
-                    records.append({"suite": "idb", "q": str(qv), "n": n, "k": k,
-                                    "pass": good})
-                    ok = ok and good
-        elif args.suite == "chi1t":
-            for t in range(nmax + 1):
-                rep = chi1t_check(ctx, t, 0.3, 0.4)
-                good = rep.abs_diff <= 1e-9
-                records.append({"suite": "chi1t", "q": str(qv), "t": t,
-                                "abs_err": rep.abs_diff, "pass": good})
-                ok = ok and good
-        elif args.suite == "d2":
-            # d2_n expanded exactly, against the product form at two seeded points.
-            rng = random.Random(f"{args.seed}:d2:{qv}")
-            points = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
-            values = [d2_values(ctx, x, y, nmax + 1) for x, y in points]
-            for n in range(1, nmax + 1):
-                p = d2_coeff(ctx, n)
-                # The point nearest to (or furthest past) its bound is recorded.
-                err, bound = max(((abs(p.eval({"x1": x, "x2": y}) - v[n]),
-                                   1e-9 * max(1.0, abs(v[n])))
-                                  for (x, y), v in zip(points, values)),
-                                 key=lambda eb: eb[0] / eb[1])
-                good = err <= bound
-                records.append({"suite": "d2", "q": str(qv), "n": n, "terms": len(p.terms),
-                                "abs_err": err, "bound": bound, "pass": good})
-                ok = ok and good
-        else:  # final-identity
-            rng = random.Random(f"{args.seed}:final:{qv}")
-            worst = 0.0
-            for _ in range(10):
-                rep = final_identity_check(ctx, rng.uniform(-1, 1),
-                                           rng.uniform(-1, 1),
-                                           rng.uniform(-0.25, 0.25))
-                worst = max(worst, rep.abs_diff)
-            good = worst <= 1e-8
-            records.append({"suite": "final-identity", "q": str(qv),
-                            "abs_err": worst, "pass": good})
-            ok = ok and good
+    records = list(camp.q_check(args.suite, qs, nmax, args.seed))
+    ok = all(r["pass"] for r in records)
     _emit(args, "\n".join(camp.canonical_json(r) for r in records) + "\n")
     print(f"q check {args.suite}: {'PASS' if ok else 'FAIL'} "
           f"({len(records)} records)", file=sys.stderr)

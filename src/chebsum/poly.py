@@ -77,9 +77,13 @@ def var_sort_key(name: str) -> tuple[int, int]:
 
 
 def _canonical(variables: Iterable[str]) -> tuple[str, ...]:
+    """The variables as a tuple; refuse a non-canonical order or a marker sk without xk."""
     vs = tuple(variables)
     if list(vs) != sorted(vs, key=var_sort_key):
         raise ValueError(f"variables not in canonical order: {vs}")
+    for v in vs:
+        if v[0] == "s" and "x" + v[1:] not in vs:
+            raise MarkerError(f"marker {v} lacks partner x{v[1:]} in {vs}")
     return vs
 
 
@@ -269,9 +273,10 @@ class Poly:
 
     def embed(self, variables: Iterable[str]) -> Poly:
         """Reindex into a superset variable list (canonical order required)."""
-        vs = _canonical(variables)
+        vs = tuple(variables)
         if vs == self.vars:
             return self
+        vs = _canonical(vs)
         moves = []
         for i, v in enumerate(self.vars):
             if v not in vs:
@@ -403,7 +408,7 @@ class Poly:
         if len(set(new_names)) != len(new_names):
             raise ValueError("rename would collide variables")
         order = sorted(range(len(new_names)), key=lambda i: var_sort_key(new_names[i]))
-        vs = tuple(new_names[i] for i in order)
+        vs = _canonical(new_names[i] for i in order)
         return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(order))),
                           self._den)
 
@@ -414,7 +419,7 @@ class Poly:
             if self.uses(nm):
                 raise ValueError(f"cannot drop used variable {nm}")
         keep = [i for i, v in enumerate(self.vars) if v not in names]
-        vs = tuple(self.vars[i] for i in keep)
+        vs = _canonical(self.vars[i] for i in keep)
         return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(keep))),
                           self._den)
 

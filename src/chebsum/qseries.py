@@ -705,28 +705,17 @@ def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
         for row in t_at:
             v *= row[j]
         a.append(v)
-    # Denominator coefficients, exact.
+    # Denominator, exact, truncated above rho^rho_order as it is built.
     point = {f"x{i + 1}": p for i, p in enumerate(pts)}
     base = [c.eval(point) for c in w_rho_coeff_polys(arity)]
-    den = [Fraction(1)] + [Fraction(0)] * rho_order
+    den = Poly.const(1, ("rho",))
     for i in range(factors):
         qi = ctx.q ** i
-        fac = [Fraction(c) * qi ** m for m, c in enumerate(base)]
-        new = [Fraction(0)] * (rho_order + 1)
-        for r1, c1 in enumerate(den):
-            if c1 == 0:
-                continue
-            for r2, c2 in enumerate(fac):
-                if r1 + r2 > rho_order:
-                    break
-                new[r1 + r2] += c1 * c2
-        den = new
-    out = [Fraction(0)] * (rho_order + 1)
-    for r1, c1 in enumerate(a):
-        for r2, c2 in enumerate(den):
-            if r1 + r2 > rho_order:
-                break
-            out[r1 + r2] += c1 * c2
+        fac = Poly(("rho",), {(m,): c * qi ** m for m, c in enumerate(base)})
+        den = (den * fac).truncate("rho", rho_order + 1)
+    series = Poly(("rho",), {(j,): v for j, v in enumerate(a)})
+    prod = (series * den).truncate("rho", rho_order + 1).terms
+    out = [prod.get((r,), 0) for r in range(rho_order + 1)]
     expected_degree = 2 ** arity - 1
     scale = max(abs(float(v)) for v in a) or 1.0
     bound = 8.0 * scale * float(abs(ctx.q)) ** factors / max(1e-12, 1 - float(abs(ctx.q)))

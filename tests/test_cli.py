@@ -97,16 +97,26 @@ def test_q_check_d2_compares_values(tmp_path, monkeypatch):
     assert [r["n"] for r in records] == [1, 2, 3]
     assert all(r["pass"] and r["abs_err"] <= r["bound"] for r in records)
 
-    import chebsum.cli as cli
-    right = cli.d2_coeff
+    import chebsum.qseries as qseries
+    right = qseries.d2_coeff
     # d2_2 with one coefficient off by 1/1000 must fail the check.
-    monkeypatch.setattr(cli, "d2_coeff",
+    monkeypatch.setattr(qseries, "d2_coeff",
                         lambda ctx, n: right(ctx, n) + (n == 2) * Fraction(1, 1000))
     code, text = run(args, tmp_path, name="wrong.json")
     assert code == 1
     records = [json.loads(line) for line in text.splitlines()]
     assert [r["pass"] for r in records] == [True, False, True]
     assert records[1]["abs_err"] > records[1]["bound"]
+
+
+def test_q_check_bytes_pinned(tmp_path):
+    # Pinned bytes of every q check suite at three q values, one seed.
+    text = "".join(run(["q", "check", "--suite", suite, "--q", "1/3,-2/7,5/11",
+                        "--seed", "4"], tmp_path, name=f"{suite}.json")[1]
+                   for suite in ("duality", "idb", "chi1t", "d2", "final-identity"))
+    assert len(text.splitlines()) == 267
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3097486bbb06a66271add58165286a0113094f885172d6ca69004d01ec2af7a1")
 
 
 def test_verify_all_passes_and_validates(tmp_path):
@@ -136,6 +146,12 @@ def test_verify_all_byte_identical(tmp_path):
     _, d = run(["verify", "all", "--trials", "3", "--points", "5", "--seed",
                 "8", "--nodes", "128"], tmp_path, name="d.json")
     assert a != d
+    # With 11 trials the kibble suite runs two n=4 and two n=5 cases after
+    # its n=3 trials and fixed cases; 64 nodes make the marginals fail.
+    _, e = run(["verify", "all", "--trials", "11", "--points", "4", "--seed",
+                "3", "--nodes", "64"], tmp_path, name="e.json")
+    assert hashlib.sha256(e.encode()).hexdigest() == (
+        "6d9daf797904e456562f0ea0e4ae643b8bfd7df532e30b2a0cab3c3d4e84c343")
 
 
 def test_config_file_defaults(tmp_path):

@@ -177,6 +177,15 @@ def test_subs_keeps_marker_partner():
         (s1 + xs).subs("x1", X2)
     with pytest.raises(MarkerError):
         Poly(("s1",), {(2,): 1})
+    # Every other way to make a marker without its partner is refused up front.
+    with pytest.raises(MarkerError):
+        s1.drop_vars(["x1"])
+    with pytest.raises(MarkerError):
+        (s1 + xs).rename({"x1": "x2"})
+    with pytest.raises(MarkerError):
+        Poly(("s1",), {(1,): 1})
+    with pytest.raises(MarkerError):
+        Poly.variable("s1")
     assert (s1 + xs).subs("s1", X2) == X1 + X2
 
 
