@@ -94,6 +94,7 @@ def cheb_seq(kind: str, start: int, count: int, x) -> list:
 @lru_cache(maxsize=None)
 def _cheb_poly_cached(kind: str, n: int, var: str) -> Poly:
     sign, m = _mapped(kind, n)
+    Poly((var,), {(m,): 1})  # ScaleError past the exponent limit, before any work
     if sign == 0:
         return Poly.zero((var,))
     return sign * _cheb_nth(kind, m, Poly.variable(var), Poly.const(1, (var,)))

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cheb import ChebIndex, cheb_poly
-from .denom import build_w
 from .errors import UnknownId
-from .genfun import GenSpec, RationalFn, numerator_l
+from .genfun import GenSpec, numerator_l
 from .poly import Poly
 
 
@@ -182,26 +181,14 @@ def registry_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _built(form_id: str, **shifts) -> tuple[GenSpec, Poly]:
-    """The registered builder's (spec, transcribed numerator)."""
+def transcribed_form(form_id: str, **shifts) -> tuple[GenSpec, Poly]:
+    """The registered form's spec and its transcribed numerator over x1..xK, rho."""
     try:
         builder = _REGISTRY[form_id]
     except KeyError:
         raise UnknownId(f"no registered form {form_id!r}") from None
-    return builder(**shifts)
-
-
-def known_form(form_id: str, **shifts) -> RationalFn:
-    """The transcribed closed form as a rational function over slot variables."""
-    spec, num = _built(form_id, **shifts)
-    K = spec.slots
-    want = tuple([f"x{i}" for i in range(1, K + 1)] + ["rho"])
-    num = num.embed(want) if num.vars != want else num
-    return RationalFn(num, build_w(K).poly)
-
-
-def known_form_spec(form_id: str, **shifts) -> GenSpec:
-    return _built(form_id, **shifts)[0]
+    spec, num = builder(**shifts)
+    return spec, num.embed([f"x{i}" for i in range(1, spec.slots + 1)] + ["rho"])
 
 
 @dataclass(frozen=True)
@@ -226,8 +213,7 @@ class FormComparison:
 
 def compare_form(form_id: str, **shifts) -> FormComparison:
     """Transcribed numerator minus the independently built numerator."""
-    spec = known_form_spec(form_id, **shifts)
-    transcribed = known_form(form_id, **shifts).numerator
+    spec, transcribed = transcribed_form(form_id, **shifts)
     built = numerator_l(spec)
     swapped = None
     if spec.slots == 2 and shifts and spec.t[0] != spec.t[1]:

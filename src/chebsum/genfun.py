@@ -14,7 +14,9 @@ product sequence:
 
 with negative shifted indices mapped by T_{-i} = T_i, U_{-i} = -U_{i-2}.
 The same convolution must vanish identically at every order above
-2^(k+n) - 1, which is checked by ``series_convolution_residual``.
+2^(k+n) - 1, which ``series_convolution_residual`` checks in the basis
+prod_s C_{s,i_s}(x_s): x C_i = (C_{i+1} + C_{i-1}) / 2 holds at every integer
+i, so each monomial of w times P_i is a short sum of basis elements.
 It vanishes below order 0 too: the index rules continue cos(i a) and
 sin((i+1) a) / sin a, so P_i is a combination of lambda^i over the
 lambda = e^{i sigma.a}, sigma in {+1,-1}^K, and w = prod (1 - rho lambda).
@@ -33,10 +35,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cheb import ChebIndex, cheb_poly, cheb_seq, cheb_seq_grid, geom_trig_sum
+from .cheb import ChebIndex, _mapped, cheb_poly, cheb_seq, cheb_seq_grid, geom_trig_sum
 from .denom import build_w, w_rho_coeff_polys
 from .errors import DomainError, ScaleError, SingularAngle
-from .poly import Poly
+from .poly import Poly, Scalar
 
 MAX_SLOTS = 4
 
@@ -130,14 +132,53 @@ def chi_closed(spec: GenSpec) -> RationalFn:
 def series_convolution_residual(spec: GenSpec, order: int) -> Poly:
     """sum_m [rho^m](w) * P_{order-m}; identically zero for order >= 2^(k+n).
 
-    This is the rho^order coefficient of w * chi - l as a formal power series.
+    This is the rho^order coefficient of w * chi - l as a formal power series,
+    summed by ``_basis_convolution``: a zero residual runs no Poly product.
     """
     _check_scale(spec)
-    acc = Poly.sum(math.prod(_cheb_factors(spec, order - m), start=cm)
-                   for m, cm in enumerate(w_rho_coeff_polys(spec.slots)) if m <= order)
+    acc = _basis_convolution(spec, w_rho_coeff_polys(spec.slots), order)
     if order < 2 ** spec.slots:
         acc = acc - numerator_l(spec).coeff_of("rho", order)
     return acc
+
+
+def _spread(kind: str, a: int, i: int) -> list[tuple[int, int]]:
+    """2^a x^a C_i = sum_k binom(a, k) C_{i+a-2k} as nonzero (mapped index, weight) pairs."""
+    out: dict[int, int] = {}
+    for k in range(a + 1):
+        sign, idx = _mapped(kind, i + a - 2 * k)
+        out[idx] = out.get(idx, 0) + sign * math.comb(a, k)
+    return [(idx, c) for idx, c in out.items() if c]
+
+
+def _basis_convolution(spec: GenSpec, coeffs: Sequence[Poly], order: int) -> Poly:
+    """sum_{m <= order} coeffs[m] * P_{order-m}, a polynomial in x1..xK.
+
+    Each term c x^alpha of coeffs[m], times P_{order-m}, spreads slot by slot
+    into the basis prod_s C_{s,i_s}(x_s), keyed by (i_1..i_K) and scaled by
+    2^(D - |alpha|), D the largest |alpha|, so integers stay integers.  The
+    sum is zero exactly when every key cancels; only a nonzero one is
+    expanded back into monomials.
+    """
+    xs = tuple(f"x{s}" for s in range(1, spec.slots + 1))
+    used = [(order - m, cm.embed(xs).terms) for m, cm in enumerate(coeffs) if m <= order]
+    D = max((sum(e) for _, terms in used for e in terms), default=0)
+    spreads: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    acc: dict[tuple[int, ...], Scalar] = {}
+    for i, terms in used:
+        for exps, c in terms.items():
+            part = [((), c * 2 ** (D - sum(exps)))]
+            for s, a in enumerate(exps, 1):
+                sp = spreads.get((s, a, i))
+                if sp is None:
+                    sp = spreads[s, a, i] = _spread(spec.kind(s), a, i + spec.t[s - 1])
+                part = [(key + (j,), v * w) for key, v in part for j, w in sp]
+            for key, v in part:
+                acc[key] = acc.get(key, 0) + v
+    back = [math.prod((cheb_poly(ChebIndex(spec.kind(s), j), var=f"x{s}")
+                       for s, j in enumerate(key, 1)), start=Poly.const(v, xs))
+            for key, v in acc.items() if v]
+    return Poly.sum([Poly.zero(xs)] + back) * Fraction(1, 2 ** D)
 
 
 # ----------------------------------------------------------- numeric closed form

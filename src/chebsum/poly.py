@@ -424,9 +424,9 @@ class Poly:
                           self._den)
 
     def _split(self, var: str) -> tuple[tuple[str, ...], int, list[tuple[int, int]]]:
-        """(the other variables, the shift of var's field, the moves that drop it)."""
+        """(other variables, var's field shift, moves dropping it); refuses xk beside sk."""
         i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1:]
+        rest = _canonical(self.vars[:i] + self.vars[i + 1:])
         moves = [(j, j - (j > i)) for j in range(len(self.vars)) if j != i]
         return rest, FIELD_BITS * i, moves
 
@@ -434,8 +434,6 @@ class Poly:
         """Substitute a polynomial (or constant) for one variable (xk only without sk)."""
         if name not in self.vars:
             return self
-        if name[0] == "x" and "s" + name[1:] in self.vars:
-            raise MarkerError(f"cannot substitute for {name}: marker s{name[1:]} needs it")
         if isinstance(replacement, (int, Fraction)):
             replacement = Poly.const(replacement)
         rest_vars, shift, moves = self._split(name)
@@ -447,7 +445,7 @@ class Poly:
             * (replacement ** e if e else Poly.const(1)) for e in sorted(groups)])
 
     def coeff_of(self, var: str, power: int) -> Poly:
-        """The coefficient of ``var**power`` as a polynomial in the rest."""
+        """The coefficient of ``var**power`` as a polynomial in the rest (xk only without sk)."""
         if var not in self.vars:
             return self if power == 0 else Poly.zero(self.vars)
         rest, shift, moves = self._split(var)

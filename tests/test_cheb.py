@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebsum.cheb import (ChebIndex, cheb_eval, cheb_poly,
+from chebsum.cheb import (ChebIndex, _cheb_poly_cached, cheb_eval, cheb_poly,
                           cheb_seq, cheb_seq_grid, cheb_values_row, geom_trig_sum,
                           multi_trig_sum)
-from chebsum.errors import ArityError, DomainError
-from chebsum.poly import Poly
+from chebsum.errors import ArityError, DomainError, ScaleError
+from chebsum.poly import EXP_LIMIT, Poly
 
 X = Poly.variable("x1")
 
@@ -31,6 +31,17 @@ def test_poly_examples():
     for k in range(10):
         x = Fraction(k - 5, 7)
         assert cheb_poly(ChebIndex("U", 3)).eval({"x1": x}) == cheb_eval(ChebIndex("U", 3), x)
+
+
+def test_poly_past_exponent_limit_refused_up_front():
+    # The index is mapped first (T_{-i} = T_i, U_{-i} = -U_{i-2}), then refused
+    # before the recurrence runs, so nothing is cached.
+    before = _cheb_poly_cached.cache_info().currsize
+    for c in (ChebIndex("T", EXP_LIMIT), ChebIndex("T", -EXP_LIMIT),
+              ChebIndex("U", EXP_LIMIT), ChebIndex("U", -EXP_LIMIT - 2), ChebIndex("U", 10 ** 9)):
+        with pytest.raises(ScaleError):
+            cheb_poly(c)
+    assert _cheb_poly_cached.cache_info().currsize == before
 
 
 def test_negative_index_backward_recurrence():

@@ -184,6 +184,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["chi", "eval", "--k", "0", "--n", "1", "--t", "0",
                  "--x", "0.5", "--rho", "1.5"]) == 2
     assert main(["verify", "marginals", "--nodes", "0"]) == 2
+    # A shift past the exponent limit is refused before any Chebyshev work.
+    assert main(["chi", "build", "--k", "1", "--n", "0", "--t=40000"]) == 2
     # Inputs that would check nothing, or leave the series domain, are refused.
     chi_verify = ["chi", "verify", "--k", "1", "--n", "0"]
     assert main(chi_verify + ["--trials", "0"]) == 2

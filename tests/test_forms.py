@@ -12,8 +12,9 @@ import random
 import pytest
 
 from chebsum.errors import UnknownId
-from chebsum.forms import compare_form, known_form, known_form_spec, registry_ids
-from chebsum.genfun import chi_closed_value, chi_series_oracle_grid
+from chebsum.denom import build_w
+from chebsum.forms import compare_form, registry_ids, transcribed_form
+from chebsum.genfun import RationalFn, chi_closed_value, chi_series_oracle_grid
 
 EXACT_IDS = ["_1_T", "_1_U", "_2", "_3", "_4",
              "tri_TTT", "tri_UUU", "tri_TUU", "tri_TTU"]
@@ -72,20 +73,20 @@ def test_mismatching_forms_bind_to_oracle():
 
 
 def test_known_form_evaluates():
-    rf = known_form("_2")
+    spec, num = transcribed_form("_2")
+    rf = RationalFn(num, build_w(spec.slots).poly)
     val = rf.eval({"x1": 0.2, "x2": -0.4, "rho": 0.3})
-    spec = known_form_spec("_2")
     assert abs(val - chi_series_oracle_grid(spec, [0.2, -0.4], 0.3, 200)) < 1e-12
 
 
 def test_reduction_to_base_forms():
     # At zero shifts, the parametric displays collapse onto the fixed ones.
-    assert known_form("shifted_UU", n=0, m=0).numerator == known_form("_2").numerator
-    assert known_form("shifted_TT", n=0, m=0).numerator == known_form("_3").numerator
-    assert known_form("shifted_UT", n=0, m=0).numerator == known_form("_4").numerator
+    assert transcribed_form("shifted_UU", n=0, m=0)[1] == transcribed_form("_2")[1]
+    assert transcribed_form("shifted_TT", n=0, m=0)[1] == transcribed_form("_3")[1]
+    assert transcribed_form("shifted_UT", n=0, m=0)[1] == transcribed_form("_4")[1]
 
 
 def test_unknown_id():
     with pytest.raises(UnknownId):
-        known_form("no-such-form")
+        transcribed_form("no-such-form")
     assert "tri_UUU" in registry_ids()

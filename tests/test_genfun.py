@@ -12,8 +12,8 @@ import chebsum.poly as poly_mod
 from chebsum.cheb import ChebIndex, _cheb_poly_cached, cheb_poly, cheb_seq_grid
 from chebsum.denom import build_w, w_rho_coeff_polys
 from chebsum.errors import DomainError, ScaleError, SingularAngle
-from chebsum.genfun import (GenSpec, _cheb_factors, _numerator_cached, chi_angle_eval,
-                            chi_closed, chi_closed_value, chi_closed_values_grid,
+from chebsum.genfun import (GenSpec, _basis_convolution, _cheb_factors, _numerator_cached,
+                            chi_angle_eval, chi_closed, chi_closed_value, chi_closed_values_grid,
                             chi_series_oracle_grid, chi_series_tail_bound, marginal_check,
                             numerator_l, positivity_grid_min, series_convolution_residual)
 from chebsum.poly import Poly
@@ -143,8 +143,9 @@ def _convolution_residual(spec, order):
 
 
 def test_factored_convolution_matches_full_products():
-    # numerator_l and series_convolution_residual multiply one Chebyshev
-    # factor at a time; the plain convolution over expanded P_i must agree.
+    # numerator_l multiplies one Chebyshev factor at a time and
+    # series_convolution_residual sums in the product basis; the plain
+    # convolution over expanded P_i must agree with both.
     for K in (1, 2, 3):
         for k in range(K + 1):
             for t in ((0,) * K, (-1, 2, -2)[:K]):
@@ -154,6 +155,55 @@ def test_factored_convolution_matches_full_products():
                 for order in (top - 1, top, top + 2):
                     assert series_convolution_residual(spec, order) == \
                         _convolution_residual(spec, order)
+
+
+def _random_coeff_poly(rng, K):
+    """A few terms c x^alpha with exponents up to 4, mostly integer, some Fraction."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        c = rng.randint(-9, 9) or 1
+        terms[tuple(rng.randint(0, 4) for _ in range(K))] = (
+            Fraction(c, rng.choice((2, 3))) if rng.random() < 0.2 else c)
+    return Poly(tuple(f"x{s}" for s in range(1, K + 1)), terms)
+
+
+def test_basis_convolution_matches_monomial_oracle():
+    # The product-basis sum against sum_m coeffs[m] * P_{order-m} over expanded
+    # P_i, on coefficient lists that mostly leave a nonzero result.
+    rng = random.Random(20)
+    nonzero, sides = 0, set()
+    for _ in range(40):
+        K = rng.randint(1, 3)
+        k = rng.randint(0, K)
+        spec = GenSpec(k, K - k, tuple(rng.randint(-3, 3) for _ in range(K)))
+        coeffs = [_random_coeff_poly(rng, K) for _ in range(2 ** K + 1)]
+        order = rng.randint(0, 12)
+        got = _basis_convolution(spec, coeffs, order)
+        want = Poly.sum([Poly.zero()] + [cm * _convolution_product(spec, order - m)
+                                         for m, cm in enumerate(coeffs) if m <= order])
+        assert got == want
+        nonzero += not got.is_zero()
+        sides.add(order >= 2 ** K)
+    assert nonzero >= 30 and sides == {False, True}
+
+
+def test_zero_residual_expands_nothing(monkeypatch):
+    # Above the cutoff the residual of a warm w is decided in the product
+    # basis: no Chebyshev polynomial is expanded and no product runs.
+    count = [0]
+    loop = poly_mod._product_loop
+
+    def counted(a, b):
+        count[0] += 1
+        return loop(a, b)
+
+    spec = GenSpec(2, 2, (0, -1, 1, 0))
+    w_rho_coeff_polys(4)
+    _cheb_poly_cached.cache_clear()
+    monkeypatch.setattr(poly_mod, "_product_loop", counted)
+    for order in (16, 17, 20):
+        assert series_convolution_residual(spec, order).is_zero()
+    assert count[0] == 0 and _cheb_poly_cached.cache_info().currsize == 0
 
 
 def _one_sided_numerator(spec):
@@ -338,10 +388,13 @@ def test_formal_series_vanishes_above_cutoff():
         spec = GenSpec(k, n, (0,) * (k + n))
         for order in range(2 ** (k + n), 2 ** (k + n) + 9):
             assert series_convolution_residual(spec, order).is_zero()
-    # Shifted spec too.
-    spec = GenSpec(1, 1, (2, -1))
-    for order in range(4, 13):
-        assert series_convolution_residual(spec, order).is_zero()
+    # Shifted specs too, one for every K = 4 split.
+    for spec in (GenSpec(1, 1, (2, -1)), GenSpec(4, 0, (1, 0, -2, 0)),
+                 GenSpec(3, 1, (0, 2, 0, -1)), GenSpec(2, 2, (0, -1, 1, 0)),
+                 GenSpec(1, 3, (-2, 0, 1, 0)), GenSpec(0, 4, (-1, 0, 0, 1))):
+        top = 2 ** spec.slots
+        for order in range(top, top + 9):
+            assert series_convolution_residual(spec, order).is_zero()
 
 
 def test_first_kind_specialization_reduces_arity():
