@@ -22,8 +22,8 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .errors import ArityError, DomainError
-from .poly import Poly
+from .errors import ArityError, DomainError, ScaleError
+from .poly import MAX_DEGREE, Poly
 
 MAX_MULTI_DIRECTIONS = 24
 
@@ -94,7 +94,8 @@ def cheb_seq(kind: str, start: int, count: int, x) -> list:
 @lru_cache(maxsize=None)
 def _cheb_poly_cached(kind: str, n: int, var: str) -> Poly:
     sign, m = _mapped(kind, n)
-    Poly((var,), {(m,): 1})  # ScaleError past the exponent limit, before any work
+    if m > MAX_DEGREE:  # checked before any work: the recurrence would run for hours
+        raise ScaleError(f"Chebyshev degree {m} exceeds the supported limit {MAX_DEGREE}")
     if sign == 0:
         return Poly.zero((var,))
     return sign * _cheb_nth(kind, m, Poly.variable(var), Poly.const(1, (var,)))

@@ -59,6 +59,7 @@ Exponents = tuple[int, ...]
 
 FIELD_BITS = 16                      # bits per variable in a packed monomial
 EXP_LIMIT = 1 << (FIELD_BITS - 1)    # exponents run over 0 .. EXP_LIMIT - 1
+MAX_DEGREE = EXP_LIMIT - 1           # the public name of that limit, for other modules
 _FIELD = (1 << FIELD_BITS) - 1
 
 
@@ -192,9 +193,8 @@ class Poly:
             for e in exps:
                 if not isinstance(e, int) or e < 0:
                     raise ExponentError(f"exponent {e!r} in {exps} is not a nonnegative integer")
-                if e >= EXP_LIMIT:
-                    raise ScaleError(f"exponent {e} in {exps} exceeds the supported limit "
-                                     f"{EXP_LIMIT - 1}")
+                if e > MAX_DEGREE:
+                    raise ScaleError(f"exponent {e} in {exps} exceeds the supported limit {MAX_DEGREE}")
             num, den = _num_den(c)
             if num:
                 ratios[_pack(exps)] = num, den
