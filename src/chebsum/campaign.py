@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import denom, forms, genfun, kibble, poly, qseries
+from .errors import DomainError
 
 ALL_SUITES = ("w", "chi-forms", "chi-oracle", "three-path", "formal-series",
               "kibble", "positivity", "marginals", "q")
@@ -43,19 +44,19 @@ class Campaign:
     def __post_init__(self):
         check_sampling(self.trials, self.rho_max, self.order, self.tol)
         if self.points < 1:
-            raise ValueError("points must be >= 1")
+            raise DomainError("points must be >= 1")
 
 
 def check_sampling(trials: int, rho_max: float, order: int, tol: float) -> None:
-    """Raise ValueError unless trials >= 1, 0 < rho_max < 1, order >= 0 and tol > 0."""
+    """Raise DomainError unless trials >= 1, 0 < rho_max < 1, order >= 0 and tol > 0."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise DomainError("trials must be >= 1")
     if not 0 < rho_max < 1:
-        raise ValueError("rho_max must lie in (0, 1)")
+        raise DomainError("rho_max must lie in (0, 1)")
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise DomainError("order must be >= 0")
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise DomainError("tol must be positive")
 
 
 def _rng(c: Campaign, *tags) -> random.Random:
@@ -237,7 +238,7 @@ def _kibble(c: Campaign):
     got = kibble.kibble_series_oracle("U", xs, K, 300)
     yield _rec("counterexample-oracle", abs(got - target) <= 1e-4, got=got,
                expected=target, bound=1e-4)
-    cmp = kibble.f_U3_compare(*xs, 0.6, 0.8, 0.9, cutoff=150)
+    cmp = kibble.f_U3_compare(*xs, 0.6, 0.8, 0.9)
     # The printed display deviates; the record documents by how much and
     # confirms the symmetrized reading matches the closed evaluator.
     yield _rec("published-fU3-report", cmp.symmetrized_deviation <= 1e-10,
@@ -258,7 +259,7 @@ def _positivity(c: Campaign):
 
 def _marginals(c: Campaign):
     for n, j in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
-        rep = genfun.marginal_check(n, j, nodes=c.nodes, tol=1e-9)
+        rep = genfun.marginal_check(n, j, nodes=c.nodes)
         yield _rec(f"marginal-n{n}-j{j}", rep.passed, abs_err=rep.max_abs_dev_from_one,
                    bound=rep.tol, dev_from_lower_order=rep.max_abs_dev_from_lower_order,
                    nodes=c.nodes)
@@ -312,7 +313,7 @@ def _q(c: Campaign):
         qv = F(rng.randint(-6, 6) or 1, 11)
         rep = qseries.final_identity_check(qseries.QContext(qv),
                                            rng.uniform(-1, 1), rng.uniform(-1, 1),
-                                           rng.uniform(-0.25, 0.25), J=20)
+                                           rng.uniform(-0.25, 0.25))
         worst = max(worst, rep.abs_diff)
     yield _rec("final-identity-20pts", worst <= 1e-8, abs_err=worst, bound=1e-8)
     probe = qseries.conjecture_probe("beta-expansion", n=2,
@@ -334,7 +335,8 @@ def _q(c: Campaign):
     verdicts = {str(n): qseries.conjecture_probe("beta-expansion", n=n,
                                                  q_values=[F(1, 2), F(1, 3)])["verdict"]
                 for n in range(5, 9)}
-    yield _rec("beta-n5-8-verdicts", True, verdicts=verdicts)
+    yield _rec("beta-n5-8-verdicts", all(v == "REPRESENTABLE" for v in verdicts.values()),
+               verdicts=verdicts)
     rep = qseries.fh_integral_check(qseries.QContext(F(1, 2)))
     yield _rec("fh-integrates-to-1", rep.abs_diff <= 1e-9, abs_err=rep.abs_diff, bound=1e-9)
     ctx = qseries.QContext(F(1, 2))

@@ -41,6 +41,8 @@ from .errors import DomainError, ScaleError, SingularAngle
 from .poly import Poly, Scalar
 
 MAX_SLOTS = 4
+# The rho values at which the marginal and positivity grids evaluate chi_{n,0}.
+GRID_RHOS = (-0.9, -0.5, 0.5, 0.9)
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,6 @@ class RationalFn:
 
     numerator: Poly
     denominator: Poly
-
-    def eval(self, point):
-        return _divide(self.numerator.eval(point), self.denominator.eval(point))
 
 
 def _divide(num, den):
@@ -422,7 +421,6 @@ class MarginalReport:
     n: int
     j: int
     nodes: int
-    rho_values: tuple[float, ...]
     max_abs_dev_from_one: float
     max_abs_dev_from_lower_order: float | None
     tol: float
@@ -432,9 +430,7 @@ class MarginalReport:
         return self.max_abs_dev_from_one <= self.tol
 
 
-def marginal_check(n: int, j: int, nodes: int = 128, tol: float = 1e-9,
-                   rho_values: Sequence[float] = (-0.9, -0.5, 0.5, 0.9),
-                   grid_points: int = 7) -> MarginalReport:
+def marginal_check(n: int, j: int, nodes: int = 128) -> MarginalReport:
     """Integrate chi_{n,0} against the first-kind weight in j coordinates.
 
     Orthogonality kills every positive-order term of the series, so the
@@ -447,7 +443,7 @@ def marginal_check(n: int, j: int, nodes: int = 128, tol: float = 1e-9,
     import numpy as np
 
     if not 1 <= j <= n:
-        raise ValueError("need 1 <= j <= n")
+        raise DomainError(f"need 1 <= j <= n, got n = {n}, j = {j}")
     if n > 3:
         raise ScaleError("marginal checks supported for n <= 3")
     if nodes < 1:
@@ -455,10 +451,10 @@ def marginal_check(n: int, j: int, nodes: int = 128, tol: float = 1e-9,
     spec = GenSpec(n, 0, (0,) * n)
     theta = (2 * np.arange(1, nodes + 1) - 1) * math.pi / (2 * nodes)
     quad_nodes = np.cos(theta)
-    rest = np.linspace(-0.95, 0.95, grid_points)
+    rest = np.linspace(-0.95, 0.95, 7)
     axes = [quad_nodes] * j + [rest] * (n - j)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    rhos = np.asarray(rho_values, dtype=float)
+    rhos = np.asarray(GRID_RHOS, dtype=float)
     vals = chi_closed_values_grid(spec, mesh, rhos.reshape((-1,) + (1,) * n))
     if j < n:
         lower = GenSpec(n - j, 0, (0,) * (n - j))
@@ -473,18 +469,16 @@ def marginal_check(n: int, j: int, nodes: int = 128, tol: float = 1e-9,
         if j < n:
             max_dev_lower = max(max_dev_lower,
                                 float(np.max(np.abs(integral - lower_vals[r]))))
-    return MarginalReport(n, j, nodes, tuple(float(r) for r in rho_values),
-                          max_dev_one, max_dev_lower, tol)
+    return MarginalReport(n, j, nodes, max_dev_one, max_dev_lower, 1e-9)
 
 
-def positivity_grid_min(n: int, grid_points: int = 11,
-                        rho_values: Sequence[float] = (-0.9, -0.5, 0.5, 0.9)) -> float:
-    """Minimum of chi_{n,0} over a uniform grid on [-1,1]^n x the rho set."""
+def positivity_grid_min(n: int) -> float:
+    """Minimum of chi_{n,0} over an 11-point grid on [-1,1]^n x GRID_RHOS."""
     import numpy as np
 
     spec = GenSpec(n, 0, (0,) * n)
-    axis = np.linspace(-1.0, 1.0, grid_points)
+    axis = np.linspace(-1.0, 1.0, 11)
     mesh = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
-    rhos = np.asarray(rho_values, dtype=float)
+    rhos = np.asarray(GRID_RHOS, dtype=float)
     vals = chi_closed_values_grid(spec, mesh, rhos.reshape((-1,) + (1,) * n))
     return min((float(v.min()) for v in vals), default=math.inf)

@@ -34,14 +34,13 @@ whose orthogonal polynomials have the two-term shape
 t_n = h_n - ortho_chi_{n-2} h_{n-2}; the constants come from the moments
 gamma_n of h_n against f_t; a polynomial is integrated against f_t term by
 term, through the moments of x^e.  Every infinite sum here is truncated at an
-index K with |q|^C(K,2) below a configurable tail epsilon and each numeric
-report carries its truncation bound.
+index K with |q|^C(K,2) below TAIL_EPS and each numeric report carries its
+truncation bound.
 
-Everything that depends only on q and the tail epsilon is memoised on the
-``QContext``, never at module level: (q;q)_n and [n]_q!, the rolled h_n, b_n
-and halves (A_m, B_m), d_n and d2_n, and the truncated sums d(q), the f_t
-moments of U_n and of x^e, and gamma_n.  A fresh context therefore recomputes
-all of it, and so does a context with another tail epsilon.
+Everything that depends only on q is memoised on the ``QContext``, never at
+module level: (q;q)_n and [n]_q!, the rolled h_n, b_n and halves (A_m, B_m),
+d_n and d2_n, and the truncated sums d(q), the f_t moments of U_n and of x^e,
+and gamma_n.  A fresh context therefore recomputes all of it.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from .errors import ChebsumError, ConvergenceError, DegeneratePivot, DomainError
 from .poly import Poly
 
 MAX_TAIL_INDEX = 400
+TAIL_EPS = 1e-30
 
 
 def _comb2(n: int) -> int:
@@ -68,15 +68,15 @@ class QContext:
 
     q = 0 is accepted; the recurrences and weight constructions honor it as
     the limit back to the plain Chebyshev case, while operations whose
-    formulas divide by q reject it explicitly.
+    formulas divide by q reject it explicitly.  Every truncated sum stops at
+    the tail index set by TAIL_EPS.
     """
 
-    def __init__(self, q, tail_eps: float = 1e-30):
+    def __init__(self, q):
         q = q if isinstance(q, Fraction) else Fraction(q)
         if abs(q) >= 1:
             raise DomainError(f"|q| must be < 1, got {q}")
         self.q = q
-        self.tail_eps = tail_eps
         self._qq: list[Fraction] = [Fraction(1)]          # (q;q)_n
         self._bracket_fact: list[Fraction] = [Fraction(1)]  # [n]_q!
         self._binoms: dict[int, list[Fraction]] = {}        # row n of q-binomials
@@ -119,15 +119,15 @@ class QContext:
         return self._binoms[n][k]
 
     def tail_index(self) -> int:
-        """Smallest K >= 3 with |q|^C(K,2) < tail_eps."""
+        """Smallest K >= 3 with |q|^C(K,2) < TAIL_EPS."""
         if self.q == 0:
             return 3
         aq = abs(self.q)
         for K in range(3, MAX_TAIL_INDEX + 1):
-            if float(aq) ** _comb2(K) < self.tail_eps:
+            if float(aq) ** _comb2(K) < TAIL_EPS:
                 return K
         raise ConvergenceError(
-            f"|q| = {float(aq):.4f} too close to 1 for tail epsilon {self.tail_eps}")
+            f"|q| = {float(aq):.4f} too close to 1 for tail epsilon {TAIL_EPS}")
 
 
 # ------------------------------------------------------------ the polynomials
@@ -454,9 +454,9 @@ def _ft_moment_x(ctx: QContext, e: int) -> Fraction:
     return ctx._moments[key]
 
 
-def ft_inner_product(ctx: QContext, p: Poly, var: str = "x1") -> Fraction:
-    """Exact integral of p against the truncated f_t, term by term via monomial moments."""
-    i = p.vars.index(var) if var in p.vars else None
+def ft_inner_product(ctx: QContext, p: Poly) -> Fraction:
+    """Exact integral of p(x1) against the truncated f_t, term by term via monomial moments."""
+    i = p.vars.index("x1") if "x1" in p.vars else None
     return sum((c * _ft_moment_x(ctx, 0 if i is None else exps[i])
                 for exps, c in p.terms.items()), Fraction(0))
 
@@ -494,13 +494,13 @@ class IdentityReport:
         return self.abs_diff <= max(self.bound, 1e-9)
 
 
-def chi1t_check(ctx: QContext, t: int, x: float, rho: float,
-                J: int = 80, factors: int = 60) -> IdentityReport:
-    """Truncated sum_{j} rho^j/(q)_j h_{t+j}(x) against its closed form.
+def chi1t_check(ctx: QContext, t: int, x: float, rho: float) -> IdentityReport:
+    """Truncated sum_{j<=80} rho^j/(q)_j h_{t+j}(x) against its closed form.
 
     The closed side is (1/W_1) sum_{j<=t} qbinom(t,j) (-rho)^j q^C(j,2)
-    h_{t-j}(x) with W_1 truncated to ``factors`` quadratic factors.
+    h_{t-j}(x) with W_1 truncated to 60 quadratic factors.
     """
+    J, factors = 80, 60
     if not abs(rho) < 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     q = float(ctx.q)
@@ -518,15 +518,15 @@ def chi1t_check(ctx: QContext, t: int, x: float, rho: float,
     return IdentityReport(lhs, rhs, abs(lhs - rhs), series_tail + product_tail + 1e-12)
 
 
-def final_identity_check(ctx: QContext, x: float, y: float, rho: float,
-                         J: int = 20) -> IdentityReport:
+def final_identity_check(ctx: QContext, x: float, y: float, rho: float) -> IdentityReport:
     """Bivariate reduction identity:
 
         sum_j rho^j/(q)_j sum_m qbinom(j,m) d2_m(x,y) h_{j-m}(x) h_{j-m}(y)
             == sum_k (-1)^k q^C(k,2) rho^{2k}/(q)_k
 
-    evaluated with truncations on both sides.
+    evaluated with truncations on both sides, the left at j <= 20.
     """
+    J = 20
     if not abs(rho) < 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     q = float(ctx.q)
@@ -554,13 +554,13 @@ def final_identity_check(ctx: QContext, x: float, y: float, rho: float,
     return IdentityReport(lhs, rhs, abs(lhs - rhs), bound)
 
 
-def fh_integral_check(ctx: QContext, nodes: int = 128) -> IdentityReport:
-    """The displayed expansion of the q-Hermite weight integrates to 1."""
+def fh_integral_check(ctx: QContext) -> IdentityReport:
+    """The displayed expansion of the q-Hermite weight integrates to 1 (128 nodes)."""
     from .quadrature import cheb2_nodes_weights
 
     K = ctx.tail_index()
     q = float(ctx.q)
-    xs, ws = cheb2_nodes_weights(nodes)
+    xs, ws = cheb2_nodes_weights(128)
     total = 0.0
     for xv, wv in zip(xs, ws):
         g = 0.0
@@ -644,10 +644,7 @@ def conjecture_probe(which: str, **params) -> dict:
     """
     if which == "beta-expansion":
         n = params["n"]
-        q_values = [Fraction(q) for q in params.get("q_values", (Fraction(1, 2),
-                                                                Fraction(1, 3),
-                                                                Fraction(2, 5),
-                                                                Fraction(3, 7)))]
+        q_values = [Fraction(q) for q in params["q_values"]]
         per_q = []
         sample_sets: list[list[tuple[Fraction, Fraction]]] = []
         for q in q_values:
@@ -673,15 +670,15 @@ def conjecture_probe(which: str, **params) -> dict:
 
 
 def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
-                              xs: Sequence = (Fraction(2, 5), Fraction(-1, 3)),
-                              rho_order: int = 12, factors: int = 30) -> dict:
+                              rho_order: int = 12) -> dict:
     """Multiply the mixed h/t series by the truncated denominator product.
 
-    The candidate denominator is prod_{i<factors} w_{n+m}(x.. | rho q^i); if
-    the conjectured form holds with a polynomial-type numerator, every rho
-    coefficient above degree 2^(n_h+m_t) - 1 decays like q^factors.  Pure-h
-    cases are known: (1,0) leaves exactly 1 and (2,0) leaves the theta-like
-    even series, so persistent coefficients there are expected and reported.
+    The series is taken at x = (2/5, -1/3) and the candidate denominator is
+    prod_{i<30} w_{n+m}(x.. | rho q^i); if the conjectured form holds with a
+    polynomial-type numerator, every rho coefficient above degree
+    2^(n_h+m_t) - 1 decays like q^30.  Pure-h cases are known: (1,0) leaves
+    exactly 1 and (2,0) leaves the theta-like even series, so persistent
+    coefficients there are expected and reported.
     """
     arity = n_h + m_t
     if arity < 1 or arity > 2:
@@ -689,9 +686,8 @@ def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
     if not 0 <= rho_order <= 12:
         raise DomainError(f"rho_order must lie in 0..12, got {rho_order}")
     ctx = QContext(q)
-    pts = [Fraction(v) for v in xs[:arity]]
-    if len(pts) < arity:
-        raise DomainError(f"need {arity} coordinates")
+    pts = [Fraction(2, 5), Fraction(-1, 3)][:arity]
+    factors = 30
     # Series coefficients a_j, exact.
     h_at = [[hb_poly(ctx, "h", j).eval({"x1": p}) for j in range(rho_order + 1)]
             for p in pts[:n_h]]

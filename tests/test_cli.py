@@ -8,7 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from chebsum import campaign as camp
 from chebsum.cli import main
+from chebsum.errors import DomainError
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "chebsum" / "schemas"
 POLY_SCHEMA = json.loads((SCHEMA_DIR / "poly.schema.json").read_text())
@@ -117,6 +119,16 @@ def test_q_check_bytes_pinned(tmp_path):
     assert len(text.splitlines()) == 267
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3097486bbb06a66271add58165286a0113094f885172d6ca69004d01ec2af7a1")
+
+
+def test_q_probe_bytes_pinned(tmp_path):
+    # Pinned bytes of both conjecture probes at their default q values.
+    digests = [hashlib.sha256(run(["q", "probe", "--conjecture", which] + extra, tmp_path,
+                                  name=f"{which}.json")[1].encode()).hexdigest()
+               for which, extra in (("common-denominator", []), ("beta", ["--nmax", "5"]))]
+    assert digests == [
+        "84ad3def4d840ed582571d8f05376250d162f9fcfc09d30b276745f19422c2f4",
+        "f83a6abf032269a96c3a6a39c01791f91ba490f94c5f401507365b5b5201268c"]
 
 
 def test_verify_all_passes_and_validates(tmp_path):
@@ -239,6 +251,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # Only verify still takes --jobs, and there it is ignored.
     assert main(["w", "check", "--jobs", "2"]) == 2
     assert main(["q", "check", "--suite", "d2", "--jobs", "2"]) == 2
+
+
+def test_campaign_knobs_raise_domain_error(capsys):
+    # A typed error: the CLI reports it as "error:", not as a usage error.
+    with pytest.raises(DomainError, match="trials must be >= 1"):
+        camp.check_sampling(0, 0.5, 10, 1e-8)
+    with pytest.raises(DomainError, match="points must be >= 1"):
+        camp.Campaign("chi-oracle", points=0)
+    assert main(["verify", "chi-oracle", "--points", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: points must be >= 1")
 
 
 def test_unread_flags_exit_2():

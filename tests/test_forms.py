@@ -14,7 +14,7 @@ import pytest
 from chebsum.errors import UnknownId
 from chebsum.denom import build_w
 from chebsum.forms import compare_form, registry_ids, transcribed_form
-from chebsum.genfun import RationalFn, chi_closed_value, chi_series_oracle_grid
+from chebsum.genfun import chi_closed_value, chi_series_oracle_grid
 
 EXACT_IDS = ["_1_T", "_1_U", "_2", "_3", "_4",
              "tri_TTT", "tri_UUU", "tri_TUU", "tri_TTU"]
@@ -74,8 +74,8 @@ def test_mismatching_forms_bind_to_oracle():
 
 def test_known_form_evaluates():
     spec, num = transcribed_form("_2")
-    rf = RationalFn(num, build_w(spec.slots).poly)
-    val = rf.eval({"x1": 0.2, "x2": -0.4, "rho": 0.3})
+    point = {"x1": 0.2, "x2": -0.4, "rho": 0.3}
+    val = num.eval(point) / build_w(spec.slots).poly.eval(point)
     assert abs(val - chi_series_oracle_grid(spec, [0.2, -0.4], 0.3, 200)) < 1e-12
 
 

@@ -113,6 +113,7 @@ UNCALLED_ALLOWED = {
     "cheb1_nodes": "test oracle: quadrature nodes of the moment cross-check",
     "d_truncated_product": "test oracle: the finite-product route to d_n",
     "ft_u_coeffs": "test oracle: the U-expansion of f_t that the quadrature integrates",
+    "from_json_dict": "test oracle: reads back what to_json_dict writes",
 }
 PERFBENCH = SRC.parents[1] / "perfbench"
 
@@ -126,8 +127,25 @@ def test_public_helpers_have_callers():
     found = []
     for path in modules:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_") and node.name not in named \
-                    and node.name not in UNCALLED_ALLOWED:
-                found.append(f"{path.name}:{node.lineno} {node.name}")
+            # Top-level functions and classes, and the methods of those classes.
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node] + [m for m in members if isinstance(m, ast.FunctionDef)]:
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)) \
+                        and not d.name.startswith("_") and d.name not in named \
+                        and d.name not in UNCALLED_ALLOWED:
+                    found.append(f"{path.name}:{d.lineno} {d.name}")
     assert not found, f"public helpers that nothing in src/ or perfbench/ names: {found}"
+
+
+def test_campaign_records_compute_their_verdict():
+    # A record whose pass flag is a literal checks nothing.
+    path = SRC / "campaign.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "_rec":
+            passed = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "passed"), None)
+            if isinstance(passed, ast.Constant):
+                found.append(f"campaign.py:{node.lineno}")
+    assert not found, f"_rec calls with a constant pass flag: {found}"

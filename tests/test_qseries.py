@@ -386,7 +386,7 @@ def test_poly_to_u_basis_roundtrip(ctx):
 
 @pytest.mark.parametrize("t", range(6))
 def test_chi1t(ctx, t):
-    rep = chi1t_check(ctx, t, 0.3, 0.4, J=80, factors=60)
+    rep = chi1t_check(ctx, t, 0.3, 0.4)
     assert rep.abs_diff < 1e-9
 
 
@@ -402,8 +402,7 @@ def test_final_identity():
     for _ in range(20):
         qv = F(rng.randint(-6, 6) or 1, 11)
         rep = final_identity_check(QContext(qv), rng.uniform(-1, 1),
-                                   rng.uniform(-1, 1), rng.uniform(-0.25, 0.25),
-                                   J=20)
+                                   rng.uniform(-1, 1), rng.uniform(-0.25, 0.25))
         assert rep.abs_diff < 1e-8
 
 
@@ -480,19 +479,13 @@ def _truncated_moments(q, eps, n):
 
 @pytest.mark.parametrize("q", Q_SET)
 def test_memoised_moments_match_truncated_sums(q):
-    seen = {}
-    for eps in (1e-30, 1e-12):
-        ctx = QContext(q, tail_eps=eps)
-        for n in (0, 2, 4, 6, 8):
-            K, d, u, gamma = _truncated_moments(q, eps, n)
-            for _ in range(2):   # the second call reads the context's memo
-                assert (d_of_q(ctx).terms, d_of_q(ctx).value) == (K, d)
-                assert ft_moment_U(ctx, n).value == u
-                assert gamma_moment(ctx, n).value == gamma
-        seen[eps] = d_of_q(ctx)
-    # Another tail epsilon is another context, with its own truncation.
-    assert seen[1e-30].terms > seen[1e-12].terms
-    assert seen[1e-30].value != seen[1e-12].value
+    ctx = QContext(q)
+    for n in (0, 2, 4, 6, 8):
+        K, d, u, gamma = _truncated_moments(q, 1e-30, n)
+        for _ in range(2):   # the second call reads the context's memo
+            assert (d_of_q(ctx).terms, d_of_q(ctx).value) == (K, d)
+            assert ft_moment_U(ctx, n).value == u
+            assert gamma_moment(ctx, n).value == gamma
 
 
 def test_moment_memo_belongs_to_its_context():
