@@ -1,0 +1,212 @@
+"""Pinned IEEE bits of the float evaluators, and the planned Horner walk against a reference.
+
+Every float the closed form, the series oracle and the Kibble closed form
+return is reproducible bit for bit.  Each digest below is one sha256 over the
+little-endian IEEE bytes (shape first) of one evaluator's outputs on seeded
+inputs; an exact value enters as its "num/den" string.  A change that moves
+a single bit of any output, such as a reordered sum, changes a digest.
+"""
+
+import hashlib
+import math
+import random
+import struct
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chebsum import genfun, kibble
+from chebsum.errors import MissingAssignment
+
+from test_poly import small_polys
+
+SPLITS = [(k, total - k) for total in range(1, 5) for k in range(total + 1)]
+INTERIOR = 40
+CORNER = 20
+MESH_AXIS = 3
+MESH_RHOS = 3
+SCALARS = 4
+ORACLE_ORDER = 200
+
+
+def _sym(rng, lo, hi):
+    return rng.choice((-1.0, 1.0)) * rng.uniform(lo, hi)
+
+
+def _cases():
+    """(spec, interior xs, rho, corner xs, rho, mesh axes, mesh rhos, scalar points) per split."""
+    out = []
+    for k, n in SPLITS:
+        rng = random.Random(f"float-bits:{k}:{n}")
+        K = k + n
+        spec = genfun.GenSpec(k, n, tuple(rng.randint(-3, 3) for _ in range(K)))
+        xs = [np.array([rng.uniform(-1, 1) for _ in range(INTERIOR)]) for _ in range(K)]
+        rho = np.array([rng.uniform(-0.6, 0.6) for _ in range(INTERIOR)])
+        cxs = [np.array([_sym(rng, 0.99, 1.0) for _ in range(CORNER)]) for _ in range(K)]
+        crho = np.array([_sym(rng, 0.8, 0.95) for _ in range(CORNER)])
+        axes = [np.array(sorted(rng.uniform(-1, 1) for _ in range(MESH_AXIS))) for _ in range(K)]
+        mrho = np.array([rng.uniform(-0.9, 0.9) for _ in range(MESH_RHOS)])
+        scalars = [([rng.uniform(-1, 1) for _ in range(K)], rng.uniform(-0.9, 0.9))
+                   for _ in range(SCALARS)]
+        out.append((spec, xs, rho, cxs, crho, axes, mrho, scalars))
+    return out
+
+
+CASES = _cases()
+
+
+class _Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def array(self, a):
+        a = np.ascontiguousarray(a, dtype="<f8")
+        self.h.update(repr(a.shape).encode())
+        self.h.update(a.tobytes())
+
+    def float(self, v):
+        assert type(v) is float
+        self.h.update(struct.pack("<d", v))
+
+    def exact(self, v):
+        assert type(v) is Fraction
+        self.h.update(f"{v.numerator}/{v.denominator};".encode())
+
+    def hexdigest(self):
+        return self.h.hexdigest()
+
+
+def _grid_interior(d):
+    for spec, xs, rho, *_ in CASES:
+        d.array(genfun.chi_closed_values_grid(spec, xs, rho))
+
+
+def _grid_corner(d):
+    for spec, _, _, cxs, crho, *_ in CASES:
+        d.array(genfun.chi_closed_values_grid(spec, cxs, crho))
+
+
+def _grid_mesh(d):
+    for spec, _, _, _, _, axes, mrho, _ in CASES:
+        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+        d.array(genfun.chi_closed_values_grid(spec, mesh, mrho.reshape((-1,) + (1,) * spec.slots)))
+
+
+def _scalar_float(d):
+    for spec, *_, scalars in CASES:
+        for xs, r in scalars:
+            d.float(genfun.chi_closed_value(spec, xs, r))
+
+
+def _scalar_exact(d):
+    for spec, *_, scalars in CASES:
+        for xs, r in scalars:
+            d.exact(genfun.chi_closed_value(spec, [Fraction(x) for x in xs], Fraction(r)))
+
+
+def _oracle(d):
+    for spec, xs, rho, *_ in CASES:
+        d.array(genfun.chi_series_oracle_grid(spec, xs, rho, ORACLE_ORDER))
+
+
+def _kibble(d):
+    rng = random.Random("float-bits:kibble")
+    for n in (3, 4, 5):
+        for kind in ("T", "U"):
+            for _ in range(2):
+                pairs = {(a, b): _sym(rng, 0.05, 0.6)
+                         for a in range(1, n + 1) for b in range(a + 1, n + 1)}
+                alphas = [rng.uniform(0.15, math.pi - 0.15) for _ in range(n)]
+                K = kibble.CorrMatrix.from_dict(n, pairs)
+                d.float(kibble.kibble_closed_eval(kind, alphas, K))
+
+
+# Recorded before the planned Horner walk and the in-place accumulation.
+PINNED = {
+    "closed-grid-interior": (_grid_interior,
+        "6660e18ad5e98bc793ce225ca1208946c5438c7ee2be39b4ba342b90d6145913"),
+    "closed-grid-corner": (_grid_corner,
+        "dc52e14dd42ce35d4b6e7a2008a42f53bfb8f4c9a06325996ff6e3deb720377b"),
+    "closed-grid-mesh": (_grid_mesh,
+        "f40c37051536d71a47b97a6b764f765fb0026da5e453d1d115f21b10eb14affc"),
+    "closed-scalar-float": (_scalar_float,
+        "d1c11a5cec2a93700b5157263143ad1097dc771fe963c4ca55923a5c369cfb48"),
+    "closed-scalar-exact": (_scalar_exact,
+        "7045ccb47a4f9aea276f27aa14835325c1e0d5e3443673c1393091e78d664db9"),
+    "series-oracle": (_oracle,
+        "6c345baa1a754f0d653ec515c3b4be32711581c728e4aa3e122199875d9d8489"),
+    "kibble-closed": (_kibble,
+        "599c46133a3555f33a3d50d85219d79409724768c0ebfe09a4a31c920c28a489"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_float_bits_pinned(name):
+    fill, want = PINNED[name]
+    d = _Digest()
+    fill(d)
+    assert d.hexdigest() == want
+
+
+def reference_eval(p, assignment):
+    """Recursive Horner accumulation on the exponent tuples, one variable at a time."""
+    if p.is_zero():
+        return 0
+    nvars = len(p.vars)
+    vals = [assignment.get(v) for v in p.vars]
+
+    def rec(items, vi):
+        if vi == nvars:
+            total = 0
+            for _, c in items:
+                total += c
+            return total
+        groups = {}
+        for exps, c in items:
+            groups.setdefault(exps[vi], []).append((exps, c))
+        v = vals[vi]
+        exps_desc = sorted(groups, reverse=True)
+        if v is None:
+            if exps_desc != [0]:
+                raise MissingAssignment(f"no value for variable {p.vars[vi]}")
+            return rec(groups[0], vi + 1)
+        acc = rec(groups[exps_desc[0]], vi + 1)
+        prev = exps_desc[0]
+        for e in exps_desc[1:]:
+            acc = acc * v ** (prev - e) + rec(groups[e], vi + 1)
+            prev = e
+        if prev:
+            acc = acc * v ** prev
+        return acc
+
+    return rec(list(p.terms.items()), 0)
+
+
+def _outcome(f):
+    try:
+        v = f()
+    except MissingAssignment as exc:
+        return ("missing", str(exc))
+    if type(v) is float:
+        return ("float", v.hex())
+    return (type(v).__name__, v)
+
+
+VALUES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -0.75, 1e-3, 3.0]) \
+    | st.floats(-2, 2, allow_nan=False) \
+    | st.fractions(-3, 3, max_denominator=7) \
+    | st.integers(-3, 3) \
+    | st.none()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_polys(), st.fixed_dictionaries({v: VALUES for v in ("x1", "x2", "rho")}))
+def test_planned_eval_matches_reference(p, point):
+    point = {v: c for v, c in point.items() if c is not None}
+    want = _outcome(lambda: reference_eval(p, point))
+    assert _outcome(lambda: p.eval(point)) == want
+    # The plan is kept on the instance: a second call walks it again.
+    assert _outcome(lambda: p.eval(point)) == want
