@@ -62,7 +62,8 @@ def recur(out, p0, p1, step):
 
 
 def _cheb_step(x):
-    return lambda m, p1, p0: 2 * x * p1 - p0
+    x2 = 2 * x  # 2 * x * p1 is (2 * x) * p1: made once, the same bits
+    return lambda m, p1, p0: x2 * p1 - p0
 
 
 def _cheb_nth(kind: str, n: int, x, one):
@@ -146,22 +147,19 @@ def multi_trig_sum(kind: str, rhos: Sequence[float], alphas: Sequence[float],
     total = f(beta)  # empty subset
     prod = 1.0
     angle = 0.0
-    parity = 1
     gray = 0
     for i in range(1, 2 ** m):
-        new_gray = i ^ (i >> 1)
-        bit = (gray ^ new_gray).bit_length() - 1
+        bit = (i & -i).bit_length() - 1  # the Gray-code bit that step i flips
         r, a = live[bit]
-        if new_gray & (1 << bit):
+        gray ^= 1 << bit
+        if gray >> bit & 1:
             prod *= r
             angle += a
-            parity = -parity
         else:
             prod /= r
             angle -= a
-            parity = -parity
-        gray = new_gray
-        total += parity * prod * f(beta - angle)
+        term = prod * f(beta - angle)
+        total = total - term if i & 1 else total + term  # the subset's sign is (-1)^i
     return total / den
 
 

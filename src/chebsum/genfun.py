@@ -41,6 +41,9 @@ from .errors import DomainError, ScaleError, SingularAngle
 from .poly import Poly, Scalar
 
 MAX_SLOTS = 4
+# GenSpec refuses shifts whose exact numerator would run for minutes or more:
+# about prod(|t_s| + 1) monomials with coefficients of max(|t_s| + 1) bits.
+MAX_SHIFT_WORK = 2 ** 22
 # The rho values at which the marginal and positivity grids evaluate chi_{n,0}.
 GRID_RHOS = (-0.9, -0.5, 0.5, 0.9)
 
@@ -59,6 +62,9 @@ class GenSpec:
         object.__setattr__(self, "t", tuple(self.t))
         if len(self.t) != self.k + self.n:
             raise ValueError(f"shift vector has {len(self.t)} entries, need {self.k + self.n}")
+        sizes = [abs(t) + 1 for t in self.t]
+        if math.prod(sizes) * max(sizes) > MAX_SHIFT_WORK:
+            raise ScaleError(f"shifts {self.t} exceed the work limit {MAX_SHIFT_WORK}")
 
     @property
     def slots(self) -> int:
@@ -75,13 +81,6 @@ class RationalFn:
 
     numerator: Poly
     denominator: Poly
-
-
-def _divide(num, den):
-    """num / den, exact when both are ints (an int / int is a float)."""
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    return num / den
 
 
 def _check_scale(spec: GenSpec) -> None:
@@ -124,7 +123,6 @@ def numerator_l(spec: GenSpec) -> Poly:
 
 def chi_closed(spec: GenSpec) -> RationalFn:
     """The closed rational form numerator_l / w_{k+n}."""
-    _check_scale(spec)
     return RationalFn(numerator_l(spec), build_w(spec.slots).poly)
 
 
@@ -224,31 +222,34 @@ def chi_closed_value(spec: GenSpec, xs: Sequence, rho):
 def _coeffs(wc, prods, order: int) -> list:
     """c_j = sum_m wc[m] * P_{j-m} for j < order: the rho-free half of l / w.
 
-    Shared by the scalar and the grid evaluators, like ``_ratio``; the sums
-    start from the integer 0 so exact inputs stay exact.
+    Shared by the scalar and the grid evaluators, like ``_ratio``.  Each sum starts
+    from the integer 0 (exact inputs stay exact, a -0.0 becomes 0.0), then adds in place.
     """
     cs = []
     for j in range(order):
-        cj = 0
-        for m in range(j + 1):
-            cj = cj + wc[m] * prods[j - m]
+        cj = 0 + wc[0] * prods[j]
+        for m in range(1, j + 1):
+            cj += wc[m] * prods[j - m]
         cs.append(cj)
     return cs
 
 
 def _ratio(cs, wc, rho):
-    """l / w = sum_j c_j rho^j / sum_m wc[m] rho^m, summed in rising powers of rho."""
-    num = 0
-    rp = 1
-    for cj in cs:
-        num = num + rp * cj
-        rp = rp * rho
-    den = 0
-    rp = 1
-    for c in wc:
-        den = den + c * rp
-        rp = rp * rho
-    return _divide(num, den)
+    """l / w = sum_j c_j rho^j / sum_m wc[m] rho^m, a Fraction when both sums are ints.
+
+    Each sum starts from the integer 0 as in ``_coeffs``; its first two terms are
+    added out of place, since rho may carry extra leading axes (``marginal_check``).
+    """
+    sums = []
+    for coeffs in (cs, wc):
+        total = 0 + coeffs[0] + rho * coeffs[1]
+        rp = rho * rho
+        for c in coeffs[2:]:
+            total += rp * c
+            rp *= rho
+        sums.append(total)
+    num, den = sums
+    return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) else num / den
 
 
 def _product_values(spec: GenSpec, count: int, xs: Sequence) -> list:
@@ -360,7 +361,7 @@ def chi_series_oracle_grid(spec: GenSpec, xs_arrays, rho_array, J: int):
     rp = np.ones(rho.shape)
     for j in range(J + 1):
         total = total + rp * prods[j]
-        rp = rp * rho
+        rp *= rho
     return total
 
 
@@ -418,9 +419,6 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
 class MarginalReport:
     """Quadrature check of the weighted integrals of chi_{n,0}."""
 
-    n: int
-    j: int
-    nodes: int
     max_abs_dev_from_one: float
     max_abs_dev_from_lower_order: float | None
     tol: float
@@ -469,7 +467,7 @@ def marginal_check(n: int, j: int, nodes: int = 128) -> MarginalReport:
         if j < n:
             max_dev_lower = max(max_dev_lower,
                                 float(np.max(np.abs(integral - lower_vals[r]))))
-    return MarginalReport(n, j, nodes, max_dev_one, max_dev_lower, 1e-9)
+    return MarginalReport(max_dev_one, max_dev_lower, 1e-9)
 
 
 def positivity_grid_min(n: int) -> float:

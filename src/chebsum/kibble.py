@@ -296,7 +296,6 @@ def f_U3_closed(x: float, y: float, z: float,
 
 @dataclass(frozen=True)
 class FU3Comparison:
-    point: tuple[float, ...]
     published: float
     symmetrized: float
     closed: float
@@ -321,7 +320,6 @@ def f_U3_compare(x: float, y: float, z: float,
     _check_unit((x, y, z))
     alphas = [math.acos(x), math.acos(y), math.acos(z)]
     return FU3Comparison(
-        (x, y, z, r12, r13, r23),
         f_U3_closed(x, y, z, r12, r13, r23),
         f_U3_closed(x, y, z, r12, r13, r23, symmetrized=True),
         kibble_closed_eval("U", alphas, K),

@@ -181,7 +181,7 @@ class Poly:
     mutated after construction; every operation returns a new Poly.
     """
 
-    __slots__ = ("vars", "_packed", "_den", "_tuples")
+    __slots__ = ("vars", "_packed", "_den", "_tuples", "_plan")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar] | None = None):
         vs = _canonical(variables)
@@ -203,6 +203,7 @@ class Poly:
         self.vars = vs
         self._packed, self._den = _lowest(_reduce_markers(vs, packed), den)
         self._tuples = None
+        self._plan = None
 
     @classmethod
     def _make(cls, variables: tuple[str, ...], packed: dict[int, int], den: int = 1) -> Poly:
@@ -212,6 +213,7 @@ class Poly:
         p._packed = packed
         p._den = den
         p._tuples = None
+        p._plan = None
         return p
 
     @property
@@ -470,40 +472,19 @@ class Poly:
     def eval(self, assignment: Mapping[str, object]):
         """Evaluate at a point (Horner accumulation, one variable at a time).
 
-        Exact inputs give an exact value; any float input gives a float.
-        Raises MissingAssignment if a variable with a nonzero exponent has no
-        value.
+        The Horner plan is built on the first call and kept on the instance; each
+        call walks it with the same multiplies and adds in the same order, so a
+        float result is the same to the bit.  Exact inputs give an exact value; any
+        float input gives a float.  Raises MissingAssignment if a variable with a
+        nonzero exponent has no value.
         """
         if not self._packed:
             return 0
-        nvars = len(self.vars)
-        vals = [assignment.get(v) for v in self.vars]
-
-        def rec(items: list[tuple[Exponents, Scalar]], vi: int):
-            if vi == nvars:
-                total = 0
-                for _, c in items:
-                    total += c
-                return total
-            groups: dict[int, list[tuple[Exponents, Scalar]]] = {}
-            for exps, c in items:
-                groups.setdefault(exps[vi], []).append((exps, c))
-            v = vals[vi]
-            exps_desc = sorted(groups, reverse=True)
-            if v is None:
-                if exps_desc != [0]:
-                    raise MissingAssignment(f"no value for variable {self.vars[vi]}")
-                return rec(groups[0], vi + 1)
-            acc = rec(groups[exps_desc[0]], vi + 1)
-            prev = exps_desc[0]
-            for e in exps_desc[1:]:
-                acc = acc * v ** (prev - e) + rec(groups[e], vi + 1)
-                prev = e
-            if prev:
-                acc = acc * v ** prev
-            return acc
-
-        return rec(list(self.terms.items()), 0)
+        if self._plan is None:
+            self._plan = _horner_plan(list(self.terms.items()), 0, len(self.vars))
+        if not self.vars:
+            return self._plan
+        return _horner(self._plan, [assignment.get(v) for v in self.vars], 0, self.vars)
 
     def eval_grid(self, arrays: Mapping[str, object]):
         """Vectorized float evaluation over numpy arrays (one per used variable)."""
@@ -563,6 +544,39 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
+
+
+def _horner_plan(items: list[tuple[Exponents, Scalar]], vi: int, nvars: int):
+    """(head, ((d, plan), ...), tail): ``items`` grouped by variable vi's exponent.
+
+    head is the top group's plan, each step lowers the exponent by d to the
+    next group's, and tail is the lowest; past the last variable, the coefficient.
+    """
+    if vi == nvars:
+        return items[0][1]
+    es = sorted({exps[vi] for exps, _ in items}, reverse=True)
+    subs = [_horner_plan([t for t in items if t[0][vi] == e], vi + 1, nvars) for e in es]
+    return subs[0], tuple(zip([a - b for a, b in zip(es, es[1:])], subs[1:])), es[-1]
+
+
+def _horner(plan, vals: list, vi: int, names: tuple[str, ...]):
+    """A plan's value at ``vals`` (None: no value) from variable ``vi`` on."""
+    head, steps, tail = plan
+    v = vals[vi]
+    last = vi + 1 == len(vals)
+    if v is None:
+        if steps or tail:
+            raise MissingAssignment(f"no value for variable {names[vi]}")
+        return head if last else _horner(head, vals, vi + 1, names)
+    if last:  # the groups are coefficients
+        acc = head
+        for d, c in steps:
+            acc = acc * v ** d + c
+    else:
+        acc = _horner(head, vals, vi + 1, names)
+        for d, sub in steps:
+            acc = acc * v ** d + _horner(sub, vals, vi + 1, names)
+    return acc * v ** tail if tail else acc
 
 
 def _product_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

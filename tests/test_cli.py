@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,8 +197,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["chi", "eval", "--k", "0", "--n", "1", "--t", "0",
                  "--x", "0.5", "--rho", "1.5"]) == 2
     assert main(["verify", "marginals", "--nodes", "0"]) == 2
-    # A shift past the exponent limit is refused before any Chebyshev work.
-    assert main(["chi", "build", "--k", "1", "--n", "0", "--t=40000"]) == 2
+    # A shift past the exponent limit, or shifts whose exact numerator would
+    # run for hours, are refused before any Chebyshev work.
+    for shifts in (["--k", "1", "--n", "0", "--t=40000"], ["--k", "1", "--n", "0", "--t=20000"],
+                   ["--k", "0", "--n", "4", "--t=64,64,64,64"]):
+        t0 = time.perf_counter()
+        assert main(["chi", "build"] + shifts) == 2
+        assert time.perf_counter() - t0 < 1.0
     # Inputs that would check nothing, or leave the series domain, are refused.
     chi_verify = ["chi", "verify", "--k", "1", "--n", "0"]
     assert main(chi_verify + ["--trials", "0"]) == 2

@@ -488,3 +488,9 @@ def test_genspec_validation():
         GenSpec(0, 0, ())
     with pytest.raises(ValueError):
         GenSpec(1, 1, (0,))
+    # The shift work limit: the first two build in seconds, the others in hours.
+    GenSpec(1, 0, (2000,))
+    GenSpec(0, 4, (16,) * 4)
+    for t in ((20000,), (64,) * 4):
+        with pytest.raises(ScaleError):
+            GenSpec(len(t), 0, t)
