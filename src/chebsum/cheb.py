@@ -149,17 +149,19 @@ def multi_trig_sum(kind: str, rhos: Sequence[float], alphas: Sequence[float],
     angle = 0.0
     gray = 0
     for i in range(1, 2 ** m):
-        bit = (i & -i).bit_length() - 1  # the Gray-code bit that step i flips
-        r, a = live[bit]
-        gray ^= 1 << bit
-        if gray >> bit & 1:
+        step = i & -i  # the Gray-code bit that step i flips
+        r, a = live[step.bit_length() - 1]
+        gray ^= step
+        if gray & step:
             prod *= r
             angle += a
         else:
             prod /= r
             angle -= a
-        term = prod * f(beta - angle)
-        total = total - term if i & 1 else total + term  # the subset's sign is (-1)^i
+        if i & 1:  # the subset's sign is (-1)^i
+            total -= prod * f(beta - angle)
+        else:
+            total += prod * f(beta - angle)
     return total / den
 
 
