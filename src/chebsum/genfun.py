@@ -41,7 +41,7 @@ from .errors import DomainError, ScaleError, SingularAngle
 from .poly import Poly, Scalar
 
 MAX_SLOTS = 4
-# GenSpec refuses shifts whose exact numerator would run for minutes or more:
+# The exact builders refuse shifts whose numerator would run for minutes or more:
 # about prod(|t_s| + 1) monomials with coefficients of max(|t_s| + 1) bits.
 MAX_SHIFT_WORK = 2 ** 22
 # The rho values at which the marginal and positivity grids evaluate chi_{n,0}.
@@ -62,9 +62,6 @@ class GenSpec:
         object.__setattr__(self, "t", tuple(self.t))
         if len(self.t) != self.k + self.n:
             raise ValueError(f"shift vector has {len(self.t)} entries, need {self.k + self.n}")
-        sizes = [abs(t) + 1 for t in self.t]
-        if math.prod(sizes) * max(sizes) > MAX_SHIFT_WORK:
-            raise ScaleError(f"shifts {self.t} exceed the work limit {MAX_SHIFT_WORK}")
 
     @property
     def slots(self) -> int:
@@ -83,9 +80,13 @@ class RationalFn:
     denominator: Poly
 
 
-def _check_scale(spec: GenSpec) -> None:
+def _check_scale(spec: GenSpec, exact: bool = False) -> None:
+    """Refuse k + n above MAX_SLOTS and, for an exact builder, shifts above MAX_SHIFT_WORK."""
     if spec.slots > MAX_SLOTS:
         raise ScaleError(f"k + n = {spec.slots} exceeds the supported maximum {MAX_SLOTS}")
+    sizes = [abs(t) + 1 for t in spec.t]
+    if exact and math.prod(sizes) * max(sizes) > MAX_SHIFT_WORK:
+        raise ScaleError(f"shifts {spec.t} exceed the work limit {MAX_SHIFT_WORK}")
 
 
 def _cheb_factors(spec: GenSpec, i: int) -> list[Poly]:
@@ -117,7 +118,7 @@ def _numerator_cached(k: int, n: int, t: tuple[int, ...]) -> Poly:
 
 def numerator_l(spec: GenSpec) -> Poly:
     """Exact numerator polynomial of the closed form."""
-    _check_scale(spec)
+    _check_scale(spec, exact=True)
     return _numerator_cached(spec.k, spec.n, spec.t)
 
 
@@ -132,7 +133,7 @@ def series_convolution_residual(spec: GenSpec, order: int) -> Poly:
     This is the rho^order coefficient of w * chi - l as a formal power series,
     summed by ``_basis_convolution``: a zero residual runs no Poly product.
     """
-    _check_scale(spec)
+    _check_scale(spec, exact=True)
     acc = _basis_convolution(spec, w_rho_coeff_polys(spec.slots), order)
     if order < 2 ** spec.slots:
         acc = acc - numerator_l(spec).coeff_of("rho", order)
@@ -208,14 +209,14 @@ def chi_closed_value(spec: GenSpec, xs: Sequence, rho):
     """Evaluate the closed form at a point without expanding the numerator.
 
     The denominator's rho-coefficients and the Chebyshev products are
-    evaluated first and convolved numerically, which is the same l / w value
-    the symbolic path produces.  Exact inputs give an exact value.
+    evaluated first (over one table of powers) and convolved numerically, the
+    same l / w value the symbolic path produces.  Exact inputs give an exact value.
     """
     _check_scale(spec)
     _domain_check(spec, xs, rho)
     K = spec.slots
-    point = {f"x{i + 1}": xs[i] for i in range(K)}
-    wc = [c.eval(point) for c in w_rho_coeff_polys(K)]
+    point, powers = {f"x{i + 1}": xs[i] for i in range(K)}, {}
+    wc = [c.eval(point, powers) for c in w_rho_coeff_polys(K)]
     return _ratio(_coeffs(wc, _product_values(spec, 2 ** K, xs), 2 ** K), wc, rho)
 
 
@@ -288,15 +289,16 @@ def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
     shape ``np.broadcast_shapes(rho.shape, G)``.
 
     The grid is walked along its leading axis in blocks of about 2^15 points.
-    Everything that does not depend on rho (the rho-coefficients of w, the
-    Chebyshev products P_i and the convolution coefficients c_j) is computed
-    once per block and shared by every rho value, so working memory is bounded
-    by the block and not by the grid.  Each element goes through the same
-    floating-point operations in the same order as an unblocked evaluation,
-    so the values do not depend on the block size.
+    Everything that does not depend on rho (the rho-coefficients of w over one
+    table of powers, the Chebyshev products P_i and the convolution coefficients
+    c_j) is computed once per block and shared by every rho value, so working
+    memory is bounded by the block and not by the grid.  Each element goes
+    through the same floating-point operations in the same order as an
+    unblocked evaluation, so the values do not depend on the block size.
     """
     import numpy as np
 
+    _check_scale(spec)
     K = spec.slots
     xs = [np.asarray(a, dtype=float) for a in xs_arrays]
     rho = np.asarray(rho_array, dtype=float)
@@ -310,7 +312,8 @@ def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
     for start in range(0, out.shape[len(lead)] if grid else 1, step):
         sl = slice(start, start + step) if grid else ...
         xb = [_leading_slice(a, len(grid), sl) for a in xs]
-        wc = [c.eval_grid({f"x{i + 1}": a for i, a in enumerate(xb)}) for c in coeff_polys]
+        arrays, powers = {f"x{i + 1}": a for i, a in enumerate(xb)}, {}
+        wc = [c.eval_grid(arrays, powers) for c in coeff_polys]
         cs = _coeffs(wc, _grid_products(spec, 2 ** K, xb), 2 ** K)
         out[lead + (sl,)] = _ratio(cs, wc, _leading_slice(rho, len(grid), sl))
     return out
@@ -333,16 +336,12 @@ def chi_series_tail_bound(spec: GenSpec, rho: float, J: int) -> float:
     term_at = lambda j: r ** j * math.prod(j + ts + 1 for ts in shifts)
     # Sum explicitly until the polynomial factor is dominated, then close
     # with a geometric majorant.
-    j = J + 1
-    while True:
+    for j in range(J + 1, J + 10001):
         t = term_at(j)
         total += t
         grow = term_at(j + 1)
         if grow < t and grow / t < (1 + r) / 2:
             total += grow / (1 - (1 + r) / 2)
-            break
-        j += 1
-        if j > J + 10000:  # pragma: no cover
             break
     return total
 
@@ -388,26 +387,22 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
     if not abs(rho) < 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     n = spec.n
-    u_slots = range(spec.k, K)
     sin_prod = 1.0
-    for s in u_slots:
+    for s in range(spec.k, K):
         sa = math.sin(alphas[s])
         if sa == 0.0:
             raise SingularAngle(f"sin(alpha_{s + 1}) = 0; use the closed form instead")
         sin_prod *= sa
     trig = "sin" if n % 2 else "cos"
-    global_sign = (-1) ** ((n + 1) // 2) if n % 2 else (-1) ** (n // 2)
+    global_sign = (-1) ** ((n + 1) // 2)
     total = 0.0
     for bits in range(2 ** K):
         signs = [1 if (bits >> s) & 1 else -1 for s in range(K)]
         A = sum(i * a for i, a in zip(signs, alphas))
         Bp = 0.0
-        parity = 0
-        for s in range(K):
-            shift = spec.t[s] + (1 if s >= spec.k else 0)
-            Bp += signs[s] * shift * alphas[s]
-            if s >= spec.k:
-                parity += (signs[s] + 1) // 2
+        for s in range(K):  # U slots shift by t_s + 1
+            Bp += signs[s] * (spec.t[s] + (1 if s >= spec.k else 0)) * alphas[s]
+        parity = sum((bits >> s) & 1 for s in range(spec.k, K))  # U slots with sign +1
         total += (-1) ** parity * geom_trig_sum(trig, rho, A, Bp)
     return global_sign * total / (2 ** K * sin_prod)
 

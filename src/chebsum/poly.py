@@ -469,40 +469,54 @@ class Poly:
 
     # -------------------------------------------------------------- evaluation
 
-    def eval(self, assignment: Mapping[str, object]):
+    def eval(self, assignment: Mapping[str, object], powers: dict | None = None):
         """Evaluate at a point (Horner accumulation, one variable at a time).
 
         The Horner plan is built on the first call and kept on the instance; each
         call walks it with the same multiplies and adds in the same order, so a
-        float result is the same to the bit.  Exact inputs give an exact value; any
-        float input gives a float.  Raises MissingAssignment if a variable with a
-        nonzero exponent has no value.
+        float result is the same to the bit.  Each power v ** d is made once, into
+        ``powers[v][d]``, which calls at one point may share.  Exact inputs give an exact
+        value, float inputs a float; a used variable without a value raises MissingAssignment.
         """
         if not self._packed:
             return 0
         if self._plan is None:
-            self._plan = _horner_plan(list(self.terms.items()), 0, len(self.vars))
+            needed: set[tuple[int, int]] = set()
+            self._plan = _horner_plan(list(self.terms.items()), 0, len(self.vars), needed), needed
+        plan, needed = self._plan
         if not self.vars:
-            return self._plan
-        return _horner(self._plan, [assignment.get(v) for v in self.vars], 0, self.vars)
+            return plan
+        powers = {} if powers is None else powers
+        for v in self.vars:
+            if v not in powers:
+                val = assignment.get(v)
+                powers[v] = None if val is None else {1: val}
+        rows = [powers[v] for v in self.vars]
+        for vi, d in needed:  # a missing value (None) raises in the walk
+            if rows[vi] is not None and d not in rows[vi]:
+                rows[vi][d] = rows[vi][1] ** d
+        return _horner(plan, rows, 0, self.vars)
 
-    def eval_grid(self, arrays: Mapping[str, object]):
-        """Vectorized float evaluation over numpy arrays (one per used variable)."""
+    def eval_grid(self, arrays: Mapping[str, object], powers: dict | None = None):
+        """Vectorized float evaluation over numpy arrays (one per used variable).
+
+        Powers are ``np.asarray(arrays[v], dtype=float) ** e`` in ``powers[v][e]``; a batch of
+        calls over the same arrays may share them, with every expression and order unchanged.
+        """
         import numpy as np
 
+        powers = {} if powers is None else powers
         shape: tuple = ()
-        powers: dict[str, dict[int, object]] = {}
         for idx, v in enumerate(self.vars):
             if not self.uses(v):
                 continue
             if v not in arrays:
                 raise MissingAssignment(f"no array for variable {v}")
-            arr = np.asarray(arrays[v], dtype=float)
+            pw = powers.setdefault(v, {})
+            arr = pw.setdefault(1, np.asarray(arrays[v], dtype=float))
             shape = np.broadcast_shapes(shape, arr.shape)
-            pw = {1: arr}
-            for e in sorted({exps[idx] for exps in self.terms if exps[idx] > 1}):
+            for e in {exps[idx] for exps in self.terms if exps[idx] > 1} - pw.keys():
                 pw[e] = arr ** e
-            powers[v] = pw
         total = np.zeros(shape)
         for exps, c in self.terms.items():
             term = float(c)
@@ -546,37 +560,39 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def _horner_plan(items: list[tuple[Exponents, Scalar]], vi: int, nvars: int):
+def _horner_plan(items: list[tuple[Exponents, Scalar]], vi: int, nvars: int, needed: set):
     """(head, ((d, plan), ...), tail): ``items`` grouped by variable vi's exponent.
 
     head is the top group's plan, each step lowers the exponent by d to the
     next group's, and tail is the lowest; past the last variable, the coefficient.
+    Each (vi, d) of a step or a tail with d > 1 goes into ``needed``.
     """
     if vi == nvars:
         return items[0][1]
     es = sorted({exps[vi] for exps, _ in items}, reverse=True)
-    subs = [_horner_plan([t for t in items if t[0][vi] == e], vi + 1, nvars) for e in es]
+    subs = [_horner_plan([t for t in items if t[0][vi] == e], vi + 1, nvars, needed) for e in es]
+    needed.update((vi, a - b) for a, b in zip(es, es[1:] + [0]) if a - b > 1)
     return subs[0], tuple(zip([a - b for a, b in zip(es, es[1:])], subs[1:])), es[-1]
 
 
-def _horner(plan, vals: list, vi: int, names: tuple[str, ...]):
-    """A plan's value at ``vals`` (None: no value) from variable ``vi`` on."""
+def _horner(plan, rows: list, vi: int, names: tuple[str, ...]):
+    """A plan's value from variable ``vi`` on; rows[vi][d] is that value ** d (None: no value)."""
     head, steps, tail = plan
-    v = vals[vi]
-    last = vi + 1 == len(vals)
-    if v is None:
+    pw = rows[vi]
+    last = vi + 1 == len(rows)
+    if pw is None:
         if steps or tail:
             raise MissingAssignment(f"no value for variable {names[vi]}")
-        return head if last else _horner(head, vals, vi + 1, names)
+        return head if last else _horner(head, rows, vi + 1, names)
     if last:  # the groups are coefficients
         acc = head
         for d, c in steps:
-            acc = acc * v ** d + c
+            acc = acc * pw[d] + c
     else:
-        acc = _horner(head, vals, vi + 1, names)
+        acc = _horner(head, rows, vi + 1, names)
         for d, sub in steps:
-            acc = acc * v ** d + _horner(sub, vals, vi + 1, names)
-    return acc * v ** tail if tail else acc
+            acc = acc * pw[d] + _horner(sub, rows, vi + 1, names)
+    return acc * pw[tail] if tail else acc
 
 
 def _product_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -280,6 +280,13 @@ def test_unread_flags_exit_2():
     assert main(["q", "check", "--suite", "d2", "--tol", "1e-3"]) == 2
 
 
+def test_chi_eval_at_a_large_shift(capsys):
+    # The shift limit binds the exact builders only: this float path takes O(|t|) steps.
+    assert main(["chi", "eval", "--k", "1", "--n", "0", "--t=20000",
+                 "--x", "0.5", "--rho", "0.3"]) == 0
+    assert capsys.readouterr().out == '{"value":-0.8227848101265823}\n'
+
+
 def test_stdout_without_json_flag(capsys):
     code = main(["chi", "eval", "--k", "1", "--n", "0", "--t", "0",
                  "--x", "0.5", "--rho", "0.25"])

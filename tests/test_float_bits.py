@@ -1,4 +1,4 @@
-"""Pinned IEEE bits of the float evaluators, and the planned Horner walk against a reference.
+"""Pinned IEEE bits of the float evaluators, and the polynomial evaluators against references.
 
 Every float the closed form, the series oracle and the Kibble closed form
 return is reproducible bit for bit.  Each digest below is one sha256 over the
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from chebsum import genfun, kibble
 from chebsum.errors import MissingAssignment
+from chebsum.poly import Poly
 
 from test_poly import small_polys
 
@@ -210,3 +211,75 @@ def test_planned_eval_matches_reference(p, point):
     assert _outcome(lambda: p.eval(point)) == want
     # The plan is kept on the instance: a second call walks it again.
     assert _outcome(lambda: p.eval(point)) == want
+
+
+# Constant polynomials too, whose grid value is a 0-d array.
+POLYS = small_polys() | st.integers(-4, 4).map(lambda c: Poly(("x1", "x2", "rho"), {(0, 0, 0): c}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(POLYS, min_size=1, max_size=4),
+       st.fixed_dictionaries({v: VALUES for v in ("x1", "x2", "rho")}))
+def test_shared_scalar_powers_match_reference(polys, point):
+    point = {v: c for v, c in point.items() if c is not None}
+    shared = {}
+    for p in polys:
+        assert _outcome(lambda: p.eval(point, shared)) == _outcome(lambda: reference_eval(p, point))
+
+
+def reference_eval_grid(p, arrays):
+    """Each polynomial with its own powers, summed term by term in insertion order."""
+    shape = ()
+    powers = {}
+    for idx, v in enumerate(p.vars):
+        if not p.uses(v):
+            continue
+        if v not in arrays:
+            raise MissingAssignment(f"no array for variable {v}")
+        arr = np.asarray(arrays[v], dtype=float)
+        shape = np.broadcast_shapes(shape, arr.shape)
+        pw = {1: arr}
+        for e in sorted({exps[idx] for exps in p.terms if exps[idx] > 1}):
+            pw[e] = arr ** e
+        powers[v] = pw
+    total = np.zeros(shape)
+    for exps, c in p.terms.items():
+        term = float(c)
+        for idx, e in enumerate(exps):
+            if e:
+                term = term * powers[p.vars[idx]][e]
+        total = total + term
+    return total
+
+
+def _grid_outcome(f):
+    try:
+        v = f()
+    except MissingAssignment as exc:
+        return ("missing", str(exc))
+    return (type(v).__name__, v.shape, v.view(np.int64).tobytes())
+
+
+GRID_VALUES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -0.75]) | st.floats(-2, 2, allow_nan=False)
+# Shapes of the x1, x2 and rho arrays (None: no array): scalars, flat grids and
+# sparse meshes.
+GRID_SHAPES = [((), (), ()), ((5,), (5,), (5,)), ((3, 1), (1, 4), ()),
+               ((3, 1), (1, 4), (3, 4)), ((1, 4), (3, 1), (1,)), ((3, 1), None, (3, 1)),
+               (None, (1, 4), ()), ((5,), (5,), None)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(POLYS, min_size=1, max_size=4), st.sampled_from(GRID_SHAPES), st.data())
+def test_shared_grid_powers_match_reference(polys, shapes, data):
+    arrays = {}
+    for v, shape in zip(("x1", "x2", "rho"), shapes):
+        if shape is not None:
+            n = math.prod(shape)
+            values = data.draw(st.lists(GRID_VALUES, min_size=n, max_size=n), label=v)
+            arrays[v] = np.array(values, dtype=float).reshape(shape)
+    shared = {}
+    for p in polys:
+        want = _grid_outcome(lambda: reference_eval_grid(p, arrays))
+        assert _grid_outcome(lambda: p.eval_grid(arrays, shared)) == want
+        # A single-polynomial call gives the same bits.
+        assert _grid_outcome(lambda: p.eval_grid(arrays)) == want

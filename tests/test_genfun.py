@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -483,6 +484,27 @@ def test_scale_error():
         numerator_l(GenSpec(3, 2, (0,) * 5))
 
 
+def test_grid_closed_form_refuses_k5_at_once():
+    import numpy as np
+
+    t0 = time.perf_counter()
+    with pytest.raises(ScaleError):
+        chi_closed_values_grid(GenSpec(0, 5, (0,) * 5), [np.array([0.5])] * 5, np.array([0.3]))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_shift_limit_binds_only_the_exact_builders():
+    spec = GenSpec(1, 0, (20000,))
+    t0 = time.perf_counter()
+    for build in (lambda: numerator_l(spec), lambda: series_convolution_residual(spec, 0)):
+        with pytest.raises(ScaleError):
+            build()
+    assert time.perf_counter() - t0 < 1.0
+    # The float paths run O(|t|) steps.
+    assert chi_closed_value(spec, [0.5], 0.3) == -0.8227848101265823
+    assert chi_angle_eval(spec, [math.acos(0.5)], 0.3) == pytest.approx(-0.8227848101265823)
+
+
 def test_genspec_validation():
     with pytest.raises(ValueError):
         GenSpec(0, 0, ())
@@ -493,4 +515,4 @@ def test_genspec_validation():
     GenSpec(0, 4, (16,) * 4)
     for t in ((20000,), (64,) * 4):
         with pytest.raises(ScaleError):
-            GenSpec(len(t), 0, t)
+            numerator_l(GenSpec(len(t), 0, t))

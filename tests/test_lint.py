@@ -1,6 +1,7 @@
 """Source-level checks over the package modules."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chebsum"
@@ -149,3 +150,25 @@ def test_campaign_records_compute_their_verdict():
             if isinstance(passed, ast.Constant):
                 found.append(f"campaign.py:{node.lineno}")
     assert not found, f"_rec calls with a constant pass flag: {found}"
+
+
+def test_tracer_targets_resolve():
+    # perfbench's span tracer wraps these by name (``cls.__dict__[meth]`` for a
+    # method), so a rename must fail here rather than in a traced benchmark run.
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(), filename="tracer.py")
+    targets = next(stmt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in stmt.targets))
+    entries = [(e.elts[0].value, e.elts[1].value) for e in targets.elts]
+    assert entries
+    missing = []
+    for mod_name, attr in entries:
+        mod = importlib.import_module(f"chebsum.{mod_name}")
+        owner, _, name = attr.rpartition(".")
+        if owner:
+            cls = vars(mod).get(owner)
+            ok = isinstance(cls, type) and name in vars(cls)
+        else:
+            ok = name in vars(mod)
+        if not ok:
+            missing.append(f"{mod_name}.{attr}")
+    assert not missing, f"tracer targets that chebsum does not define: {missing}"
