@@ -402,7 +402,7 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
         Bp = 0.0
         for s in range(K):  # U slots shift by t_s + 1
             Bp += signs[s] * (spec.t[s] + (1 if s >= spec.k else 0)) * alphas[s]
-        parity = sum((bits >> s) & 1 for s in range(spec.k, K))  # U slots with sign +1
+        parity = (bits >> spec.k).bit_count()  # U slots with sign +1
         total += (-1) ** parity * geom_trig_sum(trig, rho, A, Bp)
     return global_sign * total / (2 ** K * sin_prod)
 

@@ -474,8 +474,8 @@ class Poly:
 
         The Horner plan is built on the first call and kept on the instance; each
         call walks it with the same multiplies and adds in the same order, so a
-        float result is the same to the bit.  Each power v ** d is made once, into
-        ``powers[v][d]``, which calls at one point may share.  Exact inputs give an exact
+        float result is the same to the bit.  Each power v ** d is made once and kept in
+        ``powers``, a dict that calls at one point may share.  Exact inputs give an exact
         value, float inputs a float; a used variable without a value raises MissingAssignment.
         """
         if not self._packed:
@@ -487,14 +487,14 @@ class Poly:
         if not self.vars:
             return plan
         powers = {} if powers is None else powers
-        for v in self.vars:
-            if v not in powers:
-                val = assignment.get(v)
-                powers[v] = None if val is None else {1: val}
-        rows = [powers[v] for v in self.vars]
+        rows = powers.get(self.vars)  # rows[vi][d] = value ** d, None for no value
+        if rows is None:
+            rows = powers[self.vars] = [None if (val := assignment.get(v)) is None else {1: val}
+                                        for v in self.vars]
         for vi, d in needed:  # a missing value (None) raises in the walk
-            if rows[vi] is not None and d not in rows[vi]:
-                rows[vi][d] = rows[vi][1] ** d
+            row = rows[vi]
+            if row is not None and d not in row:
+                row[d] = row[1] ** d
         return _horner(plan, rows, 0, self.vars)
 
     def eval_grid(self, arrays: Mapping[str, object], powers: dict | None = None):
