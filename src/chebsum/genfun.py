@@ -84,9 +84,10 @@ def _check_scale(spec: GenSpec, exact: bool = False) -> None:
     """Refuse k + n above MAX_SLOTS and, for an exact builder, shifts above MAX_SHIFT_WORK."""
     if spec.slots > MAX_SLOTS:
         raise ScaleError(f"k + n = {spec.slots} exceeds the supported maximum {MAX_SLOTS}")
-    sizes = [abs(t) + 1 for t in spec.t]
-    if exact and math.prod(sizes) * max(sizes) > MAX_SHIFT_WORK:
-        raise ScaleError(f"shifts {spec.t} exceed the work limit {MAX_SHIFT_WORK}")
+    if exact:
+        sizes = [abs(t) + 1 for t in spec.t]
+        if math.prod(sizes) * max(sizes) > MAX_SHIFT_WORK:
+            raise ScaleError(f"shifts {spec.t} exceed the work limit {MAX_SHIFT_WORK}")
 
 
 def _cheb_factors(spec: GenSpec, i: int) -> list[Poly]:

@@ -489,12 +489,11 @@ class Poly:
         powers = {} if powers is None else powers
         rows = powers.get(self.vars)  # rows[vi][d] = value ** d, None for no value
         if rows is None:
-            rows = powers[self.vars] = [None if (val := assignment.get(v)) is None else {1: val}
-                                        for v in self.vars]
+            vals = map(assignment.get, self.vars)
+            rows = powers[self.vars] = [None if x is None else {1: x} for x in vals]
         for vi, d in needed:  # a missing value (None) raises in the walk
-            row = rows[vi]
-            if row is not None and d not in row:
-                row[d] = row[1] ** d
+            if rows[vi] is not None and d not in rows[vi]:
+                rows[vi][d] = rows[vi][1] ** d
         return _horner(plan, rows, 0, self.vars)
 
     def eval_grid(self, arrays: Mapping[str, object], powers: dict | None = None):
