@@ -337,12 +337,16 @@ def chi_series_tail_bound(spec: GenSpec, rho: float, J: int) -> float:
     term_at = lambda j: r ** j * math.prod(j + ts + 1 for ts in shifts)
     # Sum explicitly until the polynomial factor is dominated, then close
     # with a geometric majorant.
-    for j in range(J + 1, J + 10001):
+    j = J + 1
+    while True:
         t = term_at(j)
         total += t
         grow = term_at(j + 1)
         if grow < t and grow / t < (1 + r) / 2:
             total += grow / (1 - (1 + r) / 2)
+            break
+        j += 1
+        if j > J + 10000:  # pragma: no cover
             break
     return total
 
@@ -388,22 +392,26 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
     if not abs(rho) < 1:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     n = spec.n
+    u_slots = range(spec.k, K)
     sin_prod = 1.0
-    for s in range(spec.k, K):
+    for s in u_slots:
         sa = math.sin(alphas[s])
         if sa == 0.0:
             raise SingularAngle(f"sin(alpha_{s + 1}) = 0; use the closed form instead")
         sin_prod *= sa
     trig = "sin" if n % 2 else "cos"
-    global_sign = (-1) ** ((n + 1) // 2)
+    global_sign = (-1) ** ((n + 1) // 2) if n % 2 else (-1) ** (n // 2)
     total = 0.0
     for bits in range(2 ** K):
         signs = [1 if (bits >> s) & 1 else -1 for s in range(K)]
         A = sum(i * a for i, a in zip(signs, alphas))
         Bp = 0.0
-        for s in range(K):  # U slots shift by t_s + 1
-            Bp += signs[s] * (spec.t[s] + (1 if s >= spec.k else 0)) * alphas[s]
-        parity = (bits >> spec.k).bit_count()  # U slots with sign +1
+        parity = 0
+        for s in range(K):
+            shift = spec.t[s] + (1 if s >= spec.k else 0)
+            Bp += signs[s] * shift * alphas[s]
+            if s >= spec.k:
+                parity += (signs[s] + 1) // 2
         total += (-1) ** parity * geom_trig_sum(trig, rho, A, Bp)
     return global_sign * total / (2 ** K * sin_prod)
 
