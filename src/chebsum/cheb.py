@@ -2,7 +2,8 @@
 
 ``recur`` is the package's one three-term recurrence, for floats, Fractions,
 ``Poly`` objects and numpy arrays alike; T_n, U_n and the q-families h_n, b_n
-of ``qseries`` all run on it.  The Chebyshev step is P_{n+1} = 2x P_n - P_{n-1}
+of ``qseries`` all run on it (a lone T_n or U_n takes the same steps keeping
+two values).  The Chebyshev step is P_{n+1} = 2x P_n - P_{n-1}
 with (T_0, T_1) = (1, x) and (U_0, U_1) = (1, 2x), so arguments outside
 [-1, 1] are legal.  Negative indices are mapped first:
 
@@ -67,9 +68,11 @@ def _cheb_step(x):
 
 
 def _cheb_nth(kind: str, n: int, x, one):
-    """P_n(x) for n >= 0 from the seeds (one, x) or (one, 2x)."""
-    p1 = x if kind == "T" else 2 * x
-    return recur([None] * (n + 1), one, p1, _cheb_step(x))[n]
+    """P_n(x) for n >= 0 from the seeds (one, x) or (one, 2x), keeping two values at a time."""
+    p0, p1, step = one, (x if kind == "T" else 2 * x), _cheb_step(x)
+    for m in range(1, n):
+        p0, p1 = p1, step(m, p1, p0)
+    return p1 if n else p0
 
 
 def cheb_eval(c: ChebIndex, x):

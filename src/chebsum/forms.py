@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .cheb import ChebIndex, cheb_poly
 from .errors import UnknownId
-from .genfun import GenSpec, numerator_l
+from .genfun import GenSpec, _check_scale, numerator_l
 from .poly import Poly
 
 
@@ -69,16 +69,17 @@ def _form_4(**_) -> tuple[GenSpec, Poly]:
 
 def _form_shifted_T(m: int = 0, **_) -> tuple[GenSpec, Poly]:
     rho = Poly.variable("rho")
-    return GenSpec(1, 0, (m,)), _T(m, "x1") - rho * _T(m - 1, "x1")
+    return _check_scale(GenSpec(1, 0, (m,)), exact=True), _T(m, "x1") - rho * _T(m - 1, "x1")
 
 
 def _form_shifted_U(m: int = 0, **_) -> tuple[GenSpec, Poly]:
     rho = Poly.variable("rho")
-    return GenSpec(0, 1, (m,)), _U(m, "x1") - rho * _U(m - 1, "x1")
+    return _check_scale(GenSpec(0, 1, (m,)), exact=True), _U(m, "x1") - rho * _U(m - 1, "x1")
 
 
 def _form_shifted_TT(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
     """sum rho^k T_{k+n}(x) T_{k+m}(y); printed with T_m(x) T_n(y) products."""
+    spec = _check_scale(GenSpec(2, 0, (n, m)), exact=True)  # before any factor
     x1, x2, _x3, rho = _atoms()
     x, y = x1, x2
     Tm = lambda i: _T(i, "x1")
@@ -88,11 +89,12 @@ def _form_shifted_TT(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
            + rho * (rho ** 2 * x + x - 2 * rho * y) * Tm(m) * (Tn(n + 1) - Tn(n - 1))
            + rho * (-2 * rho * x + rho ** 2 * y + y) * (Tm(m + 1) - Tm(m - 1)) * Tn(n)
            + rho * (1 - rho ** 2) * (Tm(m - 1) - Tm(m + 1)) * (Tn(n - 1) - Tn(n + 1)))
-    return GenSpec(2, 0, (n, m)), num
+    return spec, num
 
 
 def _form_shifted_UU(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
     """sum rho^j U_{j+n}(x) U_{j+m}(y), transcribed literally."""
+    spec = _check_scale(GenSpec(0, 2, (n, m)), exact=True)  # before any factor
     x1, x2, _x3, rho = _atoms()
     x, y = x1, x2
     num = ((rho ** 2 * x + x - 2 * rho * y) * _U(m - 1, "x1") * _T(n, "x2")
@@ -100,11 +102,12 @@ def _form_shifted_UU(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
               - 2 * rho * y ** 2) * _U(n - 1, "x2") * _U(m - 1, "x1")
            + _T(m, "x1") * (-2 * rho * x + rho ** 2 * y + y) * _U(n - 1, "x2")
            + (1 - rho ** 2) * _T(m, "x1") * _T(n, "x2"))
-    return GenSpec(0, 2, (n, m)), num
+    return spec, num
 
 
 def _form_shifted_UT(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
     """sum rho^j U_{m+j}(x) T_{n+j}(y): x -> slot 2 (U), y -> slot 1 (T)."""
+    spec = _check_scale(GenSpec(1, 1, (n, m)), exact=True)  # before any factor
     x1, x2, _x3, rho = _atoms()
     x, y = x2, x1
     num = (_T(m, "x2") * _T(n, "x1") * (1 - rho ** 2 - 2 * rho * x * y + 2 * rho ** 2 * y ** 2)
@@ -112,7 +115,7 @@ def _form_shifted_UT(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
            + _U(m - 1, "x2") * _T(n, "x1") * (x - rho * y) * (1 + rho ** 2 - 2 * rho * x * y)
            + _U(m - 1, "x2") * _U(n - 1, "x1") * (y ** 2 - 1) * rho
            * (1 - rho ** 2 + 2 * rho * x * y - 2 * x ** 2))
-    return GenSpec(1, 1, (n, m)), num
+    return spec, num
 
 
 def _form_tri_TTT(**_) -> tuple[GenSpec, Poly]:

@@ -80,14 +80,14 @@ class RationalFn:
     denominator: Poly
 
 
-def _check_scale(spec: GenSpec, exact: bool = False) -> None:
-    """Refuse k + n above MAX_SLOTS and, for an exact builder, shifts above MAX_SHIFT_WORK."""
+def _check_scale(spec: GenSpec, exact: bool = False) -> GenSpec:
+    """``spec``, unless k + n exceeds MAX_SLOTS or, for an exact builder, the shifts MAX_SHIFT_WORK."""
     if spec.slots > MAX_SLOTS:
         raise ScaleError(f"k + n = {spec.slots} exceeds the supported maximum {MAX_SLOTS}")
-    if exact:
-        sizes = [abs(t) + 1 for t in spec.t]
-        if math.prod(sizes) * max(sizes) > MAX_SHIFT_WORK:
-            raise ScaleError(f"shifts {spec.t} exceed the work limit {MAX_SHIFT_WORK}")
+    sizes = [abs(t) + 1 for t in spec.t]
+    if exact and math.prod(sizes) * max(sizes) > MAX_SHIFT_WORK:
+        raise ScaleError(f"shifts {spec.t} exceed the work limit {MAX_SHIFT_WORK}")
+    return spec
 
 
 def _cheb_factors(spec: GenSpec, i: int) -> list[Poly]:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -285,6 +286,20 @@ def test_chi_eval_at_a_large_shift(capsys):
     assert main(["chi", "eval", "--k", "1", "--n", "0", "--t=20000",
                  "--x", "0.5", "--rho", "0.3"]) == 0
     assert capsys.readouterr().out == '{"value":-0.8227848101265823}\n'
+
+
+def test_chi_eval_memory_does_not_grow_with_the_shift(capsys):
+    # The recurrence keeps two values: a list of every T_j would take about 32 MB here.
+    tracemalloc.start()
+    try:
+        code = main(["chi", "eval", "--k", "1", "--n", "0", "--t=1000000",
+                     "--x", "0.5", "--rho", "0.3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == '{"value":-0.25316455696202533}\n'
+    assert peak < 2 ** 20
 
 
 def test_stdout_without_json_flag(capsys):

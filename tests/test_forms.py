@@ -8,10 +8,11 @@ side.  The observed deviation pattern is frozen here.
 """
 
 import random
+import time
 
 import pytest
 
-from chebsum.errors import UnknownId
+from chebsum.errors import ScaleError, UnknownId
 from chebsum.denom import build_w
 from chebsum.forms import compare_form, registry_ids, transcribed_form
 from chebsum.genfun import chi_closed_value, chi_series_oracle_grid
@@ -84,6 +85,20 @@ def test_reduction_to_base_forms():
     assert transcribed_form("shifted_UU", n=0, m=0)[1] == transcribed_form("_2")[1]
     assert transcribed_form("shifted_TT", n=0, m=0)[1] == transcribed_form("_3")[1]
     assert transcribed_form("shifted_UT", n=0, m=0)[1] == transcribed_form("_4")[1]
+
+
+@pytest.mark.parametrize("fid, shifts", [("shifted_T", {"m": 20000}), ("shifted_U", {"m": -20000}),
+                                         ("shifted_TT", {"n": 2000, "m": 2000}),
+                                         ("shifted_UU", {"n": 2000, "m": 2000}),
+                                         ("shifted_UT", {"n": 64, "m": 20000})])
+def test_parametric_forms_refuse_large_shifts_at_once(fid, shifts):
+    # The exact builders' work limit, checked before any Chebyshev factor is built.
+    t0 = time.perf_counter()
+    with pytest.raises(ScaleError):
+        compare_form(fid, **shifts)
+    with pytest.raises(ScaleError):
+        transcribed_form(fid, **shifts)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_unknown_id():
