@@ -474,33 +474,31 @@ class Poly:
 
         The Horner plan is built on the first call and kept on the instance; each
         call walks it with the same multiplies and adds in the same order, so a
-        float result is the same to the bit.  Each power v ** d is made once and kept in
-        ``powers``, a dict that calls at one point may share.  Exact inputs give an exact
-        value, float inputs a float; a used variable without a value raises MissingAssignment.
+        float result is the same to the bit.  Each power v ** d (d > 1) it needs is made
+        once, before the walk; calls at one point may share them in ``powers`` (``_power``).
+        Exact inputs give an exact value, float inputs a float; a used variable without
+        a value raises MissingAssignment.
         """
         if not self._packed:
             return 0
         if self._plan is None:
-            needed: set[tuple[int, int]] = set()
-            self._plan = _horner_plan(list(self.terms.items()), 0, len(self.vars), needed), needed
-        plan, needed = self._plan
+            slots: dict[tuple[int, int], int] = {}  # (vi, d) -> its index in the walk's pw
+            self._plan = _horner_plan(list(self.terms.items()), 0, len(self.vars), slots), tuple(slots)
+        plan, extra = self._plan
         if not self.vars:
             return plan
-        powers = {} if powers is None else powers
-        rows = powers.get(self.vars)  # rows[vi][d] = value ** d, None for no value
-        if rows is None:
-            vals = map(assignment.get, self.vars)
-            rows = powers[self.vars] = [None if x is None else {1: x} for x in vals]
-        for vi, d in needed:  # a missing value (None) raises in the walk
-            if rows[vi] is not None and d not in rows[vi]:
-                rows[vi][d] = rows[vi][1] ** d
-        return _horner(plan, rows, 0, self.vars)
+        pw = [assignment.get(v) for v in self.vars]  # pw[vi] is None: no value
+        if extra:
+            pw += [None if (x := pw[vi]) is None else x ** d if powers is None
+                   else _power(powers, self.vars[vi], x, d) for vi, d in extra]
+        return _horner(plan, pw, 0, self.vars)
 
     def eval_grid(self, arrays: Mapping[str, object], powers: dict | None = None):
         """Vectorized float evaluation over numpy arrays (one per used variable).
 
-        Powers are ``np.asarray(arrays[v], dtype=float) ** e`` in ``powers[v][e]``; a batch of
-        calls over the same arrays may share them, with every expression and order unchanged.
+        Each power is ``np.asarray(arrays[v], dtype=float) ** e``; a batch of calls over
+        the same arrays may share them in ``powers`` (``_power``), with every expression
+        and its order unchanged.
         """
         import numpy as np
 
@@ -511,11 +509,10 @@ class Poly:
                 continue
             if v not in arrays:
                 raise MissingAssignment(f"no array for variable {v}")
-            pw = powers.setdefault(v, {})
-            arr = pw.setdefault(1, np.asarray(arrays[v], dtype=float))
+            arr = np.asarray(arrays[v], dtype=float)
             shape = np.broadcast_shapes(shape, arr.shape)
-            for e in {exps[idx] for exps in self.terms if exps[idx] > 1} - pw.keys():
-                pw[e] = arr ** e
+            for e in {1} | {exps[idx] for exps in self.terms if exps[idx] > 1}:
+                _power(powers, v, arr, e)
         total = np.zeros(shape)
         for exps, c in self.terms.items():
             term = float(c)
@@ -559,39 +556,48 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def _horner_plan(items: list[tuple[Exponents, Scalar]], vi: int, nvars: int, needed: set):
-    """(head, ((d, plan), ...), tail): ``items`` grouped by variable vi's exponent.
+def _power(powers: dict, v: str, x, e: int):
+    """x ** e, kept in powers[v] = {1: x, e: x ** e, ...}; a row made for another x is replaced."""
+    row = powers.get(v)
+    if row is None or row[1] is not x:  # by identity: a new point or new arrays
+        row = powers[v] = {1: x}
+    return row[e] if e in row else row.setdefault(e, x ** e)
 
-    head is the top group's plan, each step lowers the exponent by d to the
-    next group's, and tail is the lowest; past the last variable, the coefficient.
-    Each (vi, d) of a step or a tail with d > 1 goes into ``needed``.
+
+def _horner_plan(items: list[tuple[Exponents, Scalar]], vi: int, nvars: int, slots: dict):
+    """(head, ((k, plan), ...), tail): ``items`` grouped by variable vi's exponent.
+
+    head is the top group's plan, each step lowers the exponent by d to the next
+    group's, and tail (None for exponent 0) is the lowest; past the last variable,
+    the coefficient.  A step or tail multiplies by pw[k], the power d of variable
+    vi: k is vi for d = 1, else slots[(vi, d)], numbered from nvars on.
     """
     if vi == nvars:
         return items[0][1]
     es = sorted({exps[vi] for exps, _ in items}, reverse=True)
-    subs = [_horner_plan([t for t in items if t[0][vi] == e], vi + 1, nvars, needed) for e in es]
-    needed.update((vi, a - b) for a, b in zip(es, es[1:] + [0]) if a - b > 1)
-    return subs[0], tuple(zip([a - b for a, b in zip(es, es[1:])], subs[1:])), es[-1]
+    subs = [_horner_plan([t for t in items if t[0][vi] == e], vi + 1, nvars, slots) for e in es]
+    k = lambda d: vi if d == 1 else slots.setdefault((vi, d), nvars + len(slots))
+    return subs[0], tuple((k(a - b), s) for a, b, s in zip(es, es[1:], subs[1:])), \
+        k(es[-1]) if es[-1] else None
 
 
-def _horner(plan, rows: list, vi: int, names: tuple[str, ...]):
-    """A plan's value from variable ``vi`` on; rows[vi][d] is that value ** d (None: no value)."""
+def _horner(plan, pw: list, vi: int, names: tuple[str, ...]):
+    """A plan's value from variable ``vi`` on; pw[vi] is its value (None: no value)."""
     head, steps, tail = plan
-    pw = rows[vi]
-    last = vi + 1 == len(rows)
-    if pw is None:
-        if steps or tail:
+    last = vi + 1 == len(names)
+    if pw[vi] is None:
+        if steps or tail is not None:
             raise MissingAssignment(f"no value for variable {names[vi]}")
-        return head if last else _horner(head, rows, vi + 1, names)
+        return head if last else _horner(head, pw, vi + 1, names)
     if last:  # the groups are coefficients
         acc = head
-        for d, c in steps:
-            acc = acc * pw[d] + c
+        for k, c in steps:
+            acc = acc * pw[k] + c
     else:
-        acc = _horner(head, rows, vi + 1, names)
-        for d, sub in steps:
-            acc = acc * pw[d] + _horner(sub, rows, vi + 1, names)
-    return acc * pw[tail] if tail else acc
+        acc = _horner(head, pw, vi + 1, names)
+        for k, sub in steps:
+            acc = acc * pw[k] + _horner(sub, pw, vi + 1, names)
+    return acc if tail is None else acc * pw[tail]
 
 
 def _product_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

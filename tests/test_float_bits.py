@@ -219,12 +219,16 @@ POLYS = small_polys() | st.integers(-4, 4).map(lambda c: Poly(("x1", "x2", "rho"
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(POLYS, min_size=1, max_size=4),
-       st.fixed_dictionaries({v: VALUES for v in ("x1", "x2", "rho")}))
-def test_shared_scalar_powers_match_reference(polys, point):
-    point = {v: c for v, c in point.items() if c is not None}
+       st.lists(st.fixed_dictionaries({v: VALUES for v in ("x1", "x2", "rho")}),
+                min_size=1, max_size=2))
+def test_shared_scalar_powers_match_reference(polys, points):
+    # One table for every call, also at a second point: no power is reused stale.
     shared = {}
-    for p in polys:
-        assert _outcome(lambda: p.eval(point, shared)) == _outcome(lambda: reference_eval(p, point))
+    for point in points:
+        point = {v: c for v, c in point.items() if c is not None}
+        for p in polys:
+            want = _outcome(lambda: reference_eval(p, point))
+            assert _outcome(lambda: p.eval(point, shared)) == want
 
 
 def reference_eval_grid(p, arrays):
@@ -269,17 +273,20 @@ GRID_SHAPES = [((), (), ()), ((5,), (5,), (5,)), ((3, 1), (1, 4), ()),
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(POLYS, min_size=1, max_size=4), st.sampled_from(GRID_SHAPES), st.data())
-def test_shared_grid_powers_match_reference(polys, shapes, data):
-    arrays = {}
-    for v, shape in zip(("x1", "x2", "rho"), shapes):
-        if shape is not None:
-            n = math.prod(shape)
-            values = data.draw(st.lists(GRID_VALUES, min_size=n, max_size=n), label=v)
-            arrays[v] = np.array(values, dtype=float).reshape(shape)
+@given(st.lists(POLYS, min_size=1, max_size=4), st.lists(st.sampled_from(GRID_SHAPES),
+                                                         min_size=1, max_size=2), st.data())
+def test_shared_grid_powers_match_reference(polys, grids, data):
+    # One table for every call, also over a second set of arrays: no power is reused stale.
     shared = {}
-    for p in polys:
-        want = _grid_outcome(lambda: reference_eval_grid(p, arrays))
-        assert _grid_outcome(lambda: p.eval_grid(arrays, shared)) == want
-        # A single-polynomial call gives the same bits.
-        assert _grid_outcome(lambda: p.eval_grid(arrays)) == want
+    for shapes in grids:
+        arrays = {}
+        for v, shape in zip(("x1", "x2", "rho"), shapes):
+            if shape is not None:
+                n = math.prod(shape)
+                values = data.draw(st.lists(GRID_VALUES, min_size=n, max_size=n), label=v)
+                arrays[v] = np.array(values, dtype=float).reshape(shape)
+        for p in polys:
+            want = _grid_outcome(lambda: reference_eval_grid(p, arrays))
+            assert _grid_outcome(lambda: p.eval_grid(arrays, shared)) == want
+            # A single-polynomial call gives the same bits.
+            assert _grid_outcome(lambda: p.eval_grid(arrays)) == want
