@@ -210,14 +210,14 @@ def chi_closed_value(spec: GenSpec, xs: Sequence, rho):
     """Evaluate the closed form at a point without expanding the numerator.
 
     The denominator's rho-coefficients and the Chebyshev products are
-    evaluated first (over one table of powers) and convolved numerically, the
-    same l / w value the symbolic path produces.  Exact inputs give an exact value.
+    evaluated first and convolved numerically, which is the same l / w value
+    the symbolic path produces.  Exact inputs give an exact value.
     """
     _check_scale(spec)
     _domain_check(spec, xs, rho)
     K = spec.slots
-    point, powers = {f"x{i + 1}": xs[i] for i in range(K)}, {}
-    wc = [c.eval(point, powers) for c in w_rho_coeff_polys(K)]
+    point = {f"x{i + 1}": xs[i] for i in range(K)}
+    wc = [c.eval(point) for c in w_rho_coeff_polys(K)]
     return _ratio(_coeffs(wc, _product_values(spec, 2 ** K, xs), 2 ** K), wc, rho)
 
 

@@ -469,15 +469,15 @@ class Poly:
 
     # -------------------------------------------------------------- evaluation
 
-    def eval(self, assignment: Mapping[str, object], powers: dict | None = None):
+    def eval(self, assignment: Mapping[str, object]):
         """Evaluate at a point (Horner accumulation, one variable at a time).
 
         The Horner plan is built on the first call and kept on the instance; each
         call walks it with the same multiplies and adds in the same order, so a
-        float result is the same to the bit.  Each power v ** d (d > 1) it needs is made
-        once, before the walk; calls at one point may share them in ``powers`` (``_power``).
-        Exact inputs give an exact value, float inputs a float; a used variable without
-        a value raises MissingAssignment.
+        float result is the same to the bit.  Each power v ** d (d > 1) the plan
+        needs is made once per call, before the walk.  Exact inputs give an exact
+        value; any float input gives a float.  Raises MissingAssignment if a variable
+        with a nonzero exponent has no value.
         """
         if not self._packed:
             return 0
@@ -489,16 +489,16 @@ class Poly:
             return plan
         pw = [assignment.get(v) for v in self.vars]  # pw[vi] is None: no value
         if extra:
-            pw += [None if (x := pw[vi]) is None else x ** d if powers is None
-                   else _power(powers, self.vars[vi], x, d) for vi, d in extra]
+            pw += [None if (x := pw[vi]) is None else x ** d for vi, d in extra]
         return _horner(plan, pw, 0, self.vars)
 
     def eval_grid(self, arrays: Mapping[str, object], powers: dict | None = None):
         """Vectorized float evaluation over numpy arrays (one per used variable).
 
-        Each power is ``np.asarray(arrays[v], dtype=float) ** e``; a batch of calls over
-        the same arrays may share them in ``powers`` (``_power``), with every expression
-        and its order unchanged.
+        Each power is ``np.asarray(arrays[v], dtype=float) ** e`` in powers[v][e]; a batch
+        of calls over the same arrays may share ``powers``, with every expression and its
+        order unchanged.  A row made for other arrays (powers[v][1] is not the array) is
+        replaced, so a table passed on to new arrays is never read stale.
         """
         import numpy as np
 
@@ -511,8 +511,11 @@ class Poly:
                 raise MissingAssignment(f"no array for variable {v}")
             arr = np.asarray(arrays[v], dtype=float)
             shape = np.broadcast_shapes(shape, arr.shape)
-            for e in {1} | {exps[idx] for exps in self.terms if exps[idx] > 1}:
-                _power(powers, v, arr, e)
+            pw = powers.get(v)
+            if pw is None or pw[1] is not arr:
+                pw = powers[v] = {1: arr}
+            for e in {exps[idx] for exps in self.terms if exps[idx] > 1} - pw.keys():
+                pw[e] = arr ** e
         total = np.zeros(shape)
         for exps, c in self.terms.items():
             term = float(c)
@@ -554,14 +557,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
-
-
-def _power(powers: dict, v: str, x, e: int):
-    """x ** e, kept in powers[v] = {1: x, e: x ** e, ...}; a row made for another x is replaced."""
-    row = powers.get(v)
-    if row is None or row[1] is not x:  # by identity: a new point or new arrays
-        row = powers[v] = {1: x}
-    return row[e] if e in row else row.setdefault(e, x ** e)
 
 
 def _horner_plan(items: list[tuple[Exponents, Scalar]], vi: int, nvars: int, slots: dict):

@@ -702,8 +702,8 @@ def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
             v *= row[j]
         a.append(v)
     # Denominator, exact, truncated above rho^rho_order as it is built.
-    point, powers = {f"x{i + 1}": p for i, p in enumerate(pts)}, {}
-    base = [c.eval(point, powers) for c in w_rho_coeff_polys(arity)]
+    point = {f"x{i + 1}": p for i, p in enumerate(pts)}
+    base = [c.eval(point) for c in w_rho_coeff_polys(arity)]
     den = Poly.const(1, ("rho",))
     for i in range(factors):
         qi = ctx.q ** i

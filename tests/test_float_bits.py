@@ -217,20 +217,6 @@ def test_planned_eval_matches_reference(p, point):
 POLYS = small_polys() | st.integers(-4, 4).map(lambda c: Poly(("x1", "x2", "rho"), {(0, 0, 0): c}))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(POLYS, min_size=1, max_size=4),
-       st.lists(st.fixed_dictionaries({v: VALUES for v in ("x1", "x2", "rho")}),
-                min_size=1, max_size=2))
-def test_shared_scalar_powers_match_reference(polys, points):
-    # One table for every call, also at a second point: no power is reused stale.
-    shared = {}
-    for point in points:
-        point = {v: c for v, c in point.items() if c is not None}
-        for p in polys:
-            want = _outcome(lambda: reference_eval(p, point))
-            assert _outcome(lambda: p.eval(point, shared)) == want
-
-
 def reference_eval_grid(p, arrays):
     """Each polynomial with its own powers, summed term by term in insertion order."""
     shape = ()
