@@ -125,7 +125,37 @@ def _kibble(d):
                 d.float(kibble.kibble_closed_eval(kind, alphas, K))
 
 
-# Recorded before the planned Horner walk and the in-place accumulation.
+def _kibble_oracle(d):
+    # At cutoff 12 every cap is 12, so vertex 1 comes first and its edge to n has cap 0.
+    rng = random.Random("float-bits:kibble-oracle")
+    for n in (2, 3, 4, 5):
+        band = 0.2 if n == 5 else 0.5  # keeps n = 5 at cutoff 40 within the oracle's budget
+        for cutoff in (12, 25, 40):
+            pairs = {(a, b): _sym(rng, 0.05, band)
+                     for a in range(1, n + 1) for b in range(a + 1, n + 1)}
+            if cutoff == 12 and n > 2:
+                pairs[(1, n)] = 0.0
+            K = kibble.CorrMatrix.from_dict(n, pairs)
+            xs = [rng.uniform(-1, 1) for _ in range(n)]
+            for kind in ("T", "U"):
+                d.float(kibble.kibble_series_oracle(kind, xs, K, cutoff))
+    K = kibble.CorrMatrix.from_dict(3, {(1, 2): 0.6, (1, 3): 0.8, (2, 3): 0.9})
+    for kind in ("T", "U"):
+        d.float(kibble.kibble_series_oracle(kind, [-0.9, -0.95, 0.94], K, 300))
+
+
+def _chi_angle(d):
+    for k, n in SPLITS:
+        rng = random.Random(f"float-bits:chi-angle:{k}:{n}")
+        for _ in range(SCALARS):
+            spec = genfun.GenSpec(k, n, tuple(rng.randint(-4, 4) for _ in range(k + n)))
+            alphas = [rng.uniform(0.15, math.pi - 0.15) for _ in range(k + n)]
+            d.float(genfun.chi_angle_eval(spec, alphas, rng.uniform(-0.9, 0.9)))
+
+
+# Recorded before the planned Horner walk and the in-place accumulation; the
+# kibble-oracle and chi-angle digests before the half sign-vector walks and
+# the oracle's first-vertex outer product.
 PINNED = {
     "closed-grid-interior": (_grid_interior,
         "6660e18ad5e98bc793ce225ca1208946c5438c7ee2be39b4ba342b90d6145913"),
@@ -141,6 +171,10 @@ PINNED = {
         "6c345baa1a754f0d653ec515c3b4be32711581c728e4aa3e122199875d9d8489"),
     "kibble-closed": (_kibble,
         "599c46133a3555f33a3d50d85219d79409724768c0ebfe09a4a31c920c28a489"),
+    "kibble-oracle": (_kibble_oracle,
+        "6b7b253670ba4d47b3b59192db62872c271a1919fc37d3fb4a30dd8bcb9e6475"),
+    "chi-angle": (_chi_angle,
+        "e5d7bcb4bd67c466b6db09c1b1a2e1fa5261c452612be8ca9721157e58a0b0c5"),
 }
 
 
