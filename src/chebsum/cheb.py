@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 from .errors import ArityError, DomainError, ScaleError
 from .poly import MAX_DEGREE, Poly
 
-MAX_MULTI_DIRECTIONS = 24
+MAX_MULTI_DIRECTIONS = 10  # C(5, 2) pairs: the shared step list holds at most 1023 entries
 
 
 class ChebIndex(NamedTuple):
@@ -121,51 +121,58 @@ def geom_trig_sum(kind: str, rho: float, alpha: float, beta: float) -> float:
     return (f(beta) - rho * f(beta - alpha)) / den
 
 
-def multi_trig_sum(kind: str, rhos: Sequence[float], alphas: Sequence[float],
-                   beta: float) -> float:
-    """Closed form of the multi-geometric sum
+def multi_trig_sum(kind: str, rhos: Sequence[float],
+                   sets: Sequence[tuple[Sequence[float], float]]) -> list[float]:
+    """Closed forms of the multi-geometric sums
 
         sum_{k_1..k_n >= 0} (prod rho_i^{k_i}) trig(beta + sum k_i alpha_i)
 
-    as a signed subset sum over the direction set divided by the product of
-    the individual geometric denominators.  Subsets are walked in Gray-code
-    order so each step updates the running product and angle by one factor.
+    for one list of ratios and each ``(alphas, beta)`` in ``sets``, in order.
+    Each is a signed subset sum over the direction set divided by the product
+    of the individual geometric denominators.  Subsets are walked in Gray-code
+    order so each step updates the running product and angle by one factor;
+    the running products depend on the ratios only, so they are made once and
+    every set walks the same steps.
     """
     if kind not in ("sin", "cos"):
         raise ValueError(f"kind must be sin or cos, got {kind!r}")
-    if len(rhos) != len(alphas):
-        raise ArityError(f"{len(rhos)} ratios vs {len(alphas)} angles")
     if len(rhos) > MAX_MULTI_DIRECTIONS:
         raise DomainError(f"at most {MAX_MULTI_DIRECTIONS} directions supported")
+    for alphas, _ in sets:
+        if len(rhos) != len(alphas):
+            raise ArityError(f"{len(rhos)} ratios vs {len(alphas)} angles")
     for r in rhos:
         if not abs(r) < 1:
             raise DomainError(f"|rho_i| must be < 1, got {r}")
     f = math.sin if kind == "sin" else math.cos
-    den = 1.0
-    for r, a in zip(rhos, alphas):
-        den *= 1 + r * r - 2 * r * math.cos(a)
     # Directions with rho = 0 only contribute through the empty subset.
-    live = [(r, a) for r, a in zip(rhos, alphas) if r != 0]
-    m = len(live)
-    total = f(beta)  # empty subset
+    live = [i for i, r in enumerate(rhos) if r != 0]
+    # Per Gray step: the running product signed by the subset's sign (-1)^i
+    # (adding -p * v is subtracting p * v, to the bit), the live direction,
+    # and whether it joins the subset.
+    steps = []
     prod = 1.0
-    angle = 0.0
     gray = 0
-    for i in range(1, 2 ** m):
+    for i in range(1, 2 ** len(live)):
         step = i & -i  # the Gray-code bit that step i flips
-        r, a = live[step.bit_length() - 1]
+        k = step.bit_length() - 1
         gray ^= step
-        if gray & step:
-            prod *= r
-            angle += a
-        else:
-            prod /= r
-            angle -= a
-        if i & 1:  # the subset's sign is (-1)^i
-            total -= prod * f(beta - angle)
-        else:
-            total += prod * f(beta - angle)
-    return total / den
+        add = bool(gray & step)
+        prod = prod * rhos[live[k]] if add else prod / rhos[live[k]]
+        steps.append((-prod if i & 1 else prod, k, add))
+    out = []
+    for alphas, beta in sets:
+        den = 1.0
+        for r, a in zip(rhos, alphas):
+            den *= 1 + r * r - 2 * r * math.cos(a)
+        angles = [alphas[i] for i in live]
+        total = f(beta)  # empty subset
+        angle = 0.0
+        for signed, k, add in steps:
+            angle = angle + angles[k] if add else angle - angles[k]
+            total += signed * f(beta - angle)
+        out.append(total / den)
+    return out
 
 
 def cheb_values_row(kind: str, x: float, count: int) -> "object":

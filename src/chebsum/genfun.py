@@ -383,7 +383,10 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
     with A = sum i_s alpha_s and B' shifting U slots by t_s + 1 and T slots by
     t_s; trig is sin for an odd number of U slots and cos otherwise, and the
     total is scaled by the product-to-sum prefactor and divided by the sines
-    of the U-slot angles.
+    of the U-slot angles.  The vectors i and -i give equal contributions (A
+    and B' negate and the U-slot parity moves to n minus itself), so only the
+    half with the last sign -1 is evaluated and each value is added twice, in
+    the order of all 2^K vectors.
     """
     _check_scale(spec)
     K = spec.slots
@@ -401,8 +404,8 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
         sin_prod *= sa
     trig = "sin" if n % 2 else "cos"
     global_sign = (-1) ** ((n + 1) // 2) if n % 2 else (-1) ** (n // 2)
-    total = 0.0
-    for bits in range(2 ** K):
+    terms = []
+    for bits in range(2 ** (K - 1)):
         signs = [1 if (bits >> s) & 1 else -1 for s in range(K)]
         A = sum(i * a for i, a in zip(signs, alphas))
         Bp = 0.0
@@ -412,7 +415,10 @@ def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
             Bp += signs[s] * shift * alphas[s]
             if s >= spec.k:
                 parity += (signs[s] + 1) // 2
-        total += (-1) ** parity * geom_trig_sum(trig, rho, A, Bp)
+        terms.append((-1) ** parity * geom_trig_sum(trig, rho, A, Bp))
+    total = 0.0
+    for v in terms + terms[::-1]:  # all 2^K vectors in order: -i mirrors i
+        total += v
     return global_sign * total / (2 ** K * sin_prod)
 
 

@@ -22,15 +22,22 @@ per-level partial products, and a vertex's Chebyshev factor is contracted as
 soon as all its pairs have been absorbed.  This is an exact reorganization
 of the nested loops over the truncated lattice (associativity only, no
 closed-form shortcuts), with per-pair caps chosen so the dropped geometric
-tails are negligible.
+tails are negligible.  The first vertex's row sum is the sum of its pair
+exponents, so its contraction is an outer product of the pair powers (in
+edge order) times the matching row value, with no dense tensor.  Each later
+pair is shift-added over row blocks of about 2^14 elements, the last block
+first and the shifts ascending within a block, so every element still takes
+its terms in ascending shift order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .cheb import cheb_values_row, multi_trig_sum
@@ -41,6 +48,7 @@ from .poly import Poly
 MAX_KIBBLE_N = 5
 BUDGET = 6.0e8
 CAP_EPS = 1e-16
+_BLOCK = 2 ** 14  # elements per row block of the oracle's shifted adds
 
 
 @dataclass(frozen=True)
@@ -77,12 +85,21 @@ class CorrMatrix:
 
 
 def kibble_closed_eval(kind: str, alphas: Sequence[float], K: CorrMatrix) -> float:
-    """Sign-vector plus subset-sum evaluation of f_T / f_U at x_m = cos(a_m)."""
+    """Sign-vector plus subset-sum evaluation of f_T / f_U at x_m = cos(a_m).
+
+    The sign vectors s and -s negate every angle, and with it each
+    contribution's sine parity, so their contributions are equal to the bit
+    (cos is even and sin odd under IEEE negation).  Only the half with the
+    last sign -1 is evaluated, in one batched ``multi_trig_sum`` call; each
+    value is then added twice, in the order of all 2^n vectors.
+    """
     if kind not in ("T", "U"):
         raise ValueError(f"kind must be T or U, got {kind!r}")
     n = K.n
     if len(alphas) != n:
         raise DomainError(f"need {n} angles, got {len(alphas)}")
+    if n > MAX_KIBBLE_N:
+        raise ScaleError(f"n = {n} exceeds the supported maximum {MAX_KIBBLE_N}")
     if n == 1:
         return 1.0
     pairs = K.pairs()
@@ -94,18 +111,19 @@ def kibble_closed_eval(kind: str, alphas: Sequence[float], K: CorrMatrix) -> flo
             if sa == 0.0:
                 raise SingularAngle("f_U needs sin(a_j) != 0 for every angle")
             sin_prod *= sa
-    trig = "sin" if n % 2 else "cos"
-    total = 0.0
-    for bits in range(2 ** n):
+    trig = "sin" if n % 2 and kind == "U" else "cos"
+    sets, flips = [], []
+    for bits in range(2 ** (n - 1)):
         signs = [1 if (bits >> s) & 1 else -1 for s in range(n)]
         betas = [signs[i - 1] * alphas[i - 1] + signs[j - 1] * alphas[j - 1]
                  for (i, j) in pairs]
-        if kind == "T":
-            total += multi_trig_sum("cos", rhos, betas, 0.0)
-        else:
-            big_b = sum(s * a for s, a in zip(signs, alphas))
-            parity = sum((s + 1) // 2 for s in signs)
-            total += (-1) ** parity * multi_trig_sum(trig, rhos, betas, big_b)
+        big_b = sum(s * a for s, a in zip(signs, alphas)) if kind == "U" else 0.0
+        sets.append((betas, big_b))
+        flips.append((-1) ** sum((s + 1) // 2 for s in signs) if kind == "U" else 1)
+    sums = [f * v for f, v in zip(flips, multi_trig_sum(trig, rhos, sets))]
+    total = 0.0
+    for v in sums + sums[::-1]:  # all 2^n vectors in order: -s mirrors s
+        total += v
     if kind == "T":
         return total / 2 ** n
     sign_n = (-1) ** ((n + 1) // 2) if n % 2 else (-1) ** (n // 2)
@@ -200,29 +218,41 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
     if cost > BUDGET:
         raise ScaleError(f"estimated work {cost:.3g} exceeds budget {BUDGET:.3g}")
 
-    rho = {e: float(v) for e, v in K.entries}
-    arr = np.ones((1,) * n)
-    axis_of = {v: i for i, v in enumerate(order)}
-    for stage, v in enumerate(order):
+    # [1.0, r, r*r, ...] by repeated multiplication, up to each pair's cap
+    powers = {e: np.fromiter(accumulate([float(r)] * caps[e], operator.mul, initial=1.0), float)
+              for e, r in K.entries}
+    # The first vertex v meets every other u once, over edges of its own, so
+    # its axis index is s_1 + ... + s_m: each contracted column holds exactly
+    # one term, the pair powers multiplied in edge order times one row value.
+    v = order[0]
+    edges = [(min(v, u), max(v, u)) for u in order[1:]]
+    row = cheb_values_row(kind, float(xs[v - 1]), 1 + sum(caps[e] for e in edges))
+    arr = 0.0 + (reduce(np.multiply.outer, (powers[e] for e in edges))
+                 * row[reduce(np.add.outer, (np.arange(caps[e] + 1) for e in edges))])
+    axis_of = {u: i for i, u in enumerate(order[1:])}
+    for stage, v in enumerate(order[1:], 1):
         # v's axis is 0: the vertices before it in ``order`` are summed out.
         for u in order[stage + 1:]:
             e = (min(v, u), max(v, u))
-            cap = caps[e]
-            if cap == 0:
+            if caps[e] == 0:
                 continue
             # u's axis moves next to v's in a C-contiguous copy, so each
-            # shifted add below runs over sa * sb contiguous blocks.
+            # shifted add below runs over contiguous blocks.
             ax_u = axis_of[u]
             arr = np.ascontiguousarray(np.moveaxis(arr, ax_u, 1))
             sa, sb = arr.shape[:2]
-            out = np.zeros((sa + cap, sb + cap) + arr.shape[2:])
-            tmp = np.empty_like(arr)
-            w = 1.0
-            for s in range(cap + 1):
-                out[s:s + sa, s:s + sb] += np.multiply(arr, w, out=tmp)
-                w *= rho[e]
+            out = np.zeros((sa + caps[e], sb + caps[e]) + arr.shape[2:])
+            # Row blocks from the last down, shifts ascending in each: every
+            # element of ``out`` still takes its terms in ascending s.
+            rows = max(1, _BLOCK // (arr.size // sa))
+            tmp = np.empty((min(rows, sa),) + arr.shape[1:])
+            for lo in reversed(range(0, sa, rows)):
+                block = arr[lo:lo + rows]
+                part = tmp[:len(block)]
+                for s, w in enumerate(powers[e]):
+                    out[lo + s:lo + s + len(block), s:s + sb] += np.multiply(block, w, out=part)
             arr = np.moveaxis(out, 1, ax_u)
-            del out, tmp   # keeps the peak at arr, out and one product
+            del out, tmp, block, part   # keeps the peak at arr, out and one block
         # tensordot sums in an order set by the memory layout: C order, as
         # on a freshly allocated array.
         arr = _in_c_order(arr)

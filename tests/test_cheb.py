@@ -111,14 +111,14 @@ def test_geom_trig_sum():
 
 def test_multi_trig_sum_single_direction():
     for kind in ("sin", "cos"):
-        got = multi_trig_sum(kind, [0.37], [1.2], 0.4)
+        got = multi_trig_sum(kind, [0.37], [([1.2], 0.4)])[0]
         want = geom_trig_sum(kind, 0.37, 1.2, 0.4)
         assert abs(got - want) < 1e-14
 
 
 def test_multi_trig_sum_geometric_product():
     rhos = [0.2, -0.5, 0.7]
-    got = multi_trig_sum("cos", rhos, [0.0, 0.0, 0.0], 0.0)
+    got = multi_trig_sum("cos", rhos, [([0.0, 0.0, 0.0], 0.0)])[0]
     assert abs(got - math.prod(1 / (1 - r) for r in rhos)) < 1e-12
 
 
@@ -128,7 +128,7 @@ def test_multi_trig_sum_double_series():
     beta = 0.2
     brute = sum(r1 ** k1 * r2 ** k2 * math.cos(beta + k1 * a1 + k2 * a2)
                 for k1 in range(81) for k2 in range(81))
-    got = multi_trig_sum("cos", [r1, r2], [a1, a2], beta)
+    got = multi_trig_sum("cos", [r1, r2], [([a1, a2], beta)])[0]
     assert abs(got - brute) < 1e-10
 
 
@@ -139,24 +139,53 @@ def test_multi_trig_sum_permutation_invariance():
     rng = random.Random(3)
     rhos = [rng.uniform(-0.8, 0.8) for _ in range(4)]
     alphas = [rng.uniform(0, 2 * math.pi) for _ in range(4)]
-    base = multi_trig_sum("sin", rhos, alphas, 0.9)
+    base = multi_trig_sum("sin", rhos, [(alphas, 0.9)])[0]
     for perm in itertools.permutations(range(4)):
         got = multi_trig_sum("sin", [rhos[p] for p in perm],
-                             [alphas[p] for p in perm], 0.9)
+                             [([alphas[p] for p in perm], 0.9)])[0]
         assert abs(got - base) < 1e-12
 
 
 def test_multi_trig_sum_zero_ratio_directions():
     # A zero ratio contributes only its empty-subset factor.
-    got = multi_trig_sum("cos", [0.0, 0.5], [0.9, 0.4], 0.1)
-    want = multi_trig_sum("cos", [0.5], [0.4], 0.1)
+    got = multi_trig_sum("cos", [0.0, 0.5], [([0.9, 0.4], 0.1)])[0]
+    want = multi_trig_sum("cos", [0.5], [([0.4], 0.1)])[0]
     assert abs(got - want) < 1e-14
 
 
 def test_multi_trig_sum_errors():
     with pytest.raises(ArityError):
-        multi_trig_sum("cos", [0.1], [0.2, 0.3], 0.0)
+        multi_trig_sum("cos", [0.1], [([0.2, 0.3], 0.0)])
     with pytest.raises(DomainError):
-        multi_trig_sum("cos", [1.1], [0.2], 0.0)
+        multi_trig_sum("cos", [1.1], [([0.2], 0.0)])
     with pytest.raises(DomainError):
-        multi_trig_sum("cos", [math.nan], [0.2], 0.0)
+        multi_trig_sum("cos", [math.nan], [([0.2], 0.0)])
+    # Eleven directions would share a step list of 2047 entries: refused.
+    with pytest.raises(DomainError, match="at most 10 directions"):
+        multi_trig_sum("cos", [0.1] * 11, [([0.2] * 11, 0.0)])
+
+
+def test_multi_trig_sum_sets_match_single_calls():
+    import random
+
+    rng = random.Random(11)
+    for m in range(6):
+        rhos = [rng.choice((0.0, rng.uniform(-0.9, 0.9))) for _ in range(m)]
+        sets = [([rng.uniform(-6, 6) for _ in range(m)], rng.uniform(-6, 6)) for _ in range(5)]
+        for kind in ("sin", "cos"):
+            batched = multi_trig_sum(kind, rhos, sets)
+            single = [multi_trig_sum(kind, rhos, [s])[0] for s in sets]
+            assert [v.hex() for v in batched] == [v.hex() for v in single]
+    assert multi_trig_sum("cos", [0.5], []) == []
+
+
+def test_libm_parity_is_exact():
+    # The half sign-vector walks of the Kibble closed form and the angle form
+    # rest on cos(-x) == cos(x) and sin(-x) == -sin(x) to the bit.
+    import random
+
+    rng = random.Random(2000)
+    for _ in range(2000):
+        x = rng.choice((rng.uniform(-10, 10), rng.uniform(-1e-3, 1e-3), rng.uniform(-1e6, 1e6)))
+        assert math.cos(-x).hex() == math.cos(x).hex()
+        assert math.sin(-x).hex() == (-math.sin(x)).hex()

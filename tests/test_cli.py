@@ -205,6 +205,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         t0 = time.perf_counter()
         assert main(["chi", "build"] + shifts) == 2
         assert time.perf_counter() - t0 < 1.0
+    # Six coordinates would give a closed value that no oracle checks, after
+    # 32 sign vectors of 2^15 Gray steps each: refused before any trig.
+    t0 = time.perf_counter()
+    assert main(["kibble", "eval", "--kind", "U", "--x", "0.1,0.2,0.3,0.4,0.5,0.6",
+                 "--rho", "12=0.1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "n = 6 exceeds the supported maximum 5" in capsys.readouterr().err
     # Inputs that would check nothing, or leave the series domain, are refused.
     chi_verify = ["chi", "verify", "--k", "1", "--n", "0"]
     assert main(chi_verify + ["--trials", "0"]) == 2

@@ -3,14 +3,16 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chebsum import kibble
 from chebsum.errors import DomainError, ScaleError, SingularAngle
 from chebsum.genfun import GenSpec, chi_closed_value
-from chebsum.cheb import cheb_values_row
+from chebsum.cheb import cheb_values_row, multi_trig_sum
 from chebsum.kibble import (CorrMatrix, _edge_caps, f_U3_closed, f_U3_compare,
                             kibble_closed_eval, kibble_denominator,
                             kibble_series_oracle)
@@ -217,6 +219,44 @@ def test_oracle_guards():
         kibble_closed_eval("U", [0.0, 1.0, 2.0], K)
     with pytest.raises(ScaleError):
         kibble_series_oracle("T", [0.0] * 6, CorrMatrix.from_dict(6, {}), 5)
+    with pytest.raises(ScaleError, match="n = 6 exceeds"):
+        kibble_closed_eval("T", [0.5] * 6, CorrMatrix.from_dict(6, {(1, 2): 0.3}))
+
+
+def test_closed_form_batches_half_the_sign_vectors(monkeypatch):
+    calls = []
+
+    def counted(kind, rhos, sets):
+        calls.append(len(sets))
+        return multi_trig_sum(kind, rhos, sets)
+
+    monkeypatch.setattr(kibble, "multi_trig_sum", counted)
+    rng = random.Random(12)
+    for n in (2, 3, 4, 5):
+        K = CorrMatrix.from_dict(n, {(i, j): rng.uniform(-0.5, 0.5) for i in range(1, n + 1)
+                                     for j in range(i + 1, n + 1)})
+        for kind in ("T", "U"):
+            calls.clear()
+            kibble_closed_eval(kind, [rng.uniform(0.2, 2.9) for _ in range(n)], K)
+            assert calls == [2 ** (n - 1)]
+
+
+def test_oracle_peak_memory():
+    # The dense first-vertex tensor and a full-size product buffer took the
+    # peak of this case to 129 MB; the outer product and row blocks keep it
+    # near the last shifted add's input and output.
+    rng = random.Random(15)
+    n = 5
+    K = CorrMatrix.from_dict(n, {(i, j): rng.choice((-0.15, 0.15)) for i in range(1, n + 1)
+                                 for j in range(i + 1, n + 1)})
+    xs = [rng.uniform(-1, 1) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        kibble_series_oracle("U", xs, K, 25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
 
 
 def _oracle_strided(kind, xs, K, cutoff):
