@@ -147,9 +147,8 @@ def multi_trig_sum(kind: str, rhos: Sequence[float],
     f = math.sin if kind == "sin" else math.cos
     # Directions with rho = 0 only contribute through the empty subset.
     live = [i for i, r in enumerate(rhos) if r != 0]
-    # Per Gray step: the running product signed by the subset's sign (-1)^i
-    # (adding -p * v is subtracting p * v, to the bit), the live direction,
-    # and whether it joins the subset.
+    # Per Gray step: the product signed by the subset's sign (-1)^i (adding
+    # -p * v is subtracting p * v), the live direction, and whether it joins.
     steps = []
     prod = 1.0
     gray = 0

@@ -22,12 +22,10 @@ per-level partial products, and a vertex's Chebyshev factor is contracted as
 soon as all its pairs have been absorbed.  This is an exact reorganization
 of the nested loops over the truncated lattice (associativity only, no
 closed-form shortcuts), with per-pair caps chosen so the dropped geometric
-tails are negligible.  The first vertex's row sum is the sum of its pair
-exponents, so its contraction is an outer product of the pair powers (in
-edge order) times the matching row value, with no dense tensor.  Each later
-pair is shift-added over row blocks of about 2^14 elements, the last block
-first and the shifts ascending within a block, so every element still takes
-its terms in ascending shift order.
+tails are negligible.  The first vertex's contraction is an outer product
+of its pair powers times one row value per column (its exponent is the sum
+of theirs); later pairs are shift-added in row blocks that keep each
+element's terms in ascending shift order (``_shift_add``).
 """
 
 from __future__ import annotations
@@ -87,11 +85,10 @@ class CorrMatrix:
 def kibble_closed_eval(kind: str, alphas: Sequence[float], K: CorrMatrix) -> float:
     """Sign-vector plus subset-sum evaluation of f_T / f_U at x_m = cos(a_m).
 
-    The sign vectors s and -s negate every angle, and with it each
-    contribution's sine parity, so their contributions are equal to the bit
-    (cos is even and sin odd under IEEE negation).  Only the half with the
-    last sign -1 is evaluated, in one batched ``multi_trig_sum`` call; each
-    value is then added twice, in the order of all 2^n vectors.
+    The sign vectors s and -s negate every angle and the sine parity, so
+    their contributions are equal to the bit (cos is even and sin odd under
+    IEEE negation).  The half with last sign -1 is evaluated in one batched
+    ``multi_trig_sum`` call and each value added twice, in the old order.
     """
     if kind not in ("T", "U"):
         raise ValueError(f"kind must be T or U, got {kind!r}")
@@ -179,6 +176,25 @@ def _in_c_order(arr):
     return out
 
 
+def _shift_add(arr, ws):
+    """sum_s ws[s] * arr shifted by s along axes 0 and 1, into a new array.
+
+    Row blocks of about _BLOCK elements run from the last down, the shifts
+    ascending in each, so every element takes its terms in ascending s.
+    """
+    import numpy as np
+
+    sa, sb = arr.shape[:2]
+    out = np.zeros((sa + len(ws) - 1, sb + len(ws) - 1) + arr.shape[2:])
+    rows = max(1, _BLOCK // (arr.size // sa))
+    tmp = np.empty((min(rows, sa),) + arr.shape[1:])
+    for lo in reversed(range(0, sa, rows)):
+        block = arr[lo:lo + rows]
+        for s, w in enumerate(ws):
+            out[lo + s:lo + s + len(block), s:s + sb] += np.multiply(block, w, out=tmp[:len(block)])
+    return out
+
+
 def _check_unit(xs: Sequence[float]) -> None:
     """Raise DomainError unless every |x_m| <= 1 (NaN fails too)."""
     for x in xs:
@@ -221,9 +237,8 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
     # [1.0, r, r*r, ...] by repeated multiplication, up to each pair's cap
     powers = {e: np.fromiter(accumulate([float(r)] * caps[e], operator.mul, initial=1.0), float)
               for e, r in K.entries}
-    # The first vertex v meets every other u once, over edges of its own, so
-    # its axis index is s_1 + ... + s_m: each contracted column holds exactly
-    # one term, the pair powers multiplied in edge order times one row value.
+    # The first vertex's index is the sum of its pair exponents, so each
+    # contracted column holds one term: the powers in edge order times a row value.
     v = order[0]
     edges = [(min(v, u), max(v, u)) for u in order[1:]]
     row = cheb_values_row(kind, float(xs[v - 1]), 1 + sum(caps[e] for e in edges))
@@ -237,22 +252,10 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
             if caps[e] == 0:
                 continue
             # u's axis moves next to v's in a C-contiguous copy, so each
-            # shifted add below runs over contiguous blocks.
+            # shifted add runs over contiguous blocks.
             ax_u = axis_of[u]
             arr = np.ascontiguousarray(np.moveaxis(arr, ax_u, 1))
-            sa, sb = arr.shape[:2]
-            out = np.zeros((sa + caps[e], sb + caps[e]) + arr.shape[2:])
-            # Row blocks from the last down, shifts ascending in each: every
-            # element of ``out`` still takes its terms in ascending s.
-            rows = max(1, _BLOCK // (arr.size // sa))
-            tmp = np.empty((min(rows, sa),) + arr.shape[1:])
-            for lo in reversed(range(0, sa, rows)):
-                block = arr[lo:lo + rows]
-                part = tmp[:len(block)]
-                for s, w in enumerate(powers[e]):
-                    out[lo + s:lo + s + len(block), s:s + sb] += np.multiply(block, w, out=part)
-            arr = np.moveaxis(out, 1, ax_u)
-            del out, tmp, block, part   # keeps the peak at arr, out and one block
+            arr = np.moveaxis(_shift_add(arr, powers[e]), 1, ax_u)
         # tensordot sums in an order set by the memory layout: C order, as
         # on a freshly allocated array.
         arr = _in_c_order(arr)

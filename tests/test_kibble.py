@@ -310,3 +310,19 @@ def test_oracle_layout_is_bit_identical():
         for kind in ("T", "U"):
             assert kibble_series_oracle(kind, xs, K, 12) == _oracle_strided(kind, xs, K, 12)
 
+
+@pytest.mark.parametrize("block", [1, 7, 40, 2 ** 14])
+def test_shift_add_blocks_keep_ascending_shifts(monkeypatch, block):
+    # Whole-array shifted adds, s ascending, against the row blocks; with
+    # mixed magnitudes any other order of an element's terms moves bits.
+    monkeypatch.setattr(kibble, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for shape in ((9, 4, 3), (5, 6), (12, 1, 2, 2), (1, 3)):
+        arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        ws = rng.uniform(-1, 1, 6)
+        sa, sb = shape[:2]
+        want = np.zeros((sa + 5, sb + 5) + shape[2:])
+        for s, w in enumerate(ws):
+            want[s:s + sa, s:s + sb] += arr * w
+        got = kibble._shift_add(arr, ws)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
