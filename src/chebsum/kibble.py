@@ -88,7 +88,7 @@ def kibble_closed_eval(kind: str, alphas: Sequence[float], K: CorrMatrix) -> flo
     The sign vectors s and -s negate every angle and the sine parity, so
     their contributions are equal to the bit (cos is even and sin odd under
     IEEE negation).  The half with last sign -1 is evaluated in one batched
-    ``multi_trig_sum`` call and each value added twice, in the old order.
+    ``multi_trig_sum`` call and each value added twice, in 2^n-vector order.
     """
     if kind not in ("T", "U"):
         raise ValueError(f"kind must be T or U, got {kind!r}")

@@ -242,9 +242,9 @@ def test_closed_form_batches_half_the_sign_vectors(monkeypatch):
 
 
 def test_oracle_peak_memory():
-    # The dense first-vertex tensor and a full-size product buffer took the
-    # peak of this case to 129 MB; the outer product and row blocks keep it
-    # near the last shifted add's input and output.
+    # A dense first-vertex tensor or a full-size product buffer takes this
+    # case above 120 MB; the outer product and row blocks keep the peak near
+    # the last shifted add's input and output (about 62 MB).
     rng = random.Random(15)
     n = 5
     K = CorrMatrix.from_dict(n, {(i, j): rng.choice((-0.15, 0.15)) for i in range(1, n + 1)
