@@ -14,7 +14,8 @@ which is exactly what the recurrence run backwards produces.
 The geometric sums evaluate sum_{n>=0} rho^n cos(n*alpha + beta) (and the
 sin analog) in closed form, for the angle path of ``genfun``, and their
 multi-index generalization over subset expansions of any number of geometric
-directions, for the lattice sums of ``kibble``.
+directions, for the lattice sums of ``kibble``.  ``sign_vector_sum`` is the
+product-to-sum expansion over sign vectors that both angle forms share.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .errors import ArityError, DomainError, ScaleError
+from .errors import ArityError, DomainError, ScaleError, SingularAngle, require_below
 from .poly import MAX_DEGREE, Poly
 
 MAX_MULTI_DIRECTIONS = 10  # C(5, 2) pairs: the shared step list holds at most 1023 entries
@@ -114,8 +115,7 @@ def geom_trig_sum(kind: str, rho: float, alpha: float, beta: float) -> float:
     """Closed form of sum_{n>=0} rho^n trig(n*alpha + beta) for |rho| < 1."""
     if kind not in ("sin", "cos"):
         raise ValueError(f"kind must be sin or cos, got {kind!r}")
-    if not abs(rho) < 1:
-        raise DomainError(f"|rho| must be < 1, got {rho}")
+    require_below("rho", rho, strict=True)
     f = math.sin if kind == "sin" else math.cos
     den = 1 - 2 * rho * math.cos(alpha) + rho * rho
     return (f(beta) - rho * f(beta - alpha)) / den
@@ -141,9 +141,7 @@ def multi_trig_sum(kind: str, rhos: Sequence[float],
     for alphas, _ in sets:
         if len(rhos) != len(alphas):
             raise ArityError(f"{len(rhos)} ratios vs {len(alphas)} angles")
-    for r in rhos:
-        if not abs(r) < 1:
-            raise DomainError(f"|rho_i| must be < 1, got {r}")
+    require_below("rho_i", rhos, strict=True)
     f = math.sin if kind == "sin" else math.cos
     # Directions with rho = 0 only contribute through the empty subset.
     live = [i for i, r in enumerate(rhos) if r != 0]
@@ -172,6 +170,51 @@ def multi_trig_sum(kind: str, rhos: Sequence[float],
             total += signed * f(beta - angle)
         out.append(total / den)
     return out
+
+
+def left_sum(terms) -> float:
+    """The terms added left to right from 0.0.
+
+    The built-in ``sum`` adds floats with compensation from Python 3.12 on,
+    so float sums use this to keep their bits on every version.
+    """
+    total = 0.0
+    for v in terms:
+        total += v
+    return total
+
+
+def sign_vector_sum(alphas: Sequence[float], u_slots: Sequence[int], values_of) -> float:
+    """Product-to-sum expansion of K angle factors over the sign vectors i in {+1, -1}^K.
+
+    The slots in ``u_slots`` (the U slots) carry a sine divided by
+    sin(alpha_s), the others a cosine.  Each sign vector contributes
+    (-1)^(number of U slots with i_s = +1) times a value that ``values_of``
+    computes: it takes the list of (signed angles i_s * alpha_s, their sum A)
+    for the half of the vectors with last sign -1 and returns one float each,
+    in one batch.  The vectors i and -i give equal contributions (the angles
+    negate and the U-slot parity moves to n minus itself), so each value is
+    added twice, in the order of all 2^K vectors.  The total carries the sign
+    (-1)^((n+1)//2) for n U slots and is divided by 2^K and by the sines of
+    the U-slot angles.  Every sum is a ``left_sum``.  A non-finite angle
+    raises DomainError, a U-slot angle with zero sine SingularAngle.
+    """
+    if not all(map(math.isfinite, alphas)):
+        raise DomainError(f"angles must be finite, got {list(alphas)}")
+    sines = [math.sin(alphas[s]) for s in u_slots]
+    if 0.0 in sines:
+        s = u_slots[sines.index(0.0)]
+        raise SingularAngle(f"sin(alpha_{s + 1}) = 0: the angle form divides by it")
+    K = len(alphas)
+    u_mask = sum(1 << s for s in u_slots)
+    vectors, flips = [], []
+    for bits in range(2 ** (K - 1)):
+        signed = [a if (bits >> s) & 1 else -a for s, a in enumerate(alphas)]
+        vectors.append((signed, left_sum(signed)))
+        flips.append((-1) ** (bits & u_mask).bit_count())
+    halves = [f * v for f, v in zip(flips, values_of(vectors))]
+    total = left_sum(halves + halves[::-1])  # all 2^K vectors in order: -i mirrors i
+    return (-1) ** ((len(u_slots) + 1) // 2) * total / (2 ** K * math.prod(sines))
 
 
 def cheb_values_row(kind: str, x: float, count: int) -> "object":

@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from . import campaign as camp
 from .denom import build_w
-from .errors import ChebsumError
+from .errors import ChebsumError, require_below
 from .genfun import GenSpec, chi_closed, chi_closed_value, chi_series_oracle_grid
-from .kibble import (CorrMatrix, _check_unit, kibble_closed_eval, kibble_denominator,
+from .kibble import (CorrMatrix, kibble_closed_eval, kibble_denominator,
                      kibble_series_oracle)
 from .qseries import conjecture_probe
 
@@ -206,7 +206,7 @@ def _cmd_kibble(args) -> int:
     if args.action == "eval":
         xs = _parse_float_list(args.x)
         K = CorrMatrix.from_dict(len(xs), _parse_rho_pairs(args.rho))
-        _check_unit(xs)  # before acos
+        require_below("x_m", xs, strict=False)  # before acos
         alphas = [math.acos(v) for v in xs]
         closed = kibble_closed_eval(args.kind, alphas, K)
         payload = {"kind": args.kind, "x": xs, "closed": closed}

@@ -43,3 +43,20 @@ class DegeneratePivot(ChebsumError):
 
 class MarkerError(ChebsumError):
     """A sine marker sk would stand without its partner variable xk."""
+
+
+def require_below(name: str, values, strict: bool) -> None:
+    """Raise DomainError unless |v| < 1 (``strict``) or |v| <= 1 for every value.
+
+    The package's one convergence-region gate.  ``values`` is a number, a
+    numpy array, or a list or tuple of either; an array is checked with one
+    reduction, and an empty one passes.  NaN fails.
+    """
+    for v in values if isinstance(values, (list, tuple)) else (values,):
+        if hasattr(v, "ndim"):
+            if not v.size:
+                continue
+            v = abs(v).max()  # NaN propagates through max
+        if not (abs(v) < 1 if strict else abs(v) <= 1):
+            bound = "must be < 1" if strict else "must be <= 1"
+            raise DomainError(f"|{name}| {bound}, got {v}")

@@ -30,14 +30,16 @@ truncated-series oracle, and a sign-vector expansion over angles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cheb import ChebIndex, _mapped, cheb_poly, cheb_seq, cheb_seq_grid, geom_trig_sum
+from .cheb import (ChebIndex, _mapped, cheb_poly, cheb_seq, cheb_seq_grid, geom_trig_sum,
+                   left_sum, sign_vector_sum)
 from .denom import build_w, w_rho_coeff_polys
-from .errors import DomainError, ScaleError, SingularAngle
+from .errors import DomainError, ScaleError, require_below
 from .poly import Poly, Scalar
 
 MAX_SLOTS = 4
@@ -183,27 +185,12 @@ def _basis_convolution(spec: GenSpec, coeffs: Sequence[Poly], order: int) -> Pol
 # ----------------------------------------------------------- numeric closed form
 
 
-def _domain_check(spec: GenSpec, xs: Sequence[float], rho: float) -> None:
+def _check_point(spec: GenSpec, xs, rho) -> None:
+    """The arity and the convergence region: |x_i| <= 1 and |rho| < 1, numbers or arrays."""
     if len(xs) != spec.slots:
         raise DomainError(f"need {spec.slots} coordinates, got {len(xs)}")
-    if not abs(rho) < 1:
-        raise DomainError(f"|rho| must be < 1, got {rho}")
-    for x in xs:
-        if not abs(x) <= 1:
-            raise DomainError(f"|x_i| must be <= 1, got {x}")
-
-
-def _grid_domain_check(spec: GenSpec, xs_arrays, rho) -> None:
-    """``_domain_check`` over numpy arrays, one whole-array reduction each."""
-    import numpy as np
-
-    if len(xs_arrays) != spec.slots:
-        raise DomainError(f"need {spec.slots} coordinate arrays, got {len(xs_arrays)}")
-    if rho.size and not np.abs(rho).max() < 1:
-        raise DomainError(f"|rho| must be < 1, got max |rho| = {np.abs(rho).max()}")
-    for a in xs_arrays:
-        if a.size and not np.abs(a).max() <= 1:
-            raise DomainError(f"|x_i| must be <= 1, got max |x_i| = {np.abs(a).max()}")
+    require_below("rho", rho, strict=True)
+    require_below("x_i", list(xs), strict=False)
 
 
 def chi_closed_value(spec: GenSpec, xs: Sequence, rho):
@@ -214,7 +201,7 @@ def chi_closed_value(spec: GenSpec, xs: Sequence, rho):
     the symbolic path produces.  Exact inputs give an exact value.
     """
     _check_scale(spec)
-    _domain_check(spec, xs, rho)
+    _check_point(spec, xs, rho)
     K = spec.slots
     point = {f"x{i + 1}": xs[i] for i in range(K)}
     wc = [c.eval(point) for c in w_rho_coeff_polys(K)]
@@ -303,7 +290,7 @@ def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
     K = spec.slots
     xs = [np.asarray(a, dtype=float) for a in xs_arrays]
     rho = np.asarray(rho_array, dtype=float)
-    _grid_domain_check(spec, xs, rho)
+    _check_point(spec, xs, rho)
     grid = np.broadcast_shapes(*(a.shape for a in xs))
     out = np.empty(np.broadcast_shapes(rho.shape, grid))
     lead = (slice(None),) * (out.ndim - len(grid))
@@ -329,9 +316,10 @@ def chi_series_tail_bound(spec: GenSpec, rho: float, J: int) -> float:
     For |x_i| <= 1, |P_j| <= prod_s (j + |t_s| + 1), so the error is at most
     sum_{j>J} |rho|^j prod_s (j + |t_s| + 1).
     """
+    require_below("rho", rho, strict=True)
+    if J < 0:
+        raise DomainError(f"series order J must be >= 0, got {J}")
     r = abs(rho)
-    if not r < 1:
-        raise DomainError("tail bound needs |rho| < 1")
     shifts = [abs(t) for t in spec.t]
     total = 0.0
     term_at = lambda j: r ** j * math.prod(j + ts + 1 for ts in shifts)
@@ -358,9 +346,12 @@ def chi_series_oracle_grid(spec: GenSpec, xs_arrays, rho_array, J: int):
     """
     import numpy as np
 
+    if J < 0:
+        raise DomainError(f"series order J must be >= 0, got {J}")
     rho = np.asarray(rho_array, dtype=float)
-    _grid_domain_check(spec, [np.asarray(a, dtype=float) for a in xs_arrays], rho)
-    prods = _grid_products(spec, J + 1, xs_arrays)
+    xs = [np.asarray(a, dtype=float) for a in xs_arrays]
+    _check_point(spec, xs, rho)
+    prods = _grid_products(spec, J + 1, xs)
     total = np.zeros(rho.shape)
     rp = np.ones(rho.shape)
     for j in range(J + 1):
@@ -375,51 +366,25 @@ def chi_series_oracle_grid(spec: GenSpec, xs_arrays, rho_array, J: int):
 def chi_angle_eval(spec: GenSpec, alphas: Sequence[float], rho: float) -> float:
     """Sign-vector closed form evaluated directly from angles.
 
-    Agrees with the closed form at x_i = cos(alpha_i).  For every sign vector
-    i over the slots the contribution is
+    Agrees with the closed form at x_i = cos(alpha_i).  ``sign_vector_sum``
+    expands the product over the slots; every sign vector i contributes
 
-        (-1)^(sum over U slots of (i_s+1)/2) * geom_trig_sum(trig, rho, A, B')
+        geom_trig_sum(trig, rho, A, B')
 
     with A = sum i_s alpha_s and B' shifting U slots by t_s + 1 and T slots by
-    t_s; trig is sin for an odd number of U slots and cos otherwise, and the
-    total is scaled by the product-to-sum prefactor and divided by the sines
-    of the U-slot angles.  The vectors i and -i give equal contributions (A
-    and B' negate and the U-slot parity moves to n minus itself), so only the
-    half with the last sign -1 is evaluated and each value is added twice, in
-    the order of all 2^K vectors.
+    t_s; trig is sin for an odd number of U slots and cos otherwise.
     """
     _check_scale(spec)
-    K = spec.slots
-    if len(alphas) != K:
-        raise DomainError(f"need {K} angles, got {len(alphas)}")
-    if not abs(rho) < 1:
-        raise DomainError(f"|rho| must be < 1, got {rho}")
-    n = spec.n
-    u_slots = range(spec.k, K)
-    sin_prod = 1.0
-    for s in u_slots:
-        sa = math.sin(alphas[s])
-        if sa == 0.0:
-            raise SingularAngle(f"sin(alpha_{s + 1}) = 0; use the closed form instead")
-        sin_prod *= sa
-    trig = "sin" if n % 2 else "cos"
-    global_sign = (-1) ** ((n + 1) // 2) if n % 2 else (-1) ** (n // 2)
-    terms = []
-    for bits in range(2 ** (K - 1)):
-        signs = [1 if (bits >> s) & 1 else -1 for s in range(K)]
-        A = sum(i * a for i, a in zip(signs, alphas))
-        Bp = 0.0
-        parity = 0
-        for s in range(K):
-            shift = spec.t[s] + (1 if s >= spec.k else 0)
-            Bp += signs[s] * shift * alphas[s]
-            if s >= spec.k:
-                parity += (signs[s] + 1) // 2
-        terms.append((-1) ** parity * geom_trig_sum(trig, rho, A, Bp))
-    total = 0.0
-    for v in terms + terms[::-1]:  # all 2^K vectors in order: -i mirrors i
-        total += v
-    return global_sign * total / (2 ** K * sin_prod)
+    if len(alphas) != spec.slots:
+        raise DomainError(f"need {spec.slots} angles, got {len(alphas)}")
+    trig = "sin" if spec.n % 2 else "cos"
+    shifts = [t + (s >= spec.k) for s, t in enumerate(spec.t)]
+
+    def values_of(vectors):
+        return [geom_trig_sum(trig, rho, A, left_sum(map(operator.mul, shifts, signed)))
+                for signed, A in vectors]
+
+    return sign_vector_sum(alphas, range(spec.k, spec.slots), values_of)
 
 
 # ------------------------------------------------------------- marginal checks

@@ -38,9 +38,9 @@ from functools import reduce
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .cheb import cheb_values_row, multi_trig_sum
+from .cheb import cheb_values_row, multi_trig_sum, sign_vector_sum
 from .denom import build_w
-from .errors import DomainError, ScaleError, SingularAngle
+from .errors import DomainError, ScaleError, require_below
 from .poly import Poly
 
 MAX_KIBBLE_N = 5
@@ -60,12 +60,13 @@ class CorrMatrix:
     def from_dict(cls, n: int, values: Mapping[tuple[int, int], object]) -> CorrMatrix:
         if n < 1:
             raise DomainError("matrix dimension must be >= 1")
+        if n > MAX_KIBBLE_N:
+            raise ScaleError(f"n = {n} exceeds the supported maximum {MAX_KIBBLE_N}")
         ent = {}
         for (i, j), v in values.items():
             if not 1 <= i < j <= n:
                 raise DomainError(f"pair ({i},{j}) out of range for n={n}")
-            if not abs(v) < 1:
-                raise DomainError(f"|rho_{i}{j}| must be < 1, got {v}")
+            require_below(f"rho_{i}{j}", v, strict=True)
             ent[(i, j)] = v
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -85,46 +86,25 @@ class CorrMatrix:
 def kibble_closed_eval(kind: str, alphas: Sequence[float], K: CorrMatrix) -> float:
     """Sign-vector plus subset-sum evaluation of f_T / f_U at x_m = cos(a_m).
 
-    The sign vectors s and -s negate every angle and the sine parity, so
-    their contributions are equal to the bit (cos is even and sin odd under
-    IEEE negation).  The half with last sign -1 is evaluated in one batched
-    ``multi_trig_sum`` call and each value added twice, in 2^n-vector order.
+    ``sign_vector_sum`` expands the product over the vertices, every one a U
+    slot for f_U and none for f_T; the vectors it hands over go to one
+    batched ``multi_trig_sum`` call with the pair angles s_i a_i + s_j a_j.
     """
     if kind not in ("T", "U"):
         raise ValueError(f"kind must be T or U, got {kind!r}")
     n = K.n
     if len(alphas) != n:
         raise DomainError(f"need {n} angles, got {len(alphas)}")
-    if n > MAX_KIBBLE_N:
-        raise ScaleError(f"n = {n} exceeds the supported maximum {MAX_KIBBLE_N}")
-    if n == 1:
-        return 1.0
     pairs = K.pairs()
     rhos = [float(v) for v in K.values()]
-    sin_prod = 1.0
-    if kind == "U":
-        for a in alphas:
-            sa = math.sin(a)
-            if sa == 0.0:
-                raise SingularAngle("f_U needs sin(a_j) != 0 for every angle")
-            sin_prod *= sa
     trig = "sin" if n % 2 and kind == "U" else "cos"
-    sets, flips = [], []
-    for bits in range(2 ** (n - 1)):
-        signs = [1 if (bits >> s) & 1 else -1 for s in range(n)]
-        betas = [signs[i - 1] * alphas[i - 1] + signs[j - 1] * alphas[j - 1]
-                 for (i, j) in pairs]
-        big_b = sum(s * a for s, a in zip(signs, alphas)) if kind == "U" else 0.0
-        sets.append((betas, big_b))
-        flips.append((-1) ** sum((s + 1) // 2 for s in signs) if kind == "U" else 1)
-    sums = [f * v for f, v in zip(flips, multi_trig_sum(trig, rhos, sets))]
-    total = 0.0
-    for v in sums + sums[::-1]:  # all 2^n vectors in order: -s mirrors s
-        total += v
-    if kind == "T":
-        return total / 2 ** n
-    sign_n = (-1) ** ((n + 1) // 2) if n % 2 else (-1) ** (n // 2)
-    return sign_n * total / (2 ** n * sin_prod)
+
+    def values_of(vectors):
+        return multi_trig_sum(trig, rhos, [
+            ([signed[i - 1] + signed[j - 1] for i, j in pairs], A if kind == "U" else 0.0)
+            for signed, A in vectors])
+
+    return sign_vector_sum(alphas, range(n) if kind == "U" else (), values_of)
 
 
 # -------------------------------------------------------------------- oracle
@@ -195,13 +175,6 @@ def _shift_add(arr, ws):
     return out
 
 
-def _check_unit(xs: Sequence[float]) -> None:
-    """Raise DomainError unless every |x_m| <= 1 (NaN fails too)."""
-    for x in xs:
-        if not abs(x) <= 1:
-            raise DomainError(f"|x_m| must be <= 1, got {x}")
-
-
 def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
                          cutoff: int) -> float:
     """Direct truncated lattice sum of the defining series.
@@ -220,9 +193,7 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
     n = K.n
     if len(xs) != n:
         raise DomainError(f"need {n} coordinates, got {len(xs)}")
-    _check_unit(xs)
-    if n > MAX_KIBBLE_N:
-        raise ScaleError(f"n = {n} exceeds the supported maximum {MAX_KIBBLE_N}")
+    require_below("x_m", list(xs), strict=False)
     if n == 1:
         return 1.0
     if cutoff < 0:
@@ -277,8 +248,6 @@ def kibble_denominator(K: CorrMatrix, symbolic: bool = False) -> Poly:
     With ``symbolic`` the correlations stay as variables rho_ij; otherwise
     the matrix entries (which must then be exact) are substituted.
     """
-    if K.n > MAX_KIBBLE_N:
-        raise ScaleError(f"n = {K.n} exceeds the supported maximum {MAX_KIBBLE_N}")
     if K.n == 1:
         return Poly.const(1, ("x1",))
     w2 = build_w(2).poly
@@ -307,10 +276,8 @@ def f_U3_closed(x: float, y: float, z: float,
     symmetry; that reading matches the closed evaluator to rounding at every
     sampled point.
     """
-    _check_unit((x, y, z))
-    for r in (r12, r13, r23):
-        if not abs(r) < 1:
-            raise DomainError(f"|rho| must be < 1, got {r}")
+    require_below("x_m", (x, y, z), strict=False)
+    require_below("rho", (r12, r13, r23), strict=True)
     p = r12 * r13 * r23
     zc = r12 - r13 * r23 if symmetrized else r12 - r12 * r23
     num = (4 * r12 * r13 * (r23 - r12 * r13) * (1 - r23 ** 2) * x ** 2
@@ -350,7 +317,7 @@ def f_U3_compare(x: float, y: float, z: float,
     check the closed form and the series oracle at the published point.
     """
     K = CorrMatrix.from_dict(3, {(1, 2): r12, (1, 3): r13, (2, 3): r23})
-    _check_unit((x, y, z))
+    require_below("x_m", (x, y, z), strict=False)  # before acos
     alphas = [math.acos(x), math.acos(y), math.acos(z)]
     return FU3Comparison(
         f_U3_closed(x, y, z, r12, r13, r23),

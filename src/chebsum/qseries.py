@@ -50,9 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cheb import ChebIndex, cheb_poly, cheb_seq, recur
+from .cheb import ChebIndex, cheb_poly, cheb_seq, left_sum, recur
 from .denom import w_rho_coeff_polys
-from .errors import ChebsumError, ConvergenceError, DegeneratePivot, DomainError
+from .errors import ChebsumError, ConvergenceError, DegeneratePivot, DomainError, require_below
 from .poly import Poly
 
 MAX_TAIL_INDEX = 400
@@ -74,8 +74,7 @@ class QContext:
 
     def __init__(self, q):
         q = q if isinstance(q, Fraction) else Fraction(q)
-        if abs(q) >= 1:
-            raise DomainError(f"|q| must be < 1, got {q}")
+        require_below("q", q, strict=True)
         self.q = q
         self._qq: list[Fraction] = [Fraction(1)]          # (q;q)_n
         self._bracket_fact: list[Fraction] = [Fraction(1)]  # [n]_q!
@@ -244,7 +243,7 @@ def d2_values(ctx: QContext, x: float, y: float, count: int) -> list[float]:
     bm = hb_values(ctx, "b", float(cminus), count)
     out = []
     for m in range(count):
-        out.append(sum(float(ctx.binom(m, r)) * bp[r] * bm[m - r] for r in range(m + 1)))
+        out.append(left_sum(float(ctx.binom(m, r)) * bp[r] * bm[m - r] for r in range(m + 1)))
     return out
 
 
@@ -501,15 +500,14 @@ def chi1t_check(ctx: QContext, t: int, x: float, rho: float) -> IdentityReport:
     h_{t-j}(x) with W_1 truncated to 60 quadratic factors.
     """
     J, factors = 80, 60
-    if not abs(rho) < 1:
-        raise DomainError(f"|rho| must be < 1, got {rho}")
+    require_below("rho", rho, strict=True)
     q = float(ctx.q)
     hv = hb_values(ctx, "h", float(x), t + J + 2)
     qqf = _qq_floats(q, J + 1)
-    lhs = sum(rho ** j / qqf[j] * hv[t + j] for j in range(J + 1))
+    lhs = left_sum(rho ** j / qqf[j] * hv[t + j] for j in range(J + 1))
     w1 = w1_product_value(ctx, float(x), rho, factors)
-    rhs = sum(float(ctx.binom(t, j)) * (-rho) ** j * q ** _comb2(j) * hv[t - j]
-              for j in range(t + 1)) / w1
+    rhs = left_sum(float(ctx.binom(t, j)) * (-rho) ** j * q ** _comb2(j) * hv[t - j]
+                   for j in range(t + 1)) / w1
     # Tail: |h_m(x)| <= m+1 on [-1,1]; the series tail is geometric over the
     # smallest (q)_j, the product tail is first order in rho q^factors.
     qq_floor = min(qqf) if min(qqf) > 0 else 1.0
@@ -527,8 +525,7 @@ def final_identity_check(ctx: QContext, x: float, y: float, rho: float) -> Ident
     evaluated with truncations on both sides, the left at j <= 20.
     """
     J = 20
-    if not abs(rho) < 1:
-        raise DomainError(f"|rho| must be < 1, got {rho}")
+    require_below("rho", rho, strict=True)
     q = float(ctx.q)
     hx = hb_values(ctx, "h", float(x), J + 1)
     hy = hb_values(ctx, "h", float(y), J + 1)

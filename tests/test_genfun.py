@@ -516,3 +516,23 @@ def test_genspec_validation():
     for t in ((20000,), (64,) * 4):
         with pytest.raises(ScaleError):
             numerator_l(GenSpec(len(t), 0, t))
+
+
+def test_angle_eval_refuses_non_finite_angles():
+    # A NaN angle used to come back as NaN, an infinite one as a bare ValueError.
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="angles must be finite"):
+            chi_angle_eval(GenSpec(1, 0, (0,)), [a], 0.3)
+        with pytest.raises(DomainError, match="angles must be finite"):
+            chi_angle_eval(GenSpec(1, 1, (0, 0)), [0.4, a], 0.3)
+
+
+def test_series_order_must_be_nonnegative():
+    spec = GenSpec(1, 0, (0,))
+    for J in (-1, -5):
+        with pytest.raises(DomainError, match="J must be >= 0"):
+            chi_series_tail_bound(spec, 0.3, J)
+        with pytest.raises(DomainError, match="J must be >= 0"):
+            chi_series_oracle_grid(spec, [0.5], 0.3, J)
+    assert chi_series_tail_bound(spec, 0.3, 0) > 0
+    assert chi_series_oracle_grid(spec, [0.5], 0.3, 0) == 1.0  # the term T_0 alone

@@ -326,3 +326,24 @@ def test_shift_add_blocks_keep_ascending_shifts(monkeypatch, block):
             want[s:s + sa, s:s + sb] += arr * w
         got = kibble._shift_add(arr, ws)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_closed_form_refuses_non_finite_angles():
+    K = _K3(0.1, 0.2, 0.3)
+    for kind in ("T", "U"):
+        for a in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="angles must be finite"):
+                kibble_closed_eval(kind, [0.3, a, 0.5], K)
+    with pytest.raises(DomainError, match="angles must be finite"):
+        kibble_closed_eval("T", [math.nan, 0.4], CorrMatrix.from_dict(2, {(1, 2): 0.3}))
+
+
+def test_one_vertex_and_the_size_cap():
+    # n = 1 runs the same sign-vector walk: no pairs, and the sum is exactly 1.
+    K = CorrMatrix.from_dict(1, {})
+    for a in (0.3, 1.0, 2.9):
+        assert kibble_closed_eval("T", [a], K) == 1.0
+        assert kibble_closed_eval("U", [a], K) == 1.0
+    # Every matrix is built by from_dict, which refuses n > MAX_KIBBLE_N.
+    with pytest.raises(ScaleError, match="n = 6 exceeds"):
+        CorrMatrix.from_dict(6, {})

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chebsum"
@@ -172,3 +173,62 @@ def test_tracer_targets_resolve():
         if not ok:
             missing.append(f"{mod_name}.{attr}")
     assert not missing, f"tracer targets that chebsum does not define: {missing}"
+
+
+# From Python 3.12 on the built-in sum() adds floats with compensation, so a
+# float sum through it has different bits on different versions; float sums
+# use cheb.left_sum.  The built-in stays only where every term is an int or a
+# Fraction, at these sites (module:function -> number of calls, why exact).
+SUM_ALLOWED = {
+    "campaign.py:failures": (1, "counts failed records"),
+    "cheb.py:sign_vector_sum": (1, "bit mask of the U slots"),
+    "genfun.py:_basis_convolution": (2, "monomial degrees"),
+    "kibble.py:kibble_series_oracle": (2, "pair caps"),
+    "poly.py:_remap": (1, "packed monomial bit fields"),
+    "poly.py:sorted_terms": (1, "monomial degree"),
+    "poly.py:_reduce_markers": (1, "packed monomial bit mask"),
+    "qseries.py:bracket": (1, "Fraction powers of q"),
+    "qseries.py:d_of_q": (1, "Fraction series in q"),
+    "qseries.py:ft_moment_U": (1, "Fraction series in q"),
+    "qseries.py:_ft_moment_x": (1, "Fraction moments"),
+    "qseries.py:ft_inner_product": (1, "Fraction moments"),
+    "qseries.py:_fit_polynomial_in_q": (1, "Fraction interpolant at a Fraction q"),
+}
+
+
+def _sum_calls(node, module, function="<module>"):
+    """(module:function, line) of every built-in sum() call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        name = child.name if isinstance(child, ast.FunctionDef) else function
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                and child.func.id == "sum":
+            yield f"{module}:{name}", child.lineno
+        yield from _sum_calls(child, module, name)
+
+
+def test_builtin_sum_only_over_exact_terms():
+    lines: dict[str, list[int]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for site, line in _sum_calls(tree, path.name):
+            lines.setdefault(site, []).append(line)
+    found = [f"{site} lines {at}" for site, at in sorted(lines.items())
+             if len(at) != SUM_ALLOWED.get(site, (0,))[0]]
+    found += [f"{site} no longer calls sum()" for site in SUM_ALLOWED if site not in lines]
+    assert not found, f"built-in sum() outside the listed exact sites: {found}"
+
+
+# |x| <= 1 and |rho| < 1 are decided by errors.require_below alone.
+BOUND_MESSAGE = re.compile(r"must be <=? 1\b")
+
+
+def test_domain_bounds_stay_in_errors():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        hits = [i for i, line in enumerate(path.read_text().splitlines(), 1)
+                if BOUND_MESSAGE.search(line)]
+        if path.name == "errors.py":
+            assert len(hits) == 1  # the gate's own message
+        else:
+            found += [f"{path.name}:{i}" for i in hits]
+    assert not found, f"domain bounds raised outside errors.py: {found}"
