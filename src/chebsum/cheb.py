@@ -28,6 +28,8 @@ from .errors import ArityError, DomainError, ScaleError, SingularAngle, require_
 from .poly import MAX_DEGREE, Poly
 
 MAX_MULTI_DIRECTIONS = 10  # C(5, 2) pairs: the shared step list holds at most 1023 entries
+# A seed P_n takes n recurrence steps: about 3 s at this index with float arguments.
+MAX_SEED_INDEX = 10 ** 7
 
 
 class ChebIndex(NamedTuple):
@@ -70,6 +72,8 @@ def _cheb_step(x):
 
 def _cheb_nth(kind: str, n: int, x, one):
     """P_n(x) for n >= 0 from the seeds (one, x) or (one, 2x), keeping two values at a time."""
+    if n > MAX_SEED_INDEX:  # checked before any work: the steps grow as O(n)
+        raise ScaleError(f"Chebyshev index {n} exceeds the supported limit {MAX_SEED_INDEX}")
     p0, p1, step = one, (x if kind == "T" else 2 * x), _cheb_step(x)
     for m in range(1, n):
         p0, p1 = p1, step(m, p1, p0)

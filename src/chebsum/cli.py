@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import campaign as camp
 from .denom import build_w
 from .errors import ChebsumError, require_below
-from .genfun import GenSpec, chi_closed, chi_closed_value, chi_series_oracle_grid
+from .genfun import GenSpec, chi_closed_value, chi_series_oracle_grid, numerator_l
 from .kibble import (CorrMatrix, kibble_closed_eval, kibble_denominator,
                      kibble_series_oracle)
 from .qseries import conjecture_probe
@@ -55,37 +55,34 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", dest="json_path", default=None,
-                   help="write machine output to this path instead of stdout")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The argument parser; ``defaults`` (flag dest -> value) go to every command."""
     top = argparse.ArgumentParser(prog="chebsum",
                                   description="closed forms and oracles for "
                                               "Chebyshev generating sums")
     top.add_argument("--config", default=None,
                      help="JSON file of flag defaults; explicit flags win")
     sub = top.add_subparsers(dest="command", required=True)
+    leaves = []  # (command parser, whether it draws points and so takes --seed)
+
+    def leaf(parent, name, seed=False, **kw) -> argparse.ArgumentParser:
+        p = parent.add_parser(name, **kw)
+        leaves.append((p, seed))
+        return p
 
     w = sub.add_parser("w", help="denominator polynomials")
     wsub = w.add_subparsers(dest="action", required=True)
-    wb = wsub.add_parser("build")
-    wb.add_argument("--n", type=int, required=True)
-    _common_flags(wb)
-    wc = wsub.add_parser("check")
-    _common_flags(wc)
+    leaf(wsub, "build").add_argument("--n", type=int, required=True)
+    leaf(wsub, "check")
 
     chi = sub.add_parser("chi", help="mixed generating functions")
     csub = chi.add_subparsers(dest="action", required=True)
     cp = {}
     for action in ("build", "eval", "verify"):
-        p = cp[action] = csub.add_parser(action)
+        p = cp[action] = leaf(csub, action, seed=action == "verify")
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--t", type=str, default="")
-        _common_flags(p)
     cp["eval"].add_argument("--x", type=str, required=True)
     cp["eval"].add_argument("--rho", type=float, required=True)
     cp["verify"].add_argument("--tol", type=float, default=1e-8)
@@ -95,28 +92,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     kb = sub.add_parser("kibble", help="correlation-matrix lattice sums")
     ksub = kb.add_subparsers(dest="action", required=True)
-    ke = ksub.add_parser("eval")
+    ke = leaf(ksub, "eval")
     ke.add_argument("--kind", choices=["T", "U"], required=True)
     ke.add_argument("--x", type=str, required=True)
     ke.add_argument("--rho", type=str, required=True,
                     help="pair list like 12=0.6,13=0.8,23=0.9")
     ke.add_argument("--oracle-cutoff", type=int, default=0,
                     help="also sum the truncated lattice to this cutoff")
-    _common_flags(ke)
-    kv = ksub.add_parser("verify")
+    kv = leaf(ksub, "verify", seed=True)
     kv.add_argument("--trials", type=int, default=50)
     kv.add_argument("--cutoff", type=int, default=40)
-    _common_flags(kv)
-    kd = ksub.add_parser("denominator")
+    kd = leaf(ksub, "denominator")
     kd.add_argument("--n", type=int, required=True)
     kd.add_argument("--rho", type=str, default="",
                     help="pair list; entries are exact rationals like 12=1/2")
     kd.add_argument("--symbolic", action="store_true")
-    _common_flags(kd)
 
     q = sub.add_parser("q", help="q-deformed families and identities")
     qsub = q.add_subparsers(dest="action", required=True)
-    qc = qsub.add_parser("check")
+    qc = leaf(qsub, "check", seed=True)
     qc.add_argument("--suite", required=True,
                     choices=["duality", "idb", "chi1t", "d2", "final-identity"])
     qc.add_argument("--q", type=str, default="1/3", help="comma list of rationals")
@@ -124,16 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest index checked; default and limit per suite: "
                          "duality 10 (no limit), idb 6, chi1t 5, d2 8 (from 1); "
                          "final-identity takes none")
-    _common_flags(qc)
-    qp = qsub.add_parser("probe")
+    qp = leaf(qsub, "probe")
     qp.add_argument("--conjecture", required=True,
                     choices=["beta", "common-denominator"])
     qp.add_argument("--q", type=str, default="1/2,1/3,2/5,3/7")
     qp.add_argument("--nmax", type=int, default=8)
     qp.add_argument("--rho-order", type=int, default=12)
-    _common_flags(qp)
 
-    v = sub.add_parser("verify", help="verification campaigns")
+    v = leaf(sub, "verify", seed=True, help="verification campaigns")
     v.add_argument("what", choices=["all", *camp.ALL_SUITES])
     v.add_argument("--trials", type=int, default=10)
     v.add_argument("--points", type=int, default=20)
@@ -146,7 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "the other suites use fixed bounds")
     v.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: campaigns run in one process")
-    _common_flags(v)
+    for p, seed in leaves:
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--json", dest="json_path", default=None,
+                       help="write machine output to this path instead of stdout")
+        p.set_defaults(**(defaults or {}))  # after the flags, so it replaces their defaults
     return top
 
 
@@ -156,7 +153,7 @@ def _cmd_w(args) -> int:
         _emit(args, camp.canonical_json(w.poly.to_json_dict()) + "\n")
         print(f"w_{args.n}: {len(w.poly.terms)} terms", file=sys.stderr)
         return 0
-    rep = camp.run_campaign(camp.Campaign("w", seed=args.seed))
+    rep = camp.run_campaign(camp.Campaign("w"))
     _emit(args, camp.emit_ndjson([rep]))
     _human([rep])
     return 0 if rep.passed else 1
@@ -166,11 +163,11 @@ def _cmd_chi(args) -> int:
     t = _parse_int_list(args.t) or (0,) * (args.k + args.n)
     spec = GenSpec(args.k, args.n, t)
     if args.action == "build":
-        rf = chi_closed(spec)
-        payload = {"l": rf.numerator.to_json_dict(), "w": rf.denominator.to_json_dict()}
+        num = numerator_l(spec)
+        payload = {"l": num.to_json_dict(), "w": build_w(spec.slots).poly.to_json_dict()}
         _emit(args, camp.canonical_json(payload) + "\n")
         print(f"chi k={args.k} n={args.n} t={t}: numerator "
-              f"{len(rf.numerator.terms)} terms", file=sys.stderr)
+              f"{len(num.terms)} terms", file=sys.stderr)
         return 0
     if args.action == "eval":
         xs = _parse_float_list(args.x)
@@ -276,25 +273,30 @@ def _human(reports) -> None:
               f"{status} ({rep.elapsed:.2f}s)", file=sys.stderr)
 
 
+def _load_config(parser: argparse.ArgumentParser, args) -> dict:
+    """The --config file's flag defaults; every key must be a flag of the chosen command."""
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"argument --config: cannot load {args.config}: {exc}")
+    if not isinstance(config, dict):
+        parser.error(f"argument --config: {args.config} must hold a JSON object")
+    flags = set(vars(args)) - {"config", "command", "action", "what"}
+    unknown = sorted(set(config) - flags)
+    if unknown:
+        parser.error(f"argument --config: not flags of this command: {', '.join(unknown)}")
+    return config
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        # Config file supplies defaults; explicit flags win because they are
-        # parsed afterwards.
-        if "--config" in argv:
-            at = argv.index("--config")
-            if at + 1 == len(argv):
-                parser.error("argument --config: expected one argument")
-            try:
-                with open(argv[at + 1]) as fh:
-                    config = json.load(fh)
-            except (OSError, ValueError) as exc:
-                parser.error(f"argument --config: cannot load {argv[at + 1]}: {exc}")
-            if not isinstance(config, dict):
-                parser.error(f"argument --config: {argv[at + 1]} must hold a JSON object")
-            parser.set_defaults(**config)
+        parser = build_parser()
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # Again, with the file's values as the command's defaults: explicit flags win.
+            args = build_parser(_load_config(parser, args)).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

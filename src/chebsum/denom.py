@@ -68,6 +68,15 @@ def _balanced_product(factors: list[Poly]) -> Poly:
     return factors[0]
 
 
+def _finish(n: int, w: Poly) -> WPoly:
+    """w_n from a product in which the sine markers must have cancelled."""
+    if any(w.uses(f"s{i}") for i in range(1, n + 1)):
+        raise ChebsumError(f"sine markers must cancel in the product for w_{n}")
+    w = w.drop_vars([v for v in w.vars if v.startswith("s")])
+    # Re-embed so every x1..xn is present even where it cancelled (n=1 edge).
+    return WPoly(n, w.embed([f"x{i}" for i in range(1, n + 1)] + ["rho"]))
+
+
 @lru_cache(maxsize=None)
 def build_w(n: int) -> WPoly:
     """Sign-vector product construction of w_n."""
@@ -77,13 +86,7 @@ def build_w(n: int) -> WPoly:
     for bits in range(2 ** (n - 1)):
         signs = [1] + [1 if (bits >> j) & 1 else -1 for j in range(n - 1)]
         factors.append(1 - 2 * rho * _cos_of_sum(signs) + rho * rho)
-    w = _balanced_product(factors)
-    if any(w.uses(f"s{i}") for i in range(1, n + 1)):
-        raise ChebsumError("sine markers must cancel in the full product")
-    w = w.drop_vars([v for v in w.vars if v.startswith("s")])
-    # Re-embed so every x1..xn is present even where it cancelled (n=1 edge).
-    want = tuple([f"x{i}" for i in range(1, n + 1)] + ["rho"])
-    return WPoly(n, w.embed(want))
+    return _finish(n, _balanced_product(factors))
 
 
 @lru_cache(maxsize=None)
@@ -93,17 +96,10 @@ def build_w_recursive(n: int) -> WPoly:
     if n == 1:
         return build_w(1)
     prev = build_w_recursive(n - 1).poly
-    a, b = n - 1, n
+    a = n - 1
     plus = _cos_of_sum([0] * (a - 1) + [1, 1])    # cos(a_{n-1} + a_n)
     minus = _cos_of_sum([0] * (a - 1) + [1, -1])  # cos(a_{n-1} - a_n)
-    left = prev.subs(f"x{a}", plus)
-    right = prev.subs(f"x{a}", minus)
-    w = left * right
-    if w.uses(f"s{a}") or w.uses(f"s{b}"):
-        raise ChebsumError("markers must cancel after doubling")
-    w = w.drop_vars([v for v in w.vars if v.startswith("s")])
-    want = tuple([f"x{i}" for i in range(1, n + 1)] + ["rho"])
-    return WPoly(n, w.embed(want))
+    return _finish(n, prev.subs(f"x{a}", plus) * prev.subs(f"x{a}", minus))
 
 
 def w_specialize_one(n: int) -> Poly:

@@ -38,14 +38,16 @@ from typing import Sequence
 
 from .cheb import (ChebIndex, _mapped, cheb_poly, cheb_seq, cheb_seq_grid, geom_trig_sum,
                    left_sum, sign_vector_sum)
-from .denom import build_w, w_rho_coeff_polys
-from .errors import DomainError, ScaleError, require_below
+from .denom import w_rho_coeff_polys
+from .errors import ConvergenceError, DomainError, ScaleError, require_below
 from .poly import Poly, Scalar
 
 MAX_SLOTS = 4
 # The exact builders refuse shifts whose numerator would run for minutes or more:
 # about prod(|t_s| + 1) monomials with coefficients of max(|t_s| + 1) bits.
 MAX_SHIFT_WORK = 2 ** 22
+# chi_series_tail_bound sums at most about this many terms before its geometric majorant.
+MAX_TAIL_TERMS = 10 ** 6
 # The rho values at which the marginal and positivity grids evaluate chi_{n,0}.
 GRID_RHOS = (-0.9, -0.5, 0.5, 0.9)
 
@@ -72,14 +74,6 @@ class GenSpec:
     def kind(self, s: int) -> str:
         """Kind of 1-based slot s."""
         return "T" if s <= self.k else "U"
-
-
-@dataclass(frozen=True)
-class RationalFn:
-    """numerator / denominator with the denominator of matching arity."""
-
-    numerator: Poly
-    denominator: Poly
 
 
 def _check_scale(spec: GenSpec, exact: bool = False) -> GenSpec:
@@ -123,11 +117,6 @@ def numerator_l(spec: GenSpec) -> Poly:
     """Exact numerator polynomial of the closed form."""
     _check_scale(spec, exact=True)
     return _numerator_cached(spec.k, spec.n, spec.t)
-
-
-def chi_closed(spec: GenSpec) -> RationalFn:
-    """The closed rational form numerator_l / w_{k+n}."""
-    return RationalFn(numerator_l(spec), build_w(spec.slots).poly)
 
 
 def series_convolution_residual(spec: GenSpec, order: int) -> Poly:
@@ -314,29 +303,34 @@ def chi_series_tail_bound(spec: GenSpec, rho: float, J: int) -> float:
     """Upper bound on the truncation error of ``chi_series_oracle_grid``.
 
     For |x_i| <= 1, |P_j| <= prod_s (j + |t_s| + 1), so the error is at most
-    sum_{j>J} |rho|^j prod_s (j + |t_s| + 1).
+    sum_{j>J} |rho|^j prod_s (j + |t_s| + 1).  That sum is closed by a
+    geometric majorant; where the majorant holds only past index MAX_TAIL_TERMS
+    (|rho| within about 2K / MAX_TAIL_TERMS of 1), ConvergenceError is raised.
     """
     require_below("rho", rho, strict=True)
     if J < 0:
         raise DomainError(f"series order J must be >= 0, got {J}")
     r = abs(rho)
+    if r == 0:
+        return 0.0
     shifts = [abs(t) for t in spec.t]
-    total = 0.0
+    q = (1 + r) / 2
+    gap = (q / r) ** (1 / len(shifts)) - 1
+    # term(j + 1) / term(j) <= r (1 + 1/(j + 1))^K, which is below q once j + 1 > 1 / gap.
+    if gap * MAX_TAIL_TERMS <= 1:
+        raise ConvergenceError(f"at |rho| = {r} the tail's geometric majorant holds only "
+                               f"past index {MAX_TAIL_TERMS}")
+    j_max = max(J + 1, math.ceil(1 / gap))
     term_at = lambda j: r ** j * math.prod(j + ts + 1 for ts in shifts)
     # Sum explicitly until the polynomial factor is dominated, then close
     # with a geometric majorant.
-    j = J + 1
-    while True:
+    total = 0.0
+    for j in range(J + 1, j_max + 1):
         t = term_at(j)
         total += t
         grow = term_at(j + 1)
-        if grow < t and grow / t < (1 + r) / 2:
-            total += grow / (1 - (1 + r) / 2)
-            break
-        j += 1
-        if j > J + 10000:  # pragma: no cover
-            break
-    return total
+        if j == j_max or (grow < t and grow / t < q):
+            return total + grow / (1 - q)
 
 
 def chi_series_oracle_grid(spec: GenSpec, xs_arrays, rho_array, J: int):

@@ -15,9 +15,9 @@ sum below 2 * EXP_LIMIT, so nothing carries into the next field, and a sum
 that reaches EXP_LIMIT sets the guard bit, which one mask test over the
 result turns into a ``ScaleError``; exponents never wrap.  The layout is
 private to this module.  ``Poly.terms`` is a read-only view keyed by exponent
-tuples (aligned with ``vars``) in the packed dict's insertion order; its
-``len`` reads the packed dict, and the tuple keys and their coefficients
-are made once per polynomial, on first use, and kept on it.
+tuples (aligned with ``vars``) in the packed dict's insertion order; the
+tuple keys and their coefficients are made once per polynomial, on first
+use, and kept on it.
 
 Three families of variables are allowed, with a fixed global order:
 
@@ -50,6 +50,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+from types import MappingProxyType
 from typing import Iterable
 
 from .errors import ArityError, ExponentError, MarkerError, MissingAssignment, ScaleError
@@ -146,33 +147,6 @@ def _remap(packed: dict[int, Scalar], moves: Iterable[tuple[int, int]]) -> dict[
             for k, c in packed.items()}
 
 
-class _TermsView(Mapping):
-    """Read-only exponent-tuple view of a polynomial's terms."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: Poly):
-        self._poly = poly
-
-    def __len__(self) -> int:
-        return len(self._poly._packed)
-
-    def values(self):
-        return self._poly._tuple_terms().values()
-
-    def items(self):
-        return self._poly._tuple_terms().items()
-
-    def __iter__(self):
-        return iter(self._poly._tuple_terms())
-
-    def __getitem__(self, exps: Exponents) -> Scalar:
-        return self._poly._tuple_terms()[exps]
-
-    def __repr__(self) -> str:
-        return repr(self._poly._tuple_terms())
-
-
 class Poly:
     """Immutable-by-convention sparse polynomial.
 
@@ -218,7 +192,7 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[Exponents, Scalar]:
-        return _TermsView(self)
+        return MappingProxyType(self._tuple_terms())
 
     def _tuple_terms(self) -> dict[Exponents, Scalar]:
         if self._tuples is None:

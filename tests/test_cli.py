@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from chebsum import campaign as camp
-from chebsum.cli import main
+from chebsum.cli import build_parser, main
 from chebsum.errors import DomainError
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "chebsum" / "schemas"
@@ -169,17 +169,66 @@ def test_verify_all_byte_identical(tmp_path):
 
 
 def test_config_file_defaults(tmp_path):
+    # Seed-dependent: three-path samples its cases from --seed, so a config
+    # that did not reach the command would show as seed-0 bytes.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"trials": 3, "points": 5, "seed": 7, "nodes": 128}))
-    _, a = run(["verify", "positivity", "--trials", "3", "--points", "5",
-                "--seed", "7", "--nodes", "128"], tmp_path, name="a.json")
-    _, b = run(["--config", str(cfg), "verify", "positivity"], tmp_path,
-               name="b.json")
+    cfg.write_text(json.dumps({"trials": 3, "seed": 5}))
+    _, a = run(["verify", "three-path", "--trials", "3", "--seed", "5"], tmp_path,
+               name="a.json")
+    _, b = run(["--config", str(cfg), "verify", "three-path"], tmp_path, name="b.json")
     assert a == b
+    _, zero = run(["verify", "three-path", "--trials", "3"], tmp_path, name="zero.json")
+    assert zero != a
     # Explicit flags win over the config file.
-    _, c = run(["--config", str(cfg), "verify", "positivity", "--seed", "9"],
-               tmp_path, name="c.json")
-    assert c == a  # positivity cases are seed-independent grids
+    _, c = run(["--config", str(cfg), "verify", "three-path", "--seed", "0"], tmp_path,
+               name="c.json")
+    assert c == zero
+    # Every key must be a flag of the chosen command.
+    assert main(["--config", str(cfg), "chi", "eval", "--k", "1", "--n", "0",
+                 "--x", "0.5", "--rho", "0.5"]) == 2
+    cfg.write_text(json.dumps({"trials": 3, "bogus": 1}))
+    assert main(["--config", str(cfg), "verify", "three-path"]) == 2
+
+
+# The commands that draw points from --seed, and so the only ones that take it.
+SEEDED = {("chi", "verify"), ("kibble", "verify"), ("q", "check"), ("verify",)}
+COMMANDS = {
+    ("w", "build"): ["--n", "1"],
+    ("w", "check"): [],
+    ("chi", "build"): ["--k", "0", "--n", "1"],
+    ("chi", "eval"): ["--k", "0", "--n", "1", "--x", "0.5", "--rho", "0.5"],
+    ("chi", "verify"): ["--k", "0", "--n", "1", "--trials", "2", "--order", "20"],
+    ("kibble", "eval"): ["--kind", "T", "--x", "0.5,0.5", "--rho", "12=0.3"],
+    ("kibble", "verify"): ["--trials", "1"],
+    ("kibble", "denominator"): ["--n", "2", "--rho", "12=1/2"],
+    ("q", "check"): ["--suite", "d2", "--nmax", "2"],
+    ("q", "probe"): ["--conjecture", "beta", "--nmax", "2", "--q", "1/2"],
+    ("verify",): ["three-path", "--trials", "1"],
+}
+
+
+def test_seed_only_where_a_command_draws_points(tmp_path, capsys):
+    assert len(COMMANDS) == 11 and SEEDED <= COMMANDS.keys()
+    for command, flags in COMMANDS.items():
+        code, _ = run(list(command) + flags + ["--seed", "4"], tmp_path)
+        assert code == (0 if command in SEEDED else 2), command
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 4" in err
+
+
+def test_readme_commands_parse():
+    # Every command the README shows must parse: a removed flag fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    lines = [words for words in lines if words]
+    assert len(lines) >= 11 and all(words[0] == "chebsum" for words in lines)
+    parser = build_parser()
+    for words in lines:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(words)}")
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -293,6 +342,16 @@ def test_chi_eval_at_a_large_shift(capsys):
     assert main(["chi", "eval", "--k", "1", "--n", "0", "--t=20000",
                  "--x", "0.5", "--rho", "0.3"]) == 0
     assert capsys.readouterr().out == '{"value":-0.8227848101265823}\n'
+
+
+def test_chi_eval_refuses_a_shift_past_the_seed_limit(capsys):
+    # The float seeds take O(|t|) steps: 10^9 would run for minutes, so it is
+    # refused before any work.
+    t0 = time.perf_counter()
+    assert main(["chi", "eval", "--k", "1", "--n", "0", "--t=1000000000",
+                 "--x", "0.5", "--rho", "0.3"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds the supported limit" in capsys.readouterr().err
 
 
 def test_chi_eval_memory_does_not_grow_with_the_shift(capsys):

@@ -12,9 +12,9 @@ import pytest
 import chebsum.poly as poly_mod
 from chebsum.cheb import ChebIndex, _cheb_poly_cached, cheb_poly, cheb_seq_grid
 from chebsum.denom import build_w, w_rho_coeff_polys
-from chebsum.errors import DomainError, ScaleError, SingularAngle
+from chebsum.errors import ConvergenceError, DomainError, ScaleError, SingularAngle
 from chebsum.genfun import (GenSpec, _basis_convolution, _cheb_factors, _numerator_cached,
-                            chi_angle_eval, chi_closed, chi_closed_value, chi_closed_values_grid,
+                            chi_angle_eval, chi_closed_value, chi_closed_values_grid,
                             chi_series_oracle_grid, chi_series_tail_bound, marginal_check,
                             numerator_l, positivity_grid_min, series_convolution_residual)
 from chebsum.poly import Poly
@@ -342,9 +342,8 @@ def test_marginal_memory_is_bounded():
 
 def test_closed_symbolic_matches_numeric_exactly():
     spec = GenSpec(1, 1, (1, 0))
-    rf = chi_closed(spec)
     pt = {"x1": Fraction(3, 10), "x2": Fraction(7, 10), "rho": Fraction(2, 5)}
-    want = rf.numerator.eval(pt) / rf.denominator.eval(pt)
+    want = numerator_l(spec).eval(pt) / build_w(spec.slots).poly.eval(pt)
     got = chi_closed_value(spec, [Fraction(3, 10), Fraction(7, 10)], Fraction(2, 5))
     assert got == want
     # Integer inputs too: an int over an int is divided exactly, not as floats.
@@ -536,3 +535,20 @@ def test_series_order_must_be_nonnegative():
             chi_series_oracle_grid(spec, [0.5], 0.3, J)
     assert chi_series_tail_bound(spec, 0.3, 0) > 0
     assert chi_series_oracle_grid(spec, [0.5], 0.3, 0) == 1.0  # the term T_0 alone
+
+
+def test_tail_bound_near_the_unit_circle():
+    # The tail sum_{j>J} |rho|^j prod_s (j + |t_s| + 1) in closed form for one
+    # unshifted slot: sum_{j>0} r^j (j + 1) = 1/(1 - r)^2 - 1.
+    r = 0.9999
+    assert chi_series_tail_bound(GenSpec(1, 0, (0,)), r, 0) >= 1 / (1 - r) ** 2 - 1
+    assert chi_series_tail_bound(GenSpec(1, 0, (0,)), -r, 0) >= 1 / (1 - r) ** 2 - 1
+    # Four slots: sum_{j>=0} r^j (j + 1)^4 = (1 + 11r + 11r^2 + r^3) / (1 - r)^5.
+    r = 0.999
+    tail = (1 + 11 * r + 11 * r * r + r ** 3) / (1 - r) ** 5 - 1
+    assert chi_series_tail_bound(GenSpec(0, 4, (0, 0, 0, 0)), r, 0) >= tail
+    # Closer still, the bound would need more terms than it sums: it refuses
+    # rather than return a partial sum.
+    with pytest.raises(ConvergenceError):
+        chi_series_tail_bound(GenSpec(1, 0, (0,)), 0.9999999, 0)
+    assert chi_series_tail_bound(GenSpec(1, 0, (0,)), 0.0, 3) == 0.0

@@ -112,7 +112,6 @@ def test_no_module_level_caches_in_cold_layers():
 # alone are not a caller.  Each exception names why it stays.
 UNCALLED_ALLOWED = {
     "chi_series_tail_bound": "the truncation bound that series reports are to carry",
-    "cheb1_nodes": "test oracle: quadrature nodes of the moment cross-check",
     "d_truncated_product": "test oracle: the finite-product route to d_n",
     "ft_u_coeffs": "test oracle: the U-expansion of f_t that the quadrature integrates",
     "from_json_dict": "test oracle: reads back what to_json_dict writes",

@@ -325,7 +325,14 @@ def test_terms_view():
     assert list(p.terms) == [e for e, _ in p.terms.items()]
     assert p.terms[(2, 1)] == 3 and (0, 1) in p.terms and (1, 1) not in p.terms
     assert p.terms.get((5, 5), 0) == 0
+    assert p.terms == {(2, 1): 3, (0, 1): Fraction(-1, 2), (0, 0): 1}
     assert Poly(p.vars, p.terms) == p
+    # Read-only: the view cannot change the polynomial it shows.
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = 2
+    with pytest.raises(TypeError):
+        X1.terms[(0,)] = 1
+    assert dict(p.terms)[(0, 0)] == 1
 
 
 def test_exponent_overflow_raises_scale_error():

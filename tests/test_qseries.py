@@ -13,7 +13,6 @@ from chebsum import poly as poly_mod
 from chebsum.errors import ChebsumError, ConvergenceError, DomainError
 from chebsum.genfun import GenSpec, chi_closed_value
 from chebsum.poly import Poly
-from chebsum.quadrature import cheb1_nodes
 from chebsum.qseries import (QContext, chi1t_check, conjecture_probe,
                              d2_coeff, d2_values, d_coeff, d_of_q,
                              d_truncated_product, fh_integral_check,
@@ -25,6 +24,11 @@ from chebsum.qseries import (QContext, chi1t_check, conjecture_probe,
 F = Fraction
 X = Poly.variable("x1")
 Q_SET = (F(1, 2), F(-1, 3), F(3, 5))
+
+
+def cheb1_nodes(n: int) -> list[float]:
+    """First-kind Gauss-Chebyshev nodes cos((2i - 1) pi / 2n), i = 1..n."""
+    return [math.cos((2 * i - 1) * math.pi / (2 * n)) for i in range(1, n + 1)]
 
 
 @pytest.fixture(scope="module")
