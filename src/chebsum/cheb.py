@@ -1,11 +1,12 @@
 """Chebyshev polynomials of both kinds and geometric trigonometric sums.
 
-``recur`` is the package's one three-term recurrence, for floats, Fractions,
-``Poly`` objects and numpy arrays alike; T_n, U_n and the q-families h_n, b_n
-of ``qseries`` all run on it (a lone T_n or U_n takes the same steps keeping
-two values).  The Chebyshev step is P_{n+1} = 2x P_n - P_{n-1}
-with (T_0, T_1) = (1, x) and (U_0, U_1) = (1, 2x), so arguments outside
-[-1, 1] are legal.  Negative indices are mapped first:
+``roll`` is the package's one three-term recurrence loop, for floats,
+Fractions, ``Poly`` objects and numpy arrays alike: ``recur`` fills a table
+from it, a lone T_n or U_n takes its n-th value, and ``genfun``'s series
+oracle steps all slots at once in two reused buffers.  T_n, U_n and the
+q-families h_n, b_n of ``qseries`` all run on it.  The Chebyshev step is
+P_{n+1} = 2x P_n - P_{n-1} with (T_0, T_1) = (1, x) and (U_0, U_1) = (1, 2x),
+so arguments outside [-1, 1] are legal.  Negative indices are mapped first:
 
     T_{-i} = T_i          U_{-1} = 0,  U_{-i} = -U_{i-2}  (i >= 2)
 
@@ -20,6 +21,7 @@ product-to-sum expansion over sign vectors that both angle forms share.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -50,18 +52,23 @@ def _mapped(kind: str, n: int) -> tuple[int, int]:
     raise ValueError(f"kind must be T or U, got {kind!r}")
 
 
-def recur(out, p0, p1, step):
-    """Fill ``out`` (a list or a preallocated numpy array) in place and return it.
+def roll(p0, p1, step):
+    """Yield p0, p1, then value m+1 = step(m, value m, value m-1), keeping two values.
 
-    out[0] = p0, out[1] = p1 and out[m+1] = step(m, out[m], out[m-1]).
+    If ``step`` writes into its third argument, each value yielded from the third
+    on is one of two reused buffers, valid until the next value is drawn.
     """
-    count = len(out)
-    if count:
-        out[0] = p0
-    if count > 1:
-        out[1] = p1
-    for m in range(1, count - 1):
-        out[m + 1] = step(m, out[m], out[m - 1])
+    yield p0
+    yield p1
+    for m in itertools.count(1):
+        p0, p1 = p1, step(m, p1, p0)
+        yield p1
+
+
+def recur(out, p0, p1, step):
+    """Fill ``out`` (a list or a preallocated numpy array) from ``roll`` and return it."""
+    for m, p in enumerate(itertools.islice(roll(p0, p1, step), len(out))):
+        out[m] = p
     return out
 
 
@@ -74,10 +81,7 @@ def _cheb_nth(kind: str, n: int, x, one):
     """P_n(x) for n >= 0 from the seeds (one, x) or (one, 2x), keeping two values at a time."""
     if n > MAX_SEED_INDEX:  # checked before any work: the steps grow as O(n)
         raise ScaleError(f"Chebyshev index {n} exceeds the supported limit {MAX_SEED_INDEX}")
-    p0, p1, step = one, (x if kind == "T" else 2 * x), _cheb_step(x)
-    for m in range(1, n):
-        p0, p1 = p1, step(m, p1, p0)
-    return p1 if n else p0
+    return next(itertools.islice(roll(one, x if kind == "T" else 2 * x, _cheb_step(x)), n, None))
 
 
 def cheb_eval(c: ChebIndex, x):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import campaign as camp
 from .denom import build_w
-from .errors import ChebsumError, require_below
+from .errors import ChebsumError, SingularAngle, require_below
 from .genfun import GenSpec, chi_closed_value, chi_series_oracle_grid, numerator_l
 from .kibble import (CorrMatrix, kibble_closed_eval, kibble_denominator,
                      kibble_series_oracle)
@@ -205,7 +205,11 @@ def _cmd_kibble(args) -> int:
         K = CorrMatrix.from_dict(len(xs), _parse_rho_pairs(args.rho))
         require_below("x_m", xs, strict=False)  # before acos
         alphas = [math.acos(v) for v in xs]
-        closed = kibble_closed_eval(args.kind, alphas, K)
+        singular = args.kind == "U" and 1.0 in map(abs, xs)  # f_U is finite there
+        if singular and not args.oracle_cutoff:
+            raise SingularAngle("the U closed form divides by sin(acos x) = 0 at x = +-1; "
+                                "--oracle-cutoff N sums the lattice alone")
+        closed = None if singular else kibble_closed_eval(args.kind, alphas, K)
         payload = {"kind": args.kind, "x": xs, "closed": closed}
         if args.oracle_cutoff:
             payload["oracle"] = kibble_series_oracle(args.kind, xs, K,
@@ -286,7 +290,23 @@ def _load_config(parser: argparse.ArgumentParser, args) -> dict:
     unknown = sorted(set(config) - flags)
     if unknown:
         parser.error(f"argument --config: not flags of this command: {', '.join(unknown)}")
+    leaf = parser  # the chosen command's parser, down the subparsers
+    while leaf._subparsers:
+        sub = leaf._subparsers._group_actions[0]
+        leaf = sub.choices[getattr(args, sub.dest)]
+    actions = {a.dest: a for a in leaf._actions}
+    bad = sorted(k for k, v in config.items() if not _fits(actions[k], v))
+    if bad:
+        parser.error(f"argument --config: wrong type or value for {', '.join(bad)}")
     return config
+
+
+def _fits(action, value) -> bool:
+    """Whether a config value suits its flag: argparse types only string defaults."""
+    # An int flag takes a JSON integer, a float flag a number, a switch a bool, others a string.
+    want = {int: int, float: (int, float)}.get(action.type, bool if action.nargs == 0 else str)
+    return (isinstance(value, want) and (type(value) is not bool or want is bool)
+            and (action.choices is None or value in action.choices))
 
 
 def main(argv=None) -> int:

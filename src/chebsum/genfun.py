@@ -29,6 +29,7 @@ truncated-series oracle, and a sign-vector expansion over angles.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cheb import (ChebIndex, _mapped, cheb_poly, cheb_seq, cheb_seq_grid, geom_trig_sum,
-                   left_sum, sign_vector_sum)
+                   left_sum, roll, sign_vector_sum)
 from .denom import w_rho_coeff_polys
 from .errors import ConvergenceError, DomainError, ScaleError, require_below
 from .poly import Poly, Scalar
@@ -62,10 +63,10 @@ class GenSpec:
 
     def __post_init__(self):
         if self.k < 0 or self.n < 0 or self.k + self.n < 1:
-            raise ValueError("need k, n >= 0 and k + n >= 1")
+            raise DomainError("need k, n >= 0 and k + n >= 1")
         object.__setattr__(self, "t", tuple(self.t))
         if len(self.t) != self.k + self.n:
-            raise ValueError(f"shift vector has {len(self.t)} entries, need {self.k + self.n}")
+            raise DomainError(f"shift vector has {len(self.t)} entries, need {self.k + self.n}")
 
     @property
     def slots(self) -> int:
@@ -336,7 +337,10 @@ def chi_series_tail_bound(spec: GenSpec, rho: float, J: int) -> float:
 def chi_series_oracle_grid(spec: GenSpec, xs_arrays, rho_array, J: int):
     """Truncated defining series sum_{j<=J} rho^j P_j(xs), over numpy arrays.
 
-    The x values and rho broadcast together; scalars give a 0-d array.
+    The x arrays are broadcast to one grid and stacked on a leading slot
+    axis, and ``roll`` steps every slot's Chebyshev pair at once in two
+    reused buffers, so working memory is a few grids whatever J is.  rho
+    broadcasts against the grid; scalars give a 0-d array.
     """
     import numpy as np
 
@@ -345,11 +349,18 @@ def chi_series_oracle_grid(spec: GenSpec, xs_arrays, rho_array, J: int):
     rho = np.asarray(rho_array, dtype=float)
     xs = [np.asarray(a, dtype=float) for a in xs_arrays]
     _check_point(spec, xs, rho)
-    prods = _grid_products(spec, J + 1, xs)
-    total = np.zeros(rho.shape)
+    grid = np.broadcast_shapes(*(a.shape for a in xs))
+    x = np.stack([np.broadcast_to(a, grid) for a in xs])
+    p0, p1 = np.stack([cheb_seq_grid(spec.kind(s), spec.t[s - 1], 2, x[s - 1])
+                       for s in range(1, spec.slots + 1)], axis=1)
+    x2, scratch = 2 * x, np.empty_like(x)
+    step = lambda m, p1, p0: np.subtract(np.multiply(x2, p1, scratch), p0, p0)  # into p0
+    total = np.zeros(np.broadcast_shapes(rho.shape, grid))
     rp = np.ones(rho.shape)
-    for j in range(J + 1):
-        total = total + rp * prods[j]
+    prod = np.empty(grid)
+    for row in itertools.islice(roll(p0, p1, step), J + 1):
+        np.multiply.reduce(row, 0, None, prod)  # the product in slot order, as math.prod
+        total += rp * prod
         rp *= rho
     return total
 

@@ -1,5 +1,6 @@
 """Chebyshev evaluation and geometric-sum tests."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebsum.cheb import (ChebIndex, _cheb_poly_cached, cheb_eval, cheb_poly,
+from chebsum.cheb import (ChebIndex, _cheb_poly_cached, _cheb_step, cheb_eval, cheb_poly,
                           cheb_seq, cheb_seq_grid, cheb_values_row, geom_trig_sum,
-                          multi_trig_sum)
+                          multi_trig_sum, recur, roll)
 from chebsum.errors import ArityError, DomainError, ScaleError
 from chebsum.poly import EXP_LIMIT, Poly
 
@@ -76,6 +77,33 @@ def test_one_recurrence_across_value_types():
                 cheb_poly(ChebIndex(kind, start + j)).eval({"x1": xf}) for j in range(12)]
         for x in (0.37, -0.93):
             assert list(cheb_values_row(kind, x, 20)) == cheb_seq(kind, 0, 20, x)
+
+
+def test_recur_is_the_start_of_roll():
+    # out[0] = p0, out[1] = p1, out[m+1] = step(m, out[m], out[m-1]), for every value type;
+    # the second step uses m, as the q-families' steps do.
+    one = Poly.const(1, ("x1",))
+    for x, p0 in ((0.37, 1.0), (Fraction(-2, 9), 1), (X, one)):
+        for step in (_cheb_step(x), lambda m, p1, p0: m * x * p1 - (m + 1) * p0):
+            want = [p0, 2 * x]
+            while len(want) < 9:
+                want.append(step(len(want) - 1, want[-1], want[-2]))
+            for n in (0, 1, 2, 9):
+                assert recur([None] * n, p0, 2 * x, step) == want[:n]
+                assert list(itertools.islice(roll(p0, 2 * x, step), n)) == want[:n]
+
+
+def test_roll_with_an_in_place_step_reuses_two_buffers():
+    import numpy as np
+
+    x = np.array([0.3, -0.8, 1.0])
+    p0, p1, scratch = np.ones(3), 2 * x, np.empty(3)
+    step = lambda m, p1, p0: np.subtract(np.multiply(2 * x, p1, scratch), p0, p0)
+    values = []
+    for v in itertools.islice(roll(p0, p1, step), 12):
+        assert v is p0 or v is p1
+        values.append(v.copy())
+    assert np.array_equal(values, cheb_seq_grid("U", 0, 12, x))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 from chebsum import campaign as camp
 from chebsum.cli import build_parser, main
 from chebsum.errors import DomainError
+from chebsum.kibble import CorrMatrix, kibble_closed_eval
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "chebsum" / "schemas"
 POLY_SCHEMA = json.loads((SCHEMA_DIR / "poly.schema.json").read_text())
@@ -188,6 +190,40 @@ def test_config_file_defaults(tmp_path):
                  "--x", "0.5", "--rho", "0.5"]) == 2
     cfg.write_text(json.dumps({"trials": 3, "bogus": 1}))
     assert main(["--config", str(cfg), "verify", "three-path"]) == 2
+
+
+def test_config_values_must_suit_their_flags(tmp_path, capsys):
+    # argparse passes only string defaults through a flag's type: a JSON value
+    # of another type used to reach the command and die with a traceback.
+    cfg = tmp_path / "cfg.json"
+    for command, bad in ((["verify", "three-path"], {"trials": 2.5}),
+                         (["verify", "three-path"], {"trials": True}),
+                         (["verify", "three-path"], {"tol": "small"}),
+                         (["verify", "three-path"], {"json_path": 3}),
+                         (["kibble", "denominator", "--n", "2"], {"symbolic": 1}),
+                         (["kibble", "eval", "--kind", "T", "--x", "0.5,0.5", "--rho", "12=0.3"],
+                          {"kind": "X"})):
+        cfg.write_text(json.dumps(bad))
+        assert main(["--config", str(cfg)] + command) == 2, bad
+        assert "argument --config" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"trials": 2, "tol": 1}))  # a JSON integer is a number
+    assert run(["--config", str(cfg), "verify", "three-path"], tmp_path)[0] == 0
+
+
+def test_kibble_eval_at_the_ends_of_a_u_slot(tmp_path, capsys):
+    # The U closed form divides by sin(acos x), zero at x = +-1 where f_U is
+    # finite: the lattice oracle alone gives the value there.
+    K = CorrMatrix.from_dict(2, {(1, 2): 0.3})
+    for x, near in (("1,0.5", 1e-3), ("-1,0.5", math.pi - 1e-3)):
+        code, text = run(["kibble", "eval", "--kind", "U", f"--x={x}", "--rho", "12=0.3",
+                          "--oracle-cutoff", "50"], tmp_path)
+        assert code == 0
+        rec = json.loads(text)
+        assert rec["closed"] is None
+        closed_near = kibble_closed_eval("U", [near, math.acos(0.5)], K)
+        assert rec["oracle"] == pytest.approx(closed_near, abs=1e-6)
+        assert main(["kibble", "eval", "--kind", "U", f"--x={x}", "--rho", "12=0.3"]) == 2
+        assert "--oracle-cutoff" in capsys.readouterr().err
 
 
 # The commands that draw points from --seed, and so the only ones that take it.

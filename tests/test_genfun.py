@@ -54,6 +54,74 @@ def test_series_oracle_examples():
     assert abs(got - want) < 1e-14
 
 
+def _table_oracle(spec, xs, rho, J):
+    """The series oracle on whole tables: (J+1) rows of Chebyshev values per slot."""
+    import numpy as np
+
+    rho = np.asarray(rho, dtype=float)
+    prods = math.prod(cheb_seq_grid(spec.kind(s), spec.t[s - 1], J + 1,
+                                    np.asarray(xs[s - 1], dtype=float))
+                      for s in range(1, spec.slots + 1))
+    total = np.zeros(rho.shape)
+    rp = np.ones(rho.shape)
+    for j in range(J + 1):
+        total = total + rp * prods[j]
+        rp *= rho
+    return total
+
+
+def _same_bits(a, b):
+    import numpy as np
+
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_streamed_oracle_matches_tables_bit_for_bit():
+    import numpy as np
+
+    rng = np.random.default_rng(28)
+    for K, N, J in itertools.product((1, 2, 3, 4), (1, 2, 7, 50, 2000), (0, 1, 2, 50, 200)):
+        k = int(rng.integers(0, K + 1))
+        spec = GenSpec(k, K - k, tuple(int(t) for t in rng.integers(-4, 6, K)))
+        xs = [rng.uniform(-1, 1, N) for _ in range(K)]
+        rho = rng.uniform(-0.95, 0.95, N)
+        if N >= 7:  # signed zeros, both ends of [-1, 1], and rho = 0
+            xs[0][:3] = (-0.0, 1.0, -1.0)
+            rho[3:5] = (0.0, -0.0)
+        got = chi_series_oracle_grid(spec, xs, rho, J)
+        assert _same_bits(got, _table_oracle(spec, xs, rho, J)), (spec, N, J)
+    # Scalars give a 0-d result; a sparse mesh broadcasts against rho's leading axis.
+    spec = GenSpec(2, 2, (3, -1, 0, -3))
+    xs, rho = [0.3, -0.0, 1.0, -0.7], 0.4
+    assert _same_bits(chi_series_oracle_grid(spec, xs, rho, 60), _table_oracle(spec, xs, rho, 60))
+    mesh = [np.linspace(-1, 1, 5).reshape(5, 1), np.linspace(-0.9, 0.9, 3).reshape(1, 3)]
+    rhos = np.array([0.3, -0.6]).reshape(2, 1, 1)
+    spec = GenSpec(1, 1, (1, -2))
+    got = chi_series_oracle_grid(spec, mesh, rhos, 80)
+    assert got.shape == (2, 5, 3) and _same_bits(got, _table_oracle(spec, mesh, rhos, 80))
+    # x arrays of different ranks broadcast too (whole tables could not: their row
+    # axis leads); a scalar x is the same as a full array of it.
+    full = np.broadcast_to((mesh[0] + mesh[1]) / 2, (5, 3))
+    assert _same_bits(chi_series_oracle_grid(spec, [full, 0.25], rhos, 40),
+                      _table_oracle(spec, [full, np.full((5, 3), 0.25)], rhos, 40))
+
+
+def test_oracle_memory_does_not_grow_with_the_order():
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    xs = [rng.uniform(-1, 1, 2000) for _ in range(4)]
+    rho = rng.uniform(-0.9, 0.9, 2000)
+    tracemalloc.start()
+    try:
+        chi_series_oracle_grid(GenSpec(2, 2, (0, 1, -1, 2)), xs, rho, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20  # four 2001-row tables would take 64 MB
+
+
 def test_series_tail_bound_is_a_bound():
     spec = GenSpec(1, 1, (1, 0))
     xs, rho = [0.3, 0.7], 0.4
@@ -505,9 +573,9 @@ def test_shift_limit_binds_only_the_exact_builders():
 
 
 def test_genspec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         GenSpec(0, 0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         GenSpec(1, 1, (0,))
     # The shift work limit: the first two build in seconds, the others in hours.
     GenSpec(1, 0, (2000,))
