@@ -205,14 +205,14 @@ def sign_vector_sum(alphas: Sequence[float], u_slots: Sequence[int], values_of) 
     added twice, in the order of all 2^K vectors.  The total carries the sign
     (-1)^((n+1)//2) for n U slots and is divided by 2^K and by the sines of
     the U-slot angles.  Every sum is a ``left_sum``.  A non-finite angle
-    raises DomainError, a U-slot angle with zero sine SingularAngle.
+    raises DomainError, a U-slot angle whose cosine rounds to +-1 SingularAngle.
     """
     if not all(map(math.isfinite, alphas)):
         raise DomainError(f"angles must be finite, got {list(alphas)}")
+    singular = [s for s in u_slots if abs(math.cos(alphas[s])) == 1.0]
+    if singular:
+        raise SingularAngle(f"cos(alpha_{singular[0] + 1}) = +-1: the angle form divides by its sine")
     sines = [math.sin(alphas[s]) for s in u_slots]
-    if 0.0 in sines:
-        s = u_slots[sines.index(0.0)]
-        raise SingularAngle(f"sin(alpha_{s + 1}) = 0: the angle form divides by it")
     K = len(alphas)
     u_mask = sum(1 << s for s in u_slots)
     vectors, flips = [], []

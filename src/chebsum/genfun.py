@@ -39,7 +39,7 @@ from typing import Sequence
 
 from .cheb import (ChebIndex, _mapped, cheb_poly, cheb_seq, cheb_seq_grid, geom_trig_sum,
                    left_sum, roll, sign_vector_sum)
-from .denom import w_rho_coeff_polys
+from .denom import build_w, w_rho_coeff_polys
 from .errors import ConvergenceError, DomainError, ScaleError, require_below
 from .poly import Poly, Scalar
 
@@ -93,23 +93,19 @@ def _cheb_factors(spec: GenSpec, i: int) -> list[Poly]:
             for s in range(1, spec.slots + 1)]
 
 
-def _rho_band(cs: Sequence[Poly], lo: int, hi: int, shift: int) -> Poly:
-    """sum_{lo <= m < hi} cs[m] rho^(m + shift), for shift >= -lo."""
-    return Poly.sum(c * Poly(("rho",), {(m + shift,): 1}) for m, c in enumerate(cs[lo:hi], lo))
-
-
 @lru_cache(maxsize=512)
 def _numerator_cached(k: int, n: int, t: tuple[int, ...]) -> Poly:
     # With h = 2^(K-1), c_j takes m <= j for j < h and m > j for j >= h.  By the
     # index i of P_i, with [w]_{<d}, [w]_{>=d} the terms of w below and from rho^d,
-    #   l = sum_{0<=i<h} rho^i [w]_{<h-i} P_i - sum_{1<=i<=h} rho^-i [w]_{>=h+i} P_-i,
-    # each term multiplied one Chebyshev factor at a time, no index past h + 2.
+    #   l = sum_{0<=i<h} rho^i [w]_{<h-i} P_i - sum_{1<=i<=h} rho^-i [w]_{>=h+i} P_-i.
+    # Each band rho^(+-i) [w]_... is a slice of w's terms with their rho exponents
+    # moved, multiplied one Chebyshev factor at a time, no index past h + 2.
     spec = GenSpec(k, n, t)
     K = spec.slots
     h = 2 ** (K - 1)
-    cs = w_rho_coeff_polys(K)
-    bands = [(i, _rho_band(cs, 0, h - i, i)) for i in range(h)]
-    bands += [(-i, -_rho_band(cs, h + i, 2 * h + 1, -i)) for i in range(1, h + 1)]
+    w = build_w(K).poly
+    bands = [(i, w.band("rho", 0, h - i, i)) for i in range(h)]
+    bands += [(-i, -w.band("rho", h + i, 2 * h + 1, -i)) for i in range(1, h + 1)]
     acc = Poly.sum(math.prod(_cheb_factors(spec, i), start=band) for i, band in bands)
     return acc.embed([f"x{i}" for i in range(1, K + 1)] + ["rho"])
 

@@ -79,14 +79,23 @@ def var_sort_key(name: str) -> tuple[int, int]:
 
 
 def _canonical(variables: Iterable[str]) -> tuple[str, ...]:
-    """The variables as a tuple; refuse a non-canonical order or a marker sk without xk."""
+    """The variables as a tuple; refuse a repeat, a non-canonical order or sk without xk."""
     vs = tuple(variables)
-    if list(vs) != sorted(vs, key=var_sort_key):
-        raise ValueError(f"variables not in canonical order: {vs}")
+    keys = [var_sort_key(v) for v in vs]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ValueError(f"variables not strictly in canonical order: {vs}")
     for v in vs:
         if v[0] == "s" and "x" + v[1:] not in vs:
             raise MarkerError(f"marker {v} lacks partner x{v[1:]} in {vs}")
     return vs
+
+
+def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """The canonical union of two canonical variable tuples, sorted only when neither holds the other."""
+    if a == b:
+        return a
+    u = set(a).union(b)
+    return a if len(u) == len(a) else b if len(u) == len(b) else tuple(sorted(u, key=var_sort_key))
 
 
 def _num_den(c) -> tuple[int, int]:
@@ -253,17 +262,16 @@ class Poly:
         if vs == self.vars:
             return self
         vs = _canonical(vs)
-        moves = []
-        for i, v in enumerate(self.vars):
-            if v not in vs:
-                raise ValueError(f"cannot embed: {v} missing from {vs}")
-            moves.append((i, vs.index(v)))
-        return Poly._make(vs, _remap(self._packed, moves), self._den)
+        if not set(self.vars).issubset(vs):
+            raise ValueError(f"cannot embed: {self.vars} not all in {vs}")
+        return self._onto(vs)
 
-    def _union_vars(self, other: Poly) -> tuple[str, ...]:
-        if self.vars == other.vars:
-            return self.vars
-        return tuple(sorted(set(self.vars) | set(other.vars), key=var_sort_key))
+    def _onto(self, vs: tuple[str, ...]) -> Poly:
+        """``embed`` onto canonical ``vs`` known to hold every variable of self."""
+        if vs == self.vars:
+            return self
+        return Poly._make(vs, _remap(self._packed, [(i, vs.index(v)) for i, v in enumerate(self.vars)]),
+                          self._den)
 
     @staticmethod
     def _coerce(other) -> Poly | None:
@@ -283,11 +291,9 @@ class Poly:
         parts = list(parts)
         if not parts:
             return Poly.zero()
-        vs = parts[0].vars
-        if any(p.vars != vs for p in parts):
-            vs = tuple(sorted(set().union(*[p.vars for p in parts]), key=var_sort_key))
+        vs = reduce(_union, [p.vars for p in parts])
         den = math.lcm(*[p._den for p in parts])
-        packed = [p._packed if p.vars == vs else p.embed(vs)._packed for p in parts]
+        packed = [p._onto(vs)._packed for p in parts]
         packed = [terms if p._den == den else {k: c * (den // p._den) for k, c in terms.items()}
                   for p, terms in zip(parts, packed)]
         out = dict(packed[0])
@@ -332,8 +338,8 @@ class Poly:
                                                   self._den * den))
         if not isinstance(other, Poly):
             return NotImplemented
-        vs = self._union_vars(other)
-        a, b = self.embed(vs), other.embed(vs)
+        vs = _union(self.vars, other.vars)
+        a, b = self._onto(vs), other._onto(vs)
         if len(b._packed) > len(a._packed):
             a, b = b, a
         out = _product_loop(a._packed, b._packed)
@@ -358,10 +364,8 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self, other
-        if a.vars != b.vars:
-            vs = self._union_vars(other)
-            a, b = self.embed(vs), other.embed(vs)
+        vs = _union(self.vars, other.vars)
+        a, b = self._onto(vs), other._onto(vs)
         return a._den == b._den and a._packed == b._packed
 
     def __hash__(self):
@@ -430,11 +434,19 @@ class Poly:
 
     def truncate(self, var: str, below: int) -> Poly:
         """The terms whose exponent of ``var`` is below ``below``."""
+        return self.band(var, 0, below)
+
+    def band(self, var: str, lo: int, hi: int, shift: int = 0) -> Poly:
+        """The terms whose exponent e of ``var`` has lo <= e < hi, each moved to e + shift."""
+        if not -max(lo, 0) <= shift <= MAX_DEGREE or shift and var not in self.vars:
+            raise ValueError(f"cannot move exponents of {var} from [{lo}, {hi}) by {shift}")
         if var not in self.vars:
-            return self if below > 0 else Poly.zero(self.vars)
-        shift = FIELD_BITS * self.vars.index(var)
-        return Poly._make(self.vars, *_lowest({k: c for k, c in self._packed.items()
-                                               if (k >> shift) & _FIELD < below}, self._den))
+            return self if lo <= 0 < hi else Poly.zero(self.vars)
+        at = FIELD_BITS * self.vars.index(var)
+        out = {k + (shift << at): c for k, c in self._packed.items() if lo <= (k >> at) & _FIELD < hi}
+        if shift > 0:
+            _check_guards(out, len(self.vars))
+        return Poly._make(self.vars, *_lowest(out, self._den))
 
     def rho_coeffs(self) -> list[Poly]:
         """Coefficients of rho**0 .. rho**deg as polynomials in the x variables."""

@@ -348,6 +348,54 @@ def test_numerator_work_guard(monkeypatch, k, n, t):
     assert 0 < count[0] <= 30_000
 
 
+def _band_product_numerator(spec):
+    """The two-sided numerator with every band summed from products [rho^m](w) * rho^(m + shift)."""
+    K = spec.slots
+    h = 2 ** (K - 1)
+    cs = w_rho_coeff_polys(K)
+
+    def band(lo, hi, shift):
+        return Poly.sum(c * Poly(("rho",), {(m + shift,): 1}) for m, c in enumerate(cs[lo:hi], lo))
+
+    bands = [(i, band(0, h - i, i)) for i in range(h)]
+    bands += [(-i, -band(h + i, 2 * h + 1, -i)) for i in range(1, h + 1)]
+    acc = Poly.sum(math.prod(_cheb_factors(spec, i), start=b) for i, b in bands)
+    return acc.embed([f"x{i}" for i in range(1, K + 1)] + ["rho"])
+
+
+def test_sliced_bands_match_band_products():
+    # numerator_l slices its bands out of w_K; the band products give the
+    # same polynomial on every split (the term order may differ).
+    rng = random.Random(29)
+    specs = [GenSpec(k, K - k, tuple(rng.randint(-3, 3) for _ in range(K)))
+             for K in range(1, 5) for k in range(K + 1) for _ in range(2)]
+    assert len({(s.k, s.n) for s in specs}) == 14
+    for spec in specs:
+        for cache in (_numerator_cached, build_w, w_rho_coeff_polys, _cheb_poly_cached):
+            cache.cache_clear()
+        got, want = numerator_l(spec), _band_product_numerator(spec)
+        assert got == want and got.to_json_dict() == want.to_json_dict()
+
+
+def test_sliced_numerator_product_count(monkeypatch):
+    # With w_4 and the Chebyshev factors warm, a K = 4 numerator runs only
+    # its 16 bands times 4 factor products; building the bands from
+    # products took 72 more.
+    spec = GenSpec(0, 4, (-1, 0, 1, 0))
+    numerator_l(spec)
+    _numerator_cached.cache_clear()
+    count = [0]
+    loop = poly_mod._product_loop
+
+    def counted(a, b):
+        count[0] += 1
+        return loop(a, b)
+
+    monkeypatch.setattr(poly_mod, "_product_loop", counted)
+    numerator_l(spec)
+    assert 0 < count[0] <= 64
+
+
 def _unblocked_closed_grid(spec, xs_arrays, rho):
     """l / w over the whole grid at once: one eval_grid, one product array."""
     K = spec.slots
@@ -448,6 +496,18 @@ def test_angle_eval_t_slot_example():
 def test_angle_eval_singular():
     with pytest.raises(SingularAngle):
         chi_angle_eval(GenSpec(0, 1, (0,)), [0.0], 0.3)
+    # sin(pi) = 1.2e-16 and sin(1e-9) are no zeros, but both cosines round
+    # to +-1: dividing by the sine gave 0.5387 at pi where chi is 0.4550.
+    spec = GenSpec(0, 2, (0, 0))
+    for a in (math.acos(-1.0), 1e-9):
+        with pytest.raises(SingularAngle):
+            chi_angle_eval(spec, [a, 1.0], 0.3)
+        with pytest.raises(SingularAngle):
+            chi_angle_eval(spec, [1.0, -a], 0.3)
+    # A T slot does not divide by its sine.
+    mixed = GenSpec(1, 1, (0, 0))
+    got = chi_angle_eval(mixed, [math.acos(-1.0), 1.0], 0.3)
+    assert abs(got - chi_closed_value(mixed, [-1.0, math.cos(1.0)], 0.3)) < 1e-12
 
 
 def test_formal_series_vanishes_above_cutoff():

@@ -217,6 +217,14 @@ def test_oracle_guards():
         kibble_series_oracle("T", [0.1, math.nan, 0.3], K, 10)
     with pytest.raises(SingularAngle):
         kibble_closed_eval("U", [0.0, 1.0, 2.0], K)
+    # cos(pi) and cos(1e-9) round to -1 and 1 while their sines are not 0:
+    # at pi the closed form gave -0.5234 where the lattice sums to 0.4710.
+    K2 = CorrMatrix.from_dict(2, {(1, 2): 0.3})
+    for a in (math.acos(-1.0), 1e-9):
+        with pytest.raises(SingularAngle):
+            kibble_closed_eval("U", [a, math.acos(0.5)], K2)
+        assert kibble_closed_eval("T", [a, math.acos(0.5)], K2) == \
+            pytest.approx(kibble_series_oracle("T", [math.cos(a), 0.5], K2, 200), abs=1e-12)
     with pytest.raises(ScaleError):
         kibble_series_oracle("T", [0.0] * 6, CorrMatrix.from_dict(6, {}), 5)
     with pytest.raises(ScaleError, match="n = 6 exceeds"):

@@ -163,7 +163,7 @@ def test_stored_pair_is_lowest_terms(pair):
                p.rename({"rho": "rho12"}), Poly.from_json_dict(p.to_json_dict()),
                Poly(p.vars, {e: 6 * c for e, c in p.terms.items()})]
     for v in p.vars:
-        results += [p.truncate(v, 1), p.truncate(v, 2)]
+        results += [p.truncate(v, 1), p.truncate(v, 2), p.band(v, 1, 3, 1)]
         if not (v[0] == "x" and "s" + v[1:] in p.vars):
             results += [p.coeff_of(v, 0), p.coeff_of(v, 1),
                         p.subs(v, q), p.subs(v, Fraction(3, 2))]
@@ -426,6 +426,50 @@ def test_rho_coeff_reconstructs(p):
     for m in range(p.degree("rho") + 1):
         acc = acc + p.coeff_of("rho", m).embed(("x1", "x2")) * RHO ** m
     assert acc == p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(marker_polys() | fraction_marker_polys(), st.sampled_from(("x1", "x2", "s1", "rho")),
+       st.integers(-1, 4), st.integers(0, 5), st.integers(-4, 4))
+def test_band_slices_and_moves_exponents(p, var, lo, hi, shift):
+    # band(var, lo, hi, shift) keeps the terms whose exponent e of var has
+    # lo <= e < hi and moves e to e + shift: a difference of truncations at
+    # shift 0, and coefficient by coefficient the same as coeff_of.
+    if shift < -max(lo, 0) or shift and var not in p.vars:
+        with pytest.raises(ValueError):
+            p.band(var, lo, hi, shift)
+        return
+    got = p.band(var, lo, hi, shift)
+    _assert_lowest_terms(got)
+    assert got.vars == p.vars
+    if not shift:
+        assert got == p.truncate(var, max(lo, hi)) - p.truncate(var, lo)
+    if var not in p.vars or var[0] == "x" and "s" + var[1:] in p.vars:
+        return  # coeff_of keeps xk only without sk
+    for e in range(0, 9):
+        want = p.coeff_of(var, e - shift) if lo <= e - shift < hi else Poly.zero()
+        assert got.coeff_of(var, e) == want
+
+
+def test_band_guards_its_exponents():
+    p = X1 * RHO ** (EXP_LIMIT - 2) + 3
+    assert p.band("rho", 0, 1, EXP_LIMIT - 1) == 3 * RHO ** (EXP_LIMIT - 1)
+    with pytest.raises(ScaleError):
+        p.band("rho", 1, EXP_LIMIT, 2)
+    with pytest.raises(ValueError):
+        p.band("rho", 0, 1, EXP_LIMIT)
+
+
+def test_repeated_variable_names_are_refused():
+    # A repeated name would make a product drop terms: x1 + x1 over
+    # ("x1", "x1") times x1 gave x1^2, not 2 x1^2.
+    for vs in (("x1", "x1"), ("x1", "x2", "x2", "rho"), ("x1", "s1", "s1")):
+        with pytest.raises(ValueError, match="canonical order"):
+            Poly(vs, {})
+        with pytest.raises(ValueError, match="canonical order"):
+            X1.embed(vs)
+    with pytest.raises(ValueError):
+        Poly(("x1", "x1"), {(1, 0): 1, (0, 1): 1})
 
 
 def test_canonical_serialization():
