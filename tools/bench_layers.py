@@ -137,6 +137,8 @@ def main() -> None:
         "cases": [bench_case(K, N) for K in range(1, 5) for N in POINTS]})
     _write("BENCH_exact_builds.json", {
         "layer": "cold exact builds", **env,
+        "caches": "numerator_l: numerator and Chebyshev caches cleared, w_K warm; "
+                  "build_w, build_w_recursive: every exact cache cleared",
         "cases": [bench_numerators(K) for K in range(1, 5)]
         + [bench_w(build, n) for build in (denom.build_w, denom.build_w_recursive)
            for n in range(1, 5)]})
