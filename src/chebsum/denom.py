@@ -118,4 +118,4 @@ def w_shifted(n: int) -> Poly:
 @lru_cache(maxsize=None)
 def w_rho_coeff_polys(n: int) -> tuple[Poly, ...]:
     """Coefficients of rho^0..rho^(2^n) of w_n, in the x variables only."""
-    return tuple(build_w(n).poly.rho_coeffs())
+    return tuple(build_w(n).poly.coeff_of("rho", m) for m in range(2 ** n + 1))

@@ -13,11 +13,12 @@ Registry ids
 ------------
 Fixed:      _1_T, _1_U, _2, _3, _4, tri_TTT, tri_UUU, tri_TUU, tri_TTU
 Parametric: shifted_T(m), shifted_U(m), shifted_TT(n, m), shifted_UU(n, m),
-            shifted_UT(n, m)   (ids accept keyword shifts; defaults 0)
+            shifted_UT(n, m)   (keyword shifts, defaults 0; any other keyword is refused)
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from .cheb import ChebIndex, cheb_poly
@@ -39,45 +40,45 @@ def _atoms():
             Poly.variable("rho"))
 
 
-def _form_1_T(**_) -> tuple[GenSpec, Poly]:
+def _form_1_T() -> tuple[GenSpec, Poly]:
     x1, _x2, _x3, rho = _atoms()
     return GenSpec(1, 0, (0,)), 1 - rho * x1
 
 
-def _form_1_U(**_) -> tuple[GenSpec, Poly]:
+def _form_1_U() -> tuple[GenSpec, Poly]:
     _, _, _, rho = _atoms()
     return GenSpec(0, 1, (0,)), Poly.const(1) + 0 * rho
 
 
-def _form_2(**_) -> tuple[GenSpec, Poly]:
+def _form_2() -> tuple[GenSpec, Poly]:
     _, _, _, rho = _atoms()
     return GenSpec(0, 2, (0, 0)), 1 - rho ** 2
 
 
-def _form_3(**_) -> tuple[GenSpec, Poly]:
+def _form_3() -> tuple[GenSpec, Poly]:
     x1, x2, _x3, rho = _atoms()
     num = 1 - rho ** 2 + 2 * rho ** 2 * (x1 ** 2 + x2 ** 2) - (rho ** 2 + 3) * rho * x1 * x2
     return GenSpec(2, 0, (0, 0)), num
 
 
-def _form_4(**_) -> tuple[GenSpec, Poly]:
+def _form_4() -> tuple[GenSpec, Poly]:
     # Printed with the second-kind argument first: x -> slot 2 (U), y -> slot 1 (T).
     x1, x2, _x3, rho = _atoms()
     num = 1 - rho ** 2 - 2 * rho * x2 * x1 + 2 * rho ** 2 * x1 ** 2
     return GenSpec(1, 1, (0, 0)), num
 
 
-def _form_shifted_T(m: int = 0, **_) -> tuple[GenSpec, Poly]:
+def _form_shifted_T(m: int = 0) -> tuple[GenSpec, Poly]:
     rho = Poly.variable("rho")
     return _check_scale(GenSpec(1, 0, (m,)), exact=True), _T(m, "x1") - rho * _T(m - 1, "x1")
 
 
-def _form_shifted_U(m: int = 0, **_) -> tuple[GenSpec, Poly]:
+def _form_shifted_U(m: int = 0) -> tuple[GenSpec, Poly]:
     rho = Poly.variable("rho")
     return _check_scale(GenSpec(0, 1, (m,)), exact=True), _U(m, "x1") - rho * _U(m - 1, "x1")
 
 
-def _form_shifted_TT(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
+def _form_shifted_TT(n: int = 0, m: int = 0) -> tuple[GenSpec, Poly]:
     """sum rho^k T_{k+n}(x) T_{k+m}(y); printed with T_m(x) T_n(y) products."""
     spec = _check_scale(GenSpec(2, 0, (n, m)), exact=True)  # before any factor
     x1, x2, _x3, rho = _atoms()
@@ -92,7 +93,7 @@ def _form_shifted_TT(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
     return spec, num
 
 
-def _form_shifted_UU(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
+def _form_shifted_UU(n: int = 0, m: int = 0) -> tuple[GenSpec, Poly]:
     """sum rho^j U_{j+n}(x) U_{j+m}(y), transcribed literally."""
     spec = _check_scale(GenSpec(0, 2, (n, m)), exact=True)  # before any factor
     x1, x2, _x3, rho = _atoms()
@@ -105,7 +106,7 @@ def _form_shifted_UU(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
     return spec, num
 
 
-def _form_shifted_UT(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
+def _form_shifted_UT(n: int = 0, m: int = 0) -> tuple[GenSpec, Poly]:
     """sum rho^j U_{m+j}(x) T_{n+j}(y): x -> slot 2 (U), y -> slot 1 (T)."""
     spec = _check_scale(GenSpec(1, 1, (n, m)), exact=True)  # before any factor
     x1, x2, _x3, rho = _atoms()
@@ -118,7 +119,7 @@ def _form_shifted_UT(n: int = 0, m: int = 0, **_) -> tuple[GenSpec, Poly]:
     return spec, num
 
 
-def _form_tri_TTT(**_) -> tuple[GenSpec, Poly]:
+def _form_tri_TTT() -> tuple[GenSpec, Poly]:
     x, y, z, rho = _atoms()
     num = ((1 + rho ** 2) ** 3 + 8 * rho ** 4 * (x ** 4 + y ** 4 + z ** 4)
            + 32 * rho ** 4 * x ** 2 * y ** 2 * z ** 2
@@ -129,14 +130,14 @@ def _form_tri_TTT(**_) -> tuple[GenSpec, Poly]:
     return GenSpec(3, 0, (0, 0, 0)), num
 
 
-def _form_tri_UUU(**_) -> tuple[GenSpec, Poly]:
+def _form_tri_UUU() -> tuple[GenSpec, Poly]:
     x, y, z, rho = _atoms()
     num = ((1 + rho ** 2) ** 3 + 16 * rho ** 3 * x * y * z
            - 4 * rho ** 2 * (1 + rho ** 2) * (x ** 2 + y ** 2 + z ** 2))
     return GenSpec(0, 3, (0, 0, 0)), num
 
 
-def _form_tri_TUU(**_) -> tuple[GenSpec, Poly]:
+def _form_tri_TUU() -> tuple[GenSpec, Poly]:
     # One first-kind slot (x) and two second-kind slots (y, z).
     x, y, z, rho = _atoms()
     num = ((rho ** 2 + 1) ** 3 + 8 * rho ** 4 * x ** 4 - 16 * rho ** 3 * x ** 3 * y * z
@@ -147,7 +148,7 @@ def _form_tri_TUU(**_) -> tuple[GenSpec, Poly]:
     return GenSpec(1, 2, (0, 0, 0)), num
 
 
-def _form_tri_TTU(**_) -> tuple[GenSpec, Poly]:
+def _form_tri_TTU() -> tuple[GenSpec, Poly]:
     # Two first-kind slots (x, y) and one second-kind slot (z).
     x, y, z, rho = _atoms()
     num = ((rho ** 2 + 1) ** 3 + 8 * rho ** 4 * (x ** 4 + y ** 4)
@@ -190,6 +191,9 @@ def transcribed_form(form_id: str, **shifts) -> tuple[GenSpec, Poly]:
         builder = _REGISTRY[form_id]
     except KeyError:
         raise UnknownId(f"no registered form {form_id!r}") from None
+    unknown = sorted(shifts.keys() - inspect.signature(builder).parameters.keys())
+    if unknown:
+        raise UnknownId(f"form {form_id!r} takes no shift {', '.join(unknown)}")
     spec, num = builder(**shifts)
     return spec, num.embed([f"x{i}" for i in range(1, spec.slots + 1)] + ["rho"])
 

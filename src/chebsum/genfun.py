@@ -62,9 +62,11 @@ class GenSpec:
     t: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "t", tuple(self.t))
+        if not all(type(v) is int for v in (self.k, self.n, *self.t)):  # refuses a bool too
+            raise DomainError(f"k, n and the shifts must be integers, got {(self.k, self.n, self.t)}")
         if self.k < 0 or self.n < 0 or self.k + self.n < 1:
             raise DomainError("need k, n >= 0 and k + n >= 1")
-        object.__setattr__(self, "t", tuple(self.t))
         if len(self.t) != self.k + self.n:
             raise DomainError(f"shift vector has {len(self.t)} entries, need {self.k + self.n}")
 
@@ -404,6 +406,16 @@ class MarginalReport:
         return self.max_abs_dev_from_one <= self.tol
 
 
+def _grid_chi(axes: Sequence):
+    """chi_{n,0} over the sparse mesh of n axes at each rho of GRID_RHOS (the leading axis)."""
+    import numpy as np
+
+    n = len(axes)
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    rhos = np.asarray(GRID_RHOS, dtype=float).reshape((-1,) + (1,) * n)
+    return chi_closed_values_grid(GenSpec(n, 0, (0,) * n), mesh, rhos)
+
+
 def marginal_check(n: int, j: int, nodes: int = 128) -> MarginalReport:
     """Integrate chi_{n,0} against the first-kind weight in j coordinates.
 
@@ -422,37 +434,16 @@ def marginal_check(n: int, j: int, nodes: int = 128) -> MarginalReport:
         raise ScaleError("marginal checks supported for n <= 3")
     if nodes < 1:
         raise DomainError(f"quadrature needs nodes >= 1, got {nodes}")
-    spec = GenSpec(n, 0, (0,) * n)
-    theta = (2 * np.arange(1, nodes + 1) - 1) * math.pi / (2 * nodes)
-    quad_nodes = np.cos(theta)
+    cos_nodes = np.cos((2 * np.arange(1, nodes + 1) - 1) * math.pi / (2 * nodes))
     rest = np.linspace(-0.95, 0.95, 7)
-    axes = [quad_nodes] * j + [rest] * (n - j)
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    rhos = np.asarray(GRID_RHOS, dtype=float)
-    vals = chi_closed_values_grid(spec, mesh, rhos.reshape((-1,) + (1,) * n))
-    if j < n:
-        lower = GenSpec(n - j, 0, (0,) * (n - j))
-        rest_mesh = np.meshgrid(*([rest] * (n - j)), indexing="ij", sparse=True)
-        lower_vals = chi_closed_values_grid(lower, rest_mesh,
-                                            rhos.reshape((-1,) + (1,) * (n - j)))
-    max_dev_one = 0.0
-    max_dev_lower = 0.0 if j < n else None
-    for r in range(len(rhos)):
-        integral = vals[r].mean(axis=tuple(range(j)))
-        max_dev_one = max(max_dev_one, float(np.max(np.abs(integral - 1.0))))
-        if j < n:
-            max_dev_lower = max(max_dev_lower,
-                                float(np.max(np.abs(integral - lower_vals[r]))))
-    return MarginalReport(max_dev_one, max_dev_lower, 1e-9)
+    integrals = [v.mean(axis=tuple(range(j))) for v in _grid_chi([cos_nodes] * j + [rest] * (n - j))]
+    dev = lambda ref: max(float(np.max(np.abs(i - r))) for i, r in zip(integrals, ref))
+    lower = dev(_grid_chi([rest] * (n - j))) if j < n else None
+    return MarginalReport(dev([1.0] * len(integrals)), lower, 1e-9)
 
 
 def positivity_grid_min(n: int) -> float:
     """Minimum of chi_{n,0} over an 11-point grid on [-1,1]^n x GRID_RHOS."""
     import numpy as np
 
-    spec = GenSpec(n, 0, (0,) * n)
-    axis = np.linspace(-1.0, 1.0, 11)
-    mesh = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
-    rhos = np.asarray(GRID_RHOS, dtype=float)
-    vals = chi_closed_values_grid(spec, mesh, rhos.reshape((-1,) + (1,) * n))
-    return min((float(v.min()) for v in vals), default=math.inf)
+    return min(float(v.min()) for v in _grid_chi([np.linspace(-1.0, 1.0, 11)] * n))

@@ -403,38 +403,27 @@ class Poly:
         return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(keep))),
                           self._den)
 
-    def _split(self, var: str) -> tuple[tuple[str, ...], int, list[tuple[int, int]]]:
-        """(other variables, var's field shift, moves dropping it); refuses xk beside sk."""
-        i = self.vars.index(var)
-        rest = _canonical(self.vars[:i] + self.vars[i + 1:])
-        moves = [(j, j - (j > i)) for j in range(len(self.vars)) if j != i]
-        return rest, FIELD_BITS * i, moves
-
     def subs(self, name: str, replacement: Poly | Scalar) -> Poly:
         """Substitute a polynomial (or constant) for one variable (xk only without sk)."""
         if name not in self.vars:
             return self
         if isinstance(replacement, (int, Fraction)):
             replacement = Poly.const(replacement)
-        rest_vars, shift, moves = self._split(name)
+        zero = Poly.zero(v for v in self.vars if v != name)  # refuses xk beside sk
+        at = FIELD_BITS * self.vars.index(name)
         groups: dict[int, dict[int, int]] = {}
-        for k, c in self._packed.items():
-            groups.setdefault((k >> shift) & _FIELD, {})[k] = c
-        return Poly.sum([Poly.zero(rest_vars)] + [
-            Poly._make(rest_vars, *_lowest(_remap(groups[e], moves), self._den))
+        for k, c in self._packed.items():  # one pass: each term goes to its exponent's group
+            e = (k >> at) & _FIELD
+            groups.setdefault(e, {})[k - (e << at)] = c
+        return Poly.sum([zero] + [
+            Poly._make(self.vars, *_lowest(groups[e], self._den)).drop_vars((name,))
             * (replacement ** e if e else Poly.const(1)) for e in sorted(groups)])
 
     def coeff_of(self, var: str, power: int) -> Poly:
         """The coefficient of ``var**power`` as a polynomial in the rest (xk only without sk)."""
         if var not in self.vars:
             return self if power == 0 else Poly.zero(self.vars)
-        rest, shift, moves = self._split(var)
-        picked = {k: c for k, c in self._packed.items() if (k >> shift) & _FIELD == power}
-        return Poly._make(rest, *_lowest(_remap(picked, moves), self._den))
-
-    def truncate(self, var: str, below: int) -> Poly:
-        """The terms whose exponent of ``var`` is below ``below``."""
-        return self.band(var, 0, below)
+        return self.band(var, power, power + 1, -power).drop_vars((var,))
 
     def band(self, var: str, lo: int, hi: int, shift: int = 0) -> Poly:
         """The terms whose exponent e of ``var`` has lo <= e < hi, each moved to e + shift."""
@@ -447,11 +436,6 @@ class Poly:
         if shift > 0:
             _check_guards(out, len(self.vars))
         return Poly._make(self.vars, *_lowest(out, self._den))
-
-    def rho_coeffs(self) -> list[Poly]:
-        """Coefficients of rho**0 .. rho**deg as polynomials in the x variables."""
-        d = self.degree("rho")
-        return [self.coeff_of("rho", m) for m in range(d + 1)]
 
     # -------------------------------------------------------------- evaluation
 

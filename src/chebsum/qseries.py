@@ -10,9 +10,10 @@ and reduces to U_n at q = 0.  The reversed family is
     b_{n+1} = -2 q^n x b_n + q^{n-1}(1 - q^n) b_{n-1},    b_0 = 1, b_1 = -2x
 
 (the recurrence's printed seed b_1 = 1 contradicts the defining relation;
-b_0 = 1, b_1 = -2x is forced and closes the recurrence).  Both families are
-rolled by ``hb_values`` on the package's one three-term recurrence,
-``cheb.recur``, for float, Fraction and polynomial arguments alike.
+b_0 = 1, b_1 = -2x is forced and closes the recurrence).  Both families run
+on the package's one three-term recurrence, ``cheb.recur``: ``hb_values``
+rolls them at a float, Fraction or polynomial argument, and ``hb_poly``
+keeps the exact polynomials on ``QContext.roll``, the one roll that resumes.
 
 b_n is, up to (q)_n, the n-th Taylor coefficient in rho of the infinite
 product W_1(x|rho,q) = prod_j (1 - 2 x rho q^j + rho^2 q^{2j}); the bivariate
@@ -48,7 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .cheb import ChebIndex, cheb_poly, cheb_seq, left_sum, recur
 from .denom import w_rho_coeff_polys
@@ -117,6 +117,21 @@ class QContext:
             self._binoms[n] = [self.qq(n) / (self.qq(n - j) * self.qq(j)) for j in range(n + 1)]
         return self._binoms[n][k]
 
+    def roll(self, key: str, count: int, start) -> list:
+        """The first ``count`` entries of the kept roll ``key``, resumed from its last two.
+
+        ``start()`` gives (p_0, p_1, step) and is called only when the roll grows.
+        step(m, p_m, p_{m-1}) is p_{m+1} at the absolute index m, so a resumed entry
+        is the one a roll from p_0 gives.
+        """
+        rolled = self._polys.setdefault(key, [])
+        if len(rolled) < count:
+            p0, p1, step = start()
+            at = max(len(rolled) - 2, 0)
+            seeds = rolled[at:] if len(rolled) > 1 else (p0, p1)
+            rolled[at:] = recur([None] * (count - at), *seeds, lambda m, a, b: step(m + at, a, b))
+        return rolled
+
     def tail_index(self) -> int:
         """Smallest K >= 3 with |q|^C(K,2) < TAIL_EPS."""
         if self.q == 0:
@@ -132,55 +147,42 @@ class QContext:
 # ------------------------------------------------------------ the polynomials
 
 
-def hb_values(ctx: QContext, kind: str, x, count: int, rolled: Sequence = ()) -> list:
-    """[p_0(x), ..., p_{count-1}(x)] for p = h or b, by the one recurrence.
+def _hb_recurrence(ctx: QContext, kind: str, x, count: int) -> tuple:
+    """(p_0, p_1, step) of the h or b recurrence at x, with q-powers for entries below count.
 
-    x may be a float (float in, float out), a Fraction or a ``Poly``.  Powers
-    of q come from a table built by repeated multiplication, not ``q ** m``,
-    so float values keep the bits of the rolled products.  ``rolled`` may
-    hold p_0 .. p_{j-1} from an earlier call at the same x; the roll then
-    resumes from its last two entries and every entry is the one a roll from
-    p_0 gives.
+    Powers of q come from a table built by repeated multiplication, not ``q ** m``,
+    so float values keep the bits of the rolled products.
     """
     if kind not in ("h", "b"):
         raise ValueError(f"kind must be h or b, got {kind!r}")
-    if count <= len(rolled):
-        return list(rolled[:count])
     q = float(ctx.q) if isinstance(x, float) else ctx.q
     one = 1.0 if isinstance(x, float) else 1
     qpow = [one]
     for _ in range(count):
         qpow.append(qpow[-1] * q)
-    start = max(len(rolled) - 2, 0)
-    qpow = qpow[start:]  # the steps below index from the first seed
     if kind == "h":
         step = lambda m, p1, p0: 2 * x * p1 - (one - qpow[m]) * p0
     else:
         step = lambda m, p1, p0: -2 * qpow[m] * x * p1 + qpow[m - 1] * (one - qpow[m]) * p0
-    if start:
-        seeds = rolled[start], rolled[start + 1]
-    else:
-        seeds = x ** 0 if isinstance(x, Poly) else one, 2 * x if kind == "h" else -2 * x
-    return list(rolled[:start]) + recur([None] * (count - start), *seeds, step)
+    return x ** 0 if isinstance(x, Poly) else one, 2 * x if kind == "h" else -2 * x, step
+
+
+def hb_values(ctx: QContext, kind: str, x, count: int) -> list:
+    """[p_0(x), ..., p_{count-1}(x)] for p = h or b, by the one recurrence.
+
+    x may be a float (float in, float out), a Fraction or a ``Poly``.
+    """
+    return recur([None] * count, *_hb_recurrence(ctx, kind, x, count))
 
 
 def hb_poly(ctx: QContext, kind: str, n: int) -> Poly:
-    """h_n or b_n as an exact polynomial in x1 via its three-term recurrence.
-
-    Every entry of the roll is kept in ``ctx``, and a longer roll resumes
-    from the entries already there.
-    """
+    """h_n or b_n as an exact polynomial in x1, on the context's roll of that family."""
     if kind not in ("h", "b"):
         raise ValueError(f"kind must be h or b, got {kind!r}")
     if n < 0:
         return Poly.zero(("x1",))
-    if (kind, n) not in ctx._polys:
-        rolled = []
-        while (kind, len(rolled)) in ctx._polys:
-            rolled.append(ctx._polys[kind, len(rolled)])
-        for m, p in enumerate(hb_values(ctx, kind, Poly.variable("x1"), n + 1, rolled)):
-            ctx._polys[kind, m] = p
-    return ctx._polys[kind, n]
+    return ctx.roll(kind, n + 1,
+                    lambda: _hb_recurrence(ctx, kind, Poly.variable("x1"), n + 1))[n]
 
 
 def d_coeff(ctx: QContext, n: int) -> Poly:
@@ -226,7 +228,7 @@ def d_truncated_product(ctx: QContext, n: int, factors: int) -> Poly:
         a = q ** j
         prod = prod * (1 - 2 * a * x * rho + a * a * rho * rho)
         # Truncate above rho^n as we go; higher orders never feed back down.
-        prod = prod.truncate("rho", n + 1)
+        prod = prod.band("rho", 0, n + 1)
     return ctx.qq(n) * prod.coeff_of("rho", n)
 
 
@@ -241,10 +243,8 @@ def d2_values(ctx: QContext, x: float, y: float, count: int) -> list[float]:
     cplus, cminus = x * y - root, x * y + root
     bp = hb_values(ctx, "b", float(cplus), count)
     bm = hb_values(ctx, "b", float(cminus), count)
-    out = []
-    for m in range(count):
-        out.append(left_sum(float(ctx.binom(m, r)) * bp[r] * bm[m - r] for r in range(m + 1)))
-    return out
+    return [left_sum(float(ctx.binom(m, r)) * bp[r] * bm[m - r] for r in range(m + 1))
+            for m in range(count)]
 
 
 def d2_coeff(ctx: QContext, n: int) -> Poly:
@@ -256,26 +256,21 @@ def d2_coeff(ctx: QContext, n: int) -> Poly:
         A_{m+1} = -2 q^m (x1 x2 A_m - D B_m) + q^(m-1) (1 - q^m) A_{m-1}
         B_{m+1} = -2 q^m (x1 x2 B_m - A_m) + q^(m-1) (1 - q^m) B_{m-1}
 
-    The pairs are kept in ``ctx``, and a longer roll resumes from the last two.
+    The pairs are the context's ``halves`` roll.
     """
     key = ("d2", n)
     if key not in ctx._polys:
         q, vs = ctx.q, ("x1", "x2")
         xx = Poly(vs, {(1, 1): 1})
         dd = Poly(vs, {(0, 0): 1, (2, 0): -1, (0, 2): -1, (2, 2): 1})
-        halves = ctx._polys.setdefault("halves", [])
-        if len(halves) <= n:
-            start = max(len(halves) - 2, 0)
 
-            def step(m, p1, p0):
-                m += start  # recur counts from the first seed
-                (a1, b1), (a0, b0) = p1, p0
-                s, t = -2 * q ** m, q ** (m - 1) * (1 - q ** m)
-                return s * (xx * a1 - dd * b1) + t * a0, s * (xx * b1 - a1) + t * b0
+        def step(m, p1, p0):
+            (a1, b1), (a0, b0) = p1, p0
+            s, t = -2 * q ** m, q ** (m - 1) * (1 - q ** m)
+            return s * (xx * a1 - dd * b1) + t * a0, s * (xx * b1 - a1) + t * b0
 
-            seeds = halves[start:] if start else [(Poly.const(1, vs), Poly.zero(vs)),
-                                                  (-2 * xx, Poly.const(2, vs))]
-            halves[start:] = recur([None] * (n + 1 - start), *seeds, step)
+        halves = ctx.roll("halves", n + 1, lambda: ((Poly.const(1, vs), Poly.zero(vs)),
+                                                    (-2 * xx, Poly.const(2, vs)), step))
         aa = bb = Poly.zero(vs)
         for m in range(n // 2 + 1):  # the terms at m and n - m are equal
             w = ctx.binom(n, m) * (1 if 2 * m == n else 2)
@@ -707,9 +702,9 @@ def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
     for i in range(factors):
         qi = ctx.q ** i
         fac = Poly(("rho",), {(m,): c * qi ** m for m, c in enumerate(base)})
-        den = (den * fac).truncate("rho", rho_order + 1)
+        den = (den * fac).band("rho", 0, rho_order + 1)
     series = Poly(("rho",), {(j,): v for j, v in enumerate(a)})
-    prod = (series * den).truncate("rho", rho_order + 1).terms
+    prod = (series * den).band("rho", 0, rho_order + 1).terms
     out = [prod.get((r,), 0) for r in range(rho_order + 1)]
     expected_degree = 2 ** arity - 1
     scale = max(abs(float(v)) for v in a) or 1.0

@@ -105,3 +105,13 @@ def test_unknown_id():
     with pytest.raises(UnknownId):
         transcribed_form("no-such-form")
     assert "tri_UUU" in registry_ids()
+
+
+@pytest.mark.parametrize("fid, shifts, bad", [("_3", {"m": 7}, "m"), ("shifted_T", {"n": 5}, "n"),
+                                              ("shifted_UU", {"n": 1, "k": 2}, "k")])
+def test_unknown_shift_keywords_are_refused(fid, shifts, bad):
+    # The builders took any keyword and ignored it: compare_form("_3", m=7)
+    # matched and recorded the shift it never applied.
+    for call in (compare_form, transcribed_form):
+        with pytest.raises(UnknownId, match=f"takes no shift {bad}$"):
+            call(fid, **shifts)

@@ -284,7 +284,7 @@ def _one_sided_numerator(spec):
     w = build_w(K).poly
     acc = Poly.zero()
     for i in range(order):
-        term = w.truncate("rho", order - i) * Poly(("rho",), {(i,): 1})
+        term = w.band("rho", 0, order - i) * Poly(("rho",), {(i,): 1})
         for factor in _cheb_factors(spec, i):
             term = term * factor
         acc = acc + term
@@ -637,6 +637,12 @@ def test_genspec_validation():
         GenSpec(0, 0, ())
     with pytest.raises(DomainError):
         GenSpec(1, 1, (0,))
+    # Only ints: a float or string shift used to end in islice's ValueError or a
+    # TypeError, and a bool was taken as the integer it stands for.
+    for k, n, t in ((1, 0, (0.5,)), (1, 0, ("1",)), (1, 0, (True,)), (True, 0, (0,)),
+                    (1.0, 0, (0,)), (0, "1", (0,)), (1, 1, (0, False))):
+        with pytest.raises(DomainError, match="must be integers"):
+            GenSpec(k, n, t)
     # The shift work limit: the first two build in seconds, the others in hours.
     GenSpec(1, 0, (2000,))
     GenSpec(0, 4, (16,) * 4)

@@ -163,7 +163,7 @@ def test_stored_pair_is_lowest_terms(pair):
                p.rename({"rho": "rho12"}), Poly.from_json_dict(p.to_json_dict()),
                Poly(p.vars, {e: 6 * c for e, c in p.terms.items()})]
     for v in p.vars:
-        results += [p.truncate(v, 1), p.truncate(v, 2), p.band(v, 1, 3, 1)]
+        results += [p.band(v, 0, 1), p.band(v, 0, 2), p.band(v, 1, 3, 1)]
         if not (v[0] == "x" and "s" + v[1:] in p.vars):
             results += [p.coeff_of(v, 0), p.coeff_of(v, 1),
                         p.subs(v, q), p.subs(v, Fraction(3, 2))]
@@ -275,7 +275,7 @@ def test_results_are_canonical(pair):
     results = [p + q, p - q, p * q, q * p, p * Fraction(3, 7), p * Fraction(1, 3) * 3,
                remade, Poly.sum([remade, q, -p]), Poly.sum([p * third, q * third, p])]
     for v in p.vars:
-        results += [p.truncate(v, 2)]
+        results += [p.band(v, 0, 2)]
         if not (v[0] == "x" and "s" + v[1:] in p.vars):  # a marker keeps its partner
             results += [p.coeff_of(v, 1)]
         if "s" + v[1:] not in p.vars:
@@ -433,7 +433,7 @@ def test_rho_coeff_reconstructs(p):
        st.integers(-1, 4), st.integers(0, 5), st.integers(-4, 4))
 def test_band_slices_and_moves_exponents(p, var, lo, hi, shift):
     # band(var, lo, hi, shift) keeps the terms whose exponent e of var has
-    # lo <= e < hi and moves e to e + shift: a difference of truncations at
+    # lo <= e < hi and moves e to e + shift: a difference of slices from 0 at
     # shift 0, and coefficient by coefficient the same as coeff_of.
     if shift < -max(lo, 0) or shift and var not in p.vars:
         with pytest.raises(ValueError):
@@ -443,7 +443,7 @@ def test_band_slices_and_moves_exponents(p, var, lo, hi, shift):
     _assert_lowest_terms(got)
     assert got.vars == p.vars
     if not shift:
-        assert got == p.truncate(var, max(lo, hi)) - p.truncate(var, lo)
+        assert got == p.band(var, 0, max(lo, hi)) - p.band(var, 0, lo)
     if var not in p.vars or var[0] == "x" and "s" + var[1:] in p.vars:
         return  # coeff_of keeps xk only without sk
     for e in range(0, 9):

@@ -199,14 +199,19 @@ def _d2_with_markers(ctx, n):
 
 @pytest.mark.parametrize("q", [F(0), F(1, 2), F(-1, 3), F(-4, 11), F(6, 7)])
 def test_d2_matches_marker_construction(q):
-    # One context, called out of order: the memo and the resumed roll of the
-    # conjugate halves must give what a roll from scratch gives.
+    # One context, called out of order: the memo and the resumed rolls of the
+    # conjugate halves and of h and b must give what a roll from scratch gives.
     ctx = QContext(q)
+    types = lambda p: {e: type(c) for e, c in p.terms.items()}
     for n in (14, 3, 0, 7, 20):
         got, want = d2_coeff(ctx, n), _d2_with_markers(QContext(q), n)
         assert got.vars == ("x1", "x2") and got == want
-        assert ({e: type(c) for e, c in got.terms.items()}
-                == {e: type(c) for e, c in want.terms.items()})
+        assert types(got) == types(want)
+        for kind in ("h", "b"):
+            got, fresh = hb_poly(ctx, kind, n), hb_poly(QContext(q), kind, n)
+            plain = hb_values(QContext(q), kind, X, n + 1)[n]
+            assert got.vars == ("x1",) and got == fresh == plain
+            assert types(got) == types(fresh) == types(plain)
 
 
 def test_d2_work_guard(monkeypatch):

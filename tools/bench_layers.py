@@ -19,6 +19,11 @@ Python version and the number of usable CPUs:
   perfbench's closed-forms workload, after clearing the numerator and
   Chebyshev caches (w_K stays warm: it is timed on its own).  A w call
   clears every exact cache first.
+* ``BENCH_q_families.json``: the median and quartiles of 15 cold calls per q
+  of ``qseries.hb_poly`` for h and for b, n = 0..24 in turn, and of
+  ``qseries.d2_coeff``, n = 0..14 in turn, each call on a fresh
+  ``QContext``; one q per denominator 7, 11 and 13 with |q| in [1/3, 1/2],
+  as in perfbench's q-exact workload.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,7 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from chebsum import cheb, denom, genfun  # noqa: E402
+from chebsum import cheb, denom, genfun, qseries  # noqa: E402
 from chebsum.genfun import GenSpec, chi_series_oracle_grid, numerator_l  # noqa: E402
 
 ORDER = 200
@@ -46,6 +52,8 @@ CALLS = 15
 POINTS = (50, 2000)
 # The shift multiset per slot count of perfbench's closed-forms workload.
 SHIFTS = {1: (-1,), 2: (-1, 1), 3: (-1, 0, 1), 4: (-1, 0, 0, 1)}
+# One q per denominator of perfbench's q-exact workload, |q| in [1/3, 1/2].
+Q_VALUES = (Fraction(3, 7), Fraction(-4, 11), Fraction(5, 13))
 EXACT_CACHES = (denom.build_w, denom.build_w_recursive, denom.w_rho_coeff_polys,
                 cheb._cheb_poly_cached, genfun._numerator_cached)
 
@@ -96,6 +104,15 @@ def bench_w(build, n: int) -> dict:
     return {"layer": f"denom.{build.__name__}", "n": n, **_quartiles_ms(times)}
 
 
+def bench_q_family(q: Fraction, layer: str) -> dict:
+    if layer == "d2_coeff":
+        call, name = lambda ctx: [qseries.d2_coeff(ctx, n) for n in range(15)], "qseries.d2_coeff"
+    else:
+        call, name = lambda ctx: [qseries.hb_poly(ctx, layer, n) for n in range(25)], "qseries.hb_poly"
+    times = _cold_times(lambda: None, lambda: call(qseries.QContext(q)))
+    return {"layer": name, "kind": layer, "q": str(q), **_quartiles_ms(times)}
+
+
 def bench_case(K: int, N: int) -> dict:
     spec = GenSpec(K // 2, K - K // 2, (0,) * K)
     rng = np.random.default_rng(K * 10007 + N)
@@ -116,7 +133,7 @@ def bench_case(K: int, N: int) -> dict:
 def _write(name: str, doc: dict) -> None:
     (ROOT / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for c in doc["cases"]:
-        size = ", ".join(f"{k}={c[k]}" for k in ("K", "k", "n", "points") if k in c)
+        size = ", ".join(f"{k}={c[k]}" for k in ("K", "k", "n", "points", "kind", "q") if k in c)
         print(f"{c.get('layer', doc['layer'])} {size}: median {c['median_ms']:.2f} ms "
               f"[{c['q1_ms']:.2f}, {c['q3_ms']:.2f}]"
               + (f", peak {c['tracemalloc_peak_mb']:.2f} MB" if "tracemalloc_peak_mb" in c else ""))
@@ -142,6 +159,10 @@ def main() -> None:
         "cases": [bench_numerators(K) for K in range(1, 5)]
         + [bench_w(build, n) for build in (denom.build_w, denom.build_w_recursive)
            for n in range(1, 5)]})
+    _write("BENCH_q_families.json", {
+        "layer": "cold q-families", **env,
+        "caches": "a fresh QContext per call: h, b and the conjugate halves roll from their seeds",
+        "cases": [bench_q_family(q, layer) for q in Q_VALUES for layer in ("h", "b", "d2_coeff")]})
 
 
 if __name__ == "__main__":
