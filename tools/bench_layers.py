@@ -1,10 +1,10 @@
-"""Layer timing of the float series oracle and of the cold exact builds.
+"""Layer timing of the float series oracle, the cold exact builds and the q-families.
 
 Run from anywhere, with no options:
 
     python3 tools/bench_layers.py
 
-It writes two files at the repository root, each with the git sha, the
+It writes three files at the repository root, each with the git sha, the
 Python version and the number of usable CPUs:
 
 * ``BENCH_series_oracle.json``: ``genfun.chi_series_oracle_grid`` at series
@@ -104,13 +104,14 @@ def bench_w(build, n: int) -> dict:
     return {"layer": f"denom.{build.__name__}", "n": n, **_quartiles_ms(times)}
 
 
-def bench_q_family(q: Fraction, layer: str) -> dict:
-    if layer == "d2_coeff":
-        call, name = lambda ctx: [qseries.d2_coeff(ctx, n) for n in range(15)], "qseries.d2_coeff"
+def bench_q_family(q: Fraction, family: str) -> dict:
+    if family == "d2":
+        layer, call = "qseries.d2_coeff", lambda ctx: [qseries.d2_coeff(ctx, n) for n in range(15)]
     else:
-        call, name = lambda ctx: [qseries.hb_poly(ctx, layer, n) for n in range(25)], "qseries.hb_poly"
+        layer = "qseries.hb_poly"
+        call = lambda ctx: [qseries.hb_poly(ctx, family, n) for n in range(25)]
     times = _cold_times(lambda: None, lambda: call(qseries.QContext(q)))
-    return {"layer": name, "kind": layer, "q": str(q), **_quartiles_ms(times)}
+    return {"layer": layer, "family": family, "q": str(q), **_quartiles_ms(times)}
 
 
 def bench_case(K: int, N: int) -> dict:
@@ -133,7 +134,7 @@ def bench_case(K: int, N: int) -> dict:
 def _write(name: str, doc: dict) -> None:
     (ROOT / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for c in doc["cases"]:
-        size = ", ".join(f"{k}={c[k]}" for k in ("K", "k", "n", "points", "kind", "q") if k in c)
+        size = ", ".join(f"{k}={c[k]}" for k in ("K", "k", "n", "points", "family", "q") if k in c)
         print(f"{c.get('layer', doc['layer'])} {size}: median {c['median_ms']:.2f} ms "
               f"[{c['q1_ms']:.2f}, {c['q3_ms']:.2f}]"
               + (f", peak {c['tracemalloc_peak_mb']:.2f} MB" if "tracemalloc_peak_mb" in c else ""))
@@ -162,7 +163,7 @@ def main() -> None:
     _write("BENCH_q_families.json", {
         "layer": "cold q-families", **env,
         "caches": "a fresh QContext per call: h, b and the conjugate halves roll from their seeds",
-        "cases": [bench_q_family(q, layer) for q in Q_VALUES for layer in ("h", "b", "d2_coeff")]})
+        "cases": [bench_q_family(q, family) for q in Q_VALUES for family in ("h", "b", "d2")]})
 
 
 if __name__ == "__main__":
