@@ -412,7 +412,7 @@ class Poly:
         zero = Poly.zero(v for v in self.vars if v != name)  # refuses xk beside sk
         at = FIELD_BITS * self.vars.index(name)
         groups: dict[int, dict[int, int]] = {}
-        for k, c in self._packed.items():  # one pass: each term goes to its exponent's group
+        for k, c in self._packed.items():
             e = (k >> at) & _FIELD
             groups.setdefault(e, {})[k - (e << at)] = c
         return Poly.sum([zero] + [
