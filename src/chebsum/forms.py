@@ -179,6 +179,7 @@ _REGISTRY = {
     "tri_TUU": _form_tri_TUU,
     "tri_TTU": _form_tri_TTU,
 }
+_SHIFTS = {fid: inspect.signature(builder).parameters.keys() for fid, builder in _REGISTRY.items()}
 
 
 def registry_ids() -> tuple[str, ...]:
@@ -187,14 +188,12 @@ def registry_ids() -> tuple[str, ...]:
 
 def transcribed_form(form_id: str, **shifts) -> tuple[GenSpec, Poly]:
     """The registered form's spec and its transcribed numerator over x1..xK, rho."""
-    try:
-        builder = _REGISTRY[form_id]
-    except KeyError:
-        raise UnknownId(f"no registered form {form_id!r}") from None
-    unknown = sorted(shifts.keys() - inspect.signature(builder).parameters.keys())
+    if form_id not in _REGISTRY:
+        raise UnknownId(f"no registered form {form_id!r}")
+    unknown = sorted(shifts.keys() - _SHIFTS[form_id])
     if unknown:
         raise UnknownId(f"form {form_id!r} takes no shift {', '.join(unknown)}")
-    spec, num = builder(**shifts)
+    spec, num = _REGISTRY[form_id](**shifts)
     return spec, num.embed([f"x{i}" for i in range(1, spec.slots + 1)] + ["rho"])
 
 

@@ -432,7 +432,8 @@ class Poly:
         if var not in self.vars:
             return self if lo <= 0 < hi else Poly.zero(self.vars)
         at = FIELD_BITS * self.vars.index(var)
-        out = {k + (shift << at): c for k, c in self._packed.items() if lo <= (k >> at) & _FIELD < hi}
+        move = shift << at
+        out = {k + move: c for k, c in self._packed.items() if lo <= (k >> at) & _FIELD < hi}
         if shift > 0:
             _check_guards(out, len(self.vars))
         return Poly._make(self.vars, *_lowest(out, self._den))
