@@ -48,15 +48,15 @@ class Campaign:
 
 
 def check_sampling(trials: int, rho_max: float, order: int, tol: float) -> None:
-    """Raise DomainError unless trials >= 1, 0 < rho_max < 1, order >= 0 and tol > 0."""
+    """Raise DomainError unless trials >= 1, 0 < rho_max < 1, order >= 0 and 0 < tol < inf."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if not 0 < rho_max < 1:
         raise DomainError("rho_max must lie in (0, 1)")
     if order < 0:
         raise DomainError("order must be >= 0")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
 def _rng(c: Campaign, *tags) -> random.Random:

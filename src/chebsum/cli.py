@@ -35,6 +35,14 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+def _parse_exact(text: str) -> Fraction:
+    """A rational such as 1/3 or 0.25; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_rho_pairs(text: str, value=float) -> dict[tuple[int, int], object]:
     """Pair list like 12=0.6,13=0.8 (values parsed by ``value``); "" gives {}."""
     out = {}
@@ -43,7 +51,10 @@ def _parse_rho_pairs(text: str, value=float) -> dict[tuple[int, int], object]:
         key = key.strip()
         if len(key) != 2 or not key.isdigit():
             raise ValueError(f"pair key must be two digits ij, got {key!r}")
-        out[(int(key[0]), int(key[1]))] = value(val)
+        pair = int(key[0]), int(key[1])
+        if pair in out:
+            raise ValueError(f"pair key {key} is given twice")
+        out[pair] = value(val)
     return out
 
 
@@ -196,7 +207,7 @@ def _cmd_chi(args) -> int:
 
 def _cmd_kibble(args) -> int:
     if args.action == "denominator":
-        K = CorrMatrix.from_dict(args.n, _parse_rho_pairs(args.rho, Fraction))
+        K = CorrMatrix.from_dict(args.n, _parse_rho_pairs(args.rho, _parse_exact))
         p = kibble_denominator(K, symbolic=args.symbolic)
         _emit(args, camp.canonical_json(p.to_json_dict()) + "\n")
         return 0
@@ -228,7 +239,7 @@ _Q_NMAX = {"duality": (0, 10, math.inf), "idb": (0, 6, 6), "chi1t": (0, 5, 5), "
 
 
 def _cmd_q(args) -> int:
-    qs = [Fraction(v) for v in args.q.split(",")]
+    qs = [_parse_exact(v) for v in args.q.split(",")]
     if args.action == "probe":
         if args.conjecture == "beta":
             if args.nmax < 2:

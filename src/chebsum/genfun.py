@@ -62,6 +62,8 @@ class GenSpec:
     t: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.t, Sequence):
+            raise DomainError(f"the shifts must be a sequence of integers, got {self.t!r}")
         object.__setattr__(self, "t", tuple(self.t))
         if not all(type(v) is int for v in (self.k, self.n, *self.t)):  # refuses a bool too
             raise DomainError(f"k, n and the shifts must be integers, got {(self.k, self.n, self.t)}")

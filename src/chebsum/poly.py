@@ -142,7 +142,7 @@ def _remap(packed: dict[int, Scalar], moves: Iterable[tuple[int, int]]) -> dict[
     """Move exponent fields by (source index, target index) pairs, keeping order.
 
     Fields that no pair names are dropped; consecutive moves are done as one
-    masked shift.
+    masked shift, over all keys at once.
     """
     runs: list[list[int]] = []
     for src, dst in moves:
@@ -150,10 +150,12 @@ def _remap(packed: dict[int, Scalar], moves: Iterable[tuple[int, int]]) -> dict[
             runs[-1][2] += 1
         else:
             runs.append([src, dst, 1])
-    shifts = [(FIELD_BITS * src, (1 << (FIELD_BITS * width)) - 1, FIELD_BITS * dst)
-              for src, dst, width in runs]
-    return {sum(((k >> src) & mask) << dst for src, mask, dst in shifts): c
-            for k, c in packed.items()}
+    keys = list(packed)
+    new = [0] * len(keys)
+    for src, dst, width in runs:
+        at, to, mask = FIELD_BITS * src, FIELD_BITS * dst, (1 << (FIELD_BITS * width)) - 1
+        new = [n | ((k >> at) & mask) << to for n, k in zip(new, keys)]
+    return dict(zip(new, packed.values()))
 
 
 class Poly:
@@ -270,6 +272,13 @@ class Poly:
         """``embed`` onto canonical ``vs`` known to hold every variable of self."""
         if vs == self.vars:
             return self
+        n = len(self.vars)
+        at = vs.index(self.vars[0]) if n else 0
+        if vs[at:at + n] == self.vars:  # the fields move as one block, by ``at`` fields
+            if not at:  # none moves: share the terms
+                return Poly._make(vs, self._packed, self._den)
+            return Poly._make(vs, {k << (FIELD_BITS * at): c for k, c in self._packed.items()},
+                              self._den)
         return Poly._make(vs, _remap(self._packed, [(i, vs.index(v)) for i, v in enumerate(self.vars)]),
                           self._den)
 
@@ -351,14 +360,13 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Poly.const(1, self.vars)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return Poly.const(1, self.vars) if result is None else result
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -605,24 +613,26 @@ def _marker_pairs(variables: tuple[str, ...]) -> list[tuple[int, int]]:
 
 def _reduce_markers(variables: tuple[str, ...], terms: dict[int, int]) -> dict[int, int]:
     """Rewrite sk**e with e >= 2 via sk**2 = 1 - xk**2 until all marker exponents are 0/1."""
+    if not any(v[0] == "s" for v in variables):
+        return terms
     # The bits of a marker field above its lowest are set iff its exponent is >= 2.
     high = sum((_FIELD - 1) << (FIELD_BITS * i) for i, v in enumerate(variables) if v[0] == "s")
-    if not high or not any(k & high for k in terms):
+    if not reduce(or_, terms, 0) & high:
         return terms
     pairs = _marker_pairs(variables)
     out: dict[int, int] = {}
     stack = list(terms.items())
     while stack:
         key, c = stack.pop()
-        for sshift, xshift in pairs:
-            e = (key >> sshift) & _FIELD
-            if e >= 2:
-                half, rem = divmod(e, 2)
-                base = key - ((e - rem) << sshift)
-                # (1 - x^2)^half expanded binomially
-                for t in range(half + 1):
-                    stack.append((base + ((2 * t) << xshift), c * math.comb(half, t) * (-1) ** t))
-                break
+        if key & high:
+            for sshift, xshift in pairs:  # the first marker whose exponent is >= 2
+                half = ((key >> sshift) & _FIELD) >> 1
+                if half:
+                    break
+            base = key - ((2 * half) << sshift)
+            # (1 - x^2)^half expanded binomially
+            for t in range(half + 1):
+                stack.append((base + ((2 * t) << xshift), c * math.comb(half, t) * (-1) ** t))
         else:
             nc = out.get(key, 0) + c
             if nc == 0:

@@ -362,6 +362,33 @@ def test_campaign_knobs_raise_domain_error(capsys):
     assert capsys.readouterr().err.startswith("error: points must be >= 1")
 
 
+def test_zero_denominators_repeated_pairs_and_endless_tol_are_refused(capsys):
+    # A zero denominator ended in a ZeroDivisionError traceback, a repeated pair
+    # key kept its last value, and --tol inf or nan let every comparison pass.
+    for argv in (["q", "check", "--suite", "duality", "--q", "1/0"],
+                 ["q", "probe", "--conjecture", "beta", "--q", "1/0", "--nmax", "2"],
+                 ["kibble", "denominator", "--n", "3", "--rho", "12=1/0"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: zero denominator in '1/0'\n"
+    assert main(["kibble", "denominator", "--n", "3", "--rho", "12=1/2,12=1/3"]) == 2
+    assert main(["kibble", "eval", "--kind", "T", "--x", "0.1,0.2,0.3",
+                 "--rho", "12=0.1,13=0.2,12=0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("usage error: pair key 12 is given twice") == 2
+    for tol in ("inf", "nan", "-inf"):
+        assert main(["chi", "verify", "--k", "1", "--n", "0", f"--tol={tol}"]) == 2
+        assert main(["verify", "chi-forms", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(f"error: tol must be positive and finite, got {tol}") == 2
+    for tol in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            camp.check_sampling(1, 0.5, 10, tol)
+
+
 def test_unread_flags_exit_2():
     # kibble verify samples n = 2..5 and has no --n; --tol is taken only where
     # a bound reads it (chi verify, verify).

@@ -643,6 +643,10 @@ def test_genspec_validation():
                     (1.0, 0, (0,)), (0, "1", (0,)), (1, 1, (0, False))):
         with pytest.raises(DomainError, match="must be integers"):
             GenSpec(k, n, t)
+    # A shift vector that is not a sequence ended in a bare TypeError.
+    for t in (5, None, 0.5):
+        with pytest.raises(DomainError, match="must be a sequence"):
+            GenSpec(1, 0, t)
     # The shift work limit: the first two build in seconds, the others in hours.
     GenSpec(1, 0, (2000,))
     GenSpec(0, 4, (16,) * 4)

@@ -183,7 +183,6 @@ SUM_ALLOWED = {
     "cheb.py:sign_vector_sum": (1, "bit mask of the U slots"),
     "genfun.py:_basis_convolution": (2, "monomial degrees"),
     "kibble.py:kibble_series_oracle": (2, "pair caps"),
-    "poly.py:_remap": (1, "packed monomial bit fields"),
     "poly.py:sorted_terms": (1, "monomial degree"),
     "poly.py:_reduce_markers": (1, "packed monomial bit mask"),
     "qseries.py:bracket": (1, "Fraction powers of q"),

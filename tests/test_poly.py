@@ -287,6 +287,107 @@ def test_results_are_canonical(pair):
     assert _typed((p * q).terms.items()) == _typed(reference_product(p, q)[1].items())
 
 
+NAMES = ("x1", "x2", "x3", "s1", "s2", "s3", "rho")
+
+
+def var_tuples():
+    """Canonical variable tuples over NAMES; each marker sk brings its partner xk."""
+    return st.sets(st.sampled_from(NAMES)).map(lambda names: tuple(sorted(
+        names | {"x" + v[1:] for v in names if v[0] == "s"}, key=var_sort_key)))
+
+
+def polys_on(vs):
+    coeff = st.integers(-4, 4) | st.integers(-4, 4).map(lambda n: Fraction(n, 3))
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(vs)), coeff,
+                           max_size=6).map(lambda terms: Poly(vs, terms))
+
+
+def reference_moved(p, vs, names=None):
+    """p's terms on ``vs``, each exponent moved to the field of its name in ``names``.
+
+    ``names`` (p.vars by default) gives every variable of p its name on vs, or
+    None for a dropped variable; exponents move one at a time, in p's term order.
+    """
+    at = [None if v is None else vs.index(v) for v in (names or p.vars)]
+    out = {}
+    for exps, c in p.terms.items():
+        new = [0] * len(vs)
+        for i, e in zip(at, exps):
+            if i is None:
+                assert e == 0
+            else:
+                new[i] = e
+        out[tuple(new)] = c
+    return list(out.items())
+
+
+def reference_power(p, n):
+    """p ** n by squaring, from the constant 1 on p's variables."""
+    result, base = Poly.const(1, p.vars), p
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def layout_cases():
+    """Two polys, a canonical tuple holding both, a permutation of 1..3 and a power."""
+    return st.tuples(var_tuples(), var_tuples(), var_tuples()).flatmap(lambda t: st.tuples(
+        polys_on(t[0]), polys_on(t[1]),
+        st.just(tuple(sorted(set(t[0]) | set(t[1]) | set(t[2]), key=var_sort_key))),
+        st.permutations((1, 2, 3)), st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(layout_cases())
+def test_layout_moves_match_field_by_field_reference(case):
+    # Embed, rename, drop, product, sum and power give the variables, terms and
+    # term order that moving each exponent of each term on its own gives.
+    a, b, wide, perm, n = case
+    on = lambda p: Poly(wide, dict(reference_moved(p, wide)))
+    got = a.embed(wide)
+    assert got.vars == wide and _typed(got.terms.items()) == _typed(reference_moved(a, wide))
+    back = got.drop_vars([v for v in wide if v not in a.vars])
+    assert back.vars == a.vars
+    assert _typed(back.terms.items()) == _typed(reference_moved(
+        got, a.vars, [v if v in a.vars else None for v in wide]))
+    mapping = {f"{c}{i}": f"{c}{perm[i - 1]}" for c in "xs" for i in (1, 2, 3)}
+    mapping["rho"] = "rho12"
+    renamed = [mapping[v] for v in a.vars]
+    vs = tuple(sorted(renamed, key=var_sort_key))
+    got = a.rename(mapping)
+    assert got.vars == vs and _typed(got.terms.items()) == _typed(reference_moved(a, vs, renamed))
+    union = tuple(sorted(set(a.vars) | set(b.vars), key=var_sort_key))
+    for got, want in ((a * b, on(a) * on(b)), (b * a, on(b) * on(a)), (a + b, on(a) + on(b)),
+                      (Poly.sum([b, a, -b]), Poly.sum([on(b), on(a), -on(b)]))):
+        assert got.vars == union
+        assert _typed(got.terms.items()) == _typed(reference_moved(want, union, [
+            v if v in union else None for v in wide]))
+    got, want = a ** n, reference_power(a, n)
+    assert got.vars == want.vars and _typed(got.terms.items()) == _typed(want.terms.items())
+
+
+def test_prefix_embed_leaves_the_original_alone():
+    # An embed onto a tuple that starts with p's variables shares p's terms;
+    # nothing done with the wide copy may change them.
+    p = Poly(("x1",), {(2,): 3, (0,): -1, (1,): Fraction(1, 2)})
+    before = p.sorted_terms()
+    wide = p.embed(("x1", "x2", "rho"))
+    other = X2 * RHO - 2
+    assert wide + other == p + other and other * wide == other * p
+    assert (wide - wide).is_zero() and -wide == -p and wide * 3 == 3 * p
+    assert Poly.sum([wide, other, -wide]) == other and wide ** 3 == p ** 3
+    assert wide.subs("x1", X2) == p.subs("x1", X2)
+    assert wide.band("x1", 1, 3, 2) == p.band("x1", 1, 3, 2)
+    assert wide.coeff_of("x1", 2) == 3 and wide.rename({"x1": "x3"}) == p.rename({"x1": "x3"})
+    assert wide.drop_vars(["x2"]).embed(("x1", "x2", "x3", "rho")) == p
+    assert p.sorted_terms() == before and wide.sorted_terms() == [
+        ((e[0], 0, 0), c) for e, c in before]
+    assert Poly(("x1",), dict(before)) == p == wide
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(small_polys())
 def test_hash_agrees_with_equality(a):

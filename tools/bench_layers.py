@@ -1,10 +1,10 @@
-"""Layer timing of the float series oracle, the cold exact builds and the q-families.
+"""Layer timing of the float series oracle, the exact builds, the q-families and Poly ops.
 
 Run from anywhere, with no options:
 
     python3 tools/bench_layers.py
 
-It writes three files at the repository root, each with the git sha, the
+It writes four files at the repository root, each with the git sha, the
 Python version and the number of usable CPUs:
 
 * ``BENCH_series_oracle.json``: ``genfun.chi_series_oracle_grid`` at series
@@ -24,6 +24,15 @@ Python version and the number of usable CPUs:
   ``qseries.d2_coeff``, n = 0..14 in turn, each call on a fresh
   ``QContext``; one q per denominator 7, 11 and 13 with |q| in [1/3, 1/2],
   as in perfbench's q-exact workload.
+* ``BENCH_poly_ops.json``: single ``Poly`` operations on fixed operands: a
+  same-variable product (w_2 * w_2), a mixed-variable product (x1 * rho), a
+  product whose sine markers reduce (two ``denom._cos_of_sum`` factors), a
+  sum (w_2 + rho), a substitution (x2 of w_2 by cos(a_2 + a_3), as in
+  ``build_w_recursive(3)``), an evaluation of w_3 at a float point (its
+  Horner plan made by a warm-up call), an embed that keeps every field (x1
+  onto x1, x2, rho), one that moves fields (w_2 onto x1, x2, x3, rho) and
+  rho ** 2.  Each of 15 samples times a batch of 200 calls; the file holds
+  the median and quartiles of the per-call time of the samples, in us.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ import numpy as np  # noqa: E402
 
 from chebsum import cheb, denom, genfun, qseries  # noqa: E402
 from chebsum.genfun import GenSpec, chi_series_oracle_grid, numerator_l  # noqa: E402
+from chebsum.poly import Poly  # noqa: E402
 
 ORDER = 200
 CALLS = 15
@@ -54,6 +64,7 @@ POINTS = (50, 2000)
 SHIFTS = {1: (-1,), 2: (-1, 1), 3: (-1, 0, 1), 4: (-1, 0, 0, 1)}
 # One q per denominator of perfbench's q-exact workload, |q| in [1/3, 1/2].
 Q_VALUES = (Fraction(3, 7), Fraction(-4, 11), Fraction(5, 13))
+POLY_BATCH = 200
 EXACT_CACHES = (denom.build_w, denom.build_w_recursive, denom.w_rho_coeff_polys,
                 cheb._cheb_poly_cached, genfun._numerator_cached)
 
@@ -114,6 +125,34 @@ def bench_q_family(q: Fraction, family: str) -> dict:
     return {"layer": layer, "family": family, "q": str(q), **_quartiles_ms(times)}
 
 
+def poly_ops() -> dict:
+    """The timed Poly operations by name, each a call on fixed operands."""
+    x1, rho = Poly.variable("x1"), Poly.variable("rho")
+    w2, w3 = denom.build_w(2).poly, denom.build_w(3).poly
+    plus = denom._cos_of_sum([0, 1, 1])
+    a, b = denom._cos_of_sum([1, 1, 1]), denom._cos_of_sum([1, -1, 1])
+    point = {"x1": 0.3, "x2": -0.2, "x3": 0.5, "rho": 0.4}
+    return {"mul same variables": lambda: w2 * w2, "mul x1 * rho": lambda: x1 * rho,
+            "mul with markers": lambda: a * b, "add": lambda: w2 + rho,
+            "subs": lambda: w2.subs("x2", plus), "eval": lambda: w3.eval(point),
+            "embed keeping fields": lambda: x1.embed(("x1", "x2", "rho")),
+            "embed moving fields": lambda: w2.embed(("x1", "x2", "x3", "rho")),
+            "pow rho ** 2": lambda: rho ** 2}
+
+
+def bench_poly_op(op: str, call) -> dict:
+    call()  # warm-up: makes eval's Horner plan
+
+    def batch():
+        for _ in range(POLY_BATCH):
+            call()
+
+    times = [t / POLY_BATCH for t in _cold_times(lambda: None, batch)]
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"op": op, "samples": len(times), "batch": POLY_BATCH,
+            "median_us": 1e6 * median, "q1_us": 1e6 * q1, "q3_us": 1e6 * q3}
+
+
 def bench_case(K: int, N: int) -> dict:
     spec = GenSpec(K // 2, K - K // 2, (0,) * K)
     rng = np.random.default_rng(K * 10007 + N)
@@ -134,9 +173,11 @@ def bench_case(K: int, N: int) -> dict:
 def _write(name: str, doc: dict) -> None:
     (ROOT / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for c in doc["cases"]:
-        size = ", ".join(f"{k}={c[k]}" for k in ("K", "k", "n", "points", "family", "q") if k in c)
-        print(f"{c.get('layer', doc['layer'])} {size}: median {c['median_ms']:.2f} ms "
-              f"[{c['q1_ms']:.2f}, {c['q3_ms']:.2f}]"
+        size = ", ".join(f"{k}={c[k]}" for k in ("K", "k", "n", "points", "family", "q", "op")
+                         if k in c)
+        unit = "ms" if "median_ms" in c else "us"
+        print(f"{c.get('layer', doc['layer'])} {size}: median {c['median_' + unit]:.2f} {unit} "
+              f"[{c['q1_' + unit]:.2f}, {c['q3_' + unit]:.2f}]"
               + (f", peak {c['tracemalloc_peak_mb']:.2f} MB" if "tracemalloc_peak_mb" in c else ""))
 
 
@@ -164,6 +205,10 @@ def main() -> None:
         "layer": "cold q-families", **env,
         "caches": "a fresh QContext per call: h, b and the conjugate halves roll from their seeds",
         "cases": [bench_q_family(q, family) for q in Q_VALUES for family in ("h", "b", "d2")]})
+    _write("BENCH_poly_ops.json", {
+        "layer": "poly", **env,
+        "caches": "none: every call makes its result; eval walks the plan its warm-up made",
+        "cases": [bench_poly_op(op, call) for op, call in poly_ops().items()]})
 
 
 if __name__ == "__main__":
