@@ -150,8 +150,7 @@ def _remap(packed: dict[int, Scalar], moves: Iterable[tuple[int, int]]) -> dict[
             runs[-1][2] += 1
         else:
             runs.append([src, dst, 1])
-    keys = list(packed)
-    new = [0] * len(keys)
+    keys, new = list(packed), [0] * len(packed)
     for src, dst, width in runs:
         at, to, mask = FIELD_BITS * src, FIELD_BITS * dst, (1 << (FIELD_BITS * width)) - 1
         new = [n | ((k >> at) & mask) << to for n, k in zip(new, keys)]
@@ -275,10 +274,9 @@ class Poly:
         n = len(self.vars)
         at = vs.index(self.vars[0]) if n else 0
         if vs[at:at + n] == self.vars:  # the fields move as one block, by ``at`` fields
-            if not at:  # none moves: share the terms
-                return Poly._make(vs, self._packed, self._den)
-            return Poly._make(vs, {k << (FIELD_BITS * at): c for k, c in self._packed.items()},
-                              self._den)
+            packed = (self._packed if not at  # none moves: share the terms
+                      else {k << (FIELD_BITS * at): c for k, c in self._packed.items()})
+            return Poly._make(vs, packed, self._den)
         return Poly._make(vs, _remap(self._packed, [(i, vs.index(v)) for i, v in enumerate(self.vars)]),
                           self._den)
 
@@ -598,28 +596,17 @@ def _product_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _marker_pairs(variables: tuple[str, ...]) -> list[tuple[int, int]]:
-    """(marker field shift, partner x field shift) for every sk present."""
-    index = {v: i for i, v in enumerate(variables)}
-    pairs = []
-    for v, i in index.items():
-        if v[0] == "s":
-            partner = "x" + v[1:]
-            if partner not in index:
-                raise MarkerError(f"marker {v} lacks partner {partner} in {variables}")
-            pairs.append((FIELD_BITS * i, FIELD_BITS * index[partner]))
-    return pairs
-
-
 def _reduce_markers(variables: tuple[str, ...], terms: dict[int, int]) -> dict[int, int]:
     """Rewrite sk**e with e >= 2 via sk**2 = 1 - xk**2 until all marker exponents are 0/1."""
-    if not any(v[0] == "s" for v in variables):
+    # (marker field shift, partner field shift) per sk; a canonical tuple holds each partner.
+    pairs = [(FIELD_BITS * i, FIELD_BITS * variables.index("x" + v[1:]))
+             for i, v in enumerate(variables) if v[0] == "s"]
+    if not pairs:
         return terms
     # The bits of a marker field above its lowest are set iff its exponent is >= 2.
-    high = sum((_FIELD - 1) << (FIELD_BITS * i) for i, v in enumerate(variables) if v[0] == "s")
+    high = sum((_FIELD - 1) << sshift for sshift, _ in pairs)
     if not reduce(or_, terms, 0) & high:
         return terms
-    pairs = _marker_pairs(variables)
     out: dict[int, int] = {}
     stack = list(terms.items())
     while stack:
