@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import denom, forms, genfun, kibble, poly, qseries
+from . import cheb, denom, forms, genfun, kibble, poly, qseries
 from .errors import DomainError
 
 ALL_SUITES = ("w", "chi-forms", "chi-oracle", "three-path", "formal-series",
@@ -277,12 +277,10 @@ def _q(c: Campaign):
         ctx = qseries.QContext(qv)
         qi = 1 / qv
         x = poly.Poly.variable("x1")
-        for n in range(13):
-            p0, p1 = poly.Poly.const(1, ("x1",)), 2 * x
-            for m in range(1, n):
-                p0, p1 = p1, 2 * x * p1 - (1 - qi ** m) * p0
-            h_inv = p0 if n == 0 else p1
-            want = F(-1) ** n * qv ** (n * (n - 1) // 2) * h_inv
+        h_inv = cheb.recur([None] * 13, x ** 0, 2 * x,  # h_n(x | 1/q), n <= 12
+                           lambda m, p1, p0: 2 * x * p1 - (1 - qi ** m) * p0)
+        for n, h in enumerate(h_inv):
+            want = F(-1) ** n * qv ** (n * (n - 1) // 2) * h
             ok = ok and qseries.hb_poly(ctx, "b", n) == want
     yield _rec("b-h-duality-n12", ok)
     yield _rec("idb-n6-k8", all(r["pass"] for r in q_check("idb", [F(1, 2)], 6, c.seed)))

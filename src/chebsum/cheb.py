@@ -77,19 +77,17 @@ def _cheb_step(x):
     return lambda m, p1, p0: x2 * p1 - p0
 
 
-def _cheb_nth(kind: str, n: int, x, one):
-    """P_n(x) for n >= 0 from the seeds (one, x) or (one, 2x), keeping two values at a time."""
+def _cheb_nth(kind: str, n: int, x):
+    """P_n(x) for n >= 0 from the seeds (x ** 0, x) or (x ** 0, 2x), keeping two values at a time."""
     if n > MAX_SEED_INDEX:  # checked before any work: the steps grow as O(n)
         raise ScaleError(f"Chebyshev index {n} exceeds the supported limit {MAX_SEED_INDEX}")
-    return next(itertools.islice(roll(one, x if kind == "T" else 2 * x, _cheb_step(x)), n, None))
+    return next(itertools.islice(roll(x ** 0, x if kind == "T" else 2 * x, _cheb_step(x)), n, None))
 
 
 def cheb_eval(c: ChebIndex, x):
-    """Value of T_n or U_n at x, exact when x is exact."""
+    """T_n or U_n at a number, Fraction, numpy array or ``Poly`` x, of x's type: U_{-1} is 0 * x."""
     sign, n = _mapped(c.kind, c.index)
-    if sign == 0:
-        return 0 * x
-    return sign * _cheb_nth(c.kind, n, x, 1)
+    return sign * _cheb_nth(c.kind, n, x) if sign else 0 * x
 
 
 def cheb_seq(kind: str, start: int, count: int, x) -> list:
@@ -106,12 +104,10 @@ def cheb_seq(kind: str, start: int, count: int, x) -> list:
 
 @lru_cache(maxsize=None)
 def _cheb_poly_cached(kind: str, n: int, var: str) -> Poly:
-    sign, m = _mapped(kind, n)
+    m = _mapped(kind, n)[1]
     if m > MAX_DEGREE:  # checked before any work: the recurrence would run for hours
         raise ScaleError(f"Chebyshev degree {m} exceeds the supported limit {MAX_DEGREE}")
-    if sign == 0:
-        return Poly.zero((var,))
-    return sign * _cheb_nth(kind, m, Poly.variable(var), Poly.const(1, (var,)))
+    return cheb_eval(ChebIndex(kind, n), Poly.variable(var))
 
 
 def cheb_poly(c: ChebIndex, var: str = "x1") -> Poly:
@@ -237,8 +233,5 @@ def cheb_seq_grid(kind: str, start: int, count: int, x):
     import numpy as np
 
     x = np.asarray(x, dtype=float)
-    seeds = []
-    for index in (start, start + 1):
-        sign, n = _mapped(kind, index)
-        seeds.append(sign * _cheb_nth(kind, n, x, 1.0 + 0.0 * x) if sign else 0.0)
-    return recur(np.empty((count,) + x.shape), *seeds, _cheb_step(x))
+    return recur(np.empty((count,) + x.shape), cheb_eval(ChebIndex(kind, start), x),
+                 cheb_eval(ChebIndex(kind, start + 1), x), _cheb_step(x))

@@ -66,8 +66,8 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The argument parser; ``defaults`` (flag dest -> value) go to every command."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser: one sub-parser per command, each a leaf with its own flags."""
     top = argparse.ArgumentParser(prog="chebsum",
                                   description="closed forms and oracles for "
                                               "Chebyshev generating sums")
@@ -154,7 +154,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", dest="json_path", default=None,
                        help="write machine output to this path instead of stdout")
-        p.set_defaults(**(defaults or {}))  # after the flags, so it replaces their defaults
     return top
 
 
@@ -164,10 +163,7 @@ def _cmd_w(args) -> int:
         _emit(args, camp.canonical_json(w.poly.to_json_dict()) + "\n")
         print(f"w_{args.n}: {len(w.poly.terms)} terms", file=sys.stderr)
         return 0
-    rep = camp.run_campaign(camp.Campaign("w"))
-    _emit(args, camp.emit_ndjson([rep]))
-    _human([rep])
-    return 0 if rep.passed else 1
+    return _run_campaigns(args, [camp.Campaign("w")])
 
 
 def _cmd_chi(args) -> int:
@@ -227,11 +223,8 @@ def _cmd_kibble(args) -> int:
                                                      args.oracle_cutoff)
         _emit(args, camp.canonical_json(payload) + "\n")
         return 0
-    rep = camp.run_campaign(camp.Campaign("kibble", trials=args.trials,
-                                          seed=args.seed, cutoff=args.cutoff))
-    _emit(args, camp.emit_ndjson([rep]))
-    _human([rep])
-    return 0 if rep.passed else 1
+    return _run_campaigns(args, [camp.Campaign("kibble", trials=args.trials,
+                                               seed=args.seed, cutoff=args.cutoff)])
 
 
 # q check --nmax per suite: (smallest, default, largest); final-identity takes none.
@@ -269,27 +262,24 @@ def _cmd_q(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = list(camp.ALL_SUITES) if args.what == "all" else [args.what]
-    reports = []
-    for s in suites:
-        reports.append(camp.run_campaign(camp.Campaign(
-            s, trials=args.trials, points=args.points, seed=args.seed,
-            rho_max=args.rho_max, order=args.order, tol=args.tol,
-            cutoff=args.cutoff, nodes=args.nodes)))
+    suites = camp.ALL_SUITES if args.what == "all" else [args.what]
+    return _run_campaigns(args, [camp.Campaign(
+        s, trials=args.trials, points=args.points, seed=args.seed, rho_max=args.rho_max,
+        order=args.order, tol=args.tol, cutoff=args.cutoff, nodes=args.nodes) for s in suites])
+
+
+def _run_campaigns(args, campaigns) -> int:
+    """Run the campaigns in order, emit their NDJSON and one stderr line each; 1 on any FAIL."""
+    reports = [camp.run_campaign(c) for c in campaigns]
     _emit(args, camp.emit_ndjson(reports))
-    _human(reports)
+    for rep in reports:
+        print(f"{rep.suite}: {len(rep.records)} cases, {rep.failures} failures, "
+              f"{'PASS' if rep.passed else 'FAIL'} ({rep.elapsed:.2f}s)", file=sys.stderr)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _human(reports) -> None:
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"{rep.suite}: {len(rep.records)} cases, {rep.failures} failures, "
-              f"{status} ({rep.elapsed:.2f}s)", file=sys.stderr)
-
-
-def _load_config(parser: argparse.ArgumentParser, args) -> dict:
-    """The --config file's flag defaults; every key must be a flag of the chosen command."""
+def _load_config(parser: argparse.ArgumentParser, args) -> None:
+    """Make the --config file's values the chosen command's defaults; each must be its flag."""
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -309,7 +299,7 @@ def _load_config(parser: argparse.ArgumentParser, args) -> dict:
     bad = sorted(k for k, v in config.items() if not _fits(actions[k], v))
     if bad:
         parser.error(f"argument --config: wrong type or value for {', '.join(bad)}")
-    return config
+    leaf.set_defaults(**config)
 
 
 def _fits(action, value) -> bool:
@@ -326,8 +316,8 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         if args.config is not None:
-            # Again, with the file's values as the command's defaults: explicit flags win.
-            args = build_parser(_load_config(parser, args)).parse_args(argv)
+            _load_config(parser, args)
+            args = parser.parse_args(argv)  # again, on the file's defaults: explicit flags win
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

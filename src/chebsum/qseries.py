@@ -156,15 +156,14 @@ def _hb_recurrence(ctx: QContext, kind: str, x, count: int) -> tuple:
     if kind not in ("h", "b"):
         raise ValueError(f"kind must be h or b, got {kind!r}")
     q = float(ctx.q) if isinstance(x, float) else ctx.q
-    one = 1.0 if isinstance(x, float) else 1
-    qpow = [one]
+    qpow = [1]
     for _ in range(count):
         qpow.append(qpow[-1] * q)
     if kind == "h":
-        step = lambda m, p1, p0: 2 * x * p1 - (one - qpow[m]) * p0
+        step = lambda m, p1, p0: 2 * x * p1 - (1 - qpow[m]) * p0
     else:
-        step = lambda m, p1, p0: -2 * qpow[m] * x * p1 + qpow[m - 1] * (one - qpow[m]) * p0
-    return x ** 0 if isinstance(x, Poly) else one, 2 * x if kind == "h" else -2 * x, step
+        step = lambda m, p1, p0: -2 * qpow[m] * x * p1 + qpow[m - 1] * (1 - qpow[m]) * p0
+    return x ** 0, 2 * x if kind == "h" else -2 * x, step
 
 
 def hb_values(ctx: QContext, kind: str, x, count: int) -> list:
@@ -596,34 +595,27 @@ def _beta_solve(ctx: QContext, n: int) -> dict:
 
 
 def _fit_polynomial_in_q(samples: list[tuple[Fraction, Fraction]]) -> str | None:
-    """Interpolate beta(q) by a polynomial using all but one sample, then verify."""
+    """Interpolate beta(q) through all but the last sample by Newton divided differences,
+    expanded to powers of q, then check the last; a repeated fitted q gives None."""
     if len(samples) < 3:
         return None
-    fit_pts, check = samples[:-1], samples[-1]
-    m = len(fit_pts)
-    # Solve the Vandermonde system exactly.
-    rows = [[qv ** i for i in range(m)] + [val] for qv, val in fit_pts]
-    for c in range(m):
-        piv = next((r for r in range(c, m) if rows[r][c] != 0), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        for r in range(m):
-            if r != c and rows[r][c] != 0:
-                f = rows[r][c] / rows[c][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    coeffs = [rows[i][m] / rows[i][i] for i in range(m)]
+    (qs, dd), check = zip(*samples[:-1]), samples[-1]
+    if len(set(qs)) < len(qs):
+        return None
+    dd = list(dd)
+    for j in range(1, len(qs)):  # dd[i] becomes beta[q_0 .. q_i]
+        for i in range(len(qs) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (qs[i] - qs[i - j])
+    coeffs = [dd[-1]]
+    for r, d in zip(qs[-2::-1], dd[-2::-1]):  # coeffs * (q - r) + d
+        coeffs = [d - r * coeffs[0]] + [a - r * b for a, b in zip(coeffs, coeffs[1:] + [0])]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if sum(c * check[0] ** i for i, c in enumerate(coeffs)) != check[1]:
         return None
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        head = str(c) if i == 0 else (f"{c}*q" if i == 1 else f"{c}*q^{i}")
-        parts.append(head)
-    return " + ".join(parts) if parts else "0"
+    parts = [str(c) if i == 0 else f"{c}*q" if i == 1 else f"{c}*q^{i}"
+             for i, c in enumerate(coeffs) if c != 0]
+    return " + ".join(parts) or "0"
 
 
 def conjecture_probe(which: str, **params) -> dict:
