@@ -2,11 +2,12 @@
 
 ``roll`` is the package's one three-term recurrence loop, for floats,
 Fractions, ``Poly`` objects and numpy arrays alike: ``recur`` fills a table
-from it, a lone T_n or U_n takes its n-th value, and ``genfun``'s series
-oracle steps all slots at once in two reused buffers.  T_n, U_n and the
-q-families h_n, b_n of ``qseries`` all run on it.  The Chebyshev step is
-P_{n+1} = 2x P_n - P_{n-1} with (T_0, T_1) = (1, x) and (U_0, U_1) = (1, 2x),
-so arguments outside [-1, 1] are legal.  Negative indices are mapped first:
+from it, ``cheb_eval`` (the seed of every Chebyshev table) takes its n-th
+value, and ``genfun``'s series oracle steps all slots at once in two reused
+buffers.  T_n, U_n and the q-families h_n, b_n of ``qseries`` all run on it.
+The Chebyshev step is P_{n+1} = 2x P_n - P_{n-1} with (T_0, T_1) = (x^0, x)
+and (U_0, U_1) = (x^0, 2x), so arguments outside [-1, 1] are legal.
+Negative indices are mapped first:
 
     T_{-i} = T_i          U_{-1} = 0,  U_{-i} = -U_{i-2}  (i >= 2)
 
@@ -26,7 +27,8 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .errors import ArityError, DomainError, ScaleError, SingularAngle, require_below
+from .errors import (ArityError, ConvergenceError, DomainError, ScaleError, SingularAngle,
+                     require_below)
 from .poly import MAX_DEGREE, Poly
 
 MAX_MULTI_DIRECTIONS = 10  # C(5, 2) pairs: the shared step list holds at most 1023 entries
@@ -122,6 +124,8 @@ def geom_trig_sum(kind: str, rho: float, alpha: float, beta: float) -> float:
     require_below("rho", rho, strict=True)
     f = math.sin if kind == "sin" else math.cos
     den = 1 - 2 * rho * math.cos(alpha) + rho * rho
+    if den == 0:
+        raise ConvergenceError(f"the geometric denominator rounds to 0 at rho = {rho}")
     return (f(beta) - rho * f(beta - alpha)) / den
 
 
@@ -166,6 +170,8 @@ def multi_trig_sum(kind: str, rhos: Sequence[float],
         den = 1.0
         for r, a in zip(rhos, alphas):
             den *= 1 + r * r - 2 * r * math.cos(a)
+        if den == 0:
+            raise ConvergenceError(f"the geometric denominator rounds to 0 at ratios {list(rhos)}")
         angles = [alphas[i] for i in live]
         total = f(beta)  # empty subset
         angle = 0.0

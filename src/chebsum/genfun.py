@@ -51,6 +51,7 @@ MAX_SHIFT_WORK = 2 ** 22
 MAX_TAIL_TERMS = 10 ** 6
 # The rho values at which the marginal and positivity grids evaluate chi_{n,0}.
 GRID_RHOS = (-0.9, -0.5, 0.5, 0.9)
+MAX_MARGINAL_POINTS = 128 ** 3  # mesh points of a marginal check: (n, j) = (3, 3) at 128 nodes
 
 
 @dataclass(frozen=True)
@@ -228,6 +229,8 @@ def _ratio(cs, wc, rho):
             rp *= rho
         sums.append(total)
     num, den = sums
+    if isinstance(den, float) and den == 0:
+        raise ConvergenceError(f"the float denominator w rounds to 0 at rho = {rho}")
     return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) else num / den
 
 
@@ -436,6 +439,9 @@ def marginal_check(n: int, j: int, nodes: int = 128) -> MarginalReport:
         raise ScaleError("marginal checks supported for n <= 3")
     if nodes < 1:
         raise DomainError(f"quadrature needs nodes >= 1, got {nodes}")
+    if nodes ** j * 7 ** (n - j) > MAX_MARGINAL_POINTS:  # before any array is made
+        raise ScaleError(f"{nodes} nodes in {j} of {n} coordinates exceed the supported "
+                         f"{MAX_MARGINAL_POINTS} mesh points")
     cos_nodes = np.cos((2 * np.arange(1, nodes + 1) - 1) * math.pi / (2 * nodes))
     rest = np.linspace(-0.95, 0.95, 7)
     integrals = [v.mean(axis=tuple(range(j))) for v in _grid_chi([cos_nodes] * j + [rest] * (n - j))]

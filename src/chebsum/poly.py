@@ -46,6 +46,7 @@ strings.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
@@ -103,6 +104,17 @@ def _num_den(c) -> tuple[int, int]:
     if not isinstance(c, (int, Fraction)):
         c = Fraction(c)
     return c.numerator, c.denominator
+
+
+def exact_str(value: Scalar) -> str:
+    """``str`` of an int or Fraction, or ScaleError past Python's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        big = max(map(abs, _num_den(value)))
+        digits = int(big.bit_length() * math.log10(2))  # the count, or one short of it
+        raise ScaleError(f"an exact value of {digits + (10 ** digits <= big)} digits exceeds "
+                         f"the {sys.get_int_max_str_digits()}-digit limit for text") from None
 
 
 def _coeff(num: int, den: int) -> Scalar:
@@ -510,8 +522,7 @@ class Poly:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
-            frac = Fraction(c)
-            piece = [f"{frac.numerator}" if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"]
+            piece = [exact_str(Fraction(c))]
             for v, e in zip(self.vars, exps):
                 if e == 1:
                     piece.append(v)
@@ -521,8 +532,7 @@ class Poly:
         return " + ".join(parts)
 
     def to_json_dict(self) -> dict:
-        terms = [{"coeff": f"{Fraction(c).numerator}/{Fraction(c).denominator}",
-                  "exps": list(exps)}
+        terms = [{"coeff": "/".join(map(exact_str, _num_den(c))), "exps": list(exps)}
                  for exps, c in self.sorted_terms()]
         return {"vars": list(self.vars), "terms": terms}
 

@@ -53,7 +53,7 @@ from fractions import Fraction
 from .cheb import ChebIndex, cheb_poly, cheb_seq, left_sum, recur
 from .denom import w_rho_coeff_polys
 from .errors import ChebsumError, ConvergenceError, DegeneratePivot, DomainError, require_below
-from .poly import Poly
+from .poly import Poly, exact_str
 
 MAX_TAIL_INDEX = 400
 TAIL_EPS = 1e-30
@@ -458,10 +458,12 @@ def ft_inner_product(ctx: QContext, p: Poly) -> Fraction:
 
 
 def _qq_floats(q: float, count: int) -> list[float]:
-    """[(q;q)_0, ..., (q;q)_{count-1}] in floats."""
+    """[(q;q)_0, ..., (q;q)_{count-1}] in floats; ConvergenceError if the last rounds to 0."""
     out = [1.0]
     for m in range(1, count):
         out.append(out[-1] * (1 - q ** m))
+    if out[-1] == 0:
+        raise ConvergenceError(f"(q;q)_{count - 1} rounds to 0 in floats at q = {q}")
     return out
 
 
@@ -504,7 +506,7 @@ def chi1t_check(ctx: QContext, t: int, x: float, rho: float) -> IdentityReport:
                    for j in range(t + 1)) / w1
     # Tail: |h_m(x)| <= m+1 on [-1,1]; the series tail is geometric over the
     # smallest (q)_j, the product tail is first order in rho q^factors.
-    qq_floor = min(qqf) if min(qqf) > 0 else 1.0
+    qq_floor = min(qqf)
     series_tail = abs(rho) ** (J + 1) * (t + J + 2) / ((1 - abs(rho)) * qq_floor)
     product_tail = abs(2 * rho) * abs(q) ** factors / max(1e-12, (1 - abs(q))) * abs(rhs)
     return IdentityReport(lhs, rhs, abs(lhs - rhs), series_tail + product_tail + 1e-12)
@@ -706,7 +708,7 @@ def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
         rows.append({
             "order": r,
             "value": float(v),
-            "exact": str(v),
+            "exact": exact_str(v),
             "above_expected_degree": r > expected_degree,
             "persists": r > expected_degree and abs(float(v)) > bound,
         })

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from chebsum.cheb import (ChebIndex, _cheb_poly_cached, _cheb_step, cheb_eval, cheb_poly,
                           cheb_seq, cheb_seq_grid, cheb_values_row, geom_trig_sum,
                           multi_trig_sum, recur, roll)
-from chebsum.errors import ArityError, DomainError, ScaleError
+from chebsum.errors import ArityError, ConvergenceError, DomainError, ScaleError
 from chebsum.poly import EXP_LIMIT, Poly
 
 X = Poly.variable("x1")
@@ -79,6 +79,82 @@ def test_one_recurrence_across_value_types():
             assert list(cheb_values_row(kind, x, 20)) == cheb_seq(kind, 0, 20, x)
 
 
+PIN_XS = (-1.0, -0.93, -0.4, -0.0, 0.0, 0.37, 0.81, 1.0, 1.2)
+
+
+def _mapped_row(kind, n, row):
+    """P_n from a table row P_0, P_1, ... by the negative-index rules."""
+    if n >= 0:
+        return row[n]
+    if kind == "T":
+        return row[-n]
+    return 0 * row[1] / 2 if n == -1 else -row[-n - 2]
+
+
+def test_cheb_eval_is_the_one_seed_for_every_argument_type():
+    # One evaluator for numbers, Fractions, arrays and Polys: its value, type and
+    # bits are those of the rolled tables that seed from it.
+    import numpy as np
+
+    arr = np.array(PIN_XS)
+    for kind in ("T", "U"):
+        grid = cheb_seq_grid(kind, 0, 14, arr)
+        for x in PIN_XS:
+            row = cheb_seq(kind, 0, 14, x)
+            for n in range(-11, 14):
+                got = cheb_eval(ChebIndex(kind, n), x)
+                assert type(got) is float
+                assert got.hex() == float(_mapped_row(kind, n, row)).hex()
+        for n in range(-11, 14):
+            got = cheb_eval(ChebIndex(kind, n), arr)
+            assert got.tobytes() == _mapped_row(kind, n, grid).tobytes()
+            assert got.tobytes() == np.array([cheb_eval(ChebIndex(kind, n), x)
+                                              for x in PIN_XS]).tobytes()
+            xf = Fraction(-2, 9)
+            got = cheb_eval(ChebIndex(kind, n), xf)
+            assert type(got) is Fraction
+            assert got == _mapped_row(kind, n, cheb_seq(kind, 0, 14, xf))
+            got = cheb_eval(ChebIndex(kind, n), X)
+            assert list(got.terms.items()) == list(cheb_poly(ChebIndex(kind, n)).terms.items())
+    assert cheb_eval(ChebIndex("T", 0), 0.5) == 1.0 and type(cheb_eval(ChebIndex("T", 0), 3)) is int
+    # U_{-1} is 0 * x: -0.0 at a negative float, the zero Poly in x1.
+    assert cheb_eval(ChebIndex("U", -1), -0.5).hex() == (-0.0).hex()
+    assert cheb_eval(ChebIndex("U", -1), X) == Poly.zero(("x1",))
+
+
+def test_grid_rows_have_the_scalar_bits_at_every_start():
+    import numpy as np
+
+    arr = np.array(PIN_XS)
+    for kind in ("T", "U"):
+        for start in range(-4, 3):
+            want = np.array([cheb_seq(kind, start, 6, x) for x in PIN_XS]).T
+            assert cheb_seq_grid(kind, start, 6, arr).tobytes() == want.tobytes()
+    # index 0 is x ** 0, so it reads 1.0 at a NaN argument too
+    assert cheb_seq_grid("T", 0, 2, np.array([math.nan]))[0, 0] == 1.0
+
+
+def test_cheb_tables_pinned():
+    # The term order of cheb_poly and the float bits of the rolled tables.
+    import hashlib
+
+    import numpy as np
+
+    h = hashlib.sha256()
+    for kind in ("T", "U"):
+        for n in range(-6, 25):
+            p = cheb_poly(ChebIndex(kind, n))
+            h.update(repr((p.vars, list(p.terms.items()))).encode())
+    assert h.hexdigest() == "2e2ab99249410ef700e662a8c6300b34f8edac1578acd2b3f8f768dc3597a51b"
+    h = hashlib.sha256()
+    for kind in ("T", "U"):
+        for x in PIN_XS:
+            for v in cheb_seq(kind, -4, 20, x):
+                h.update(float(v).hex().encode())
+        h.update(cheb_seq_grid(kind, -4, 20, np.array(PIN_XS)).tobytes())
+    assert h.hexdigest() == "c2e1052c4b32bd6e3fa9f1b98ce100d8c444751d5446eb7c355465c2a2d77278"
+
+
 def test_recur_is_the_start_of_roll():
     # out[0] = p0, out[1] = p1, out[m+1] = step(m, out[m], out[m-1]), for every value type;
     # the second step uses m, as the q-families' steps do.
@@ -135,6 +211,18 @@ def test_geom_trig_sum():
         geom_trig_sum("cos", 1.0, 0.3, 0.1)
     with pytest.raises(DomainError):
         geom_trig_sum("cos", math.nan, 0.3, 0.1)
+
+
+def test_denominators_that_round_to_zero_are_refused():
+    # At x = 1 the geometric denominator (1 - rho)^2 rounds to 0 in floats
+    # near rho = 1: a ConvergenceError, not a ZeroDivisionError.
+    with pytest.raises(ConvergenceError, match="rounds to 0"):
+        geom_trig_sum("cos", 0.999999999, 0.0, 0.0)
+    with pytest.raises(ConvergenceError, match="rounds to 0"):
+        multi_trig_sum("cos", [0.999999999, 0.5], [([0.3, 0.2], 0.0), ([0.0, 0.2], 0.1)])
+    # A nonzero denominator keeps its bits.
+    want = (1.0 - 0.99 * 1.0) / (1 - 2 * 0.99 * 1.0 + 0.99 * 0.99)
+    assert geom_trig_sum("cos", 0.99, 0.0, 0.0).hex() == want.hex()
 
 
 def test_multi_trig_sum_single_direction():

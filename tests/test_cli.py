@@ -439,3 +439,33 @@ def test_stdout_without_json_flag(capsys):
     val = json.loads(out)["value"]
     want = (1 - 0.25 * 0.5) / (1 - 2 * 0.25 * 0.5 + 0.25 ** 2)
     assert val == pytest.approx(want, abs=1e-12)
+
+
+def test_rounding_memory_and_digit_limits_exit_2(capsys):
+    # Each of these ended in a traceback: a float denominator that rounds to 0,
+    # a marginal mesh of 298 GiB, and exact values past the int-to-str limit.
+    for argv, message in (
+            (["chi", "eval", "--k", "1", "--n", "0", "--x", "1", "--rho", "0.999999999"],
+             "the float denominator w rounds to 0"),
+            (["chi", "eval", "--k", "0", "--n", "1", "--x=-1", "--rho=-0.999999999"],
+             "the float denominator w rounds to 0"),
+            (["kibble", "eval", "--kind", "T", "--x", "1,1", "--rho", "12=0.999999999"],
+             "the geometric denominator rounds to 0"),
+            (["verify", "marginals", "--nodes", "100000"], "mesh points"),
+            (["q", "probe", "--conjecture", "common-denominator", "--q", "9/10"],
+             "digits exceeds"),
+            (["kibble", "denominator", "--n", "2", "--rho", "12=1/1" + "0" * 1500],
+             "an exact value of 6000 digits exceeds")):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err, captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_build_parser_takes_no_parameter():
+    # --config sets the chosen command's defaults and parses the same parser again.
+    import inspect
+
+    assert not inspect.signature(build_parser).parameters

@@ -456,6 +456,33 @@ def test_marginal_memory_is_bounded():
     assert peak < 128 * 2 ** 20
 
 
+def test_marginal_node_limit_refuses_before_any_array():
+    # 100000 nodes in two coordinates would ask numpy for about 298 GiB.
+    t0 = time.perf_counter()
+    with pytest.raises(ScaleError, match="mesh points"):
+        marginal_check(2, 2, nodes=100000)
+    with pytest.raises(ScaleError, match="mesh points"):
+        marginal_check(3, 3, nodes=129)
+    assert time.perf_counter() - t0 < 1.0
+    assert marginal_check(3, 1, nodes=200).max_abs_dev_from_one <= 1e-9
+
+
+def test_a_float_denominator_that_rounds_to_zero_is_refused():
+    # At x = +-1 and |rho| -> 1, w = (1 - rho x)^2 rounds to 0 in floats.
+    for spec, x, rho in ((GenSpec(1, 0, (0,)), 1.0, 0.999999999),
+                         (GenSpec(0, 1, (0,)), -1.0, -0.999999999),
+                         (GenSpec(2, 0, (0, 0)), 0.5, 1 - 2 ** -53)):
+        with pytest.raises(ConvergenceError, match="rounds to 0"):
+            chi_closed_value(spec, [x] * spec.slots, rho)
+    # The grid path keeps numpy's division.
+    import numpy as np
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = chi_closed_values_grid(GenSpec(1, 0, (0,)), [np.array([1.0, 0.5])],
+                                     np.array([0.999999999, 0.5]))
+    assert not math.isfinite(out[0]) and out[1] == chi_closed_value(GenSpec(1, 0, (0,)), [0.5], 0.5)
+
+
 def test_closed_symbolic_matches_numeric_exactly():
     spec = GenSpec(1, 1, (1, 0))
     pt = {"x1": Fraction(3, 10), "x2": Fraction(7, 10), "rho": Fraction(2, 5)}

@@ -174,6 +174,18 @@ def test_tracer_targets_resolve():
     assert not missing, f"tracer targets that chebsum does not define: {missing}"
 
 
+def test_one_seed_caller():
+    # cheb_eval is the one Chebyshev evaluator: every other path seeds through it.
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [f"{path.name}:{fn.name}" for name, _ in _names(fn)
+                            if name == "_cheb_nth"]
+    assert callers == ["cheb.py:cheb_eval"], callers
+
+
 # From Python 3.12 on the built-in sum() adds floats with compensation, so a
 # float sum through it has different bits on different versions; float sums
 # use cheb.left_sum.  The built-in stays only where every term is an int or a

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import chebsum
 from chebsum.errors import (ChebsumError, ExponentError, MarkerError, MissingAssignment,
                             ScaleError)
-from chebsum.poly import EXP_LIMIT, Poly, var_sort_key
+from chebsum.poly import EXP_LIMIT, Poly, exact_str, var_sort_key
 
 X1 = Poly.variable("x1")
 X2 = Poly.variable("x2")
@@ -587,3 +587,15 @@ def test_render():
     assert Poly.zero().render() == "0"
     p = Fraction(-3, 2) * X1 ** 2 * RHO + Poly.const(1)
     assert p.render() == "1 + -3/2 * x1^2 * rho"
+
+
+def test_exact_text_past_the_digit_limit_is_refused():
+    # Python refuses int-to-str past 4300 digits; the text writers say so as a
+    # ScaleError that names the digit count.
+    assert exact_str(Fraction(-3, 7)) == "-3/7" and exact_str(10 ** 4299) == "1" + "0" * 4299
+    big = Poly.const(Fraction(1, 10 ** 5000), ("x1",)) + Poly.variable("x1")
+    for write in (big.to_json_dict, big.render, lambda: exact_str(-(10 ** 4300))):
+        with pytest.raises(ScaleError, match=r"an exact value of (5001|4301) digits exceeds"):
+            write()
+    assert (big - Poly.const(Fraction(1, 10 ** 5000), ("x1",))).to_json_dict() == {
+        "vars": ["x1"], "terms": [{"coeff": "1/1", "exps": [1]}]}

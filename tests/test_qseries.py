@@ -10,10 +10,10 @@ import pytest
 
 from chebsum.cheb import ChebIndex, cheb_poly
 from chebsum import poly as poly_mod
-from chebsum.errors import ChebsumError, ConvergenceError, DomainError
+from chebsum.errors import ChebsumError, ConvergenceError, DomainError, ScaleError
 from chebsum.genfun import GenSpec, chi_closed_value
 from chebsum.poly import Poly
-from chebsum.qseries import (QContext, chi1t_check, conjecture_probe,
+from chebsum.qseries import (QContext, _fit_polynomial_in_q, chi1t_check, conjecture_probe,
                              d2_coeff, d2_values, d_coeff, d_of_q,
                              d_truncated_product, fh_integral_check,
                              final_identity_check, ft_inner_product, ft_moment_U,
@@ -444,6 +444,75 @@ def test_beta_probe_emits_verdicts_beyond_printed_range(n):
     assert probe["verdict"] in ("REPRESENTABLE", "UNREPRESENTABLE")
     # Observed outcome, frozen: the diagonal expansion keeps working.
     assert probe["verdict"] == "REPRESENTABLE"
+
+
+def _gauss_jordan_fit(samples):
+    """The beta fit as a Gauss-Jordan solve of the Vandermonde system: the reference."""
+    if len(samples) < 3:
+        return None
+    fit_pts, check = samples[:-1], samples[-1]
+    m = len(fit_pts)
+    rows = [[qv ** i for i in range(m)] + [val] for qv, val in fit_pts]
+    for c in range(m):
+        piv = next((r for r in range(c, m) if rows[r][c] != 0), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        for r in range(m):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    coeffs = [rows[i][m] / rows[i][i] for i in range(m)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if sum(c * check[0] ** i for i, c in enumerate(coeffs)) != check[1]:
+        return None
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        parts.append(str(c) if i == 0 else (f"{c}*q" if i == 1 else f"{c}*q^{i}"))
+    return " + ".join(parts) if parts else "0"
+
+
+def test_beta_fit_matches_the_gauss_jordan_reference():
+    # Newton divided differences give the strings of the Vandermonde solve: on
+    # polynomials the samples fit, with repeated q (None when a fitted q repeats)
+    # and with a last sample off the curve (a failed check, None).
+    rng = random.Random(7)
+    outcomes = {"fit": 0, "repeated": 0, "failed": 0}
+    for _ in range(600):
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))]
+        qs = [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(rng.randint(0, 7))]
+        samples = [(q, sum(c * q ** i for i, c in enumerate(coeffs))) for q in qs]
+        if samples and rng.random() < 0.25:
+            samples[-1] = (samples[-1][0], samples[-1][1] + F(1, 3))
+        got = _fit_polynomial_in_q(samples)
+        assert got == _gauss_jordan_fit(samples), samples
+        if got is not None:
+            outcomes["fit"] += 1
+        elif len(set(qs[:-1])) < len(qs[:-1]):
+            outcomes["repeated"] += 1
+        elif len(qs) >= 3:
+            outcomes["failed"] += 1
+    assert min(outcomes.values()) > 20, outcomes
+    assert _fit_polynomial_in_q([(F(1, 2), F(1)), (F(1, 2), F(2)), (F(1, 3), F(1))]) is None
+    assert _fit_polynomial_in_q([(F(1, 2), F(0)), (F(1, 3), F(0)), (F(1, 5), F(0))]) == "0"
+
+
+def test_float_q_checks_refuse_a_q_near_1():
+    # (q;q)_m rounds to 0 in floats when |q| is within about 1e-9 of 1: the
+    # truncated float checks refuse instead of dividing by it.
+    for q in (F(999999999, 10 ** 9), F(1) - F(1, 2 ** 53)):
+        with pytest.raises(ConvergenceError, match="rounds to 0 in floats"):
+            chi1t_check(QContext(q), 1, 0.3, 0.4)
+        with pytest.raises(ConvergenceError, match="rounds to 0 in floats"):
+            final_identity_check(QContext(q), 0.3, 0.4, 0.1)
+
+
+def test_probe_refuses_exact_values_past_the_digit_limit():
+    with pytest.raises(ScaleError, match=r"an exact value of \d+ digits exceeds"):
+        conjecture_probe("common-denominator", n_h=0, m_t=1, q=F(9, 10))
 
 
 def test_common_denominator_probe():
