@@ -77,9 +77,13 @@ def _leaves(parser, path=()):
         yield from _leaves(child, path + (name,))
 
 
+def _flags(leaf):
+    """The leaf's flags that take drawn values: all but --help and --json."""
+    return [a for a in leaf._actions if a.option_strings and a.dest not in ("help", "json_path")]
+
+
 LEAVES = list(_leaves(cli.build_parser()))
-FLAGS = [a for _, leaf in LEAVES for a in leaf._actions
-         if a.option_strings and a.dest not in ("help", "json_path")]
+FLAGS = [a for _, leaf in LEAVES for a in _flags(leaf)]
 
 
 def _text(action):
@@ -111,9 +115,9 @@ def command_lines(draw):
     """(argv, config): a leaf's words, then its positionals and flags; config is a dict or None."""
     path, leaf = draw(st.sampled_from(LEAVES))
     argv = list(path)
-    flags = [a for a in leaf._actions if a.option_strings and a.dest not in ("help", "json_path")]
+    flags = _flags(leaf)
     for action in leaf._actions:
-        if not action.option_strings and not isinstance(action, argparse._HelpAction):
+        if not action.option_strings:  # the positional of verify
             argv.append(draw(_text(action)))
     for action in flags:
         times = draw(_mostly(st.just(1), st.sampled_from((0, 2))) if action.required
@@ -122,23 +126,19 @@ def command_lines(draw):
             argv.append(action.option_strings[0] if action.nargs == 0
                         else f"{action.option_strings[0]}={draw(_text(action))}")
     config = None
-    if flags and draw(_mostly(st.just(False), st.just(True))):
+    if flags and draw(st.sampled_from((False, False, False, True))):
         chosen = draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3,
                                unique_by=lambda a: a.dest))
         config = {a.dest: draw(_json(a)) for a in chosen}
     return argv, config
 
 
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def _check_exit(argv):
     """The gate's properties: exit 0, 1 or 2, no traceback, and a message with exit 2."""
-    code, _, err = run_cli(argv)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
     if code == 2:
