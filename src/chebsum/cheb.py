@@ -80,7 +80,7 @@ def _cheb_step(x):
 
 
 def _cheb_nth(kind: str, n: int, x):
-    """P_n(x) for n >= 0 from the seeds (x ** 0, x) or (x ** 0, 2x), keeping two values at a time."""
+    """P_n(x), n >= 0, rolled from the seeds (x ** 0, x) or (x ** 0, 2x), two values at a time."""
     if n > MAX_SEED_INDEX:  # checked before any work: the steps grow as O(n)
         raise ScaleError(f"Chebyshev index {n} exceeds the supported limit {MAX_SEED_INDEX}")
     return next(itertools.islice(roll(x ** 0, x if kind == "T" else 2 * x, _cheb_step(x)), n, None))

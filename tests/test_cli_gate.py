@@ -57,7 +57,8 @@ def _items(values, max_size):
 
 # The text formats of the string flags, by dest.  Pair keys repeat, and now and
 # then are not two digits or name an index past the matrix.
-_PAIR = st.tuples(_mostly(st.sampled_from(("12", "13", "23")), st.sampled_from(("11", "1", "", "45"))),
+_PAIR = st.tuples(_mostly(st.sampled_from(("12", "13", "23")),
+                          st.sampled_from(("11", "1", "", "45"))),
                   _mostly(st.sampled_from(FLOATS + EXACTS), st.sampled_from(JUNK)))
 TEXT = {
     "t": _items(("0", "1", "-1", "2", "-2", "100000"), 4),
