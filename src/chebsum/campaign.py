@@ -45,6 +45,8 @@ class Campaign:
         check_sampling(self.trials, self.rho_max, self.order, self.tol)
         if self.points < 1:
             raise DomainError("points must be >= 1")
+        if self.suite == "marginals":  # before any suite of a run starts: (3, 3) needs the most
+            genfun.check_marginal(3, 3, self.nodes)
 
 
 def check_sampling(trials: int, rho_max: float, order: int, tol: float) -> None:

@@ -2,8 +2,8 @@
 
 ``roll`` is the package's one three-term recurrence loop, for floats,
 Fractions, ``Poly`` objects and numpy arrays alike: ``recur`` fills a table
-from it, ``cheb_eval`` (the seed of every Chebyshev table) takes its n-th
-value, and ``genfun``'s series oracle steps all slots at once in two reused
+from it, ``cheb_eval`` takes its n-th value, each Chebyshev row rolls once,
+and ``genfun``'s series oracle steps all slots at once in two reused
 buffers.  T_n, U_n and the q-families h_n, b_n of ``qseries`` all run on it.
 The Chebyshev step is P_{n+1} = 2x P_n - P_{n-1} with (T_0, T_1) = (x^0, x)
 and (U_0, U_1) = (x^0, 2x), so arguments outside [-1, 1] are legal.
@@ -79,11 +79,16 @@ def _cheb_step(x):
     return lambda m, p1, p0: x2 * p1 - p0
 
 
+def _cheb_roll(kind: str, x, step, top: int):
+    """P_0(x), P_1(x), ... from (x ** 0, x) or (x ** 0, 2x), if P_top is within the index limit."""
+    if top > MAX_SEED_INDEX:  # checked before any work: the steps grow as O(top)
+        raise ScaleError(f"Chebyshev index {top} exceeds the supported limit {MAX_SEED_INDEX}")
+    return roll(x ** 0, x if kind == "T" else 2 * x, step)
+
+
 def _cheb_nth(kind: str, n: int, x):
-    """P_n(x), n >= 0, rolled from the seeds (x ** 0, x) or (x ** 0, 2x), two values at a time."""
-    if n > MAX_SEED_INDEX:  # checked before any work: the steps grow as O(n)
-        raise ScaleError(f"Chebyshev index {n} exceeds the supported limit {MAX_SEED_INDEX}")
-    return next(itertools.islice(roll(x ** 0, x if kind == "T" else 2 * x, _cheb_step(x)), n, None))
+    """P_n(x), n >= 0, rolled two values at a time."""
+    return next(itertools.islice(_cheb_roll(kind, x, _cheb_step(x), n), n, None))
 
 
 def cheb_eval(c: ChebIndex, x):
@@ -93,15 +98,18 @@ def cheb_eval(c: ChebIndex, x):
 
 
 def cheb_seq(kind: str, start: int, count: int, x) -> list:
-    """[P_{start}, ..., P_{start+count-1}] via one rolling recurrence.
-
-    Works across negative indices because the recurrence holds for all
-    integer n once the first two values are seeded with the mapping rules.
-    """
+    """[P_{start}, ..., P_{start+count-1}]: from start >= 0 a slice of one roll from P_0; below,
+    the recurrence, which holds for all integer n, from both seeds ``cheb_eval`` gives, one roll."""
     if count <= 0:
         return []
-    return recur([None] * count, cheb_eval(ChebIndex(kind, start), x),
-                 cheb_eval(ChebIndex(kind, start + 1), x), _cheb_step(x))
+    step = _cheb_step(x)
+    if start >= 0:
+        return list(itertools.islice(_cheb_roll(kind, x, step, start + 1), start, start + count))
+    (s0, n0), (s1, n1) = _mapped(kind, start), _mapped(kind, start + 1)
+    top = max(n0, n1)
+    near = list(itertools.islice(_cheb_roll(kind, x, step, top), max(top - 1, 0), top + 1))
+    p0, p1 = (s * near[n - top - 1] if s else 0 * x for s, n in ((s0, n0), (s1, n1)))  # n: top or top-1
+    return recur([None] * count, p0, p1, step)
 
 
 @lru_cache(maxsize=None)
@@ -235,9 +243,7 @@ def cheb_values_row(kind: str, x: float, count: int) -> "object":
 
 
 def cheb_seq_grid(kind: str, start: int, count: int, x):
-    """Rolling recurrence over a numpy array of arguments; returns (count, *x.shape)."""
+    """``cheb_seq`` over a numpy array of arguments, stacked to shape (count, *x.shape)."""
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
-    return recur(np.empty((count,) + x.shape), cheb_eval(ChebIndex(kind, start), x),
-                 cheb_eval(ChebIndex(kind, start + 1), x), _cheb_step(x))
+    return np.array(cheb_seq(kind, start, count, np.asarray(x, dtype=float)))

@@ -237,7 +237,7 @@ def _ratio(cs, wc, rho):
 def _product_values(spec: GenSpec, count: int, xs: Sequence) -> list:
     rows = [cheb_seq(spec.kind(s), spec.t[s - 1], count, xs[s - 1])
             for s in range(1, spec.slots + 1)]
-    return [math.prod(r[i] for r in rows) for i in range(count)]
+    return list(map(math.prod, zip(*rows)))
 
 
 def _grid_products(spec: GenSpec, count: int, xs_arrays):
@@ -421,6 +421,19 @@ def _grid_chi(axes: Sequence):
     return chi_closed_values_grid(GenSpec(n, 0, (0,) * n), mesh, rhos)
 
 
+def check_marginal(n: int, j: int, nodes: int) -> None:
+    """Refuse a marginal check that ``marginal_check`` cannot run, before any array is made."""
+    if not 1 <= j <= n:
+        raise DomainError(f"need 1 <= j <= n, got n = {n}, j = {j}")
+    if n > 3:
+        raise ScaleError("marginal checks supported for n <= 3")
+    if nodes < 1:
+        raise DomainError(f"quadrature needs nodes >= 1, got {nodes}")
+    if nodes ** j * 7 ** (n - j) > MAX_MARGINAL_POINTS:
+        raise ScaleError(f"{nodes} nodes in {j} of {n} coordinates exceed the supported "
+                         f"{MAX_MARGINAL_POINTS} mesh points")
+
+
 def marginal_check(n: int, j: int, nodes: int = 128) -> MarginalReport:
     """Integrate chi_{n,0} against the first-kind weight in j coordinates.
 
@@ -433,15 +446,7 @@ def marginal_check(n: int, j: int, nodes: int = 128) -> MarginalReport:
     """
     import numpy as np
 
-    if not 1 <= j <= n:
-        raise DomainError(f"need 1 <= j <= n, got n = {n}, j = {j}")
-    if n > 3:
-        raise ScaleError("marginal checks supported for n <= 3")
-    if nodes < 1:
-        raise DomainError(f"quadrature needs nodes >= 1, got {nodes}")
-    if nodes ** j * 7 ** (n - j) > MAX_MARGINAL_POINTS:  # before any array is made
-        raise ScaleError(f"{nodes} nodes in {j} of {n} coordinates exceed the supported "
-                         f"{MAX_MARGINAL_POINTS} mesh points")
+    check_marginal(n, j, nodes)
     cos_nodes = np.cos((2 * np.arange(1, nodes + 1) - 1) * math.pi / (2 * nodes))
     rest = np.linspace(-0.95, 0.95, 7)
     integrals = [v.mean(axis=tuple(range(j))) for v in _grid_chi([cos_nodes] * j + [rest] * (n - j))]

@@ -461,25 +461,22 @@ class Poly:
     def eval(self, assignment: Mapping[str, object]):
         """Evaluate at a point (Horner accumulation, one variable at a time).
 
-        The Horner plan is built on the first call and kept on the instance; each
-        call walks it with the same multiplies and adds in the same order, so a
-        float result is the same to the bit.  Each power v ** d (d > 1) the plan
-        needs is made once per call, before the walk.  Exact inputs give an exact
-        value; any float input gives a float.  Raises MissingAssignment if a variable
-        with a nonzero exponent has no value.
+        The first call compiles the Horner plan into one straight-line function, kept
+        on the instance; every call runs it with the same multiplies and adds in the
+        same order, so a float result is the same to the bit.  Each power v ** d
+        (d > 1) the plan needs is made once per call, before the run.  Exact inputs
+        give an exact value; any float input gives a float.  Raises MissingAssignment
+        if a variable with a nonzero exponent has no value.
         """
         if not self._packed:
             return 0
         if self._plan is None:
-            slots: dict[tuple[int, int], int] = {}  # (vi, d) -> its index in the walk's pw
-            self._plan = _horner_plan(list(self.terms.items()), 0, len(self.vars), slots), tuple(slots)
+            self._plan = _compile_plan(list(self.terms.items()), self.vars)
         plan, extra = self._plan
-        if not self.vars:
-            return plan
         pw = [assignment.get(v) for v in self.vars]  # pw[vi] is None: no value
         if extra:
             pw += [None if (x := pw[vi]) is None else x ** d for vi, d in extra]
-        return _horner(plan, pw, 0, self.vars)
+        return plan(*pw)
 
     def eval_grid(self, arrays: Mapping[str, object], powers: dict | None = None):
         """Vectorized float evaluation over numpy arrays (one per used variable).
@@ -546,40 +543,51 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def _horner_plan(items: list[tuple[Exponents, Scalar]], vi: int, nvars: int, slots: dict):
-    """(head, ((k, plan), ...), tail): ``items`` grouped by variable vi's exponent.
+def _compile_plan(items: list[tuple[Exponents, Scalar]], names: tuple[str, ...]):
+    """(plan, extra): the Horner accumulation of ``items`` as one straight-line function.
 
-    head is the top group's plan, each step lowers the exponent by d to the next
-    group's, and tail (None for exponent 0) is the lowest; past the last variable,
-    the coefficient.  A step or tail multiplies by pw[k], the power d of variable
-    vi: k is vi for d = 1, else slots[(vi, d)], numbered from nvars on.
+    Level vi groups its terms by variable vi's exponent, top first: its sum s<vi> starts at
+    the top group's value, each step multiplies it by the power that lowers the exponent to
+    the next group's and adds that group's value, and the lowest exponent is a last multiply.
+    ``plan`` takes the values of ``names``, then the powers (vi, d) ``extra`` lists, as a0,
+    a1, ...; first it raises MissingAssignment for a used variable without a value, in the
+    order the levels meet them.  No name from the polynomial enters the code.
     """
-    if vi == nvars:
-        return items[0][1]
-    es = sorted({exps[vi] for exps, _ in items}, reverse=True)
-    subs = [_horner_plan([t for t in items if t[0][vi] == e], vi + 1, nvars, slots) for e in es]
-    k = lambda d: vi if d == 1 else slots.setdefault((vi, d), nvars + len(slots))
-    return subs[0], tuple((k(a - b), s) for a, b, s in zip(es, es[1:], subs[1:])), \
-        k(es[-1]) if es[-1] else None
+    nvars, extra, consts, checks, lines = len(names), {}, {}, {}, []
+    arg = lambda vi, d: f"a{vi if d == 1 else extra.setdefault((vi, d), nvars + len(extra))}"
 
+    def value(items, vi: int) -> str:
+        """The expression of a group's value, after the lines that it reads."""
+        if vi == nvars:
+            c = items[0][1]
+            if type(c) is int:
+                return hex(c)  # a hex literal has no digit limit
+            consts[f"c{len(consts)}"] = c
+            return f"c{len(consts) - 1}"
+        es = sorted({exps[vi] for exps, _ in items}, reverse=True)
+        groups = [[t for t in items if t[0][vi] == e] for e in es]
+        if es == [0]:
+            return value(groups[0], vi + 1)
+        checks.setdefault(vi)
+        acc = value(groups[0], vi + 1)
+        for a, b, group in zip(es, es[1:], groups[1:]):
+            at = len(lines)
+            sub = value(group, vi + 1)
+            if len(lines) > at and acc != f"s{vi}":  # the group's lines may reuse what acc reads
+                lines.insert(at, f"s{vi} = {acc}")
+                acc = f"s{vi}"
+            lines.append(f"s{vi} = {acc} * {arg(vi, a - b)} + {sub}")
+            acc = f"s{vi}"
+        return f"{acc} * {arg(vi, es[-1])}" if es[-1] else acc
 
-def _horner(plan, pw: list, vi: int, names: tuple[str, ...]):
-    """A plan's value from variable ``vi`` on; pw[vi] is its value (None: no value)."""
-    head, steps, tail = plan
-    last = vi + 1 == len(names)
-    if pw[vi] is None:
-        if steps or tail is not None:
-            raise MissingAssignment(f"no value for variable {names[vi]}")
-        return head if last else _horner(head, pw, vi + 1, names)
-    if last:  # the groups are coefficients
-        acc = head
-        for k, c in steps:
-            acc = acc * pw[k] + c
-    else:
-        acc = _horner(head, pw, vi + 1, names)
-        for k, sub in steps:
-            acc = acc * pw[k] + _horner(sub, pw, vi + 1, names)
-    return acc if tail is None else acc * pw[tail]
+    result = value(items, 0)
+    source = "\n    ".join([f"def plan({', '.join(f'a{i}' for i in range(nvars + len(extra)))}):"]
+                          + [f"if a{vi} is None: raise missing({vi})" for vi in checks]
+                          + lines + [f"return {result}"])
+    namespace = {"missing": lambda vi: MissingAssignment(f"no value for variable {names[vi]}"),
+                 **consts}
+    exec(compile(source, "<Poly plan>", "exec"), namespace)
+    return namespace["plan"], tuple(extra)
 
 
 def _product_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

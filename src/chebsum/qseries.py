@@ -676,17 +676,15 @@ def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
     ctx = QContext(q)
     pts = [Fraction(2, 5), Fraction(-1, 3)][:arity]
     factors = 30
-    # Series coefficients a_j, exact.
-    h_at = [[hb_poly(ctx, "h", j).eval({"x1": p}) for j in range(rho_order + 1)]
-            for p in pts[:n_h]]
-    t_at = [[tn_construct(ctx, j).poly.eval({"x1": p}) for j in range(rho_order + 1)]
-            for p in pts[n_h:]]
+    # Series coefficients a_j, exact: h_j, then t_j = h_j - ortho_chi_{j-2} h_{j-2}, one roll a point.
+    rows = [hb_values(ctx, "h", p, rho_order + 1) for p in pts]
+    chi = dict(tn_construct(ctx, rho_order).ortho_chi) if m_t else {}
+    rows[n_h:] = [[h[j] - chi[j - 2] * h[j - 2] if j > 1 else h[j] for j in range(rho_order + 1)]
+                  for h in rows[n_h:]]
     a = []
     for j in range(rho_order + 1):
         v = Fraction(1) / ctx.qq(j)
-        for row in h_at:
-            v *= row[j]
-        for row in t_at:
+        for row in rows:
             v *= row[j]
         a.append(v)
     # Denominator, exact, truncated above rho^rho_order as it is built.

@@ -469,3 +469,16 @@ def test_build_parser_takes_no_parameter():
     import inspect
 
     assert not inspect.signature(build_parser).parameters
+
+
+def test_marginal_mesh_limit_refused_before_any_suite(capsys):
+    # verify all ran seven suites (about 1 s) before the marginals suite refused.
+    for argv in (["verify", "all", "--nodes", "100000"], ["verify", "all", "--nodes", "0"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 0.5
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+    # Suites that take no nodes do not check them.
+    assert main(["verify", "positivity", "--nodes", "100000"]) == 0

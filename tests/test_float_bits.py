@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebsum import genfun, kibble
+from chebsum.cheb import ChebIndex, cheb_eval, cheb_poly, cheb_seq, cheb_seq_grid, recur
 from chebsum.errors import MissingAssignment
 from chebsum.poly import Poly
 
@@ -245,6 +246,86 @@ def test_planned_eval_matches_reference(p, point):
     assert _outcome(lambda: p.eval(point)) == want
     # The plan is kept on the instance: a second call walks it again.
     assert _outcome(lambda: p.eval(point)) == want
+
+
+PLAN_FLOATS = (-1.0, -0.9, -0.3, -0.0, 0.0, 0.25, 0.7, 1.0)
+
+
+def _six_variable_product():
+    xs = [Poly.variable(f"x{i}") for i in range(1, 6)]
+    rho = Poly.variable("rho")
+    return math.prod((x * x * 3 - x * rho * 2 + rho * rho - 1 for x in xs), start=rho + 2)
+
+
+@pytest.mark.parametrize("p", [
+    cheb_poly(ChebIndex("T", 2000)),
+    _six_variable_product(),
+    _six_variable_product() * Fraction(2, 7) + Poly.variable("x2") * Fraction(-5, 3),
+], ids=["T2000", "six-variable-product", "fraction-coefficients"])
+def test_compiled_plan_matches_reference(p):
+    # T_2000's coefficients pass the float range: at a float point both raise OverflowError.
+    def outcome(f):
+        try:
+            return _outcome(f)
+        except OverflowError as exc:
+            return ("overflow", str(exc))
+
+    rng = random.Random(f"compiled-plan:{len(p.vars)}")
+    points = [{v: rng.choice(PLAN_FLOATS) if i % 3 else rng.uniform(-1, 1) for v in p.vars}
+              for i in range(12)]
+    points += [{v: Fraction(rng.randint(-9, 9), 10) for v in p.vars} for _ in range(3)]
+    for point in points:
+        want = outcome(lambda: reference_eval(p, point))
+        assert outcome(lambda: p.eval(point)) == want
+    if len(p.vars) > 1:
+        assert _outcome(lambda: p.eval({})) == _outcome(lambda: reference_eval(p, {}))
+
+
+def test_compiled_plan_names_the_variable_the_walk_meets_first():
+    # The top group of x1 holds rho but not x2, so the walk meets rho before x2.
+    x1, x2, rho = (Poly.variable(v) for v in ("x1", "x2", "rho"))
+    p = x1 * rho + x2 * x2 + 1
+    for point in ({"x1": 0.5}, {"x1": Fraction(1, 2)}):
+        want = _outcome(lambda: reference_eval(p, point))
+        assert want == ("missing", "no value for variable rho")
+        assert _outcome(lambda: p.eval(point)) == want
+    # With x1 unset too, x1 comes first; an unset variable the plan never reads is no error.
+    assert _outcome(lambda: p.eval({})) == ("missing", "no value for variable x1")
+    q = p.embed(("x1", "x2", "x3", "rho"))
+    assert q.eval({"x1": 0.5, "x2": 0.25, "rho": 2.0}) == p.eval({"x1": 0.5, "x2": 0.25, "rho": 2.0})
+
+
+def test_compiled_plan_is_made_once():
+    p = _six_variable_product()
+    point = {v: 0.5 for v in p.vars}
+    first = p.eval(point)
+    plan = p._plan
+    assert p.eval(point) == first and p._plan is plan
+    assert p.eval({v: 0.25 for v in p.vars}) == reference_eval(p, {v: 0.25 for v in p.vars})
+    assert p._plan is plan
+
+
+def two_seed_row(kind, start, count, x):
+    """The row as it was built before one roll: two seeds from ``cheb_eval``, then the recurrence."""
+    x2 = 2 * x
+    out = [None] * count if isinstance(x, (float, Fraction)) else np.empty((count,) + x.shape)
+    return recur(out, cheb_eval(ChebIndex(kind, start), x),
+                 cheb_eval(ChebIndex(kind, start + 1), x), lambda m, p1, p0: x2 * p1 - p0)
+
+
+def test_cheb_rows_match_the_two_seed_construction():
+    xs = [-1.0, -0.73, -0.0, 0.0, 0.31, 0.999, 1.0, 1.7]
+    arr = np.array(xs)
+    fr = Fraction(-5, 7)
+    for kind in ("T", "U"):
+        for start in range(-4, 5):
+            for count in range(1, 21):
+                for x in xs:
+                    got, want = cheb_seq(kind, start, count, x), two_seed_row(kind, start, count, x)
+                    assert [v.hex() for v in got] == [v.hex() for v in want]
+                assert cheb_seq(kind, start, count, fr) == two_seed_row(kind, start, count, fr)
+                assert cheb_seq_grid(kind, start, count, arr).tobytes() \
+                    == two_seed_row(kind, start, count, arr).tobytes()
 
 
 # Constant polynomials too, whose grid value is a 0-d array.

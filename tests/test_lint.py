@@ -206,14 +206,14 @@ SUM_ALLOWED = {
 }
 
 
-def _sum_calls(node, module, function="<module>"):
-    """(module:function, line) of every built-in sum() call under ``node``."""
+def _sum_calls(node, module, function="<module>", builtin="sum"):
+    """(module:function, line) of every call of the built-in ``builtin`` under ``node``."""
     for child in ast.iter_child_nodes(node):
         name = child.name if isinstance(child, ast.FunctionDef) else function
         if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
-                and child.func.id == "sum":
+                and child.func.id == builtin:
             yield f"{module}:{name}", child.lineno
-        yield from _sum_calls(child, module, name)
+        yield from _sum_calls(child, module, name, builtin)
 
 
 def test_builtin_sum_only_over_exact_terms():
@@ -226,6 +226,22 @@ def test_builtin_sum_only_over_exact_terms():
              if len(at) != SUM_ALLOWED.get(site, (0,))[0]]
     found += [f"{site} no longer calls sum()" for site in SUM_ALLOWED if site not in lines]
     assert not found, f"built-in sum() outside the listed exact sites: {found}"
+
+
+# Source text becomes code in one place: Poly's Horner plan compiler, which
+# writes only its own names, hex literals and operators.
+CODE_BUILTINS_ALLOWED = {"exec": {"poly.py:_compile_plan": 1},
+                         "compile": {"poly.py:_compile_plan": 1}, "eval": {}}
+
+
+def test_exec_and_compile_only_in_the_plan_compiler():
+    for builtin, allowed in CODE_BUILTINS_ALLOWED.items():
+        sites: dict[str, int] = {}
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for site, _ in _sum_calls(tree, path.name, builtin=builtin):
+                sites[site] = sites.get(site, 0) + 1
+        assert sites == allowed, f"{builtin}() calls: {sites}"
 
 
 # |x| <= 1 and |rho| < 1 are decided by errors.require_below alone.

@@ -1,10 +1,10 @@
-"""Layer timing of the float series oracle, the exact builds, the q-families and Poly ops.
+"""Layer timing of the float closed form and series oracle, the exact builds, the q-families and Poly ops.
 
 Run from anywhere, with no options:
 
     python3 tools/bench_layers.py
 
-It writes four files at the repository root, each with the git sha, the
+It writes five files at the repository root, each with the git sha, the
 Python version and the number of usable CPUs:
 
 * ``BENCH_series_oracle.json``: ``genfun.chi_series_oracle_grid`` at series
@@ -12,6 +12,13 @@ Python version and the number of usable CPUs:
   inputs), 15 calls per case after one warm-up call: the median and
   quartiles of the call times and, from one more call under
   ``tracemalloc``, the peak of traced memory; also the numpy version.
+* ``BENCH_float_closed.json``: the float closed form on fixed seeded inputs, for
+  K = 1..4 slots with the shift multiset below.  ``genfun.chi_closed_value`` at
+  16 points: its first call on fresh rho-coefficient polynomials of w_K, which
+  compiles their Horner plans (15 cold calls, each after rebuilding them), and
+  warm calls (15 samples of one call per point, the per-call time in us).
+  ``genfun.chi_closed_values_grid`` at N = 50 and 2000 points, 15 warm calls
+  after one warm-up.  Each case gives the median and quartiles.
 * ``BENCH_exact_builds.json``: the median and quartiles of 15 cold-cache
   calls of ``genfun.numerator_l`` per slot count K = 1..4 and of
   ``denom.build_w`` and ``denom.build_w_recursive`` for n = 1..4.  One
@@ -29,7 +36,7 @@ Python version and the number of usable CPUs:
   product whose sine markers reduce (two ``denom._cos_of_sum`` factors), a
   sum (w_2 + rho), a substitution (x2 of w_2 by cos(a_2 + a_3), as in
   ``build_w_recursive(3)``), an evaluation of w_3 at a float point (its
-  Horner plan made by a warm-up call), an embed that keeps every field (x1
+  Horner plan compiled by a warm-up call), an embed that keeps every field (x1
   onto x1, x2, rho), one that moves fields (w_2 onto x1, x2, x3, rho) and
   rho ** 2.  Each of 15 samples times a batch of 200 calls; the file holds
   the median and quartiles of the per-call time of the samples, in us.
@@ -65,6 +72,7 @@ SHIFTS = {1: (-1,), 2: (-1, 1), 3: (-1, 0, 1), 4: (-1, 0, 0, 1)}
 # One q per denominator of perfbench's q-exact workload, |q| in [1/3, 1/2].
 Q_VALUES = (Fraction(3, 7), Fraction(-4, 11), Fraction(5, 13))
 POLY_BATCH = 200
+SCALAR_POINTS = 16
 EXACT_CACHES = (denom.build_w, denom.build_w_recursive, denom.w_rho_coeff_polys,
                 cheb._cheb_poly_cached, genfun._numerator_cached)
 
@@ -153,6 +161,42 @@ def bench_poly_op(op: str, call) -> dict:
             "median_us": 1e6 * median, "q1_us": 1e6 * q1, "q3_us": 1e6 * q3}
 
 
+def _closed_inputs(K: int, N: int | None):
+    """(spec, xs, rho): N seeded points as arrays, or SCALAR_POINTS scalar points for N None."""
+    spec = GenSpec(K // 2, K - K // 2, SHIFTS[K])
+    rng = np.random.default_rng(K * 7919 + (N or 0))
+    xs = rng.uniform(-1, 1, (K, N or SCALAR_POINTS))
+    rho = rng.uniform(-0.9, 0.9, N or SCALAR_POINTS)
+    return spec, (list(xs) if N else xs.T.tolist()), (rho if N else rho.tolist())
+
+
+def bench_closed_scalar(K: int, first: bool) -> dict:
+    spec, points, rhos = _closed_inputs(K, None)
+
+    def calls():
+        for xs, rho in zip(points, rhos):
+            genfun.chi_closed_value(spec, xs, rho)
+
+    if first:  # fresh coefficient polynomials: the first call compiles their plans
+        times = _cold_times(lambda: (denom.w_rho_coeff_polys.cache_clear(),
+                                     denom.w_rho_coeff_polys(K)),
+                            lambda: genfun.chi_closed_value(spec, points[0], rhos[0]))
+        return {"layer": "genfun.chi_closed_value", "K": K, "calls_on": "first call",
+                **_quartiles_ms(times)}
+    calls()  # warm-up
+    times = [t / SCALAR_POINTS for t in _cold_times(lambda: None, calls)]
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"layer": "genfun.chi_closed_value", "K": K, "calls_on": "warm", "points": SCALAR_POINTS,
+            "median_us": 1e6 * median, "q1_us": 1e6 * q1, "q3_us": 1e6 * q3}
+
+
+def bench_closed_grid(K: int, N: int) -> dict:
+    spec, xs, rho = _closed_inputs(K, N)
+    genfun.chi_closed_values_grid(spec, xs, rho)  # warm-up
+    times = _cold_times(lambda: None, lambda: genfun.chi_closed_values_grid(spec, xs, rho))
+    return {"layer": "genfun.chi_closed_values_grid", "K": K, "points": N, **_quartiles_ms(times)}
+
+
 def bench_case(K: int, N: int) -> dict:
     spec = GenSpec(K // 2, K - K // 2, (0,) * K)
     rng = np.random.default_rng(K * 10007 + N)
@@ -173,7 +217,8 @@ def bench_case(K: int, N: int) -> dict:
 def _write(name: str, doc: dict) -> None:
     (ROOT / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for c in doc["cases"]:
-        size = ", ".join(f"{k}={c[k]}" for k in ("K", "k", "n", "points", "family", "q", "op")
+        size = ", ".join(f"{k}={c[k]}" for k in ("K", "k", "n", "points", "calls_on", "family",
+                                                 "q", "op")
                          if k in c)
         unit = "ms" if "median_ms" in c else "us"
         print(f"{c.get('layer', doc['layer'])} {size}: median {c['median_' + unit]:.2f} {unit} "
@@ -194,6 +239,12 @@ def main() -> None:
     _write("BENCH_series_oracle.json", {
         "layer": "genfun.chi_series_oracle_grid", **env, "numpy": np.__version__,
         "cases": [bench_case(K, N) for K in range(1, 5) for N in POINTS]})
+    _write("BENCH_float_closed.json", {
+        "layer": "float closed form", **env, "numpy": np.__version__,
+        "caches": "first call: rho-coefficient polynomials of w_K rebuilt from a warm w_K, "
+                  "so the call compiles their Horner plans; warm: plans compiled, w_K cached",
+        "cases": [bench_closed_scalar(K, first) for K in range(1, 5) for first in (True, False)]
+        + [bench_closed_grid(K, N) for K in range(1, 5) for N in POINTS]})
     _write("BENCH_exact_builds.json", {
         "layer": "cold exact builds", **env,
         "caches": "numerator_l: numerator and Chebyshev caches cleared, w_K warm; "
@@ -207,7 +258,7 @@ def main() -> None:
         "cases": [bench_q_family(q, family) for q in Q_VALUES for family in ("h", "b", "d2")]})
     _write("BENCH_poly_ops.json", {
         "layer": "poly", **env,
-        "caches": "none: every call makes its result; eval walks the plan its warm-up made",
+        "caches": "none: every call makes its result; eval runs the plan its warm-up compiled",
         "cases": [bench_poly_op(op, call) for op, call in poly_ops().items()]})
 
 
