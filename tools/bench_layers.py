@@ -1,4 +1,4 @@
-"""Layer timing of the float closed form and series oracle, the exact builds, the q-families and Poly ops.
+"""Layer timing of the float closed form and series oracle, exact builds, q-families and Poly ops.
 
 Run from anywhere, with no options:
 
