@@ -172,17 +172,17 @@ def _closed_inputs(K: int, N: int | None):
 
 def bench_closed_scalar(K: int, first: bool) -> dict:
     spec, points, rhos = _closed_inputs(K, None)
-
-    def calls():
-        for xs, rho in zip(points, rhos):
-            genfun.chi_closed_value(spec, xs, rho)
-
     if first:  # fresh coefficient polynomials: the first call compiles their plans
         times = _cold_times(lambda: (denom.w_rho_coeff_polys.cache_clear(),
                                      denom.w_rho_coeff_polys(K)),
                             lambda: genfun.chi_closed_value(spec, points[0], rhos[0]))
         return {"layer": "genfun.chi_closed_value", "K": K, "calls_on": "first call",
                 **_quartiles_ms(times)}
+
+    def calls():
+        for xs, rho in zip(points, rhos):
+            genfun.chi_closed_value(spec, xs, rho)
+
     calls()  # warm-up
     times = [t / SCALAR_POINTS for t in _cold_times(lambda: None, calls)]
     q1, median, q3 = statistics.quantiles(times, n=4)
