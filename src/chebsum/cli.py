@@ -227,10 +227,6 @@ def _cmd_kibble(args) -> int:
                                                seed=args.seed, cutoff=args.cutoff)])
 
 
-# q check --nmax per suite: (smallest, default, largest); final-identity takes none.
-_Q_NMAX = {"duality": (0, 10, math.inf), "idb": (0, 6, 6), "chi1t": (0, 5, 5), "d2": (1, 8, 8)}
-
-
 def _cmd_q(args) -> int:
     qs = [_parse_exact(v) for v in args.q.split(",")]
     if args.action == "probe":
@@ -245,15 +241,7 @@ def _cmd_q(args) -> int:
                        for nh, mt in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
         _emit(args, "\n".join(camp.canonical_json(r) for r in records) + "\n")
         return 0
-    low, nmax, high = _Q_NMAX.get(args.suite, (None, None, None))
-    if args.nmax is not None:
-        if low is None:
-            raise ValueError(f"--suite {args.suite} takes no --nmax")
-        if not low <= args.nmax <= high:
-            raise ValueError(f"--nmax for --suite {args.suite} must lie in "
-                             f"{low}..{high}, got {args.nmax}")
-        nmax = args.nmax
-    records = list(camp.q_check(args.suite, qs, nmax, args.seed))
+    records = list(camp.q_check(args.suite, qs, args.nmax, args.seed))
     ok = all(r["pass"] for r in records)
     _emit(args, "\n".join(camp.canonical_json(r) for r in records) + "\n")
     print(f"q check {args.suite}: {'PASS' if ok else 'FAIL'} "

@@ -235,15 +235,20 @@ def _ratio(cs, wc, rho):
 
 
 def _product_values(spec: GenSpec, count: int, xs: Sequence) -> list:
+    """[P_0, ..., P_{count-1}] at numbers, Fractions or numpy arrays, the slots multiplied in order."""
     rows = [cheb_seq(spec.kind(s), spec.t[s - 1], count, xs[s - 1])
             for s in range(1, spec.slots + 1)]
     return list(map(math.prod, zip(*rows)))
 
 
-def _grid_products(spec: GenSpec, count: int, xs_arrays):
-    """P_0 .. P_{count-1} over numpy arrays, shape (count, *broadcast shape)."""
-    return math.prod(cheb_seq_grid(spec.kind(s), spec.t[s - 1], count, xs_arrays[s - 1])
-                     for s in range(1, spec.slots + 1))
+def _grid_point(spec: GenSpec, xs_arrays, rho_array) -> tuple:
+    """(xs, rho, grid): the inputs as float arrays, checked by ``_check_point``, and the xs' broadcast shape."""
+    import numpy as np
+
+    xs = [np.asarray(a, dtype=float) for a in xs_arrays]
+    rho = np.asarray(rho_array, dtype=float)
+    _check_point(spec, xs, rho)
+    return xs, rho, np.broadcast_shapes(*(a.shape for a in xs))
 
 
 _BLOCK_POINTS = 2 ** 15
@@ -281,10 +286,7 @@ def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
 
     _check_scale(spec)
     K = spec.slots
-    xs = [np.asarray(a, dtype=float) for a in xs_arrays]
-    rho = np.asarray(rho_array, dtype=float)
-    _check_point(spec, xs, rho)
-    grid = np.broadcast_shapes(*(a.shape for a in xs))
+    xs, rho, grid = _grid_point(spec, xs_arrays, rho_array)
     out = np.empty(np.broadcast_shapes(rho.shape, grid))
     lead = (slice(None),) * (out.ndim - len(grid))
     step = max(1, _BLOCK_POINTS // max(1, math.prod(grid[1:])))
@@ -295,7 +297,7 @@ def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
         xb = [_leading_slice(a, len(grid), sl) for a in xs]
         arrays, powers = {f"x{i + 1}": a for i, a in enumerate(xb)}, {}
         wc = [c.eval_grid(arrays, powers) for c in coeff_polys]
-        cs = _coeffs(wc, _grid_products(spec, 2 ** K, xb), 2 ** K)
+        cs = _coeffs(wc, _product_values(spec, 2 ** K, xb), 2 ** K)
         out[lead + (sl,)] = _ratio(cs, wc, _leading_slice(rho, len(grid), sl))
     return out
 
@@ -349,10 +351,7 @@ def chi_series_oracle_grid(spec: GenSpec, xs_arrays, rho_array, J: int):
 
     if J < 0:
         raise DomainError(f"series order J must be >= 0, got {J}")
-    rho = np.asarray(rho_array, dtype=float)
-    xs = [np.asarray(a, dtype=float) for a in xs_arrays]
-    _check_point(spec, xs, rho)
-    grid = np.broadcast_shapes(*(a.shape for a in xs))
+    xs, rho, grid = _grid_point(spec, xs_arrays, rho_array)
     x = np.stack([np.broadcast_to(a, grid) for a in xs])
     p0, p1 = np.stack([cheb_seq_grid(spec.kind(s), spec.t[s - 1], 2, x[s - 1])
                        for s in range(1, spec.slots + 1)], axis=1)

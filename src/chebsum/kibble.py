@@ -215,16 +215,14 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
     row = cheb_values_row(kind, float(xs[v - 1]), 1 + sum(caps[e] for e in edges))
     arr = 0.0 + (reduce(np.multiply.outer, (powers[e] for e in edges))
                  * row[reduce(np.add.outer, (np.arange(caps[e] + 1) for e in edges))])
-    axis_of = {u: i for i, u in enumerate(order[1:])}
     for stage, v in enumerate(order[1:], 1):
-        # v's axis is 0: the vertices before it in ``order`` are summed out.
-        for u in order[stage + 1:]:
+        # The axes are the vertices order[stage:]: v's is 0, those before it are summed out.
+        for ax_u, u in enumerate(order[stage + 1:], 1):
             e = (min(v, u), max(v, u))
             if caps[e] == 0:
                 continue
             # u's axis moves next to v's in a C-contiguous copy, so each
             # shifted add runs over contiguous blocks.
-            ax_u = axis_of[u]
             arr = np.ascontiguousarray(np.moveaxis(arr, ax_u, 1))
             arr = np.moveaxis(_shift_add(arr, powers[e]), 1, ax_u)
         # tensordot sums in an order set by the memory layout: C order, as
@@ -232,10 +230,6 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
         arr = _in_c_order(arr)
         row = cheb_values_row(kind, float(xs[v - 1]), arr.shape[0])
         arr = np.tensordot(arr, row, axes=([0], [0]))
-        dropped = axis_of.pop(v)
-        for u in axis_of:
-            if axis_of[u] > dropped:
-                axis_of[u] -= 1
     return float(arr)
 
 

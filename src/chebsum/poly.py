@@ -427,15 +427,9 @@ class Poly:
             return self
         if isinstance(replacement, (int, Fraction)):
             replacement = Poly.const(replacement)
-        zero = Poly.zero(v for v in self.vars if v != name)  # refuses xk beside sk
-        at = FIELD_BITS * self.vars.index(name)
-        groups: dict[int, dict[int, int]] = {}
-        for k, c in self._packed.items():
-            e = (k >> at) & _FIELD
-            groups.setdefault(e, {})[k - (e << at)] = c
-        return Poly.sum([zero] + [
-            Poly._make(self.vars, *_lowest(groups[e], self._den)).drop_vars((name,))
-            * (replacement ** e if e else Poly.const(1)) for e in sorted(groups)])
+        parts = [self.coeff_of(name, e) for e in range(self.degree(name) + 1)]  # refuses xk beside sk
+        return Poly.sum(parts[:1] + [c * replacement ** e
+                                     for e, c in enumerate(parts) if e and not c.is_zero()])
 
     def coeff_of(self, var: str, power: int) -> Poly:
         """The coefficient of ``var**power`` as a polynomial in the rest (xk only without sk)."""
@@ -466,7 +460,8 @@ class Poly:
         same order, so a float result is the same to the bit.  Each power v ** d
         (d > 1) the plan needs is made once per call, before the run.  Exact inputs
         give an exact value; any float input gives a float.  Raises MissingAssignment
-        if a variable with a nonzero exponent has no value.
+        if a variable with a nonzero exponent has no value, and ScaleError where a
+        float evaluation leaves the float range (a coefficient or power past it).
         """
         if not self._packed:
             return 0
@@ -474,9 +469,13 @@ class Poly:
             self._plan = _compile_plan(list(self.terms.items()), self.vars)
         plan, extra = self._plan
         pw = [assignment.get(v) for v in self.vars]  # pw[vi] is None: no value
-        if extra:
-            pw += [None if (x := pw[vi]) is None else x ** d for vi, d in extra]
-        return plan(*pw)
+        try:
+            if extra:
+                pw += [None if (x := pw[vi]) is None else x ** d for vi, d in extra]
+            return plan(*pw)
+        except OverflowError:
+            raise ScaleError(f"a float evaluation left the float range (|v| <= "
+                             f"{sys.float_info.max:.4g})") from None
 
     def eval_grid(self, arrays: Mapping[str, object], powers: dict | None = None):
         """Vectorized float evaluation over numpy arrays (one per used variable).

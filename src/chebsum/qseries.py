@@ -195,17 +195,9 @@ def d_coeff(ctx: QContext, n: int) -> Poly:
     key = ("d", n)
     if key in ctx._polys:
         return ctx._polys[key]
-    q = ctx.q
-    acc = Poly.zero(("x1",))
-    for j in range(n // 2 + 1):
-        expo = _comb2(n) + j * (j - n)
-        w = ctx.binom(n, j) * q ** expo
-        basis = cheb_poly(ChebIndex("T", n - 2 * j), var="x1")
-        if 2 * j != n:
-            acc = acc + 2 * w * basis
-        else:
-            acc = acc + w * basis
-    out = (-1) ** n * acc
+    out = (-1) ** n * Poly.sum([Poly.zero(("x1",))] + [
+        ctx.binom(n, j) * ctx.q ** (_comb2(n) + j * (j - n)) * (1 if 2 * j == n else 2)
+        * cheb_poly(ChebIndex("T", n - 2 * j), var="x1") for j in range(n // 2 + 1)])
     b = hb_poly(ctx, "b", n)
     if out != b:
         raise ChebsumError(f"d_{n} failed to match b_{n} at q={ctx.q}")
@@ -270,12 +262,10 @@ def d2_coeff(ctx: QContext, n: int) -> Poly:
 
         halves = ctx.roll("halves", n + 1, lambda: ((Poly.const(1, vs), Poly.zero(vs)),
                                                     (-2 * xx, Poly.const(2, vs)), step))
-        aa = bb = Poly.zero(vs)
-        for m in range(n // 2 + 1):  # the terms at m and n - m are equal
-            w = ctx.binom(n, m) * (1 if 2 * m == n else 2)
-            (a0, b0), (a1, b1) = halves[m], halves[n - m]
-            aa = aa + w * (a0 * a1)
-            bb = bb + w * (b0 * b1)
+        pairs = [(ctx.binom(n, m) * (1 if 2 * m == n else 2), halves[m], halves[n - m])
+                 for m in range(n // 2 + 1)]  # the terms at m and n - m are equal
+        aa, bb = (Poly.sum([Poly.zero(vs)] + [w * (p0[i] * p1[i]) for w, p0, p1 in pairs])
+                  for i in (0, 1))
         ctx._polys[key] = aa - dd * bb
     return ctx._polys[key]
 
@@ -301,9 +291,8 @@ def idb_check(ctx: QContext, n: int, k: int) -> IdbResult:
 
     The sum starts at j = 0; starting at 1 already fails at (n, k) = (1, 0).
     """
-    lhs = Poly.zero(("x1",))
-    for j in range(n + 1):
-        lhs = lhs + ctx.binom(n, j) * (hb_poly(ctx, "b", n - j) * hb_poly(ctx, "h", j + k))
+    lhs = Poly.sum([Poly.zero(("x1",))] + [
+        ctx.binom(n, j) * (hb_poly(ctx, "b", n - j) * hb_poly(ctx, "h", j + k)) for j in range(n + 1)])
     if k < n:
         rhs = Poly.zero(("x1",))
     else:
@@ -484,9 +473,14 @@ class IdentityReport:
     abs_diff: float
     bound: float
 
-    @property
-    def passed(self) -> bool:
-        return self.abs_diff <= max(self.bound, 1e-9)
+    def passes(self, tol: float) -> bool:
+        """abs_diff <= tol; past it a FAIL if bound <= tol, else ConvergenceError: it cannot decide."""
+        if self.abs_diff <= tol:
+            return True
+        if self.bound > tol:
+            raise ConvergenceError(f"|lhs - rhs| = {self.abs_diff:.3g} exceeds tol {tol:.3g}, but "
+                                   f"the truncation bound {self.bound:.3g} cannot tell it from 0")
+        return False
 
 
 def chi1t_check(ctx: QContext, t: int, x: float, rho: float) -> IdentityReport:

@@ -482,3 +482,26 @@ def test_marginal_mesh_limit_refused_before_any_suite(capsys):
         assert captured.out == ""
     # Suites that take no nodes do not check them.
     assert main(["verify", "positivity", "--nodes", "100000"]) == 0
+
+
+def test_q_check_refuses_nmax_before_any_record():
+    # The library checks the index range itself: the first draw raises, no record comes.
+    for suite, nmax, message in (("idb", 7, "must lie in 0..6, got 7"),
+                                 ("chi1t", -1, "must lie in 0..5, got -1"),
+                                 ("d2", 0, "must lie in 1..8, got 0"),
+                                 ("final-identity", 0, "takes no --nmax")):
+        with pytest.raises(ValueError, match=message):
+            next(camp.q_check(suite, [Fraction(1, 3)], nmax, 0))
+    assert [r["n"] for r in camp.q_check("d2", [Fraction(1, 3)], None, 0)] == list(range(1, 9))
+
+
+def test_float_q_checks_refuse_where_truncation_cannot_decide(capsys):
+    # Near q = 1 the truncated sides differ by more than tol, and so may their
+    # truncations: these printed a false FAIL with exit 1.
+    for suite, q in (("chi1t", "0.999"), ("final-identity", "0.999"), ("chi1t", "0.9")):
+        assert main(["q", "check", "--suite", suite, "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "truncation bound" in captured.err
+    # Where the bound is within tol the check still decides: at q = 0.9 final-identity passes.
+    assert main(["q", "check", "--suite", "final-identity", "--q", "0.9"]) == 0

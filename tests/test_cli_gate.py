@@ -162,6 +162,9 @@ def test_every_flag_has_a_strategy():
 @example((["verify", "marginals", "--nodes=100000"], None))
 @example((["q", "check", "--suite=chi1t", f"--q={1 - 2 ** -53!r}", "--nmax=1"], None))
 @example((["q", "check", "--suite=final-identity", "--q=0.999999999"], None))
+@example((["q", "check", "--suite=chi1t", "--q=0.999"], None))
+@example((["q", "check", "--suite=final-identity", "--q=0.999"], None))
+@example((["q", "check", "--suite=chi1t", "--q=0.9"], None))
 @example((["q", "probe", "--conjecture=common-denominator", f"--q={1 - 2 ** -53!r}"], None))
 @given(command_lines())
 def test_cli_exits_cleanly(tmp_path_factory, case):

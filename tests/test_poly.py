@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chebsum
+from chebsum.cheb import ChebIndex, cheb_poly
 from chebsum.errors import (ChebsumError, ExponentError, MarkerError, MissingAssignment,
                             ScaleError)
 from chebsum.poly import EXP_LIMIT, Poly, exact_str, var_sort_key
@@ -450,6 +451,17 @@ def test_exponent_overflow_raises_scale_error():
     s1 = Poly.variable("s1", ("x1", "s1"))
     with pytest.raises(ScaleError):
         Poly(("x1", "s1"), {(EXP_LIMIT - 2, 1): 1}) * s1
+
+
+def test_float_eval_past_the_float_range_raises_scale_error():
+    # T_2000's coefficients pass the float range: at a float point the plan met a bare
+    # OverflowError; an exact point still gives the exact value.
+    t2000 = cheb_poly(ChebIndex("T", 2000))
+    with pytest.raises(ScaleError, match="float range"):
+        t2000.eval({"x1": 0.5})
+    assert t2000.eval({"x1": Fraction(1)}) == 1
+    with pytest.raises(ScaleError, match="float range"):
+        (Poly.variable("x1") ** 3).eval({"x1": 1e200})
 
 
 def test_out_of_range_exponents_at_construction():

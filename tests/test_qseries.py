@@ -13,8 +13,8 @@ from chebsum import poly as poly_mod
 from chebsum.errors import ChebsumError, ConvergenceError, DomainError, ScaleError
 from chebsum.genfun import GenSpec, chi_closed_value
 from chebsum.poly import Poly
-from chebsum.qseries import (QContext, _fit_polynomial_in_q, chi1t_check, conjecture_probe,
-                             d2_coeff, d2_values, d_coeff, d_of_q,
+from chebsum.qseries import (IdentityReport, QContext, _fit_polynomial_in_q, chi1t_check,
+                             conjecture_probe, d2_coeff, d2_values, d_coeff, d_of_q,
                              d_truncated_product, fh_integral_check,
                              final_identity_check, ft_inner_product, ft_moment_U,
                              ft_u_coeffs, gamma_moment, hU_coeff, hb_poly,
@@ -508,6 +508,20 @@ def test_float_q_checks_refuse_a_q_near_1():
             chi1t_check(QContext(q), 1, 0.3, 0.4)
         with pytest.raises(ConvergenceError, match="rounds to 0 in floats"):
             final_identity_check(QContext(q), 0.3, 0.4, 0.1)
+
+
+def test_identity_reports_fail_only_where_their_bound_decides():
+    # Within tol a check passes; past it a bound within tol makes it a FAIL, and a
+    # bound past tol a refusal: the truncated sides may differ by that much.
+    assert IdentityReport(1.0, 1.0, 1e-12, 1e-3).passes(1e-9)
+    assert not IdentityReport(1.0, 2.0, 1.0, 1e-12).passes(1e-9)
+    with pytest.raises(ConvergenceError, match="truncation bound"):
+        IdentityReport(1.0, 2.0, 1.0, 1e-3).passes(1e-9)
+    # chi1t at q = 0.9 printed a FAIL: its sides differ by 4.3e-3 within a bound of 1.4e-2.
+    rep = chi1t_check(QContext(F(9, 10)), 1, 0.3, 0.4)
+    assert 1e-9 < rep.abs_diff < rep.bound
+    with pytest.raises(ConvergenceError):
+        rep.passes(1e-9)
 
 
 def test_probe_refuses_exact_values_past_the_digit_limit():

@@ -4,7 +4,7 @@ Run from anywhere, with no options:
 
     python3 tools/bench_layers.py
 
-It writes five files at the repository root, each with the git sha, the
+It writes six files at the repository root, each with the git sha, the
 Python version and the number of usable CPUs:
 
 * ``BENCH_series_oracle.json``: ``genfun.chi_series_oracle_grid`` at series
@@ -40,6 +40,11 @@ Python version and the number of usable CPUs:
   onto x1, x2, rho), one that moves fields (w_2 onto x1, x2, x3, rho) and
   rho ** 2.  Each of 15 samples times a batch of 200 calls; the file holds
   the median and quartiles of the per-call time of the samples, in us.
+* ``BENCH_kibble.json``: warm ``kibble.kibble_closed_eval`` and
+  ``kibble.kibble_series_oracle`` for n = 3, 4 and 5 vertices, f_T and f_U,
+  at the cutoffs and |rho_ij| bands of perfbench's float-eval workload (each
+  band keeps every pair's cap at the cutoff) on one fixed seeded point per
+  case: the median and quartiles of 15 calls after one warm-up call.
 """
 
 from __future__ import annotations
@@ -58,9 +63,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import math  # noqa: E402
+
 import numpy as np  # noqa: E402
 
-from chebsum import cheb, denom, genfun, qseries  # noqa: E402
+from chebsum import cheb, denom, genfun, kibble, qseries  # noqa: E402
 from chebsum.genfun import GenSpec, chi_series_oracle_grid, numerator_l  # noqa: E402
 from chebsum.poly import Poly  # noqa: E402
 
@@ -71,6 +78,8 @@ POINTS = (50, 2000)
 SHIFTS = {1: (-1,), 2: (-1, 1), 3: (-1, 0, 1), 4: (-1, 0, 0, 1)}
 # One q per denominator of perfbench's q-exact workload, |q| in [1/3, 1/2].
 Q_VALUES = (Fraction(3, 7), Fraction(-4, 11), Fraction(5, 13))
+# (n, cutoff, |rho_ij| band) of perfbench's float-eval KIBBLE_CASES.
+KIBBLE_CASES = ((3, 30, (0.3, 0.4)), (4, 20, (0.16, 0.25)), (5, 12, (0.05, 0.1)))
 POLY_BATCH = 200
 SCALAR_POINTS = 16
 EXACT_CACHES = (denom.build_w, denom.build_w_recursive, denom.w_rho_coeff_polys,
@@ -214,11 +223,26 @@ def bench_case(K: int, N: int) -> dict:
             **_quartiles_ms(times), "tracemalloc_peak_mb": peak / 2 ** 20}
 
 
+def bench_kibble(n: int, cutoff: int, band: tuple[float, float], kind: str, oracle: bool) -> dict:
+    rng = np.random.default_rng(n * 101 + (kind == "U"))
+    K = kibble.CorrMatrix.from_dict(n, {(a, b): rng.choice((-1.0, 1.0)) * rng.uniform(*band)
+                                        for a in range(1, n + 1) for b in range(a + 1, n + 1)})
+    alphas = rng.uniform(0.15, math.pi - 0.15, n).tolist()
+    if oracle:
+        layer, xs = "kibble.kibble_series_oracle", [math.cos(a) for a in alphas]
+        call = lambda: kibble.kibble_series_oracle(kind, xs, K, cutoff)
+    else:
+        layer, call = "kibble.kibble_closed_eval", lambda: kibble.kibble_closed_eval(kind, alphas, K)
+    call()  # warm-up
+    return {"layer": layer, "n": n, "kind": kind, "cutoff": cutoff, "rho_band": list(band),
+            **_quartiles_ms(_cold_times(lambda: None, call))}
+
+
 def _write(name: str, doc: dict) -> None:
     (ROOT / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for c in doc["cases"]:
-        size = ", ".join(f"{k}={c[k]}" for k in ("K", "k", "n", "points", "calls_on", "family",
-                                                 "q", "op")
+        size = ", ".join(f"{k}={c[k]}" for k in ("K", "k", "n", "kind", "points", "calls_on",
+                                                 "family", "q", "op")
                          if k in c)
         unit = "ms" if "median_ms" in c else "us"
         print(f"{c.get('layer', doc['layer'])} {size}: median {c['median_' + unit]:.2f} {unit} "
@@ -260,6 +284,11 @@ def main() -> None:
         "layer": "poly", **env,
         "caches": "none: every call makes its result; eval runs the plan its warm-up compiled",
         "cases": [bench_poly_op(op, call) for op, call in poly_ops().items()]})
+    _write("BENCH_kibble.json", {
+        "layer": "kibble", **env, "numpy": np.__version__,
+        "caches": "warm: one call on the same inputs before the timed calls",
+        "cases": [bench_kibble(n, cutoff, band, kind, oracle) for n, cutoff, band in KIBBLE_CASES
+                  for kind in ("T", "U") for oracle in (False, True)]})
 
 
 if __name__ == "__main__":
