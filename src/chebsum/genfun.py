@@ -242,7 +242,8 @@ def _product_values(spec: GenSpec, count: int, xs: Sequence) -> list:
 
 
 def _grid_point(spec: GenSpec, xs_arrays, rho_array) -> tuple:
-    """(xs, rho, grid): the inputs as float arrays, checked by ``_check_point``, and the xs' broadcast shape."""
+    """(xs, rho, grid): both grid evaluators' inputs as float arrays, checked by
+    ``_check_point``, and the broadcast shape of the xs."""
     import numpy as np
 
     xs = [np.asarray(a, dtype=float) for a in xs_arrays]
