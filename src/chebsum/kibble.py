@@ -73,12 +73,6 @@ class CorrMatrix:
                 ent.setdefault((i, j), 0)
         return cls(n, tuple(sorted(ent.items())))
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [p for p, _ in self.entries]
-
-    def values(self) -> list:
-        return [v for _, v in self.entries]
-
 
 # --------------------------------------------------------------- closed form
 
@@ -95,8 +89,8 @@ def kibble_closed_eval(kind: str, alphas: Sequence[float], K: CorrMatrix) -> flo
     n = K.n
     if len(alphas) != n:
         raise DomainError(f"need {n} angles, got {len(alphas)}")
-    pairs = K.pairs()
-    rhos = [float(v) for v in K.values()]
+    pairs = [p for p, _ in K.entries]
+    rhos = [float(v) for _, v in K.entries]
     trig = "sin" if n % 2 and kind == "U" else "cos"
 
     def values_of(vectors):

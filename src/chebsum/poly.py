@@ -455,24 +455,20 @@ class Poly:
     def eval(self, assignment: Mapping[str, object]):
         """Evaluate at a point (Horner accumulation, one variable at a time).
 
-        The first call compiles the Horner plan into one straight-line function, kept
-        on the instance; every call runs it with the same multiplies and adds in the
-        same order, so a float result is the same to the bit.  Each power v ** d
-        (d > 1) the plan needs is made once per call, before the run.  Exact inputs
-        give an exact value; any float input gives a float.  Raises MissingAssignment
-        if a variable with a nonzero exponent has no value, and ScaleError where a
-        float evaluation leaves the float range (a coefficient or power past it).
+        The first call compiles the Horner plan into one straight-line function of the
+        variable values, kept on the instance; every call runs it with the same multiplies
+        and adds in the same order, so a float result is the same to the bit.  The plan
+        makes each power v ** d (d > 1) it needs once per call, after its missing-value
+        checks.  Exact inputs give an exact value; any float input gives a float.  Raises
+        MissingAssignment if a variable with a nonzero exponent has no value, and ScaleError
+        where a float evaluation leaves the float range (a coefficient or power past it).
         """
         if not self._packed:
             return 0
         if self._plan is None:
             self._plan = _compile_plan(list(self.terms.items()), self.vars)
-        plan, extra = self._plan
-        pw = [assignment.get(v) for v in self.vars]  # pw[vi] is None: no value
         try:
-            if extra:
-                pw += [None if (x := pw[vi]) is None else x ** d for vi, d in extra]
-            return plan(*pw)
+            return self._plan(*[assignment.get(v) for v in self.vars])  # None: no value
         except OverflowError:
             raise ScaleError(f"a float evaluation left the float range (|v| <= "
                              f"{sys.float_info.max:.4g})") from None
@@ -543,17 +539,18 @@ class Poly:
 
 
 def _compile_plan(items: list[tuple[Exponents, Scalar]], names: tuple[str, ...]):
-    """(plan, extra): the Horner accumulation of ``items`` as one straight-line function.
+    """The Horner accumulation of ``items`` as one straight-line function of ``names``' values.
 
-    Level vi groups its terms by variable vi's exponent, top first: its sum s<vi> starts at
-    the top group's value, each step multiplies it by the power that lowers the exponent to
-    the next group's and adds that group's value, and the lowest exponent is a last multiply.
-    ``plan`` takes the values of ``names``, then the powers (vi, d) ``extra`` lists, as a0,
-    a1, ...; first it raises MissingAssignment for a used variable without a value, in the
-    order the levels meet them.  No name from the polynomial enters the code.
+    Level vi groups its terms by variable vi's exponent, top first: its sum starts at the top
+    group's value, each step multiplies it by the power that lowers the exponent to the next
+    group's and adds that group's value, and the lowest exponent is a last multiply; each
+    step is a new name, s<line>, never reassigned.  The plan takes the values as a0, a1, ...;
+    first it raises MissingAssignment for a used variable without a value, in the order the
+    levels meet them, then makes each power p<vi>_<d> = a<vi> ** d it reads, once.  No name
+    from the polynomial enters the code.
     """
-    nvars, extra, consts, checks, lines = len(names), {}, {}, {}, []
-    arg = lambda vi, d: f"a{vi if d == 1 else extra.setdefault((vi, d), nvars + len(extra))}"
+    nvars, powers, consts, checks, lines = len(names), {}, {}, {}, []
+    arg = lambda vi, d: f"a{vi}" if d == 1 else powers.setdefault((vi, d), f"p{vi}_{d}")
 
     def value(items, vi: int) -> str:
         """The expression of a group's value, after the lines that it reads."""
@@ -570,23 +567,20 @@ def _compile_plan(items: list[tuple[Exponents, Scalar]], names: tuple[str, ...])
         checks.setdefault(vi)
         acc = value(groups[0], vi + 1)
         for a, b, group in zip(es, es[1:], groups[1:]):
-            at = len(lines)
             sub = value(group, vi + 1)
-            if len(lines) > at and acc != f"s{vi}":  # the group's lines may reuse what acc reads
-                lines.insert(at, f"s{vi} = {acc}")
-                acc = f"s{vi}"
-            lines.append(f"s{vi} = {acc} * {arg(vi, a - b)} + {sub}")
-            acc = f"s{vi}"
+            lines.append(f"s{len(lines)} = {acc} * {arg(vi, a - b)} + {sub}")
+            acc = f"s{len(lines) - 1}"
         return f"{acc} * {arg(vi, es[-1])}" if es[-1] else acc
 
     result = value(items, 0)
-    source = "\n    ".join([f"def plan({', '.join(f'a{i}' for i in range(nvars + len(extra)))}):"]
+    source = "\n    ".join([f"def plan({', '.join(f'a{i}' for i in range(nvars))}):"]
                           + [f"if a{vi} is None: raise missing({vi})" for vi in checks]
+                          + [f"{p} = a{vi} ** {d}" for (vi, d), p in powers.items()]
                           + lines + [f"return {result}"])
     namespace = {"missing": lambda vi: MissingAssignment(f"no value for variable {names[vi]}"),
                  **consts}
     exec(compile(source, "<Poly plan>", "exec"), namespace)
-    return namespace["plan"], tuple(extra)
+    return namespace["plan"]
 
 
 def _product_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -113,6 +116,41 @@ def test_q_check_d2_compares_values(tmp_path, monkeypatch):
     records = [json.loads(line) for line in text.splitlines()]
     assert [r["pass"] for r in records] == [True, False, True]
     assert records[1]["abs_err"] > records[1]["bound"]
+
+
+def test_q_check_duality_fails_a_wrong_d_n(tmp_path, monkeypatch):
+    # d_coeff does not check itself; the duality records make the one check, so a T_3
+    # off by 1 fails d_3's record alone and the run exits 1.
+    import chebsum.qseries as qseries
+    right = qseries.cheb_poly
+    monkeypatch.setattr(qseries, "cheb_poly",
+                        lambda c, var="x1": right(c, var) + int((c.kind, c.index) == ("T", 3)))
+    code, text = run(["q", "check", "--suite", "duality", "--q", "1/3", "--nmax", "4"], tmp_path)
+    assert code == 1
+    assert [json.loads(line)["pass"] for line in text.splitlines()] == [True] * 3 + [False, True]
+
+
+NUMPY_FREE_COMMANDS = [
+    ["w", "build", "--n", "4"], ["chi", "build", "--k", "2", "--n", "2", "--t=-1,0,0,1"],
+    ["chi", "eval", "--k", "1", "--n", "1", "--t", "1,0", "--x", "0.5,0.25", "--rho", "0.3"],
+    ["q", "check", "--suite", "d2"], ["q", "probe", "--conjecture", "common-denominator"],
+    ["q", "probe", "--conjecture", "beta", "--nmax", "5"],
+    ["kibble", "denominator", "--n", "3", "--rho", "12=1/2,13=1/3,23=1/5"],
+    ["verify", "w"], ["verify", "q"]]
+
+
+def test_exact_commands_never_import_numpy():
+    # Importing numpy adds tens of MB of RSS and tens of ms to a process; exact work
+    # and the scalar float paths need none of it.  A fresh process, so nothing is loaded.
+    script = ("import sys\nfrom chebsum.cli import main\n"
+              f"codes = [main(args) for args in {NUMPY_FREE_COMMANDS!r}]\n"
+              "print(codes, 'numpy' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(NUMPY_FREE_COMMANDS)} False"
 
 
 def test_q_check_bytes_pinned(tmp_path):

@@ -294,6 +294,9 @@ def test_compiled_plan_names_the_variable_the_walk_meets_first():
     assert _outcome(lambda: p.eval({})) == ("missing", "no value for variable x1")
     q = p.embed(("x1", "x2", "x3", "rho"))
     assert q.eval({"x1": 0.5, "x2": 0.25, "rho": 2.0}) == p.eval({"x1": 0.5, "x2": 0.25, "rho": 2.0})
+    # The checks run before the powers: x2 is named, not x1 ** 3 past the float range.
+    big = Poly(("x1", "x2"), {(3, 1): 1, (0, 0): 2})
+    assert _outcome(lambda: big.eval({"x1": 1e200})) == ("missing", "no value for variable x2")
 
 
 def test_compiled_plan_is_made_once():
