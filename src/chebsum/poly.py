@@ -543,11 +543,10 @@ def _compile_plan(items: list[tuple[Exponents, Scalar]], names: tuple[str, ...])
 
     Level vi groups its terms by variable vi's exponent, top first: its sum starts at the top
     group's value, each step multiplies it by the power that lowers the exponent to the next
-    group's and adds that group's value, and the lowest exponent is a last multiply; each
-    step is a new name, s<line>, never reassigned.  The plan takes the values as a0, a1, ...;
-    first it raises MissingAssignment for a used variable without a value, in the order the
-    levels meet them, then makes each power p<vi>_<d> = a<vi> ** d it reads, once.  No name
-    from the polynomial enters the code.
+    group's and adds that group's value, and the lowest exponent is a last multiply; each step
+    is a new name, never reassigned.  The plan takes the values as a0, a1, ...; first it raises
+    MissingAssignment for a used variable without a value, in the order the levels meet them,
+    then makes each power v ** d it reads, once.  No name from the polynomial enters the code.
     """
     nvars, powers, consts, checks, lines = len(names), {}, {}, {}, []
     arg = lambda vi, d: f"a{vi}" if d == 1 else powers.setdefault((vi, d), f"p{vi}_{d}")

@@ -570,7 +570,7 @@ def _beta_solve(ctx: QContext, n: int) -> dict:
         basis = hb_poly(ctx, "b", deg)
         bb = basis * basis.rename({"x1": "x2"})
         lead = Fraction(-2) ** deg * ctx.q ** _comb2(deg)
-        c = Fraction(residual.terms.get((deg, deg), 0)) / (lead * lead)  # on (x1, x2)
+        c = Fraction(residual.terms.get((deg, deg), 0)) / (lead * lead)  # d2_n, bb: on (x1, x2)
         betas.append(c)
         residual = residual - c * bb
     return {
