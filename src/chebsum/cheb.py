@@ -236,8 +236,10 @@ def sign_vector_sum(alphas: Sequence[float], u_slots: Sequence[int], values_of) 
 
 
 def cheb_values_row(kind: str, x: float, count: int) -> "object":
-    """numpy array [P_0(x), ..., P_{count-1}(x)] for lattice summations."""
-    return cheb_seq_grid(kind, 0, count, x)
+    """numpy array [P_0(x), ..., P_{count-1}(x)] for lattice summations, rolled on a float."""
+    import numpy as np
+
+    return np.array(cheb_seq(kind, 0, count, float(x)))
 
 
 def cheb_seq_grid(kind: str, start: int, count: int, x):

@@ -39,9 +39,11 @@ index K with |q|^C(K,2) below TAIL_EPS and each numeric report carries its
 truncation bound.
 
 Everything that depends only on q is memoised on the ``QContext``, never at
-module level: (q;q)_n and [n]_q!, the rolled h_n, b_n and halves (A_m, B_m),
-d_n and d2_n, and the truncated sums d(q), the f_t moments of U_n and of x^e,
-and gamma_n.  A fresh context therefore recomputes all of it.
+module level: the list of (q;q)_n, and in its one memo the q-binomial rows,
+the rolled h_n, b_n and halves (A_m, B_m), d_n and d2_n, and the truncated
+sums d(q), the f_t moments of U_n and of x^e, and gamma_n.  A fresh context
+therefore recomputes all of it.  Nothing checks (q;q)_n against a second
+product: a wrong one FAILs the duality and idb records.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from fractions import Fraction
 
 from .cheb import ChebIndex, cheb_poly, cheb_seq, left_sum, recur
 from .denom import w_rho_coeff_polys
-from .errors import ChebsumError, ConvergenceError, DegeneratePivot, DomainError, require_below
+from .errors import ConvergenceError, DegeneratePivot, DomainError, UnknownId, require_below
 from .poly import Poly, exact_str
 
 MAX_TAIL_INDEX = 400
@@ -76,46 +78,30 @@ class QContext:
         q = q if isinstance(q, Fraction) else Fraction(q)
         require_below("q", q, strict=True)
         self.q = q
-        self._qq: list[Fraction] = [Fraction(1)]          # (q;q)_n
-        self._bracket_fact: list[Fraction] = [Fraction(1)]  # [n]_q!
-        self._binoms: dict[int, list[Fraction]] = {}        # row n of q-binomials
-        self._polys: dict = {}
-        self._moments: dict = {}   # d(q), the f_t moments of U_n and x^e, gamma_n
+        self._qq: list[Fraction] = [Fraction(1)]  # (q;q)_n
+        self._memo: dict = {}  # all else, keyed by (function name, index...)
 
     def __repr__(self):
         return f"QContext(q={self.q})"
 
-    # ----------------------------------------------------------- q-symbols
-
-    def bracket(self, n: int) -> Fraction:
-        """[n]_q = 1 + q + ... + q^(n-1)."""
-        if n < 0:
-            raise ValueError("bracket needs n >= 0")
-        return sum((self.q ** j for j in range(n)), Fraction(0))
-
-    def bracket_factorial(self, n: int) -> Fraction:
-        while len(self._bracket_fact) <= n:
-            m = len(self._bracket_fact)
-            self._bracket_fact.append(self._bracket_fact[-1] * self.bracket(m))
-        return self._bracket_fact[n]
+    def memo(self, key: tuple, make):
+        """The value kept under ``key``; ``make()`` gives it on first use."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def qq(self, n: int) -> Fraction:
-        """(q; q)_n, kept consistent with (1-q)^n [n]_q!."""
+        """(q; q)_n = (1 - q)(1 - q^2)...(1 - q^n); the duality and idb records check it."""
         while len(self._qq) <= n:
-            m = len(self._qq)
-            nxt = self._qq[-1] * (1 - self.q ** m)
-            if nxt != (1 - self.q) ** m * self.bracket_factorial(m):
-                raise ChebsumError(f"(q;q)_{m} disagrees with (1-q)^{m} [{m}]_q!")
-            self._qq.append(nxt)
+            self._qq.append(self._qq[-1] * (1 - self.q ** len(self._qq)))
         return self._qq[n]
 
     def binom(self, n: int, k: int) -> Fraction:
         """q-binomial; zero outside 0 <= k <= n."""
         if not 0 <= k <= n:
             return Fraction(0)
-        if n not in self._binoms:
-            self._binoms[n] = [self.qq(n) / (self.qq(n - j) * self.qq(j)) for j in range(n + 1)]
-        return self._binoms[n][k]
+        return self.memo(("binom", n), lambda: [self.qq(n) / (self.qq(n - j) * self.qq(j))
+                                                for j in range(n + 1)])[k]
 
     def roll(self, key: str, count: int, start) -> list:
         """The first ``count`` entries of the kept roll ``key``, resumed from its last two.
@@ -124,7 +110,7 @@ class QContext:
         step(m, p_m, p_{m-1}) is p_{m+1} at the absolute index m, so a resumed entry
         is the one a roll from p_0 gives.
         """
-        rolled = self._polys.setdefault(key, [])
+        rolled = self._memo.setdefault(("roll", key), [])
         if len(rolled) < count:
             p0, p1, step = start()
             at = max(len(rolled) - 2, 0)
@@ -154,7 +140,7 @@ def _hb_recurrence(ctx: QContext, kind: str, x, count: int) -> tuple:
     so float values keep the bits of the rolled products.
     """
     if kind not in ("h", "b"):
-        raise ValueError(f"kind must be h or b, got {kind!r}")
+        raise DomainError(f"kind must be h or b, got {kind!r}")
     q = float(ctx.q) if isinstance(x, float) else ctx.q
     qpow = [1]
     for _ in range(count):
@@ -177,7 +163,7 @@ def hb_values(ctx: QContext, kind: str, x, count: int) -> list:
 def hb_poly(ctx: QContext, kind: str, n: int) -> Poly:
     """h_n or b_n as an exact polynomial in x1, on the context's roll of that family."""
     if kind not in ("h", "b"):
-        raise ValueError(f"kind must be h or b, got {kind!r}")
+        raise DomainError(f"kind must be h or b, got {kind!r}")
     if n < 0:
         return Poly.zero(("x1",))
     return ctx.roll(kind, n + 1,
@@ -192,12 +178,9 @@ def d_coeff(ctx: QContext, n: int) -> Poly:
     exponentials into first-kind Chebyshev polynomials.  It must equal b_n
     identically; the duality records make that check, not this builder.
     """
-    key = ("d", n)
-    if key not in ctx._polys:
-        ctx._polys[key] = (-1) ** n * Poly.sum([Poly.zero(("x1",))] + [
-            ctx.binom(n, j) * ctx.q ** (_comb2(n) + j * (j - n)) * (1 if 2 * j == n else 2)
-            * cheb_poly(ChebIndex("T", n - 2 * j), var="x1") for j in range(n // 2 + 1)])
-    return ctx._polys[key]
+    return ctx.memo(("d_coeff", n), lambda: (-1) ** n * Poly.sum([Poly.zero(("x1",))] + [
+        ctx.binom(n, j) * ctx.q ** (_comb2(n) + j * (j - n)) * (1 if 2 * j == n else 2)
+        * cheb_poly(ChebIndex("T", n - 2 * j), var="x1") for j in range(n // 2 + 1)]))
 
 
 def d_truncated_product(ctx: QContext, n: int, factors: int) -> Poly:
@@ -244,8 +227,8 @@ def d2_coeff(ctx: QContext, n: int) -> Poly:
 
     The pairs are the context's ``halves`` roll.
     """
-    key = ("d2", n)
-    if key not in ctx._polys:
+    key = ("d2_coeff", n)
+    if key not in ctx._memo:
         q, vs = ctx.q, ("x1", "x2")
         xx = Poly(vs, {(1, 1): 1})
         dd = Poly(vs, {(0, 0): 1, (2, 0): -1, (0, 2): -1, (2, 2): 1})
@@ -261,8 +244,8 @@ def d2_coeff(ctx: QContext, n: int) -> Poly:
                  for m in range(n // 2 + 1)]  # the terms at m and n - m are equal
         aa, bb = (Poly.sum([Poly.zero(vs)] + [w * (p0[i] * p1[i]) for w, p0, p1 in pairs])
                   for i in (0, 1))
-        ctx._polys[key] = aa - dd * bb
-    return ctx._polys[key]
+        ctx._memo[key] = aa - dd * bb
+    return ctx._memo[key]
 
 
 # ------------------------------------------------------------ exact identities
@@ -310,12 +293,13 @@ class TruncatedRational:
 
 def d_of_q(ctx: QContext) -> TruncatedRational:
     """d(q) = sum_{k>=1} (-1)^(k-1) q^C(k,2), truncated at the tail index."""
-    if "d" not in ctx._moments:
+    key = ("d_of_q",)
+    if key not in ctx._memo:
         K = ctx.tail_index()
         val = sum((Fraction(-1) ** (k - 1) * ctx.q ** _comb2(k) for k in range(1, K + 1)),
                   Fraction(0))
-        ctx._moments["d"] = TruncatedRational(val, _geom_tail(ctx, K), K)
-    return ctx._moments["d"]
+        ctx._memo[key] = TruncatedRational(val, _geom_tail(ctx, K), K)
+    return ctx._memo[key]
 
 
 def _geom_tail(ctx: QContext, K: int, poly_factor: float = 1.0) -> float:
@@ -334,17 +318,16 @@ def ft_moment_U(ctx: QContext, n: int) -> TruncatedRational:
     """
     if n % 2:
         return TruncatedRational(Fraction(0), 0.0, 0)
-    key = ("U", n)
-    if key not in ctx._moments:
+    key = ("ft_moment_U", n)
+    if key not in ctx._memo:
         d = d_of_q(ctx)
         K, d_val = d.terms, d.value
         if d_val == 0:
             raise DegeneratePivot("d(q) truncation vanished; cannot normalize f_t")
         num = sum((Fraction(-1) ** (k - 1) * (1 + min(n, 2 * k - 2)) * ctx.q ** _comb2(k)
                    for k in range(1, K + 1)), Fraction(0))
-        ctx._moments[key] = TruncatedRational(num / d_val,
-                                              _geom_tail(ctx, K, poly_factor=n + 1.0), K)
-    return ctx._moments[key]
+        ctx._memo[key] = TruncatedRational(num / d_val, _geom_tail(ctx, K, poly_factor=n + 1.0), K)
+    return ctx._memo[key]
 
 
 def hU_coeff(ctx: QContext, n: int, k: int) -> Fraction:
@@ -359,8 +342,8 @@ def gamma_moment(ctx: QContext, n: int) -> TruncatedRational:
     """gamma_n: moment of h_n against f_t (0 for odd n)."""
     if n % 2:
         return TruncatedRational(Fraction(0), 0.0, 0)
-    key = ("gamma", n)
-    if key not in ctx._moments:
+    key = ("gamma_moment", n)
+    if key not in ctx._memo:
         K = ctx.tail_index()
         total = Fraction(0)
         bound = 0.0
@@ -369,8 +352,8 @@ def gamma_moment(ctx: QContext, n: int) -> TruncatedRational:
             c = hU_coeff(ctx, n, k)
             total += c * m.value
             bound += abs(float(c)) * m.tail_bound
-        ctx._moments[key] = TruncatedRational(total, bound, K)
-    return ctx._moments[key]
+        ctx._memo[key] = TruncatedRational(total, bound, K)
+    return ctx._memo[key]
 
 
 @dataclass(frozen=True)
@@ -423,12 +406,9 @@ def ft_u_coeffs(ctx: QContext) -> list[Fraction]:
 
 def _ft_moment_x(ctx: QContext, e: int) -> Fraction:
     """int x^e f_t = 2^-e sum_k (C(e,k) - C(e,k-1)) int U_{e-2k} f_t, truncated."""
-    key = ("x", e)
-    if key not in ctx._moments:
-        ctx._moments[key] = sum(((math.comb(e, k) - (math.comb(e, k - 1) if k else 0))
-                                 * ft_moment_U(ctx, e - 2 * k).value
-                                 for k in range(e // 2 + 1)), Fraction(0)) / 2 ** e
-    return ctx._moments[key]
+    return ctx.memo(("_ft_moment_x", e), lambda: sum(
+        ((math.comb(e, k) - (math.comb(e, k - 1) if k else 0)) * ft_moment_U(ctx, e - 2 * k).value
+         for k in range(e // 2 + 1)), Fraction(0)) / 2 ** e)
 
 
 def ft_inner_product(ctx: QContext, p: Poly) -> Fraction:
@@ -448,16 +428,6 @@ def _qq_floats(q: float, count: int) -> list[float]:
         out.append(out[-1] * (1 - q ** m))
     if out[-1] == 0:
         raise ConvergenceError(f"(q;q)_{count - 1} rounds to 0 in floats at q = {q}")
-    return out
-
-
-def w1_product_value(ctx: QContext, x: float, rho: float, factors: int) -> float:
-    q = float(ctx.q)
-    out = 1.0
-    a = rho
-    for _ in range(factors):
-        out *= 1 - 2 * a * x + a * a
-        a *= q
     return out
 
 
@@ -486,11 +456,14 @@ def chi1t_check(ctx: QContext, t: int, x: float, rho: float) -> IdentityReport:
     """
     J, factors = 80, 60
     require_below("rho", rho, strict=True)
-    q = float(ctx.q)
-    hv = hb_values(ctx, "h", float(x), t + J + 2)
+    q, x = float(ctx.q), float(x)
+    hv = hb_values(ctx, "h", x, t + J + 2)
     qqf = _qq_floats(q, J + 1)
     lhs = left_sum(rho ** j / qqf[j] * hv[t + j] for j in range(J + 1))
-    w1 = w1_product_value(ctx, float(x), rho, factors)
+    w1, a = 1.0, rho
+    for _ in range(factors):
+        w1 *= 1 - 2 * a * x + a * a
+        a *= q
     rhs = left_sum(float(ctx.binom(t, j)) * (-rho) ** j * q ** _comb2(j) * hv[t - j]
                    for j in range(t + 1)) / w1
     # Tail: |h_m(x)| <= m+1 on [-1,1]; the series tail is geometric over the
@@ -579,7 +552,6 @@ def _beta_solve(ctx: QContext, n: int) -> dict:
         "beta": [str(b) for b in betas],
         "representable": residual.is_zero(),
         "residual_terms": len(residual.terms),
-        "residual": residual,
     }
 
 
@@ -620,17 +592,10 @@ def conjecture_probe(which: str, **params) -> dict:
     if which == "beta-expansion":
         n = params["n"]
         q_values = [Fraction(q) for q in params["q_values"]]
-        per_q = []
-        sample_sets: list[list[tuple[Fraction, Fraction]]] = []
-        for q in q_values:
-            res = _beta_solve(QContext(q), n)
-            res.pop("residual")
-            per_q.append(res)
-            for j, b in enumerate(res["beta"]):
-                while len(sample_sets) <= j:
-                    sample_sets.append([])
-                sample_sets[j].append((q, Fraction(b)))
-        fits = [_fit_polynomial_in_q(s) for s in sample_sets]
+        per_q = [_beta_solve(QContext(q), n) for q in q_values]
+        # Every q gives n // 2 + 1 coefficients: column j is beta_j at each q.
+        fits = [_fit_polynomial_in_q([(q, Fraction(b)) for q, b in zip(q_values, column)])
+                for column in zip(*(r["beta"] for r in per_q))]
         return {
             "conjecture": "beta-expansion",
             "n": n,
@@ -641,7 +606,7 @@ def conjecture_probe(which: str, **params) -> dict:
         }
     if which == "common-denominator":
         return _common_denominator_probe(**params)
-    raise ValueError(f"unknown conjecture probe {which!r}")
+    raise UnknownId(f"unknown conjecture probe {which!r}")
 
 
 def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),

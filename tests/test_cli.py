@@ -130,6 +130,26 @@ def test_q_check_duality_fails_a_wrong_d_n(tmp_path, monkeypatch):
     assert [json.loads(line)["pass"] for line in text.splitlines()] == [True] * 3 + [False, True]
 
 
+def test_q_check_duality_fails_a_wrong_q_pochhammer(tmp_path, monkeypatch):
+    # qq does not check itself against a second product; the records do.  A (q;q)_3
+    # doubled as it is rolled carries into (q;q)_4 and (q;q)_5, so d_3 and d_4 FAIL
+    # while d_5's q-binomials cancel it, and the run exits 1 with every record written.
+    from chebsum.qseries import QContext
+    right = QContext.qq
+
+    def doubled_third(self, n):
+        if len(self._qq) <= 3 <= n:
+            right(self, 3)
+            self._qq[3] *= 2
+        return right(self, n)
+
+    monkeypatch.setattr(QContext, "qq", doubled_third)
+    code, text = run(["q", "check", "--suite", "duality", "--q", "1/3", "--nmax", "5"], tmp_path)
+    assert code == 1
+    assert [(r["n"], r["pass"]) for r in map(json.loads, text.splitlines())] == [
+        (0, True), (1, True), (2, True), (3, False), (4, False), (5, True)]
+
+
 NUMPY_FREE_COMMANDS = [
     ["w", "build", "--n", "4"], ["chi", "build", "--k", "2", "--n", "2", "--t=-1,0,0,1"],
     ["chi", "eval", "--k", "1", "--n", "1", "--t", "1,0", "--x", "0.5,0.25", "--rho", "0.3"],

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebsum import genfun, kibble
-from chebsum.cheb import ChebIndex, cheb_eval, cheb_poly, cheb_seq, cheb_seq_grid, recur
+from chebsum.cheb import (ChebIndex, cheb_eval, cheb_poly, cheb_seq, cheb_seq_grid, cheb_values_row,
+                          recur)
 from chebsum.errors import MissingAssignment, ScaleError
 from chebsum.poly import Poly
 
@@ -327,6 +328,8 @@ def test_cheb_rows_match_the_two_seed_construction():
                 for x in xs:
                     got, want = cheb_seq(kind, start, count, x), two_seed_row(kind, start, count, x)
                     assert [v.hex() for v in got] == [v.hex() for v in want]
+                    if start == 0:  # the scalar row of the lattice sums
+                        assert cheb_values_row(kind, x, count).tobytes() == np.array(want).tobytes()
                 assert cheb_seq(kind, start, count, fr) == two_seed_row(kind, start, count, fr)
                 assert cheb_seq_grid(kind, start, count, arr).tobytes() \
                     == two_seed_row(kind, start, count, arr).tobytes()

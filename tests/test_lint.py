@@ -197,7 +197,6 @@ SUM_ALLOWED = {
     "kibble.py:kibble_series_oracle": (2, "pair caps"),
     "poly.py:sorted_terms": (1, "monomial degree"),
     "poly.py:_reduce_markers": (1, "packed monomial bit mask"),
-    "qseries.py:bracket": (1, "Fraction powers of q"),
     "qseries.py:d_of_q": (1, "Fraction series in q"),
     "qseries.py:ft_moment_U": (1, "Fraction series in q"),
     "qseries.py:_ft_moment_x": (1, "Fraction moments"),

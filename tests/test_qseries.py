@@ -36,24 +36,34 @@ def ctx():
     return QContext(F(1, 2))
 
 
+def bracket(q, n):
+    """[n]_q = 1 + q + ... + q^(n-1)."""
+    return sum((q ** j for j in range(n)), F(0))
+
+
+def bracket_factorial(q, n):
+    """[n]_q! = [1]_q [2]_q ... [n]_q."""
+    return math.prod((bracket(q, m) for m in range(1, n + 1)), start=F(1))
+
+
 def test_q_symbols(ctx):
-    assert ctx.bracket(3) == F(7, 4)
-    assert ctx.bracket(0) == 0
+    assert bracket(ctx.q, 3) == F(7, 4)
+    assert bracket(ctx.q, 0) == 0
     got = ctx.binom(4, 2)
     assert got == ctx.qq(4) / (ctx.qq(2) * ctx.qq(2))
     # Factorial route gives the same value.
-    assert got == ctx.bracket_factorial(4) / (ctx.bracket_factorial(2) ** 2)
+    assert got == bracket_factorial(ctx.q, 4) / (bracket_factorial(ctx.q, 2) ** 2)
     assert ctx.binom(3, 5) == 0
     assert ctx.binom(3, -1) == 0
 
 
 def test_pochhammer_factorial_consistency(ctx):
     for n in range(9):
-        assert ctx.qq(n) == (1 - ctx.q) ** n * ctx.bracket_factorial(n)
+        assert ctx.qq(n) == (1 - ctx.q) ** n * bracket_factorial(ctx.q, n)
     third = QContext(F(1, 3))
     assert third.binom(4, 2) == third.qq(4) / (third.qq(2) * third.qq(2))
-    assert third.binom(4, 2) == third.bracket_factorial(4) / (
-        third.bracket_factorial(2) ** 2)
+    assert third.binom(4, 2) == bracket_factorial(third.q, 4) / (
+        bracket_factorial(third.q, 2) ** 2)
 
 
 def test_context_guards():
@@ -65,6 +75,14 @@ def test_context_guards():
         final_identity_check(QContext(F(1, 2)), 0.3, 0.4, math.nan)
     with pytest.raises(ConvergenceError):
         QContext(F(999999, 1000000)).tail_index()
+    # A family other than h or b, or an unknown probe, is a ChebsumError, not a ValueError.
+    ctx = QContext(F(1, 2))
+    with pytest.raises(ChebsumError, match="kind must be h or b"):
+        hb_values(ctx, "t", 0.3, 4)
+    with pytest.raises(ChebsumError, match="kind must be h or b"):
+        hb_poly(ctx, "halves", 2)
+    with pytest.raises(ChebsumError, match="unknown conjecture probe"):
+        conjecture_probe("gamma-expansion", n=2)
 
 
 def test_h_b_base_polys(ctx):
@@ -578,7 +596,7 @@ def test_memoised_moments_match_truncated_sums(q):
 def test_moment_memo_belongs_to_its_context():
     ctx = QContext(F(1, 2))
     want = ft_moment_U(ctx, 4)
-    ctx._moments[("U", 4)] = TruncatedRational(F(7), 0.0, 0)
+    ctx._memo[("ft_moment_U", 4)] = TruncatedRational(F(7), 0.0, 0)
     assert ft_moment_U(ctx, 4).value == 7
     fresh = QContext(F(1, 2))
     assert ft_moment_U(fresh, 4) == want
