@@ -275,7 +275,7 @@ def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
     evaluates R values of rho over the whole grid in one call.  The result has
     shape ``np.broadcast_shapes(rho.shape, G)``.
 
-    The grid is walked along its leading axis in blocks of about 2^15 points.
+    The result is walked along the grid's leading axis in blocks of about 2^15 values.
     Everything that does not depend on rho (the rho-coefficients of w over one
     table of powers, the Chebyshev products P_i and the convolution coefficients
     c_j) is computed once per block and shared by every rho value, so working
@@ -290,10 +290,10 @@ def chi_closed_values_grid(spec: GenSpec, xs_arrays, rho_array):
     xs, rho, grid = _grid_point(spec, xs_arrays, rho_array)
     out = np.empty(np.broadcast_shapes(rho.shape, grid))
     lead = (slice(None),) * (out.ndim - len(grid))
-    step = max(1, _BLOCK_POINTS // max(1, math.prod(grid[1:])))
+    rows = out.shape[len(lead)] if grid else 1  # the result's axis, not the grid's: rho may be longer
+    step = max(1, _BLOCK_POINTS * rows // max(1, out.size))
     coeff_polys = w_rho_coeff_polys(K)
-    # Walk the result's axis, not the grid's: rho may be longer there.
-    for start in range(0, out.shape[len(lead)] if grid else 1, step):
+    for start in range(0, rows, step):
         sl = slice(start, start + step) if grid else ...
         xb = [_leading_slice(a, len(grid), sl) for a in xs]
         arrays, powers = {f"x{i + 1}": a for i, a in enumerate(xb)}, {}

@@ -219,8 +219,8 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
             # shifted add runs over contiguous blocks.
             arr = np.ascontiguousarray(np.moveaxis(arr, ax_u, 1))
             arr = np.moveaxis(_shift_add(arr, powers[e]), 1, ax_u)
-        # tensordot sums in an order set by the memory layout: C order, as
-        # on a freshly allocated array.
+        # tensordot sums in an order set by the memory layout (C order, as on a
+        # freshly allocated array) and by the CPU kernel BLAS picks at start-up.
         arr = _in_c_order(arr)
         row = cheb_values_row(kind, float(xs[v - 1]), arr.shape[0])
         arr = np.tensordot(arr, row, axes=([0], [0]))

@@ -13,11 +13,11 @@ field's low bits hold the exponent, 0 .. EXP_LIMIT - 1, and its top bit is a
 guard.  A monomial product is one integer add: two exponents below EXP_LIMIT
 sum below 2 * EXP_LIMIT, so nothing carries into the next field, and a sum
 that reaches EXP_LIMIT sets the guard bit, which one mask test over the
-result turns into a ``ScaleError``; exponents never wrap.  The layout is
-private to this module.  ``Poly.terms`` is a read-only view keyed by exponent
-tuples (aligned with ``vars``) in the packed dict's insertion order; the
-tuple keys and their coefficients are made once per polynomial, on first
-use, and kept on it.
+result (or over the factors' keys) turns into a ``ScaleError``; exponents
+never wrap.  The layout is private to this module.  ``Poly.terms`` is a
+read-only view keyed by exponent tuples (aligned with ``vars``) in the
+packed dict's insertion order; the tuple keys and their coefficients are
+made once per polynomial, on first use, and kept on it.
 
 Three families of variables are allowed, with a fixed global order:
 
@@ -47,10 +47,11 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import insort
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import ge, or_
 from types import MappingProxyType
 from typing import Iterable
 
@@ -82,8 +83,8 @@ def var_sort_key(name: str) -> tuple[int, int]:
 def _canonical(variables: Iterable[str]) -> tuple[str, ...]:
     """The variables as a tuple; refuse a repeat, a non-canonical order or sk without xk."""
     vs = tuple(variables)
-    keys = [var_sort_key(v) for v in vs]
-    if any(a >= b for a, b in zip(keys, keys[1:])):
+    keys = list(map(var_sort_key, vs))
+    if any(map(ge, keys, keys[1:])):
         raise ValueError(f"variables not strictly in canonical order: {vs}")
     for v in vs:
         if v[0] == "s" and "x" + v[1:] not in vs:
@@ -92,11 +93,15 @@ def _canonical(variables: Iterable[str]) -> tuple[str, ...]:
 
 
 def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    """The canonical union of two canonical variable tuples, sorted only when neither holds the other."""
-    if a == b:
+    """The canonical union of two canonical variable tuples: b's new names merged into a."""
+    if a == b or not (new := [v for v in b if v not in a]):
         return a
-    u = set(a).union(b)
-    return a if len(u) == len(a) else b if len(u) == len(b) else tuple(sorted(u, key=var_sort_key))
+    if len(a) + len(new) == len(b):  # b holds a
+        return b
+    out = list(a)
+    for v in new:
+        insort(out, v, key=var_sort_key)
+    return tuple(out)
 
 
 def _num_den(c) -> tuple[int, int]:
@@ -140,33 +145,33 @@ def _pack(exps: Exponents) -> int:
 
 
 def _unpack(key: int, n: int) -> Exponents:
-    return tuple((key >> (FIELD_BITS * i)) & _FIELD for i in range(n))
+    return tuple([(key >> (FIELD_BITS * i)) & _FIELD for i in range(n)])
+
+
+def _fields(bit: int, n: int) -> int:
+    """The mask with ``bit`` set in each of n fields."""
+    return bit * (((1 << (FIELD_BITS * n)) - 1) // _FIELD)
 
 
 def _check_guards(packed: dict[int, Scalar], n: int) -> None:
     """Raise ScaleError if any exponent of any key reached EXP_LIMIT."""
-    guards = EXP_LIMIT * (((1 << (FIELD_BITS * n)) - 1) // _FIELD)
-    if reduce(or_, packed, 0) & guards:
+    if reduce(or_, packed, 0) & _fields(EXP_LIMIT, n):
         raise ScaleError(f"an exponent reached the supported limit {EXP_LIMIT}")
 
 
 def _remap(packed: dict[int, Scalar], moves: Iterable[tuple[int, int]]) -> dict[int, Scalar]:
-    """Move exponent fields by (source index, target index) pairs, keeping order.
-
-    Fields that no pair names are dropped; consecutive moves are done as one
-    masked shift, over all keys at once.
-    """
-    runs: list[list[int]] = []
+    """Move exponent fields by (source index, target index) pairs, keeping order; fields that
+    no pair names are dropped, and the fields that move by one distance share one mask."""
+    masks: dict[int, int] = {}
     for src, dst in moves:
-        if runs and runs[-1][0] + runs[-1][2] == src and runs[-1][1] + runs[-1][2] == dst:
-            runs[-1][2] += 1
-        else:
-            runs.append([src, dst, 1])
-    keys, new = list(packed), [0] * len(packed)
-    for src, dst, width in runs:
-        at, to, mask = FIELD_BITS * src, FIELD_BITS * dst, (1 << (FIELD_BITS * width)) - 1
-        new = [n | ((k >> at) & mask) << to for n, k in zip(new, keys)]
-    return dict(zip(new, packed.values()))
+        masks[dst - src] = masks.get(dst - src, 0) | _FIELD << (FIELD_BITS * src)
+    out = {}
+    for k, c in packed.items():
+        new = 0
+        for d, mask in masks.items():
+            new |= (k & mask) << (FIELD_BITS * d) if d >= 0 else (k & mask) >> (-FIELD_BITS * d)
+        out[new] = c
+    return out
 
 
 class Poly:
@@ -214,15 +219,11 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[Exponents, Scalar]:
-        return MappingProxyType(self._tuple_terms())
-
-    def _tuple_terms(self) -> dict[Exponents, Scalar]:
         if self._tuples is None:
-            n = len(self.vars)
-            den = self._den
+            n, den = len(self.vars), self._den
             self._tuples = {_unpack(k, n): c if den == 1 else _coeff(c, den)
                             for k, c in self._packed.items()}
-        return self._tuples
+        return MappingProxyType(self._tuples)
 
     # ---------------------------------------------------------------- builders
 
@@ -277,28 +278,25 @@ class Poly:
         vs = _canonical(vs)
         if not set(self.vars).issubset(vs):
             raise ValueError(f"cannot embed: {self.vars} not all in {vs}")
-        return self._onto(vs)
+        return Poly._make(vs, self._packed_on(vs), self._den)
 
-    def _onto(self, vs: tuple[str, ...]) -> Poly:
-        """``embed`` onto canonical ``vs`` known to hold every variable of self."""
-        if vs == self.vars:
-            return self
-        n = len(self.vars)
-        at = vs.index(self.vars[0]) if n else 0
-        if vs[at:at + n] == self.vars:  # the fields move as one block, by ``at`` fields
-            packed = (self._packed if not at  # none moves: share the terms
-                      else {k << (FIELD_BITS * at): c for k, c in self._packed.items()})
-            return Poly._make(vs, packed, self._den)
-        return Poly._make(vs, _remap(self._packed, [(i, vs.index(v)) for i, v in enumerate(self.vars)]),
-                          self._den)
+    def _packed_on(self, vs: tuple[str, ...]) -> dict[int, int]:
+        """The numerators keyed on canonical ``vs``, which holds every variable of self."""
+        own = self.vars
+        if vs == own:
+            return self._packed
+        at = vs.index(own[0]) if own else 0
+        if vs[at:at + len(own)] == own:  # the fields move as one block, by ``at`` fields
+            return (self._packed if not at  # none moves: share the terms
+                    else {k << (FIELD_BITS * at): c for k, c in self._packed.items()})
+        return _remap(self._packed, enumerate(map(vs.index, own)))
 
     @staticmethod
     def _coerce(other) -> Poly | None:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return None
+            return Poly._make((), {0: other.numerator} if other else {}, other.denominator)
 
     @staticmethod
     def sum(parts: Iterable[Poly]) -> Poly:
@@ -308,17 +306,17 @@ class Poly:
         re-enters at the end.
         """
         parts = list(parts)
-        if not parts:
-            return Poly.zero()
-        vs = reduce(_union, [p.vars for p in parts])
-        den = math.lcm(*[p._den for p in parts])
-        packed = [p._onto(vs)._packed for p in parts]
-        packed = [terms if p._den == den else {k: c * (den // p._den) for k, c in terms.items()}
-                  for p, terms in zip(parts, packed)]
-        out = dict(packed[0])
+        vs, den = (), 1
+        for p in parts:
+            vs = _union(vs, p.vars)
+            den = den if p._den == den else math.lcm(den, p._den)
+        packed = [p._packed_on(vs) if p._den == den
+                  else {k: c * (den // p._den) for k, c in p._packed_on(vs).items()} for p in parts]
+        out = dict(packed[0]) if packed else {}
+        get = out.get
         for terms in packed[1:]:
             for k, c in terms.items():
-                nc = out.get(k, 0) + c
+                nc = get(k, 0) + c
                 if nc == 0:
                     del out[k]
                 else:
@@ -327,9 +325,7 @@ class Poly:
 
     def __add__(self, other) -> Poly:
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Poly.sum((self, other))
+        return NotImplemented if other is None else Poly.sum((self, other))
 
     __radd__ = __add__
 
@@ -338,32 +334,30 @@ class Poly:
 
     def __sub__(self, other) -> Poly:
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> Poly:
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            num, den = _num_den(other)
-            if num == 0:
-                return Poly._make(self.vars, {})
-            return Poly._make(self.vars, *_lowest({k: c * num for k, c in self._packed.items()},
-                                                  self._den * den))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            num = other.numerator
+            return Poly._make(self.vars, *_lowest({k: c * num for k, c in self._packed.items()}
+                                                  if num else {}, self._den * other.denominator))
         vs = _union(self.vars, other.vars)
-        a, b = self._onto(vs), other._onto(vs)
-        if len(b._packed) > len(a._packed):
+        a, b = self._packed_on(vs), other._packed_on(vs)
+        if len(b) > len(a):
             a, b = b, a
-        out = _product_loop(a._packed, b._packed)
-        _check_guards(out, len(vs))
-        return Poly._make(vs, *_lowest(_reduce_markers(vs, out), a._den * b._den))
+        out = _product_loop(a, b)
+        # A product longer than its factors is scanned only if a factor's exponent
+        # reaches EXP_LIMIT / 2: exponents below that sum below EXP_LIMIT.
+        if len(out) <= len(a) + len(b) or (
+                (reduce(or_, a, 0) | reduce(or_, b, 0)) & _fields(EXP_LIMIT >> 1, len(vs))):
+            _check_guards(out, len(vs))
+        return Poly._make(vs, *_lowest(_reduce_markers(vs, out), self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -376,15 +370,14 @@ class Poly:
                 result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return Poly.const(1, self.vars) if result is None else result
+        return Poly._make(self.vars, {0: 1}) if result is None else result
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         vs = _union(self.vars, other.vars)
-        a, b = self._onto(vs), other._onto(vs)
-        return a._den == b._den and a._packed == b._packed
+        return self._den == other._den and self._packed_on(vs) == other._packed_on(vs)
 
     def __hash__(self):
         # Equality embeds both sides first, so hash only what survives an
@@ -402,9 +395,7 @@ class Poly:
 
     def rename(self, mapping: Mapping[str, str]) -> Poly:
         """Rename variables (result reordered canonically)."""
-        new_names = [mapping.get(v, v) for v in self.vars]
-        if len(set(new_names)) != len(new_names):
-            raise ValueError("rename would collide variables")
+        new_names = [mapping.get(v, v) for v in self.vars]  # _canonical refuses a collision
         order = sorted(range(len(new_names)), key=lambda i: var_sort_key(new_names[i]))
         vs = _canonical(new_names[i] for i in order)
         return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(order))),
@@ -425,16 +416,22 @@ class Poly:
         """Substitute a polynomial (or constant) for one variable (xk only without sk)."""
         if name not in self.vars:
             return self
-        if isinstance(replacement, (int, Fraction)):
-            replacement = Poly.const(replacement)
-        parts = [self.coeff_of(name, e) for e in range(self.degree(name) + 1)]  # refuses xk beside sk
+        replacement = self._coerce(replacement)
+        i = self.vars.index(name)
+        rest = _canonical(self.vars[:i] + self.vars[i + 1:])  # refuses xk beside sk
+        at, low = FIELD_BITS * i, (1 << (FIELD_BITS * i)) - 1
+        groups: dict[int, dict[int, int]] = {}  # the coefficient of name ** e, by e, in one pass
+        for k, c in self._packed.items():
+            groups.setdefault((k >> at) & _FIELD, {})[(k >> FIELD_BITS) & ~low | k & low] = c
+        parts = [Poly._make(rest, *_lowest(groups.get(e, {}), self._den))
+                 for e in range(max(groups, default=0) + 1)]
         return Poly.sum(parts[:1] + [c * replacement ** e
                                      for e, c in enumerate(parts) if e and not c.is_zero()])
 
     def coeff_of(self, var: str, power: int) -> Poly:
         """The coefficient of ``var**power`` as a polynomial in the rest (xk only without sk)."""
         if var not in self.vars:
-            return self if power == 0 else Poly.zero(self.vars)
+            return self if power == 0 else Poly._make(self.vars, {})
         return self.band(var, power, power + 1, -power).drop_vars((var,))
 
     def band(self, var: str, lo: int, hi: int, shift: int = 0) -> Poly:
@@ -442,7 +439,7 @@ class Poly:
         if not -max(lo, 0) <= shift <= MAX_DEGREE or shift and var not in self.vars:
             raise ValueError(f"cannot move exponents of {var} from [{lo}, {hi}) by {shift}")
         if var not in self.vars:
-            return self if lo <= 0 < hi else Poly.zero(self.vars)
+            return self if lo <= 0 < hi else Poly._make(self.vars, {})
         at = FIELD_BITS * self.vars.index(var)
         move = shift << at
         out = {k + move: c for k, c in self._packed.items() if lo <= (k >> at) & _FIELD < hi}
@@ -530,9 +527,7 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> Poly:
-        vs = tuple(data["vars"])
-        terms = {tuple(t["exps"]): Fraction(t["coeff"]) for t in data["terms"]}
-        return cls(vs, terms)
+        return cls(data["vars"], {tuple(t["exps"]): Fraction(t["coeff"]) for t in data["terms"]})
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
@@ -586,12 +581,15 @@ def _product_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """The terms of a product of integer coefficients, before marker reduction.
 
     ``b``'s terms run outside, ``a``'s inside; a key enters the result at its
-    first product and is deleted whenever its running sum reaches zero.
+    first product and is deleted whenever its running sum reaches zero.  The
+    first row of b meets an empty result, so its keys are all new.
     """
+    rows = iter(b.items())
+    kb, cb = next(rows, (0, 0))
     a_items = list(a.items())
-    out: dict[int, int] = {}
+    out = {ka + kb: ca * cb for ka, ca in a_items} if cb else {}
     get = out.get
-    for kb, cb in b.items():
+    for kb, cb in rows:
         for ka, ca in a_items:
             k = ka + kb
             c = get(k)
@@ -608,11 +606,11 @@ def _product_loop(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def _reduce_markers(variables: tuple[str, ...], terms: dict[int, int]) -> dict[int, int]:
     """Rewrite sk**e with e >= 2 via sk**2 = 1 - xk**2 until all marker exponents are 0/1."""
+    if "|s" not in "|".join(("",) + variables):  # no name starts with s: no marker
+        return terms
     # (marker field shift, partner field shift) per sk; a canonical tuple holds each partner.
     pairs = [(FIELD_BITS * i, FIELD_BITS * variables.index("x" + v[1:]))
              for i, v in enumerate(variables) if v[0] == "s"]
-    if not pairs:
-        return terms
     # The bits of a marker field above its lowest are set iff its exponent is >= 2.
     high = sum((_FIELD - 1) << sshift for sshift, _ in pairs)
     if not reduce(or_, terms, 0) & high:

@@ -445,6 +445,29 @@ def test_blocked_grid_is_bit_identical():
         chi_closed_values_grid(spec, mesh, np.array([0.5, -0.2, 1.0, 0.3]).reshape(4, 1, 1, 1))
 
 
+def test_grid_block_counts_leading_rho_values():
+    # Working memory (peak minus the output) does not grow with the number of
+    # rho values on leading axes, and each rho value keeps its bits.
+    import numpy as np
+
+    spec = GenSpec(2, 0, (0, 0))
+    xs = [np.linspace(-0.9, 0.9, 64).reshape(64, 1), np.linspace(-0.8, 0.8, 512).reshape(1, 512)]
+    chi_closed_values_grid(spec, xs, 0.3)  # w_2's rho-coefficients, built outside the trace
+    work = {}
+    for count in (1, 8):
+        rhos = np.linspace(-0.5, 0.5, count).reshape(count, 1, 1)
+        tracemalloc.start()
+        try:
+            got = chi_closed_values_grid(spec, xs, rhos)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        work[count] = peak - got.nbytes
+        for r, row in zip(rhos, got):
+            assert row.tobytes() == chi_closed_values_grid(spec, xs, r).tobytes()
+    assert work[8] <= work[1], work
+
+
 def test_marginal_memory_is_bounded():
     tracemalloc.start()
     try:

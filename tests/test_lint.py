@@ -22,7 +22,7 @@ def test_no_assert_statements():
 # helpers) and the numerators-over-one-denominator form are decisions of
 # poly.py alone; other modules read ``Poly.terms``.
 PACKED_LAYOUT_NAMES = {"FIELD_BITS", "EXP_LIMIT", "_FIELD", "_packed", "_pack", "_unpack",
-                       "_tuples", "_tuple_terms", "_den", "_lowest", "_coeff"}
+                       "_tuples", "_den", "_lowest", "_coeff"}
 
 
 def _names(tree):

@@ -90,8 +90,10 @@ def reference_product(p, q):
     return vs, _canonical_terms(_reference_reduce(vs, out))
 
 
+# Constants, disjoint and interleaved variable sets: products and sums embed both ways.
 VAR_SETS = [("x1",), ("x1", "x2", "rho"), ("x2", "rho"), ("x1", "s1"),
-            ("x1", "x2", "s1", "s2"), ("x2", "s2", "rho")]
+            ("x1", "x2", "s1", "s2"), ("x2", "s2", "rho"), (), ("rho",), ("x3",),
+            ("x1", "x3", "rho")]
 
 
 def marker_polys():
@@ -149,7 +151,7 @@ def _assert_lowest_terms(p):
     assert p._den == math.lcm(*[Fraction(c).denominator for c in p.terms.values()])
 
 
-WIDE = ("x1", "x2", "s1", "s2", "rho")
+WIDE = ("x1", "x2", "x3", "s1", "s2", "rho")  # holds every variable set of VAR_SETS
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -444,6 +446,10 @@ def test_exponent_overflow_raises_scale_error():
         top * X1 * X1
     with pytest.raises(ScaleError):
         X1 ** EXP_LIMIT
+    # Half the limit in a factor is where a product's exponents can reach it.
+    with pytest.raises(ScaleError):
+        X1 ** (EXP_LIMIT // 2) * X1 ** (EXP_LIMIT // 2)
+    assert (X1 ** (EXP_LIMIT // 2 - 1)) ** 2 == Poly(("x1",), {(EXP_LIMIT - 2,): 1})
     # A neighbouring field is left alone: no carry out of the overflowing one.
     with pytest.raises(ScaleError):
         (top * X1).embed(("x1", "x2")) * (X1 * X2)

@@ -34,8 +34,10 @@ Python version and the number of usable CPUs:
 * ``BENCH_poly_ops.json``: single ``Poly`` operations on fixed operands: a
   same-variable product (w_2 * w_2), a mixed-variable product (x1 * rho), a
   product whose sine markers reduce (two ``denom._cos_of_sum`` factors), a
-  sum (w_2 + rho), a substitution (x2 of w_2 by cos(a_2 + a_3), as in
-  ``build_w_recursive(3)``), an evaluation of w_3 at a float point (its
+  sum (w_2 + rho), a sum over interleaved variables ((1 - 2 rho x1 + rho^2) +
+  (x1 x2 + 3), whose union merges x2 between x1 and rho), an int plus a
+  polynomial (3 + (1 - 2 rho x1 + rho^2)), a substitution (x2 of w_2 by
+  cos(a_2 + a_3), as in ``build_w_recursive(3)``), an evaluation of w_3 at a float point (its
   Horner plan compiled by a warm-up call), an embed that keeps every field (x1
   onto x1, x2, rho), one that moves fields (w_2 onto x1, x2, x3, rho) and
   rho ** 2.  Each of 15 samples times a batch of 200 calls; the file holds
@@ -149,8 +151,11 @@ def poly_ops() -> dict:
     plus = denom._cos_of_sum([0, 1, 1])
     a, b = denom._cos_of_sum([1, 1, 1]), denom._cos_of_sum([1, -1, 1])
     point = {"x1": 0.3, "x2": -0.2, "x3": 0.5, "rho": 0.4}
+    w1 = 1 - 2 * rho * x1 + rho ** 2
+    x1x2 = x1 * Poly.variable("x2") + 3
     return {"mul same variables": lambda: w2 * w2, "mul x1 * rho": lambda: x1 * rho,
             "mul with markers": lambda: a * b, "add": lambda: w2 + rho,
+            "add interleaved variables": lambda: w1 + x1x2, "int + poly": lambda: 3 + w1,
             "subs": lambda: w2.subs("x2", plus), "eval": lambda: w3.eval(point),
             "embed keeping fields": lambda: x1.embed(("x1", "x2", "rho")),
             "embed moving fields": lambda: w2.embed(("x1", "x2", "x3", "rho")),
