@@ -51,7 +51,7 @@ def _mapped(kind: str, n: int) -> tuple[int, int]:
         if n == -1:
             return 0, 0
         return -1, -n - 2
-    raise ValueError(f"kind must be T or U, got {kind!r}")
+    raise DomainError(f"kind must be T or U, got {kind!r}")
 
 
 def roll(p0, p1, step):
@@ -128,7 +128,7 @@ def cheb_poly(c: ChebIndex, var: str = "x1") -> Poly:
 def geom_trig_sum(kind: str, rho: float, alpha: float, beta: float) -> float:
     """Closed form of sum_{n>=0} rho^n trig(n*alpha + beta) for |rho| < 1."""
     if kind not in ("sin", "cos"):
-        raise ValueError(f"kind must be sin or cos, got {kind!r}")
+        raise DomainError(f"kind must be sin or cos, got {kind!r}")
     require_below("rho", rho, strict=True)
     f = math.sin if kind == "sin" else math.cos
     den = 1 - 2 * rho * math.cos(alpha) + rho * rho
@@ -151,7 +151,7 @@ def multi_trig_sum(kind: str, rhos: Sequence[float],
     every set walks the same steps.
     """
     if kind not in ("sin", "cos"):
-        raise ValueError(f"kind must be sin or cos, got {kind!r}")
+        raise DomainError(f"kind must be sin or cos, got {kind!r}")
     if len(rhos) > MAX_MULTI_DIRECTIONS:
         raise DomainError(f"at most {MAX_MULTI_DIRECTIONS} directions supported")
     for alphas, _ in sets:

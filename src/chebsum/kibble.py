@@ -85,7 +85,7 @@ def kibble_closed_eval(kind: str, alphas: Sequence[float], K: CorrMatrix) -> flo
     batched ``multi_trig_sum`` call with the pair angles s_i a_i + s_j a_j.
     """
     if kind not in ("T", "U"):
-        raise ValueError(f"kind must be T or U, got {kind!r}")
+        raise DomainError(f"kind must be T or U, got {kind!r}")
     n = K.n
     if len(alphas) != n:
         raise DomainError(f"need {n} angles, got {len(alphas)}")
@@ -183,7 +183,7 @@ def kibble_series_oracle(kind: str, xs: Sequence[float], K: CorrMatrix,
     import numpy as np
 
     if kind not in ("T", "U"):
-        raise ValueError(f"kind must be T or U, got {kind!r}")
+        raise DomainError(f"kind must be T or U, got {kind!r}")
     n = K.n
     if len(xs) != n:
         raise DomainError(f"need {n} coordinates, got {len(xs)}")

@@ -262,6 +262,12 @@ class Poly:
         mask = _FIELD << (FIELD_BITS * self.vars.index(var))
         return any(k & mask for k in self._packed)
 
+    def numerators(self) -> tuple[dict[Exponents, int], int]:
+        """({exponents: int numerator}, denominator): the terms over their one lowest-terms
+        denominator, in ``terms`` order; the dict is the caller's own."""
+        n = len(self.vars)
+        return {_unpack(k, n): c for k, c in self._packed.items()}, self._den
+
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in canonical graded-lexicographic order."""
         n, den = len(self.vars), self._den

@@ -44,6 +44,11 @@ the rolled h_n, b_n and halves (A_m, B_m), d_n and d2_n, and the truncated
 sums d(q), the f_t moments of U_n and of x^e, and gamma_n.  A fresh context
 therefore recomputes all of it.  Nothing checks (q;q)_n against a second
 product: a wrong one FAILs the duality and idb records.
+
+A q-scalar, made of powers of q = a/b, is worked in integers over a power of
+b and made a Fraction once, the one stepwise Fraction arithmetic gives.  d(q)'s
+numerator over b^C(K,2) is prime to b, the f_t moments are over it, and
+``ft_inner_product`` dots ``Poly.numerators`` with the x^e moment numerators.
 """
 
 from __future__ import annotations
@@ -91,17 +96,20 @@ class QContext:
         return self._memo[key]
 
     def qq(self, n: int) -> Fraction:
-        """(q; q)_n = (1 - q)(1 - q^2)...(1 - q^n); the duality and idb records check it."""
+        """(q; q)_n = prod_{m<=n} (b^m - a^m) / b^C(n+1,2); the duality and idb records check it."""
+        a, b = self.q.numerator, self.q.denominator
         while len(self._qq) <= n:
-            self._qq.append(self._qq[-1] * (1 - self.q ** len(self._qq)))
+            m, last = len(self._qq), self._qq[-1]
+            self._qq.append(Fraction(last.numerator * (b ** m - a ** m), last.denominator * b ** m))
         return self._qq[n]
 
     def binom(self, n: int, k: int) -> Fraction:
-        """q-binomial; zero outside 0 <= k <= n."""
+        """q-binomial, (q;q)-numerators N_n // (N_k N_{n-k}) over b^(k(n-k)); 0 off 0..n."""
         if not 0 <= k <= n:
             return Fraction(0)
-        return self.memo(("binom", n), lambda: [self.qq(n) / (self.qq(n - j) * self.qq(j))
-                                                for j in range(n + 1)])[k]
+        return self.memo(("binom", n), lambda: [
+            Fraction(self.qq(n).numerator // (self.qq(j).numerator * self.qq(n - j).numerator),
+                     self.q.denominator ** (j * (n - j))) for j in range(n + 1)])[k]
 
     def roll(self, key: str, count: int, start) -> list:
         """The first ``count`` entries of the kept roll ``key``, resumed from its last two.
@@ -292,14 +300,21 @@ class TruncatedRational:
 
 
 def d_of_q(ctx: QContext) -> TruncatedRational:
-    """d(q) = sum_{k>=1} (-1)^(k-1) q^C(k,2), truncated at the tail index."""
+    """d(q) = sum_{k>=1} (-1)^(k-1) q^C(k,2), truncated at the tail index; its int terms
+    over b^C(K,2) are kept under ("d_of_q", "terms")."""
     key = ("d_of_q",)
     if key not in ctx._memo:
-        K = ctx.tail_index()
-        val = sum((Fraction(-1) ** (k - 1) * ctx.q ** _comb2(k) for k in range(1, K + 1)),
-                  Fraction(0))
-        ctx._memo[key] = TruncatedRational(val, _geom_tail(ctx, K), K)
+        K, a, b = ctx.tail_index(), ctx.q.numerator, ctx.q.denominator
+        terms = ctx._memo["d_of_q", "terms"] = [(-1) ** (k - 1) * a ** _comb2(k) * b ** (
+            _comb2(K) - _comb2(k)) for k in range(1, K + 1)]
+        ctx._memo[key] = TruncatedRational(Fraction(sum(terms), b ** _comb2(K)),
+                                           _geom_tail(ctx, K), K)
     return ctx._memo[key]
+
+
+def _scaled(value: Fraction, den: int) -> int:
+    """value * den, for a den that value's denominator divides."""
+    return value.numerator * (den // value.denominator)
 
 
 def _geom_tail(ctx: QContext, K: int, poly_factor: float = 1.0) -> float:
@@ -324,9 +339,9 @@ def ft_moment_U(ctx: QContext, n: int) -> TruncatedRational:
         K, d_val = d.terms, d.value
         if d_val == 0:
             raise DegeneratePivot("d(q) truncation vanished; cannot normalize f_t")
-        num = sum((Fraction(-1) ** (k - 1) * (1 + min(n, 2 * k - 2)) * ctx.q ** _comb2(k)
-                   for k in range(1, K + 1)), Fraction(0))
-        ctx._memo[key] = TruncatedRational(num / d_val, _geom_tail(ctx, K, poly_factor=n + 1.0), K)
+        num = sum(min(n + 1, 2 * k - 1) * t for k, t in enumerate(ctx._memo["d_of_q", "terms"], 1))
+        ctx._memo[key] = TruncatedRational(Fraction(num, d_val.numerator),
+                                           _geom_tail(ctx, K, poly_factor=n + 1.0), K)
     return ctx._memo[key]
 
 
@@ -334,8 +349,7 @@ def hU_coeff(ctx: QContext, n: int, k: int) -> Fraction:
     """Coefficient of U_{n-2k} in the second-kind expansion of h_n."""
     if not 0 <= k <= n // 2:
         return Fraction(0)
-    q = ctx.q
-    return (q ** k - q ** (n - k + 1)) / (1 - q ** (n - k + 1)) * ctx.binom(n, k)
+    return ctx.binom(n, k) - ctx.binom(n, k - 1)  # = (q^k - q^(n-k+1)) / (1 - q^(n-k+1)) [n k]
 
 
 def gamma_moment(ctx: QContext, n: int) -> TruncatedRational:
@@ -345,14 +359,14 @@ def gamma_moment(ctx: QContext, n: int) -> TruncatedRational:
     key = ("gamma_moment", n)
     if key not in ctx._memo:
         K = ctx.tail_index()
-        total = Fraction(0)
-        bound = 0.0
+        top, dn = ctx.q.denominator ** (n * n // 4), d_of_q(ctx).value.numerator
+        total, bound = 0, 0.0
         for k in range(n // 2 + 1):
             m = ft_moment_U(ctx, n - 2 * k)
             c = hU_coeff(ctx, n, k)
-            total += c * m.value
+            total += _scaled(c, top) * _scaled(m.value, dn)
             bound += abs(float(c)) * m.tail_bound
-        ctx._memo[key] = TruncatedRational(total, bound, K)
+        ctx._memo[key] = TruncatedRational(Fraction(total, top * dn), bound, K)
     return ctx._memo[key]
 
 
@@ -388,10 +402,8 @@ def tn_construct(ctx: QContext, n: int) -> TnResult:
             if den == 0:
                 raise DegeneratePivot(f"zero pivot for ortho_chi_{m}")
             chis[m] = (g[m + 3] + (1 - ctx.q ** (m + 2)) * g[m + 1]) / den
-    if n <= 1:
-        poly = hb_poly(ctx, "h", n)
-    else:
-        poly = hb_poly(ctx, "h", n) - chis[n - 2] * hb_poly(ctx, "h", n - 2)
+    poly = hb_poly(ctx, "h", n) - chis[n - 2] * hb_poly(ctx, "h", n - 2) if n > 1 else \
+        hb_poly(ctx, "h", n)
     K = ctx.tail_index()
     bound = max((t.tail_bound for t in gammas), default=0.0)
     return TnResult(n, poly, tuple(g), tuple(sorted(chis.items())), K, bound)
@@ -404,18 +416,23 @@ def ft_u_coeffs(ctx: QContext) -> list[Fraction]:
     return [Fraction(-1) ** (k - 1) * ctx.q ** _comb2(k) / d_val for k in range(1, K + 1)]
 
 
-def _ft_moment_x(ctx: QContext, e: int) -> Fraction:
-    """int x^e f_t = 2^-e sum_k (C(e,k) - C(e,k-1)) int U_{e-2k} f_t, truncated."""
+def _ft_moment_x(ctx: QContext, e: int) -> int:
+    """int x^e f_t = 2^-e sum_k (C(e,k) - C(e,k-1)) int U_{e-2k} f_t, truncated, as the int
+    it is times 2^e and d(q)'s numerator."""
     return ctx.memo(("_ft_moment_x", e), lambda: sum(
-        ((math.comb(e, k) - (math.comb(e, k - 1) if k else 0)) * ft_moment_U(ctx, e - 2 * k).value
-         for k in range(e // 2 + 1)), Fraction(0)) / 2 ** e)
+        (math.comb(e, k) - (math.comb(e, k - 1) if k else 0))
+        * _scaled(ft_moment_U(ctx, e - 2 * k).value, d_of_q(ctx).value.numerator)
+        for k in range(e // 2 + 1)))
 
 
 def ft_inner_product(ctx: QContext, p: Poly) -> Fraction:
     """Exact integral of p(x1) against the truncated f_t, term by term via monomial moments."""
     i = p.vars.index("x1") if "x1" in p.vars else None
-    return sum((c * _ft_moment_x(ctx, 0 if i is None else exps[i])
-                for exps, c in p.terms.items()), Fraction(0))
+    nums, den = p.numerators()
+    es = [0 if i is None else exps[i] for exps in nums]
+    top = max(es, default=0)
+    return Fraction(sum(c * (_ft_moment_x(ctx, e) << top - e) for e, c in zip(es, nums.values())),
+                    den * d_of_q(ctx).value.numerator << top)
 
 
 # ------------------------------------------------------------- numeric checks
@@ -456,6 +473,7 @@ def chi1t_check(ctx: QContext, t: int, x: float, rho: float) -> IdentityReport:
     """
     J, factors = 80, 60
     require_below("rho", rho, strict=True)
+    require_below("x", x, strict=False)
     q, x = float(ctx.q), float(x)
     hv = hb_values(ctx, "h", x, t + J + 2)
     qqf = _qq_floats(q, J + 1)
@@ -466,11 +484,14 @@ def chi1t_check(ctx: QContext, t: int, x: float, rho: float) -> IdentityReport:
         a *= q
     rhs = left_sum(float(ctx.binom(t, j)) * (-rho) ** j * q ** _comb2(j) * hv[t - j]
                    for j in range(t + 1)) / w1
-    # Tail: |h_m(x)| <= m+1 on [-1,1]; the series tail is geometric over the
-    # smallest (q)_j, the product tail is first order in rho q^factors.
-    qq_floor = min(qqf)
-    series_tail = abs(rho) ** (J + 1) * (t + J + 2) / ((1 - abs(rho)) * qq_floor)
-    product_tail = abs(2 * rho) * abs(q) ** factors / max(1e-12, (1 - abs(q))) * abs(rhs)
+    # For p = |q| < 1: |h_m| <= sum_k |[m k]_q| <= (m+1) (-p;p)_inf/(p;p)_inf^2, 1/|(q)_j| <=
+    # 1/(p;p)_inf, their log at most (1 + pi^2/2) p/(1-p); W_1's dropped factors sum to <= s.
+    p, r = abs(q), abs(rho)
+    log_tail = ((1 + math.pi ** 2 / 2) * p / (1 - p) + (J + 1) * math.log(r) + math.log(
+        (t + J + 2) / (1 - r) + r / (1 - r) ** 2)) if r else -math.inf
+    s = (2 + r) * r * p ** factors / (1 - p)
+    series_tail = math.exp(log_tail) if log_tail < 700 else math.inf
+    product_tail = math.expm1(s / (1 - s)) * abs(rhs) if s < 1 else math.inf
     return IdentityReport(lhs, rhs, abs(lhs - rhs), series_tail + product_tail + 1e-12)
 
 
@@ -633,12 +654,7 @@ def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
     chi = dict(tn_construct(ctx, rho_order).ortho_chi) if m_t else {}
     rows[n_h:] = [[h[j] - chi[j - 2] * h[j - 2] if j > 1 else h[j] for j in range(rho_order + 1)]
                   for h in rows[n_h:]]
-    a = []
-    for j in range(rho_order + 1):
-        v = Fraction(1) / ctx.qq(j)
-        for row in rows:
-            v *= row[j]
-        a.append(v)
+    a = [math.prod((row[j] for row in rows), start=1 / ctx.qq(j)) for j in range(rho_order + 1)]
     # Denominator, exact, truncated above rho^rho_order as it is built.
     point = {f"x{i + 1}": p for i, p in enumerate(pts)}
     base = [c.eval(point) for c in w_rho_coeff_polys(arity)]
@@ -653,15 +669,9 @@ def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
     expected_degree = 2 ** arity - 1
     scale = max(abs(float(v)) for v in a) or 1.0
     bound = 8.0 * scale * float(abs(ctx.q)) ** factors / max(1e-12, 1 - float(abs(ctx.q)))
-    rows = []
-    for r, v in enumerate(out):
-        rows.append({
-            "order": r,
-            "value": float(v),
-            "exact": exact_str(v),
-            "above_expected_degree": r > expected_degree,
-            "persists": r > expected_degree and abs(float(v)) > bound,
-        })
+    rows = [{"order": r, "value": float(v), "exact": exact_str(v),
+             "above_expected_degree": r > expected_degree,
+             "persists": r > expected_degree and abs(float(v)) > bound} for r, v in enumerate(out)]
     persisting = [r for r in rows if r["persists"]]
     decay = [abs(b["value"]) / abs(a["value"])
              for a, b in zip(persisting, persisting[1:]) if a["value"] != 0.0]

@@ -281,6 +281,17 @@ def test_multi_trig_sum_errors():
         multi_trig_sum("cos", [0.1] * 11, [([0.2] * 11, 0.0)])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: cheb_eval(ChebIndex("V", 2), 0.3),                # cheb._mapped
+    lambda: geom_trig_sum("tan", 0.3, 1.0, 0.5),
+    lambda: multi_trig_sum("tan", [0.3], [([1.0], 0.5)]),
+], ids=["mapped", "geom_trig_sum", "multi_trig_sum"])
+def test_unknown_kind_is_a_domain_error(call):
+    # A kind other than T/U or sin/cos is refused as a ChebsumError, not a bare ValueError.
+    with pytest.raises(DomainError, match="kind must be"):
+        call()
+
+
 def test_multi_trig_sum_sets_match_single_calls():
     import random
 

@@ -231,6 +231,16 @@ def test_oracle_guards():
         kibble_closed_eval("T", [0.5] * 6, CorrMatrix.from_dict(6, {(1, 2): 0.3}))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: kibble_closed_eval("V", [0.5, 1.0, 1.5], _K3(0.3, 0.2, 0.1)),
+    lambda: kibble_series_oracle("V", [0.1, 0.2, 0.3], _K3(0.3, 0.2, 0.1), 10),
+], ids=["closed", "oracle"])
+def test_unknown_kind_is_a_domain_error(call):
+    # A kind other than T or U is refused as a ChebsumError, not a bare ValueError.
+    with pytest.raises(DomainError, match="kind must be T or U"):
+        call()
+
+
 def test_closed_form_batches_half_the_sign_vectors(monkeypatch):
     calls = []
 

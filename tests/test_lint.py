@@ -197,10 +197,10 @@ SUM_ALLOWED = {
     "kibble.py:kibble_series_oracle": (2, "pair caps"),
     "poly.py:sorted_terms": (1, "monomial degree"),
     "poly.py:_reduce_markers": (1, "packed monomial bit mask"),
-    "qseries.py:d_of_q": (1, "Fraction series in q"),
-    "qseries.py:ft_moment_U": (1, "Fraction series in q"),
-    "qseries.py:_ft_moment_x": (1, "Fraction moments"),
-    "qseries.py:ft_inner_product": (1, "Fraction moments"),
+    "qseries.py:d_of_q": (1, "int terms of the series in q over a power of its denominator"),
+    "qseries.py:ft_moment_U": (1, "int terms of the series in q over a power of its denominator"),
+    "qseries.py:_ft_moment_x": (1, "int moment numerators"),
+    "qseries.py:ft_inner_product": (1, "int numerators times int moment numerators"),
     "qseries.py:_fit_polynomial_in_q": (1, "Fraction interpolant at a Fraction q"),
 }
 

@@ -149,6 +149,10 @@ def _assert_lowest_terms(p):
     assert all(type(c) is int for c in nums) and type(p._den) is int
     assert math.gcd(p._den, *nums) == 1
     assert p._den == math.lcm(*[Fraction(c).denominator for c in p.terms.values()])
+    # The public pair is the stored one, keyed and ordered as ``terms``.
+    numerators, den = p.numerators()
+    assert den == p._den and list(numerators) == list(p.terms)
+    assert all(Fraction(c, den) == p.terms[e] for e, c in numerators.items())
 
 
 WIDE = ("x1", "x2", "x3", "s1", "s2", "rho")  # holds every variable set of VAR_SETS

@@ -607,3 +607,87 @@ def test_d_internal_check_fires_on_cache_poisoning(ctx):
     # d_coeff recomputes and re-checks on a fresh context.
     fresh = QContext(F(1, 2))
     assert d_coeff(fresh, 5) == hb_poly(fresh, "b", 5)
+
+
+# The q-scalars are held as integers over powers of q's denominator; these are the
+# same quantities written as plain Fraction formulas, normalised at every step.
+PLAIN_Q = (F(0), F(1, 3), F(-2, 7), F(5, 11), F(-3, 7), F(9, 10))
+
+
+def _plain_q_scalars(q, nmax=24):
+    """(K, [(q;q)_n], q-binomial rows, d(q), [U_n moment], [x^e moment], [gamma_n]), n, e <= nmax."""
+    K = next(K for K in range(3, 401) if float(abs(q)) ** (K * (K - 1) // 2) < 1e-30)
+    qq = [F(1)]
+    for m in range(1, nmax + 1):
+        qq.append(qq[-1] * (1 - q ** m))
+    binom = [[qq[n] / (qq[k] * qq[n - k]) for k in range(n + 1)] for n in range(nmax + 1)]
+    signed = [F(-1) ** (k - 1) * q ** (k * (k - 1) // 2) for k in range(1, K + 1)]
+    d = sum(signed, F(0))
+    u = [F(0) if n % 2 else sum((s * (1 + min(n, 2 * k - 2)) for k, s in enumerate(signed, 1)),
+                                F(0)) / d for n in range(nmax + 1)]
+    x = [sum(((math.comb(e, k) - (math.comb(e, k - 1) if k else 0)) * u[e - 2 * k]
+              for k in range(e // 2 + 1)), F(0)) / 2 ** e for e in range(nmax + 1)]
+    gamma = [F(0) if n % 2 else sum(((q ** k - q ** (n - k + 1)) / (1 - q ** (n - k + 1))
+                                     * binom[n][k] * u[n - 2 * k] for k in range(n // 2 + 1)), F(0))
+             for n in range(nmax + 1)]
+    return K, qq, binom, d, u, x, gamma
+
+
+def _plain_ortho_chi(q, g, n):
+    chis = {m: g[m + 2] / g[m] if m % 2 == 0 else
+            (g[m + 3] + (1 - q ** (m + 2)) * g[m + 1]) / (g[m + 1] + (1 - q ** m) * g[m - 1])
+            for m in range(max(0, n - 1))}
+    return tuple(sorted(chis.items()))
+
+
+@pytest.mark.parametrize("q", PLAIN_Q)
+def test_integer_q_scalars_equal_the_plain_fraction_formulas(q):
+    K, qq, binom, d, u, x, gamma = _plain_q_scalars(q)
+    ctx = QContext(q)
+    assert [ctx.qq(n) for n in range(25)] == qq
+    assert [[ctx.binom(n, k) for k in range(n + 1)] for n in range(25)] == binom
+    assert (d_of_q(ctx).terms, d_of_q(ctx).value) == (K, d)
+    assert [ft_moment_U(ctx, n).value for n in range(25)] == u
+    assert [gamma_moment(ctx, n).value for n in range(25)] == gamma
+    tn = [tn_construct(ctx, n) for n in range(13)]
+    assert [t.ortho_chi for t in tn] == [_plain_ortho_chi(q, gamma, n) for n in range(13)]
+    rng = random.Random(f"plain:{q}")
+    polys = ([X ** e for e in range(25)]
+             + [tn[a].poly * tn[b].poly for a in range(13) for b in range(a + 1)]
+             + [Poly.const(F(-5, 3)), Poly.const(F(7, 2), ("x1",)), Poly.zero(("x1",))]
+             + [Poly(("x1",), {(e,): F(rng.randint(-9, 9), rng.randint(1, 9))
+                               for e in range(rng.randint(0, 24) + 1) if rng.random() < 0.7})
+                for _ in range(20)])
+    for p in polys:
+        got = ft_inner_product(ctx, p)
+        assert isinstance(got, Fraction)
+        assert got == sum((c * x[exps[0] if exps else 0] for exps, c in p.terms.items()), F(0))
+
+
+def _chi1t_long_series(q, t, x, rho, J=600):
+    """sum_{j<=J} rho^j/(q)_j h_{t+j}(x) in floats: the chi1t sum with a negligible tail."""
+    q, h = float(q), [1.0, 2 * x]
+    for m in range(1, t + J + 1):
+        h.append(2 * x * h[m] - (1 - q ** m) * h[m - 1])
+    total, qq = 0.0, 1.0
+    for j in range(J + 1):
+        qq *= 1 - q ** j if j else 1.0
+        total += rho ** j / qq * h[t + j]
+    return total
+
+
+def test_chi1t_bound_holds_for_every_q():
+    # At |q| = 9/10 |h_m(x|q)| is far past m + 1, the majorant the bound used to take
+    # from q = 0: there the 80-term sum is 0.09 from the value while the bound read 8.5e-6.
+    rep = chi1t_check(QContext(F(9, 10)), 2, -0.9983, 0.6821)
+    assert abs(rep.lhs - _chi1t_long_series(F(9, 10), 2, -0.9983, 0.6821)) > 0.09
+    assert rep.bound > 0.09
+    rng = random.Random(29)
+    for i in range(120):
+        q = (F(9, 10), F(-9, 10), F(0), F(1, 3), F(-2, 7), F(5, 11))[i % 6]
+        t, x, rho = rng.randint(0, 5), rng.uniform(-1, 1), rng.uniform(-0.7, 0.7)
+        rep = chi1t_check(QContext(q), t, x, rho)
+        want = _chi1t_long_series(q, t, x, rho)
+        assert abs(rep.lhs - want) <= rep.bound and abs(rep.rhs - want) <= rep.bound
+    with pytest.raises(DomainError):
+        chi1t_check(QContext(F(1, 2)), 1, 1.5, 0.4)

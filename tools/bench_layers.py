@@ -27,10 +27,15 @@ Python version and the number of usable CPUs:
   Chebyshev caches (w_K stays warm: it is timed on its own).  A w call
   clears every exact cache first.
 * ``BENCH_q_families.json``: the median and quartiles of 15 cold calls per q
-  of ``qseries.hb_poly`` for h and for b, n = 0..24 in turn, and of
-  ``qseries.d2_coeff``, n = 0..14 in turn, each call on a fresh
-  ``QContext``; one q per denominator 7, 11 and 13 with |q| in [1/3, 1/2],
-  as in perfbench's q-exact workload.
+  of ``qseries.hb_poly`` for h and for b, n = 0..24 in turn, of
+  ``qseries.d2_coeff``, n = 0..14 in turn, of ``qseries.tn_construct``,
+  n = 0..12 in turn (with d(q), the f_t moments of U_n and gamma_n), and of
+  ``QContext.qq`` and ``QContext.binom``, every (n, k) with n <= 24, each call
+  on a fresh ``QContext``; and of the 91 Gram products t_a t_b, b <= a <= 12,
+  through ``qseries.ft_inner_product``, on a fresh context whose t_n and
+  products are made before the clock starts, so the x^e moments are cold.
+  One q per denominator 7, 11 and 13 with |q| in [1/3, 1/2], as in
+  perfbench's q-exact workload.
 * ``BENCH_poly_ops.json``: single ``Poly`` operations on fixed operands: a
   same-variable product (w_2 * w_2), a mixed-variable product (x1 * rho), a
   product whose sine markers reduce (two ``denom._cos_of_sum`` factors), a
@@ -135,11 +140,27 @@ def bench_w(build, n: int) -> dict:
 
 
 def bench_q_family(q: Fraction, family: str) -> dict:
-    if family == "d2":
-        layer, call = "qseries.d2_coeff", lambda ctx: [qseries.d2_coeff(ctx, n) for n in range(15)]
-    else:
-        layer = "qseries.hb_poly"
-        call = lambda ctx: [qseries.hb_poly(ctx, family, n) for n in range(25)]
+    if family == "gram":
+        made = []
+
+        def prepare():
+            ctx = qseries.QContext(q)
+            tn = [qseries.tn_construct(ctx, n).poly for n in range(13)]
+            made[:] = [ctx, [tn[a] * tn[b] for a in range(13) for b in range(a + 1)]]
+
+        times = _cold_times(prepare, lambda: [qseries.ft_inner_product(made[0], p)
+                                              for p in made[1]])
+        return {"layer": "qseries.ft_inner_product", "family": family, "q": str(q),
+                **_quartiles_ms(times)}
+    layer, call = {
+        "h": ("qseries.hb_poly", lambda ctx: [qseries.hb_poly(ctx, "h", n) for n in range(25)]),
+        "b": ("qseries.hb_poly", lambda ctx: [qseries.hb_poly(ctx, "b", n) for n in range(25)]),
+        "d2": ("qseries.d2_coeff", lambda ctx: [qseries.d2_coeff(ctx, n) for n in range(15)]),
+        "t": ("qseries.tn_construct",
+              lambda ctx: [qseries.tn_construct(ctx, n) for n in range(13)]),
+        "binom": ("qseries.QContext.binom",
+                  lambda ctx: [ctx.binom(n, k) for n in range(25) for k in range(n + 1)]),
+    }[family]
     times = _cold_times(lambda: None, lambda: call(qseries.QContext(q)))
     return {"layer": layer, "family": family, "q": str(q), **_quartiles_ms(times)}
 
@@ -283,8 +304,11 @@ def main() -> None:
            for n in range(1, 5)]})
     _write("BENCH_q_families.json", {
         "layer": "cold q-families", **env,
-        "caches": "a fresh QContext per call: h, b and the conjugate halves roll from their seeds",
-        "cases": [bench_q_family(q, family) for q in Q_VALUES for family in ("h", "b", "d2")]})
+        "caches": "a fresh QContext per call: h, b and the conjugate halves roll from their "
+                  "seeds, and (q;q)_n, the q-binomials, d(q) and the f_t moments start empty; "
+                  "gram: t_n and the products made on that context before the clock starts",
+        "cases": [bench_q_family(q, family) for q in Q_VALUES
+                  for family in ("h", "b", "d2", "t", "gram", "binom")]})
     _write("BENCH_poly_ops.json", {
         "layer": "poly", **env,
         "caches": "none: every call makes its result; eval runs the plan its warm-up compiled",
