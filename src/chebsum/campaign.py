@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cheb, denom, forms, genfun, kibble, poly, qseries
-from .errors import DomainError
+from .errors import DomainError, UnknownId
 
 ALL_SUITES = ("w", "chi-forms", "chi-oracle", "three-path", "formal-series",
               "kibble", "positivity", "marginals", "q")
@@ -356,12 +356,12 @@ def q_check(suite: str, qs, nmax: int | None, seed: int):
     """Yield the records of ``chebsum q check --suite SUITE``, q by q.
 
     nmax None is the suite's default in ``_Q_NMAX``; one outside the suite's
-    range, or any for final-identity, raises ValueError before the first
+    range, or any for final-identity, raises DomainError before the first
     record.  The d2 and final-identity points are drawn from ``seed``.
     """
     low, default, high = _Q_NMAX.get(suite, (None, None, None))
     if nmax is not None and (low is None or not low <= nmax <= high):
-        raise ValueError(f"--suite {suite} takes no --nmax" if low is None else
+        raise DomainError(f"--suite {suite} takes no --nmax" if low is None else
                          f"--nmax for --suite {suite} must lie in {low}..{high}, got {nmax}")
     nmax = default if nmax is None else nmax
     for qv in qs:
@@ -433,7 +433,7 @@ def run_campaign(campaign: Campaign) -> Report:
     import time
 
     if campaign.suite not in _SUITES:
-        raise ValueError(f"unknown suite {campaign.suite!r}; "
+        raise UnknownId(f"unknown suite {campaign.suite!r}; "
                          f"choose from {', '.join(ALL_SUITES)}")
     t0 = time.perf_counter()
     records = [{"suite": campaign.suite, "case": i, **rec}

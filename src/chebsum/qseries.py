@@ -15,16 +15,15 @@ on the package's one three-term recurrence, ``cheb.recur``: ``hb_values``
 rolls them at a float, Fraction or polynomial argument, and ``hb_poly``
 keeps the exact polynomials on ``QContext.roll``, the one roll that resumes.
 
-b_n is, up to (q)_n, the n-th Taylor coefficient in rho of the infinite
-product W_1(x|rho,q) = prod_j (1 - 2 x rho q^j + rho^2 q^{2j}); the bivariate
-analog d2_n comes from W_2 = W_1(cos(a+b)) W_1(cos(a-b)), so
+b_n is (q)_n times the n-th Taylor coefficient in rho of the infinite product
+W_1(x|rho,q) = prod_j w_1(x | rho q^j), and d2_n is the same for W_2 =
+prod_j w_2(x1, x2 | rho q^j).  Each W_K(rho) = w_K(rho) W_K(q rho), so with
+p_k the rho-coefficients of w_K (``denom.w_rho_coeff_polys``)
 
-    d2_n(x,y|q) = sum_m qbinom(n,m) b_m(cos(a+b)) b_{n-m}(cos(a-b)).
+    d2_n = sum_{k=1..4} p_k q^(n-k) (q;q)_{n-1} / (q;q)_{n-k} d2_{n-k},
 
-With cos(a -/+ b) = x1 x2 -/+ s1 s2 the factors are conjugate halves
-A_m +/- s1 s2 B_m, free of markers; the parts odd in s1 s2 cancel between m
-and n - m, and s1^2 s2^2 = D = (1 - x1^2)(1 - x2^2), so ``d2_coeff`` forms
-d2_n = sum_m qbinom(n,m) (A_m A_{n-m} - D B_m B_{n-m}), one product per pair.
+``q_product_coeffs``; at K = 1 this is the b recurrence.  ``d2_values`` takes
+the independent route d2_n(x,y) = sum_m qbinom(n,m) b_m(cos(a+b)) b_{n-m}(cos(a-b)).
 
 A companion weight for a first-kind q-analog is
 
@@ -40,10 +39,10 @@ truncation bound.
 
 Everything that depends only on q is memoised on the ``QContext``, never at
 module level: the list of (q;q)_n, and in its one memo the q-binomial rows,
-the rolled h_n, b_n and halves (A_m, B_m), d_n and d2_n, and the truncated
-sums d(q), the f_t moments of U_n and of x^e, and gamma_n.  A fresh context
-therefore recomputes all of it.  Nothing checks (q;q)_n against a second
-product: a wrong one FAILs the duality and idb records.
+the exact powers of q, the rolled h_n, b_n and d2_n, d_n, ortho_chi_m, and
+the truncated sums d(q), the f_t moments of U_n and of x^e, and gamma_n.  A
+fresh context therefore recomputes all of it.  Nothing checks (q;q)_n against
+a second product: a wrong one FAILs the duality and idb records.
 
 A q-scalar, made of powers of q = a/b, is worked in integers over a power of
 b and made a Fraction once, the one stepwise Fraction arithmetic gives.  d(q)'s
@@ -144,15 +143,19 @@ class QContext:
 def _hb_recurrence(ctx: QContext, kind: str, x, count: int) -> tuple:
     """(p_0, p_1, step) of the h or b recurrence at x, with q-powers for entries below count.
 
-    Powers of q come from a table built by repeated multiplication, not ``q ** m``,
-    so float values keep the bits of the rolled products.
+    At a float x the powers of q come from a table built by repeated float
+    multiplication, not ``q ** m``, so the values keep the bits of the rolled
+    products; the exact powers are the context's "qpow" table.
     """
     if kind not in ("h", "b"):
         raise DomainError(f"kind must be h or b, got {kind!r}")
-    q = float(ctx.q) if isinstance(x, float) else ctx.q
-    qpow = [1]
-    for _ in range(count):
-        qpow.append(qpow[-1] * q)
+    if isinstance(x, float):
+        q, qpow = float(ctx.q), [1]
+        for _ in range(count):
+            qpow.append(qpow[-1] * q)
+    else:
+        qpow = ctx.memo(("qpow",), lambda: [1])
+        qpow.extend(ctx.q ** m for m in range(len(qpow), count + 1))
     if kind == "h":
         step = lambda m, p1, p0: 2 * x * p1 - (1 - qpow[m]) * p0
     else:
@@ -224,36 +227,35 @@ def d2_values(ctx: QContext, x: float, y: float, count: int) -> list[float]:
             for m in range(count)]
 
 
-def d2_coeff(ctx: QContext, n: int) -> Poly:
-    """(q)_n times the rho^n Taylor coefficient of W_2, in variables x1, x2.
+def q_product_coeffs(ctx: QContext, p, count: int, factors: int | None = None,
+                     rolled: list | None = None) -> list:
+    """g_n = (q;q)_n [rho^n] prod_{j<factors} P(rho q^j) for n < count, from P's rho-coefficients p.
 
-    The halves b_m(x1 x2 - s1 s2) = A_m + s1 s2 B_m roll on the b recurrence
-    with s1^2 s2^2 = D, from (A_0, B_0) = (1, 0) and (A_1, B_1) = (-2 x1 x2, 2):
+    p_0 = P(0) = 1, and factors None is the infinite product.  The product F has
+    F(rho) P(rho q^N) = P(rho) F(q rho), so, with q^(Nk) = 0 for N infinite,
 
-        A_{m+1} = -2 q^m (x1 x2 A_m - D B_m) + q^(m-1) (1 - q^m) A_{m-1}
-        B_{m+1} = -2 q^m (x1 x2 B_m - A_m) + q^(m-1) (1 - q^m) B_{m-1}
+        g_n = sum_{k>=1} p_k (q^(n-k) - q^(Nk)) (q;q)_{n-1} / (q;q)_{n-k} g_{n-k},
 
-    The pairs are the context's ``halves`` roll.
+    each q-scalar an int over a power of q's denominator.  p holds ``Poly``s or
+    Fractions; ``rolled``, the first entries, is extended in place and returned.
     """
-    key = ("d2_coeff", n)
-    if key not in ctx._memo:
-        q, vs = ctx.q, ("x1", "x2")
-        xx = Poly(vs, {(1, 1): 1})
-        dd = Poly(vs, {(0, 0): 1, (2, 0): -1, (0, 2): -1, (2, 2): 1})
+    a, b, out = ctx.q.numerator, ctx.q.denominator, [] if rolled is None else rolled
+    for n in range(len(out), count):
+        total = p[0] if n == 0 else 0
+        for k in range(1, min(n, len(p) - 1) + 1):
+            e, nk = n - k, 0 if factors is None else factors * k
+            top = max(e, nk)
+            num = a ** e * b ** (top - e) - (0 if factors is None else a ** nk * b ** (top - nk))
+            total = total + Fraction(num * (ctx.qq(n - 1).numerator // ctx.qq(e).numerator),
+                                     b ** (top + _comb2(n) - _comb2(e + 1))) * p[k] * out[e]
+        out.append(total)
+    return out
 
-        def step(m, p1, p0):
-            (a1, b1), (a0, b0) = p1, p0
-            s, t = -2 * q ** m, q ** (m - 1) * (1 - q ** m)
-            return s * (xx * a1 - dd * b1) + t * a0, s * (xx * b1 - a1) + t * b0
 
-        halves = ctx.roll("halves", n + 1, lambda: ((Poly.const(1, vs), Poly.zero(vs)),
-                                                    (-2 * xx, Poly.const(2, vs)), step))
-        pairs = [(ctx.binom(n, m) * (1 if 2 * m == n else 2), halves[m], halves[n - m])
-                 for m in range(n // 2 + 1)]  # the terms at m and n - m are equal
-        aa, bb = (Poly.sum([Poly.zero(vs)] + [w * (p0[i] * p1[i]) for w, p0, p1 in pairs])
-                  for i in (0, 1))
-        ctx._memo[key] = aa - dd * bb
-    return ctx._memo[key]
+def d2_coeff(ctx: QContext, n: int) -> Poly:
+    """(q)_n times the rho^n Taylor coefficient of W_2, in x1 and x2, on the context's d2 roll."""
+    return q_product_coeffs(ctx, w_rho_coeff_polys(2), n + 1,
+                            rolled=ctx._memo.setdefault(("roll", "d2"), []))[n]
 
 
 # ------------------------------------------------------------ exact identities
@@ -391,22 +393,23 @@ def tn_construct(ctx: QContext, n: int) -> TnResult:
     """
     gammas = [gamma_moment(ctx, m) for m in range(n + 2)]
     g = [t.value for t in gammas]
-    chis: dict[int, Fraction] = {}
-    for m in range(0, max(0, n - 1)):
-        if (m + 2) % 2 == 0:
+
+    def chi(m: int) -> Fraction:  # kept on the context under ("ortho_chi", m)
+        if m % 2 == 0:
             if g[m] == 0:
                 raise DegeneratePivot(f"gamma_{m} = 0 while determining ortho_chi_{m}")
-            chis[m] = g[m + 2] / g[m]
-        else:
-            den = g[m + 1] + (1 - ctx.q ** m) * g[m - 1]
-            if den == 0:
-                raise DegeneratePivot(f"zero pivot for ortho_chi_{m}")
-            chis[m] = (g[m + 3] + (1 - ctx.q ** (m + 2)) * g[m + 1]) / den
-    poly = hb_poly(ctx, "h", n) - chis[n - 2] * hb_poly(ctx, "h", n - 2) if n > 1 else \
+            return g[m + 2] / g[m]
+        den = g[m + 1] + (1 - ctx.q ** m) * g[m - 1]
+        if den == 0:
+            raise DegeneratePivot(f"zero pivot for ortho_chi_{m}")
+        return (g[m + 3] + (1 - ctx.q ** (m + 2)) * g[m + 1]) / den
+
+    chis = tuple((m, ctx.memo(("ortho_chi", m), lambda: chi(m))) for m in range(max(0, n - 1)))
+    poly = hb_poly(ctx, "h", n) - chis[n - 2][1] * hb_poly(ctx, "h", n - 2) if n > 1 else \
         hb_poly(ctx, "h", n)
     K = ctx.tail_index()
     bound = max((t.tail_bound for t in gammas), default=0.0)
-    return TnResult(n, poly, tuple(g), tuple(sorted(chis.items())), K, bound)
+    return TnResult(n, poly, tuple(g), chis, K, bound)
 
 
 def ft_u_coeffs(ctx: QContext) -> list[Fraction]:
@@ -655,14 +658,11 @@ def _common_denominator_probe(n_h: int = 1, m_t: int = 0, q=Fraction(1, 3),
     rows[n_h:] = [[h[j] - chi[j - 2] * h[j - 2] if j > 1 else h[j] for j in range(rho_order + 1)]
                   for h in rows[n_h:]]
     a = [math.prod((row[j] for row in rows), start=1 / ctx.qq(j)) for j in range(rho_order + 1)]
-    # Denominator, exact, truncated above rho^rho_order as it is built.
+    # Denominator, exact, up to rho^rho_order: prod_{i<factors} w(rho q^i) by its q-difference rule.
     point = {f"x{i + 1}": p for i, p in enumerate(pts)}
     base = [c.eval(point) for c in w_rho_coeff_polys(arity)]
-    den = Poly.const(1, ("rho",))
-    for i in range(factors):
-        qi = ctx.q ** i
-        fac = Poly(("rho",), {(m,): c * qi ** m for m, c in enumerate(base)})
-        den = (den * fac).band("rho", 0, rho_order + 1)
+    den = Poly(("rho",), {(j,): g / ctx.qq(j) for j, g in enumerate(
+        q_product_coeffs(ctx, base, rho_order + 1, factors))})
     series = Poly(("rho",), {(j,): v for j, v in enumerate(a)})
     prod = (series * den).band("rho", 0, rho_order + 1).terms
     out = [prod.get((r,), 0) for r in range(rho_order + 1)]

@@ -16,7 +16,7 @@ import pytest
 
 from chebsum import campaign as camp
 from chebsum.cli import build_parser, main
-from chebsum.errors import DomainError
+from chebsum.errors import DomainError, UnknownId
 from chebsum.kibble import CorrMatrix, kibble_closed_eval
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "chebsum" / "schemas"
@@ -548,8 +548,19 @@ def test_q_check_refuses_nmax_before_any_record():
                                  ("chi1t", -1, "must lie in 0..5, got -1"),
                                  ("d2", 0, "must lie in 1..8, got 0"),
                                  ("final-identity", 0, "takes no --nmax")):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(DomainError, match=message):
             next(camp.q_check(suite, [Fraction(1, 3)], nmax, 0))
+
+
+def test_campaign_refusals_are_typed(capsys):
+    # An --nmax out of range and an unknown suite are ChebsumErrors: the CLI
+    # prints them as "error:" and exits 2, as it did when they were ValueErrors.
+    assert main(["q", "check", "--suite", "idb", "--q", "1/3", "--nmax", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --nmax for --suite idb must lie in 0..6, got 20\n"
+    with pytest.raises(UnknownId, match="unknown suite 'bogus'; choose from w, chi-forms"):
+        camp.run_campaign(camp.Campaign("bogus"))
 
 
 def test_float_q_checks_refuse_where_truncation_cannot_decide(capsys):

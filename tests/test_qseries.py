@@ -1,5 +1,6 @@
 """q-deformation tests: symbols, families, identities, probes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,15 +11,16 @@ import pytest
 
 from chebsum.cheb import ChebIndex, cheb_poly
 from chebsum import poly as poly_mod
+from chebsum.denom import w_rho_coeff_polys
 from chebsum.errors import ChebsumError, ConvergenceError, DomainError, ScaleError
 from chebsum.genfun import GenSpec, chi_closed_value
-from chebsum.poly import Poly
+from chebsum.poly import Poly, exact_str
 from chebsum.qseries import (IdentityReport, QContext, _fit_polynomial_in_q, chi1t_check,
                              conjecture_probe, d2_coeff, d2_values, d_coeff, d_of_q,
                              d_truncated_product, fh_integral_check,
                              final_identity_check, ft_inner_product, ft_moment_U,
                              ft_u_coeffs, gamma_moment, hU_coeff, hb_poly,
-                             hb_values, idb_check, tn_construct,
+                             hb_values, idb_check, q_product_coeffs, tn_construct,
                              TruncatedRational)
 
 F = Fraction
@@ -234,7 +236,7 @@ def test_d2_matches_marker_construction(q):
 
 def test_d2_work_guard(monkeypatch):
     # d2_0 .. d2_14 at one q cost 37,922 term products rolled in the marker
-    # basis; the conjugate halves need under a third of that.
+    # basis; the q-difference rule of W_2, four products a step, needs under 1,500.
     count = [0]
     loop = poly_mod._product_loop
 
@@ -246,7 +248,54 @@ def test_d2_work_guard(monkeypatch):
     ctx = QContext(F(-4, 11))
     for n in range(15):
         d2_coeff(ctx, n)
-    assert 0 < count[0] <= 11_000
+    assert 0 < count[0] <= 1_500
+
+
+PRODUCT_Q = (F(0), F(1, 3), F(-2, 7), F(5, 11), F(-4, 11), F(9, 10))
+
+
+@pytest.mark.parametrize("q", PRODUCT_Q)
+def test_product_rule_of_w1_is_the_b_roll(q):
+    # W_1 = prod_j w_1(x | rho q^j) has (q)_n [rho^n] W_1 = b_n: the q-difference rule
+    # over w_1's rho-coefficients must give the three-term roll of b, also when resumed.
+    ctx, rolled = QContext(q), []
+    assert q_product_coeffs(ctx, w_rho_coeff_polys(1), 7, rolled=rolled) is rolled
+    got = q_product_coeffs(ctx, w_rho_coeff_polys(1), 25, rolled=rolled)
+    want = [hb_poly(QContext(q), "b", n) for n in range(25)]
+    assert len(got) == 25 and all(g.vars == ("x1",) and g == w for g, w in zip(got, want))
+    assert got == q_product_coeffs(QContext(q), w_rho_coeff_polys(1), 25)
+
+
+def _probe_denominator_by_factors(q, base, rho_order, factors=30):
+    """prod_{i<factors} w(rho q^i) at a point, one truncated Poly product per factor."""
+    den = Poly.const(1, ("rho",))
+    for i in range(factors):
+        qi = q ** i
+        fac = Poly(("rho",), {(m,): c * qi ** m for m, c in enumerate(base)})
+        den = (den * fac).band("rho", 0, rho_order + 1)
+    return den
+
+
+@pytest.mark.parametrize("q", PRODUCT_Q)
+def test_probe_denominator_equals_the_factor_product(q):
+    pts = [F(2, 5), F(-1, 3)]
+    for arity in (1, 2):
+        point = {f"x{i + 1}": p for i, p in enumerate(pts[:arity])}
+        base = [c.eval(point) for c in w_rho_coeff_polys(arity)]
+        for order in range(13):
+            ctx = QContext(q)
+            den = _probe_denominator_by_factors(q, base, order)
+            got = q_product_coeffs(ctx, base, order + 1, 30)
+            assert [g / ctx.qq(j) for j, g in enumerate(got)] == [
+                den.terms.get((j,), 0) for j in range(order + 1)]
+            # The probe's coefficients are the pure-h series times that product.
+            rows = [hb_values(ctx, "h", p, order + 1) for p in pts[:arity]]
+            series = Poly(("rho",), {(j,): math.prod((r[j] for r in rows), start=1 / ctx.qq(j))
+                                     for j in range(order + 1)})
+            want = (series * den).band("rho", 0, order + 1).terms
+            probe = conjecture_probe("common-denominator", n_h=arity, m_t=0, q=q, rho_order=order)
+            assert [r["exact"] for r in probe["coefficients"]] == [
+                exact_str(want.get((j,), 0)) for j in range(order + 1)]
 
 
 def test_d2_symmetry_and_values(ctx):
@@ -331,6 +380,17 @@ def test_tn_construction(ctx):
     assert res.gammas[1] == 0 and res.gammas[3] == 0
     chis = dict(res.ortho_chi)
     assert res.poly == hb_poly(ctx, "h", 4) - chis[2] * hb_poly(ctx, "h", 2)
+
+
+def test_tn_memo_matches_fresh_contexts():
+    # ortho_chi_m is kept on the context; calls in any order give what a fresh context does.
+    ctx = QContext(F(-4, 11))
+    for n in (12, 3, 7, 0):
+        got, want = tn_construct(ctx, n), tn_construct(QContext(F(-4, 11)), n)
+        for f in dataclasses.fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), (n, f.name)
+        assert {e: type(c) for e, c in got.poly.terms.items()} == {
+            e: type(c) for e, c in want.poly.terms.items()}
 
 
 def test_tn_reduces_to_first_kind_at_q0():

@@ -29,9 +29,11 @@ Python version and the number of usable CPUs:
 * ``BENCH_q_families.json``: the median and quartiles of 15 cold calls per q
   of ``qseries.hb_poly`` for h and for b, n = 0..24 in turn, of
   ``qseries.d2_coeff``, n = 0..14 in turn, of ``qseries.tn_construct``,
-  n = 0..12 in turn (with d(q), the f_t moments of U_n and gamma_n), and of
+  n = 0..12 in turn (with d(q), the f_t moments of U_n and gamma_n), of
   ``QContext.qq`` and ``QContext.binom``, every (n, k) with n <= 24, each call
-  on a fresh ``QContext``; and of the 91 Gram products t_a t_b, b <= a <= 12,
+  on a fresh ``QContext``; of ``qseries.conjecture_probe("common-denominator")``
+  for n_h = 1 and 2 (m_t = 0, rho order 12), which makes its own context; and
+  of the 91 Gram products t_a t_b, b <= a <= 12,
   through ``qseries.ft_inner_product``, on a fresh context whose t_n and
   products are made before the clock starts, so the x^e moments are cold.
   One q per denominator 7, 11 and 13 with |q| in [1/3, 1/2], as in
@@ -160,6 +162,9 @@ def bench_q_family(q: Fraction, family: str) -> dict:
               lambda ctx: [qseries.tn_construct(ctx, n) for n in range(13)]),
         "binom": ("qseries.QContext.binom",
                   lambda ctx: [ctx.binom(n, k) for n in range(25) for k in range(n + 1)]),
+        **{f"probe n_h={n_h}": ("qseries.conjecture_probe", lambda ctx, n_h=n_h: (
+            qseries.conjecture_probe("common-denominator", n_h=n_h, m_t=0, q=ctx.q)))
+           for n_h in (1, 2)},
     }[family]
     times = _cold_times(lambda: None, lambda: call(qseries.QContext(q)))
     return {"layer": layer, "family": family, "q": str(q), **_quartiles_ms(times)}
@@ -304,11 +309,13 @@ def main() -> None:
            for n in range(1, 5)]})
     _write("BENCH_q_families.json", {
         "layer": "cold q-families", **env,
-        "caches": "a fresh QContext per call: h, b and the conjugate halves roll from their "
-                  "seeds, and (q;q)_n, the q-binomials, d(q) and the f_t moments start empty; "
-                  "gram: t_n and the products made on that context before the clock starts",
+        "caches": "a fresh QContext per call: h, b and d2 roll from their seeds, and "
+                  "(q;q)_n, the q-binomials, the q-powers, d(q), the f_t moments and ortho_chi "
+                  "start empty; the probe makes its own context; w_K's rho-coefficients stay "
+                  "warm; gram: t_n and the products made on that context before the clock starts",
         "cases": [bench_q_family(q, family) for q in Q_VALUES
-                  for family in ("h", "b", "d2", "t", "gram", "binom")]})
+                  for family in ("h", "b", "d2", "t", "gram", "binom", "probe n_h=1",
+                                 "probe n_h=2")]})
     _write("BENCH_poly_ops.json", {
         "layer": "poly", **env,
         "caches": "none: every call makes its result; eval runs the plan its warm-up compiled",
