@@ -21,13 +21,20 @@ w_n is symmetric in x_1..x_n, has degree 2**(n-1) in every x_i and degree
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Iterable, Sequence
 
 from .errors import ChebsumError, ScaleError
-from .poly import Poly
+from .poly import Exponents, Poly, Scalar
 
 MAX_ARITY = 5
+# A packed image key holds one IMAGE_BITS field per slot: an index offset plus IMAGE_BIAS,
+# so offsets moved by less than IMAGE_BIAS stay inside their fields.
+IMAGE_BITS = 32
+IMAGE_BIAS = 1 << (IMAGE_BITS - 2)
+IMAGE_FIELD = (1 << IMAGE_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,48 @@ class WPoly:
     n: int
     poly: Poly
 
+    @cached_property
+    def image(self) -> tuple[int, tuple[dict[int, Scalar], ...]]:
+        """``chebyshev_image`` of the rho-coefficients, made on first use and kept on this
+        w_n, so a cold round that clears ``build_w`` makes it again."""
+        rows: list[list[tuple[Exponents, Scalar]]] = [[] for _ in range(2 ** self.n + 1)]
+        for exps, c in self.poly.terms.items():
+            rows[exps[-1]].append((exps[:-1], c))
+        return chebyshev_image(rows, self.n)
+
+
+def chebyshev_image(rows: Sequence[Iterable[tuple[Exponents, Scalar]]],
+                    slots: int) -> tuple[int, tuple[dict[int, Scalar], ...]]:
+    """(D, images): each row's polynomial sum c x^a in x1..x_slots as a shift of the
+    Chebyshev-product basis, scaled by 2^D, D the largest |a| of any row.
+
+    2 x C_i = C_{i+1} + C_{i-1} holds for T and U at every integer i under the index
+    rules, so 2^|a| x^a prod_s C_{s,i_s} = sum_k prod_s binom(a_s, k_s) C_{s,i_s+a_s-2k_s}:
+    images[m] maps the offsets o = (a_s - 2k_s) to the summed weights c 2^(D-|a|)
+    prod_s binom(a_s, k_s), nonzero only, one packed key per o (``IMAGE_BITS``).  The
+    offsets are spread one slot at a time, so equal ones merge before the next slot.
+    """
+    rows = [list(row) for row in rows]
+    D = max((sum(a) for row in rows for a, _ in row), default=0)
+    images = []
+    for row in rows:
+        out: dict[int, Scalar] = {}
+        for a, c in row:
+            key = 0
+            for s, e in enumerate(a):
+                key |= (IMAGE_BIAS + e) << (IMAGE_BITS * s)
+            out[key] = out.get(key, 0) + c * 2 ** (D - sum(a))
+        for s in range(slots):
+            at, spread = IMAGE_BITS * s, out
+            out = {}
+            for key, v in spread.items():
+                e = ((key >> at) & IMAGE_FIELD) - IMAGE_BIAS  # still x_s's exponent
+                for k in range(e + 1):
+                    moved = key - (2 * k << at)
+                    out[moved] = out.get(moved, 0) + v * math.comb(e, k)
+        images.append({key: v for key, v in out.items() if v})
+    return D, tuple(images)
+
 
 def _check_arity(n: int) -> None:
     if n < 1:
@@ -45,17 +94,21 @@ def _check_arity(n: int) -> None:
         raise ScaleError(f"arity {n} exceeds the supported maximum {MAX_ARITY}")
 
 
+def _angle_step(pair: tuple[Poly, Poly], i: int, sign: int) -> tuple[Poly, Poly]:
+    """(cos, sin) of an angle sum after adding sign * a_i, by angle addition."""
+    cos_acc, sin_acc = pair
+    cos_p = Poly.variable(f"x{i}")
+    sin_p = sign * Poly.variable(f"s{i}", (f"x{i}", f"s{i}"))
+    return cos_acc * cos_p - sin_acc * sin_p, sin_acc * cos_p + cos_acc * sin_p
+
+
 def _cos_of_sum(signs: list[int]) -> Poly:
     """cos(sum_i signs[i-1] a_i) by angle addition, skipping zero signs."""
-    cos_acc, sin_acc = Poly.const(1), Poly.zero()
+    pair = (Poly.const(1), Poly.zero())
     for i, sign in enumerate(signs, start=1):
-        if sign == 0:
-            continue
-        cos_p = Poly.variable(f"x{i}")
-        sin_p = sign * Poly.variable(f"s{i}", (f"x{i}", f"s{i}"))
-        cos_acc, sin_acc = (cos_acc * cos_p - sin_acc * sin_p,
-                            sin_acc * cos_p + cos_acc * sin_p)
-    return cos_acc
+        if sign:
+            pair = _angle_step(pair, i, sign)
+    return pair[0]
 
 
 def _balanced_product(factors: list[Poly]) -> Poly:
@@ -81,12 +134,16 @@ def _finish(n: int, w: Poly) -> WPoly:
 def build_w(n: int) -> WPoly:
     """Sign-vector product construction of w_n."""
     _check_arity(n)
+    # The (cos, sin) pairs of the sign prefixes (+1, i_2 .. i_{j+1}), indexed by the bits
+    # j-1 .. 0 of i_{j+1} .. i_2 = +1, each one angle-addition step from its parent:
+    # 2^n - 1 steps, the same products in the same order as one _cos_of_sum per vector.
+    pairs = [_angle_step((Poly.const(1), Poly.zero()), 1, 1)]
+    for j in range(n - 1):
+        pairs = [_angle_step(pairs[bits % len(pairs)], j + 2, 1 if bits >> j else -1)
+                 for bits in range(2 * len(pairs))]
     rho = Poly.variable("rho")
-    factors = []
-    for bits in range(2 ** (n - 1)):
-        signs = [1] + [1 if (bits >> j) & 1 else -1 for j in range(n - 1)]
-        factors.append(1 - 2 * rho * _cos_of_sum(signs) + rho * rho)
-    return _finish(n, _balanced_product(factors))
+    two_rho, rho2 = 2 * rho, rho * rho
+    return _finish(n, _balanced_product([1 - two_rho * cos + rho2 for cos, _ in pairs]))
 
 
 @lru_cache(maxsize=None)

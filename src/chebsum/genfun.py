@@ -39,7 +39,7 @@ from typing import Sequence
 
 from .cheb import (ChebIndex, _mapped, cheb_poly, cheb_seq, cheb_seq_grid, geom_trig_sum,
                    left_sum, roll, sign_vector_sum)
-from .denom import build_w, w_rho_coeff_polys
+from .denom import IMAGE_BIAS, IMAGE_BITS, IMAGE_FIELD, build_w, w_rho_coeff_polys
 from .errors import ConvergenceError, DomainError, ScaleError, require_below
 from .poly import Poly, Scalar
 
@@ -125,48 +125,60 @@ def series_convolution_residual(spec: GenSpec, order: int) -> Poly:
     """sum_m [rho^m](w) * P_{order-m}; identically zero for order >= 2^(k+n).
 
     This is the rho^order coefficient of w * chi - l as a formal power series,
-    summed by ``_basis_convolution``: a zero residual runs no Poly product.
+    summed by ``_basis_convolution`` from w's Chebyshev image: a zero residual
+    runs no Poly product.
     """
     _check_scale(spec, exact=True)
-    acc = _basis_convolution(spec, w_rho_coeff_polys(spec.slots), order)
+    acc = _basis_convolution(spec, build_w(spec.slots).image, order)
     if order < 2 ** spec.slots:
         acc = acc - numerator_l(spec).coeff_of("rho", order)
     return acc
 
 
-def _spread(kind: str, a: int, i: int) -> list[tuple[int, int]]:
-    """2^a x^a C_i = sum_k binom(a, k) C_{i+a-2k} as nonzero (mapped index, weight) pairs."""
-    out: dict[int, int] = {}
-    for k in range(a + 1):
-        sign, idx = _mapped(kind, i + a - 2 * k)
-        out[idx] = out.get(idx, 0) + sign * math.comb(a, k)
-    return [(idx, c) for idx, c in out.items() if c]
+def _basis_convolution(spec: GenSpec, image: tuple[int, Sequence[dict[int, Scalar]]],
+                       order: int) -> Poly:
+    """sum_{m <= order} coeffs[m] * P_{order-m}, a polynomial in x1..xK, from
+    ``image = denom.chebyshev_image`` of the coeffs.
 
-
-def _basis_convolution(spec: GenSpec, coeffs: Sequence[Poly], order: int) -> Poly:
-    """sum_{m <= order} coeffs[m] * P_{order-m}, a polynomial in x1..xK.
-
-    Each term c x^alpha of coeffs[m], times P_{order-m}, spreads slot by slot
-    into the basis prod_s C_{s,i_s}(x_s), keyed by (i_1..i_K) and scaled by
-    2^(D - |alpha|), D the largest |alpha|, so integers stay integers.  The
-    sum is zero exactly when every key cancels; only a nonzero one is
-    expanded back into monomials.
+    Each entry of images[m] moves by t_s - m in slot s, one integer add on its
+    packed key (|t_s| < 2^11 under MAX_SHIFT_WORK, far inside IMAGE_BIAS).  The
+    moved entries are summed; each that survives is at index order + its offset
+    in slot s, and is folded slot by slot by the index rules into the basis
+    prod_s C_{s,j_s}(x_s), keyed by (j_1..j_K).  The sum is zero exactly when
+    every key cancels; only a nonzero one is expanded back into monomials.
     """
+    D, images = image
     xs = tuple(f"x{s}" for s in range(1, spec.slots + 1))
-    used = [(order - m, cm.embed(xs).terms) for m, cm in enumerate(coeffs) if m <= order]
-    D = max((sum(e) for _, terms in used for e in terms), default=0)
-    spreads: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    fields = [IMAGE_BITS * s for s in range(spec.slots)]
+    shift, unit = 0, 0  # the packed t, and one in every field
+    for at, t in zip(fields, spec.t):
+        shift, unit = shift + (t << at), unit | 1 << at
+    moved: dict[int, Scalar] = {}
+    get = moved.get
+    for m, entries in enumerate(images[:order + 1]):
+        by = shift - m * unit
+        for key, v in entries.items():
+            key += by
+            c = get(key, 0) + v
+            if c:
+                moved[key] = c
+            else:
+                del moved[key]
+    # One table per slot: the packed field of a moved key to (sign, j) of its index.
+    tables: list[dict[int, tuple[int, int]]] = [{} for _ in fields]
     acc: dict[tuple[int, ...], Scalar] = {}
-    for i, terms in used:
-        for exps, c in terms.items():
-            part = [((), c * 2 ** (D - sum(exps)))]
-            for s, a in enumerate(exps, 1):
-                sp = spreads.get((s, a, i))
-                if sp is None:
-                    sp = spreads[s, a, i] = _spread(spec.kind(s), a, i + spec.t[s - 1])
-                part = [(key + (j,), v * w) for key, v in part for j, w in sp]
-            for key, v in part:
-                acc[key] = acc.get(key, 0) + v
+    for key, v in moved.items():
+        folded = []
+        for s, (at, table) in enumerate(zip(fields, tables)):
+            f = (key >> at) & IMAGE_FIELD
+            hit = table.get(f)
+            if hit is None:
+                hit = table[f] = _mapped(spec.kind(s + 1), f - IMAGE_BIAS + order)
+            v *= hit[0]
+            folded.append(hit[1])
+        if v:
+            folded = tuple(folded)
+            acc[folded] = acc.get(folded, 0) + v
     back = [math.prod((cheb_poly(ChebIndex(spec.kind(s), j), var=f"x{s}")
                        for s, j in enumerate(key, 1)), start=Poly.const(v, xs))
             for key, v in acc.items() if v]

@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+import chebsum.denom as denom
 import chebsum.poly as poly_mod
 from chebsum.cheb import ChebIndex, _cheb_poly_cached, cheb_poly, cheb_seq_grid
-from chebsum.denom import build_w, w_rho_coeff_polys
+from chebsum.denom import build_w, chebyshev_image, w_rho_coeff_polys
 from chebsum.errors import ConvergenceError, DomainError, ScaleError, SingularAngle
 from chebsum.genfun import (GenSpec, _basis_convolution, _cheb_factors, _numerator_cached,
                             chi_angle_eval, chi_closed_value, chi_closed_values_grid,
@@ -249,7 +250,7 @@ def test_basis_convolution_matches_monomial_oracle():
         spec = GenSpec(k, K - k, tuple(rng.randint(-3, 3) for _ in range(K)))
         coeffs = [_random_coeff_poly(rng, K) for _ in range(2 ** K + 1)]
         order = rng.randint(0, 12)
-        got = _basis_convolution(spec, coeffs, order)
+        got = _basis_convolution(spec, chebyshev_image([c.terms.items() for c in coeffs], K), order)
         want = Poly.sum([Poly.zero()] + [cm * _convolution_product(spec, order - m)
                                          for m, cm in enumerate(coeffs) if m <= order])
         assert got == want
@@ -275,6 +276,27 @@ def test_zero_residual_expands_nothing(monkeypatch):
     for order in (16, 17, 20):
         assert series_convolution_residual(spec, order).is_zero()
     assert count[0] == 0 and _cheb_poly_cached.cache_info().currsize == 0
+
+
+def test_residual_image_is_made_once_per_cold_w(monkeypatch):
+    # The Chebyshev image is kept on the w_K that build_w caches: warm calls
+    # reuse it, and the first call after build_w.cache_clear() makes it again.
+    made = [0]
+    image = denom.chebyshev_image
+
+    def counted(rows, slots):
+        made[0] += 1
+        return image(rows, slots)
+
+    monkeypatch.setattr(denom, "chebyshev_image", counted)
+    spec = GenSpec(1, 2, (0, -1, 1))
+    build_w.cache_clear()
+    for order in (8, 9, 12):
+        assert series_convolution_residual(spec, order).is_zero()
+    assert made[0] == 1 and "image" in vars(build_w(3))
+    build_w.cache_clear()
+    assert "image" not in vars(build_w(3))
+    assert series_convolution_residual(spec, 8).is_zero() and made[0] == 2
 
 
 def _one_sided_numerator(spec):

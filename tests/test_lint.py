@@ -193,7 +193,7 @@ def test_one_seed_caller():
 SUM_ALLOWED = {
     "campaign.py:failures": (1, "counts failed records"),
     "cheb.py:sign_vector_sum": (1, "bit mask of the U slots"),
-    "genfun.py:_basis_convolution": (2, "monomial degrees"),
+    "denom.py:chebyshev_image": (2, "monomial degrees"),
     "kibble.py:kibble_series_oracle": (2, "pair caps"),
     "poly.py:sorted_terms": (1, "monomial degree"),
     "poly.py:_reduce_markers": (1, "packed monomial bit mask"),

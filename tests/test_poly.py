@@ -304,9 +304,10 @@ def var_tuples():
 
 
 def polys_on(vs):
+    # Up to 16 terms: field moves take both routes of poly._remap (REMAP_LOOP_KEYS = 10).
     coeff = st.integers(-4, 4) | st.integers(-4, 4).map(lambda n: Fraction(n, 3))
     return st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(vs)), coeff,
-                           max_size=6).map(lambda terms: Poly(vs, terms))
+                           max_size=16).map(lambda terms: Poly(vs, terms))
 
 
 def reference_moved(p, vs, names=None):
@@ -569,9 +570,21 @@ def test_band_slices_and_moves_exponents(p, var, lo, hi, shift):
         assert got == p.band(var, 0, max(lo, hi)) - p.band(var, 0, lo)
     if var not in p.vars or var[0] == "x" and "s" + var[1:] in p.vars:
         return  # coeff_of keeps xk only without sk
+    if var[0] == "s":  # a marker moved past 1 is reduced, as a product reduces it
+        marker = Poly.variable(var, ("x" + var[1:], var))
+        assert got == Poly.sum([Poly.zero()] + [p.coeff_of(var, e) * marker ** (e + shift)
+                                                for e in range(max(lo, 0), min(hi, 2))])
+        return
     for e in range(0, 9):
         want = p.coeff_of(var, e - shift) if lo <= e - shift < hi else Poly.zero()
         assert got.coeff_of(var, e) == want
+
+
+def test_band_reduces_a_moved_marker():
+    s1 = Poly.variable("s1", ("x1", "s1"))
+    got = (s1 * RHO + 3 * s1).band("s1", 1, 2, 1)
+    assert got == (3 + RHO) * (1 - X1 ** 2) == (s1 * RHO + 3 * s1) * s1
+    assert got.degree("s1") == 0
 
 
 def test_band_guards_its_exponents():

@@ -25,7 +25,10 @@ Python version and the number of usable CPUs:
   numerator call builds every split k + n = K with the shift multiset of
   perfbench's closed-forms workload, after clearing the numerator and
   Chebyshev caches (w_K stays warm: it is timed on its own).  A w call
-  clears every exact cache first.
+  clears every exact cache first.  Also ``genfun.series_convolution_residual``
+  per K = 1..4: one sample checks every split at orders 2^K .. 2^K + 8, as
+  the closed-forms workload does, cold (w_K rebuilt before the clock starts,
+  so the first call makes its Chebyshev image) and warm (the image kept).
 * ``BENCH_q_families.json``: the median and quartiles of 15 cold calls per q
   of ``qseries.hb_poly`` for h and for b, n = 0..24 in turn, of
   ``qseries.d2_coeff``, n = 0..14 in turn, of ``qseries.tn_construct``,
@@ -134,6 +137,23 @@ def bench_numerators(K: int) -> dict:
     times = _cold_times(prepare, lambda: [numerator_l(spec) for spec in specs])
     return {"layer": "genfun.numerator_l", "K": K, "specs": [[s.k, s.n, list(s.t)] for s in specs],
             **_quartiles_ms(times)}
+
+
+def bench_residuals(K: int, cold: bool) -> dict:
+    specs = [GenSpec(k, K - k, SHIFTS[K]) for k in range(K + 1)]
+    orders = range(2 ** K, 2 ** K + 9)
+
+    def call():
+        for spec in specs:
+            for order in orders:
+                genfun.series_convolution_residual(spec, order)
+
+    call()  # warm-up: w_K, and the image a warm sample keeps
+    times = _cold_times((lambda: (denom.build_w.cache_clear(), denom.build_w(K))) if cold
+                        else (lambda: None), call)
+    return {"layer": "genfun.series_convolution_residual", "K": K,
+            "calls_on": "cold image" if cold else "warm image",
+            "residuals": len(specs) * len(orders), **_quartiles_ms(times)}
 
 
 def bench_w(build, n: int) -> dict:
@@ -303,10 +323,13 @@ def main() -> None:
     _write("BENCH_exact_builds.json", {
         "layer": "cold exact builds", **env,
         "caches": "numerator_l: numerator and Chebyshev caches cleared, w_K warm; "
-                  "build_w, build_w_recursive: every exact cache cleared",
+                  "build_w, build_w_recursive: every exact cache cleared; "
+                  "series_convolution_residual: cold image, w_K rebuilt before each sample, "
+                  "warm image, the w_K of the warm-up call kept",
         "cases": [bench_numerators(K) for K in range(1, 5)]
         + [bench_w(build, n) for build in (denom.build_w, denom.build_w_recursive)
-           for n in range(1, 5)]})
+           for n in range(1, 5)]
+        + [bench_residuals(K, cold) for K in range(1, 5) for cold in (True, False)]})
     _write("BENCH_q_families.json", {
         "layer": "cold q-families", **env,
         "caches": "a fresh QContext per call: h, b and d2 roll from their seeds, and "
