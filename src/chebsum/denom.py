@@ -30,11 +30,11 @@ from .errors import ChebsumError, ScaleError
 from .poly import Exponents, Poly, Scalar
 
 MAX_ARITY = 5
-# A packed image key holds one IMAGE_BITS field per slot: an index offset plus IMAGE_BIAS,
-# so offsets moved by less than IMAGE_BIAS stay inside their fields.
-IMAGE_BITS = 32
-IMAGE_BIAS = 1 << (IMAGE_BITS - 2)
-IMAGE_FIELD = (1 << IMAGE_BITS) - 1
+# A packed image key holds one _IMAGE_BITS field per slot: an index offset plus _IMAGE_BIAS,
+# so offsets moved by less than _IMAGE_BIAS stay inside their fields.
+_IMAGE_BITS = 32
+_IMAGE_BIAS = 1 << (_IMAGE_BITS - 2)
+_IMAGE_FIELD = (1 << _IMAGE_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,20 @@ class WPoly:
         return chebyshev_image(rows, self.n)
 
 
+def image_key(offsets: Iterable[int]) -> int:
+    """The packed key of per-slot index offsets, unbiased: added to an image key, it moves
+    slot s by offsets[s]."""
+    key = 0
+    for s, o in enumerate(offsets):
+        key += o << (_IMAGE_BITS * s)
+    return key
+
+
+def image_offsets(key: int, slots: int) -> list[int]:
+    """The per-slot index offsets of an image key."""
+    return [((key >> (_IMAGE_BITS * s)) & _IMAGE_FIELD) - _IMAGE_BIAS for s in range(slots)]
+
+
 def chebyshev_image(rows: Sequence[Iterable[tuple[Exponents, Scalar]]],
                     slots: int) -> tuple[int, tuple[dict[int, Scalar], ...]]:
     """(D, images): each row's polynomial sum c x^a in x1..x_slots as a shift of the
@@ -61,9 +75,9 @@ def chebyshev_image(rows: Sequence[Iterable[tuple[Exponents, Scalar]]],
 
     2 x C_i = C_{i+1} + C_{i-1} holds for T and U at every integer i under the index
     rules, so 2^|a| x^a prod_s C_{s,i_s} = sum_k prod_s binom(a_s, k_s) C_{s,i_s+a_s-2k_s}:
-    images[m] maps the offsets o = (a_s - 2k_s) to the summed weights c 2^(D-|a|)
-    prod_s binom(a_s, k_s), nonzero only, one packed key per o (``IMAGE_BITS``).  The
-    offsets are spread one slot at a time, so equal ones merge before the next slot.
+    images[m] maps the offsets o = (a_s - 2k_s), packed by ``image_key`` with a bias, to
+    the summed weights c 2^(D-|a|) prod_s binom(a_s, k_s), nonzero only.  The offsets are
+    spread one slot at a time, so equal ones merge before the next slot.
     """
     rows = [list(row) for row in rows]
     D = max((sum(a) for row in rows for a, _ in row), default=0)
@@ -71,15 +85,13 @@ def chebyshev_image(rows: Sequence[Iterable[tuple[Exponents, Scalar]]],
     for row in rows:
         out: dict[int, Scalar] = {}
         for a, c in row:
-            key = 0
-            for s, e in enumerate(a):
-                key |= (IMAGE_BIAS + e) << (IMAGE_BITS * s)
+            key = image_key(_IMAGE_BIAS + e for e in a)
             out[key] = out.get(key, 0) + c * 2 ** (D - sum(a))
         for s in range(slots):
-            at, spread = IMAGE_BITS * s, out
+            at, spread = _IMAGE_BITS * s, out
             out = {}
             for key, v in spread.items():
-                e = ((key >> at) & IMAGE_FIELD) - IMAGE_BIAS  # still x_s's exponent
+                e = ((key >> at) & _IMAGE_FIELD) - _IMAGE_BIAS  # still x_s's exponent
                 for k in range(e + 1):
                     moved = key - (2 * k << at)
                     out[moved] = out.get(moved, 0) + v * math.comb(e, k)

@@ -39,7 +39,7 @@ from typing import Sequence
 
 from .cheb import (ChebIndex, _mapped, cheb_poly, cheb_seq, cheb_seq_grid, geom_trig_sum,
                    left_sum, roll, sign_vector_sum)
-from .denom import IMAGE_BIAS, IMAGE_BITS, IMAGE_FIELD, build_w, w_rho_coeff_polys
+from .denom import build_w, image_key, image_offsets, w_rho_coeff_polys
 from .errors import ConvergenceError, DomainError, ScaleError, require_below
 from .poly import Poly, Scalar
 
@@ -141,22 +141,19 @@ def _basis_convolution(spec: GenSpec, image: tuple[int, Sequence[dict[int, Scala
     ``image = denom.chebyshev_image`` of the coeffs.
 
     Each entry of images[m] moves by t_s - m in slot s, one integer add on its
-    packed key (|t_s| < 2^11 under MAX_SHIFT_WORK, far inside IMAGE_BIAS).  The
-    moved entries are summed; each that survives is at index order + its offset
-    in slot s, and is folded slot by slot by the index rules into the basis
+    packed key (|t_s| < 2^11 under MAX_SHIFT_WORK, far inside the key's fields).
+    The moved entries are summed; each that survives, at index order + o_s in
+    slot s, is folded slot by slot by the index rules into the basis
     prod_s C_{s,j_s}(x_s), keyed by (j_1..j_K).  The sum is zero exactly when
     every key cancels; only a nonzero one is expanded back into monomials.
     """
     D, images = image
-    xs = tuple(f"x{s}" for s in range(1, spec.slots + 1))
-    fields = [IMAGE_BITS * s for s in range(spec.slots)]
-    shift, unit = 0, 0  # the packed t, and one in every field
-    for at, t in zip(fields, spec.t):
-        shift, unit = shift + (t << at), unit | 1 << at
+    K = spec.slots
+    xs = tuple(f"x{s}" for s in range(1, K + 1))
     moved: dict[int, Scalar] = {}
     get = moved.get
     for m, entries in enumerate(images[:order + 1]):
-        by = shift - m * unit
+        by = image_key(t - m for t in spec.t)
         for key, v in entries.items():
             key += by
             c = get(key, 0) + v
@@ -164,16 +161,14 @@ def _basis_convolution(spec: GenSpec, image: tuple[int, Sequence[dict[int, Scala
                 moved[key] = c
             else:
                 del moved[key]
-    # One table per slot: the packed field of a moved key to (sign, j) of its index.
-    tables: list[dict[int, tuple[int, int]]] = [{} for _ in fields]
+    tables: list[dict[int, tuple[int, int]]] = [{} for _ in xs]  # per slot: o -> (sign, j)
     acc: dict[tuple[int, ...], Scalar] = {}
     for key, v in moved.items():
         folded = []
-        for s, (at, table) in enumerate(zip(fields, tables)):
-            f = (key >> at) & IMAGE_FIELD
-            hit = table.get(f)
+        for s, (o, table) in enumerate(zip(image_offsets(key, K), tables), 1):
+            hit = table.get(o)
             if hit is None:
-                hit = table[f] = _mapped(spec.kind(s + 1), f - IMAGE_BIAS + order)
+                hit = table[o] = _mapped(spec.kind(s), order + o)
             v *= hit[0]
             folded.append(hit[1])
         if v:

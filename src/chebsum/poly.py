@@ -159,29 +159,31 @@ def _check_guards(packed: dict[int, Scalar], n: int) -> None:
         raise ScaleError(f"an exponent reached the supported limit {EXP_LIMIT}")
 
 
-# _remap moves the keys of a dict this small one at a time, a larger one a mask at a time:
-# a crossover measured at 8-12 keys on 1 to 3 distances (Python 3.11, x86-64).
-REMAP_LOOP_KEYS = 10
+# _remap moves the keys of a dict this small one at a time, a larger one a mask at a time.
+# Measured crossovers (Python 3.11, x86-64): about 9 keys for one distance, 20-24 for two
+# or three.
+REMAP_LOOP_KEYS = 16
 
 
 def _remap(packed: dict[int, Scalar], moves: Iterable[tuple[int, int]]) -> dict[int, Scalar]:
     """Move exponent fields by (source index, target index) pairs, keeping order; fields that
     no pair names are dropped, and the fields that move by one distance share one mask."""
-    masks: dict[int, int] = {}
+    masks: dict[int, int] = {}  # bit shift -> the fields that move by it
     for src, dst in moves:
-        masks[dst - src] = masks.get(dst - src, 0) | _FIELD << (FIELD_BITS * src)
+        d = FIELD_BITS * (dst - src)
+        masks[d] = masks.get(d, 0) | _FIELD << (FIELD_BITS * src)
+    shifts = list(masks.items())
     if len(packed) < REMAP_LOOP_KEYS:
         out = {}
         for k, c in packed.items():
             new = 0
-            for d, mask in masks.items():
-                new |= (k & mask) << (FIELD_BITS * d) if d >= 0 else (k & mask) >> (-FIELD_BITS * d)
+            for d, mask in shifts:
+                new |= (k & mask) << d if d >= 0 else (k & mask) >> -d
             out[new] = c
         return out
     keys, new = list(packed), None
-    for d, mask in masks.items():
-        moved = ([(k & mask) << (FIELD_BITS * d) for k in keys] if d >= 0
-                 else [(k & mask) >> (-FIELD_BITS * d) for k in keys])
+    for d, mask in shifts:
+        moved = [(k & mask) << d for k in keys] if d >= 0 else [(k & mask) >> -d for k in keys]
         new = moved if new is None else list(map(or_, new, moved))
     return dict(zip(new or [0] * len(keys), packed.values()))
 

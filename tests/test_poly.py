@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chebsum
+import chebsum.poly as poly_mod
 from chebsum.cheb import ChebIndex, cheb_poly
 from chebsum.errors import (ChebsumError, ExponentError, MarkerError, MissingAssignment,
                             ScaleError)
@@ -304,10 +306,9 @@ def var_tuples():
 
 
 def polys_on(vs):
-    # Up to 16 terms: field moves take both routes of poly._remap (REMAP_LOOP_KEYS = 10).
     coeff = st.integers(-4, 4) | st.integers(-4, 4).map(lambda n: Fraction(n, 3))
     return st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(vs)), coeff,
-                           max_size=16).map(lambda terms: Poly(vs, terms))
+                           max_size=6).map(lambda terms: Poly(vs, terms))
 
 
 def reference_moved(p, vs, names=None):
@@ -375,6 +376,23 @@ def test_layout_moves_match_field_by_field_reference(case):
             v if v in union else None for v in wide]))
     got, want = a ** n, reference_power(a, n)
     assert got.vars == want.vars and _typed(got.terms.items()) == _typed(want.terms.items())
+
+
+def test_remap_routes_agree(monkeypatch):
+    # Moving key by key and moving a mask over all keys give the same terms in
+    # the same order, on either side of REMAP_LOOP_KEYS.
+    rng = random.Random(43)
+    vs = ("x1", "x2", "s2", "rho")
+    for size in (1, 5, 15, 16, 17, 40, 120):
+        p = Poly(vs, {tuple(rng.randint(0, 3) for _ in vs): rng.randint(-9, 9) or 1
+                      for _ in range(size)})
+        got = []
+        for limit in (0, 10 ** 9):
+            monkeypatch.setattr(poly_mod, "REMAP_LOOP_KEYS", limit)
+            wide = p.embed(("x1", "x2", "x3", "s2", "rho"))
+            moved = [p.rename({"x1": "x3", "rho": "rho12"}), wide, wide.drop_vars(["x3"])]
+            got.append([(q.vars, list(q.terms.items())) for q in moved])
+        assert got[0] == got[1] and got[0][2] == (vs, list(p.terms.items()))
 
 
 def test_prefix_embed_leaves_the_original_alone():
