@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import ChebsumError, ScaleError
-from .poly import Exponents, Poly, Scalar
+from .poly import Poly, Scalar
 
 MAX_ARITY = 5
 # A packed image key holds one _IMAGE_BITS field per slot: an index offset plus _IMAGE_BIAS,
@@ -48,10 +48,7 @@ class WPoly:
     def image(self) -> tuple[int, tuple[dict[int, Scalar], ...]]:
         """``chebyshev_image`` of the rho-coefficients, made on first use and kept on this
         w_n, so a cold round that clears ``build_w`` makes it again."""
-        rows: list[list[tuple[Exponents, Scalar]]] = [[] for _ in range(2 ** self.n + 1)]
-        for exps, c in self.poly.terms.items():
-            rows[exps[-1]].append((exps[:-1], c))
-        return chebyshev_image(rows, self.n)
+        return chebyshev_image(self.poly.coeffs("rho"))
 
 
 def image_key(offsets: Iterable[int]) -> int:
@@ -68,10 +65,9 @@ def image_offsets(key: int, slots: int) -> list[int]:
     return [((key >> (_IMAGE_BITS * s)) & _IMAGE_FIELD) - _IMAGE_BIAS for s in range(slots)]
 
 
-def chebyshev_image(rows: Sequence[Iterable[tuple[Exponents, Scalar]]],
-                    slots: int) -> tuple[int, tuple[dict[int, Scalar], ...]]:
-    """(D, images): each row's polynomial sum c x^a in x1..x_slots as a shift of the
-    Chebyshev-product basis, scaled by 2^D, D the largest |a| of any row.
+def chebyshev_image(coeffs: Sequence[Poly]) -> tuple[int, tuple[dict[int, Scalar], ...]]:
+    """(D, images): each polynomial sum c x^a of ``coeffs``, all on x1..xK, as a shift of
+    the Chebyshev-product basis, scaled by 2^D, D the largest |a| of any of them.
 
     2 x C_i = C_{i+1} + C_{i-1} holds for T and U at every integer i under the index
     rules, so 2^|a| x^a prod_s C_{s,i_s} = sum_k prod_s binom(a_s, k_s) C_{s,i_s+a_s-2k_s}:
@@ -79,15 +75,12 @@ def chebyshev_image(rows: Sequence[Iterable[tuple[Exponents, Scalar]]],
     the summed weights c 2^(D-|a|) prod_s binom(a_s, k_s), nonzero only.  The offsets are
     spread one slot at a time, so equal ones merge before the next slot.
     """
-    rows = [list(row) for row in rows]
-    D = max((sum(a) for row in rows for a, _ in row), default=0)
+    D = max((sum(a) for coeff in coeffs for a in coeff.terms), default=0)
     images = []
-    for row in rows:
-        out: dict[int, Scalar] = {}
-        for a, c in row:
-            key = image_key(_IMAGE_BIAS + e for e in a)
-            out[key] = out.get(key, 0) + c * 2 ** (D - sum(a))
-        for s in range(slots):
+    for coeff in coeffs:
+        out = {image_key(_IMAGE_BIAS + e for e in a): c * 2 ** (D - sum(a))
+               for a, c in coeff.terms.items()}
+        for s in range(len(coeff.vars)):
             at, spread = _IMAGE_BITS * s, out
             out = {}
             for key, v in spread.items():
@@ -106,21 +99,17 @@ def _check_arity(n: int) -> None:
         raise ScaleError(f"arity {n} exceeds the supported maximum {MAX_ARITY}")
 
 
-def _angle_step(pair: tuple[Poly, Poly], i: int, sign: int) -> tuple[Poly, Poly]:
-    """(cos, sin) of an angle sum after adding sign * a_i, by angle addition."""
+_UNIT = (Poly.const(1), Poly.zero())  # (cos, sin) of the empty angle sum
+
+
+def _angle_step(pair: tuple[Poly, Poly], i: int, sign: int):
+    """The cos, then the sin, of an angle sum after adding sign * a_i, by angle addition;
+    a caller that takes only the first makes no sine."""
     cos_acc, sin_acc = pair
     cos_p = Poly.variable(f"x{i}")
     sin_p = sign * Poly.variable(f"s{i}", (f"x{i}", f"s{i}"))
-    return cos_acc * cos_p - sin_acc * sin_p, sin_acc * cos_p + cos_acc * sin_p
-
-
-def _cos_of_sum(signs: list[int]) -> Poly:
-    """cos(sum_i signs[i-1] a_i) by angle addition, skipping zero signs."""
-    pair = (Poly.const(1), Poly.zero())
-    for i, sign in enumerate(signs, start=1):
-        if sign:
-            pair = _angle_step(pair, i, sign)
-    return pair[0]
+    yield cos_acc * cos_p - sin_acc * sin_p
+    yield sin_acc * cos_p + cos_acc * sin_p
 
 
 def _balanced_product(factors: list[Poly]) -> Poly:
@@ -146,16 +135,17 @@ def _finish(n: int, w: Poly) -> WPoly:
 def build_w(n: int) -> WPoly:
     """Sign-vector product construction of w_n."""
     _check_arity(n)
-    # The (cos, sin) pairs of the sign prefixes (+1, i_2 .. i_{j+1}), indexed by the bits
-    # j-1 .. 0 of i_{j+1} .. i_2 = +1, each one angle-addition step from its parent:
-    # 2^n - 1 steps, the same products in the same order as one _cos_of_sum per vector.
-    pairs = [_angle_step((Poly.const(1), Poly.zero()), 1, 1)]
+    # The angle steps to the sign prefixes (+1, i_2 .. i_{j+1}), indexed by the bits
+    # j-1 .. 0 of i_{j+1} .. i_2 = +1, each one step from its parent's (cos, sin): 2^n - 1
+    # steps, of which the last level's make only the cosines of the full sign vectors.
+    steps = [_angle_step(_UNIT, 1, 1)]
     for j in range(n - 1):
-        pairs = [_angle_step(pairs[bits % len(pairs)], j + 2, 1 if bits >> j else -1)
+        pairs = [tuple(step) for step in steps]
+        steps = [_angle_step(pairs[bits % len(pairs)], j + 2, 1 if bits >> j else -1)
                  for bits in range(2 * len(pairs))]
     rho = Poly.variable("rho")
     two_rho, rho2 = 2 * rho, rho * rho
-    return _finish(n, _balanced_product([1 - two_rho * cos + rho2 for cos, _ in pairs]))
+    return _finish(n, _balanced_product([1 - two_rho * next(step) + rho2 for step in steps]))
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +156,8 @@ def build_w_recursive(n: int) -> WPoly:
         return build_w(1)
     prev = build_w_recursive(n - 1).poly
     a = n - 1
-    plus = _cos_of_sum([0] * (a - 1) + [1, 1])    # cos(a_{n-1} + a_n)
-    minus = _cos_of_sum([0] * (a - 1) + [1, -1])  # cos(a_{n-1} - a_n)
+    pair = tuple(_angle_step(_UNIT, a, 1))  # (cos, sin) of a_{n-1}
+    plus, minus = (next(_angle_step(pair, n, sign)) for sign in (1, -1))  # cos(a_{n-1} +- a_n)
     return _finish(n, prev.subs(f"x{a}", plus) * prev.subs(f"x{a}", minus))
 
 
@@ -187,4 +177,4 @@ def w_shifted(n: int) -> Poly:
 @lru_cache(maxsize=None)
 def w_rho_coeff_polys(n: int) -> tuple[Poly, ...]:
     """Coefficients of rho^0..rho^(2^n) of w_n, in the x variables only."""
-    return tuple(build_w(n).poly.coeff_of("rho", m) for m in range(2 ** n + 1))
+    return build_w(n).poly.coeffs("rho")

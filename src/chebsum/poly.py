@@ -432,27 +432,32 @@ class Poly:
         return Poly._make(vs, _remap(self._packed, ((i, j) for j, i in enumerate(keep))),
                           self._den)
 
+    def coeffs(self, var: str) -> tuple[Poly, ...]:
+        """The coefficients of ``var**0 .. var**degree`` as polynomials in the other
+        variables, each in ``terms`` order, grouped in one pass (xk only without sk)."""
+        if var not in self.vars:
+            return (self,)
+        i = self.vars.index(var)
+        rest = _canonical(self.vars[:i] + self.vars[i + 1:])  # refuses xk beside sk
+        at, low = FIELD_BITS * i, (1 << (FIELD_BITS * i)) - 1
+        groups: dict[int, dict[int, int]] = {}
+        for k, c in self._packed.items():
+            groups.setdefault((k >> at) & _FIELD, {})[(k >> FIELD_BITS) & ~low | k & low] = c
+        return tuple(Poly._make(rest, *_lowest(groups.get(e, {}), self._den))
+                     for e in range(max(groups, default=0) + 1))
+
     def subs(self, name: str, replacement: Poly | Scalar) -> Poly:
         """Substitute a polynomial (or constant) for one variable (xk only without sk)."""
         if name not in self.vars:
             return self
-        replacement = self._coerce(replacement)
-        i = self.vars.index(name)
-        rest = _canonical(self.vars[:i] + self.vars[i + 1:])  # refuses xk beside sk
-        at, low = FIELD_BITS * i, (1 << (FIELD_BITS * i)) - 1
-        groups: dict[int, dict[int, int]] = {}  # the coefficient of name ** e, by e, in one pass
-        for k, c in self._packed.items():
-            groups.setdefault((k >> at) & _FIELD, {})[(k >> FIELD_BITS) & ~low | k & low] = c
-        parts = [Poly._make(rest, *_lowest(groups.get(e, {}), self._den))
-                 for e in range(max(groups, default=0) + 1)]
-        return Poly.sum(parts[:1] + [c * replacement ** e
-                                     for e, c in enumerate(parts) if e and not c.is_zero()])
+        parts, replacement = self.coeffs(name), self._coerce(replacement)
+        return Poly.sum(parts[:1] + tuple(c * replacement ** e
+                                          for e, c in enumerate(parts) if e and not c.is_zero()))
 
     def coeff_of(self, var: str, power: int) -> Poly:
         """The coefficient of ``var**power`` as a polynomial in the rest (xk only without sk)."""
-        if var not in self.vars:
-            return self if power == 0 else Poly._make(self.vars, {})
-        return self.band(var, power, power + 1, -power).drop_vars((var,))
+        parts = self.coeffs(var)
+        return parts[power] if 0 <= power < len(parts) else Poly._make(parts[0].vars, {})
 
     def band(self, var: str, lo: int, hi: int, shift: int = 0) -> Poly:
         """The terms whose exponent e of ``var`` has lo <= e < hi, each moved to e + shift

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import chebsum.poly as poly_mod
 from chebsum.denom import (build_w, build_w_recursive, w_shifted,
                            w_specialize_one, w_rho_coeff_polys)
 from chebsum.errors import ScaleError
@@ -50,6 +51,26 @@ def test_term_order_pinned():
         for p in (build_w(n).poly, build_w_recursive(n).poly, *w_rho_coeff_polys(n)):
             h.update(repr((p.vars, list(p.terms.items()))).encode())
     assert h.hexdigest() == "7ad0c13a405b53e364a0de9cc03131493c5afdc9cb0b0a2159f8c32d37eb0b42"
+
+
+def test_cold_build_w_product_count(monkeypatch):
+    # 2^n - 1 angle-addition steps: the 2^(n-1) to full sign vectors make only
+    # their cosine (two products), the others cos and sin (four); then rho^2,
+    # the 2^(n-1) products 2 rho cos and the 2^(n-1) - 1 of the balanced tree.
+    count = [0]
+    loop = poly_mod._product_loop
+
+    def counted(a, b):
+        count[0] += 1
+        return loop(a, b)
+
+    monkeypatch.setattr(poly_mod, "_product_loop", counted)
+    for n in (2, 3, 4):
+        build_w.cache_clear()
+        count[0] = 0
+        build_w(n)
+        half = 2 ** (n - 1)
+        assert count[0] == 4 * (half - 1) + 2 * half + 1 + half + half - 1
 
 
 def test_specialize_one():

@@ -250,7 +250,7 @@ def test_basis_convolution_matches_monomial_oracle():
         spec = GenSpec(k, K - k, tuple(rng.randint(-3, 3) for _ in range(K)))
         coeffs = [_random_coeff_poly(rng, K) for _ in range(2 ** K + 1)]
         order = rng.randint(0, 12)
-        got = _basis_convolution(spec, chebyshev_image([c.terms.items() for c in coeffs], K), order)
+        got = _basis_convolution(spec, chebyshev_image(coeffs), order)
         want = Poly.sum([Poly.zero()] + [cm * _convolution_product(spec, order - m)
                                          for m, cm in enumerate(coeffs) if m <= order])
         assert got == want
@@ -284,9 +284,9 @@ def test_residual_image_is_made_once_per_cold_w(monkeypatch):
     made = [0]
     image = denom.chebyshev_image
 
-    def counted(rows, slots):
+    def counted(coeffs):
         made[0] += 1
-        return image(rows, slots)
+        return image(coeffs)
 
     monkeypatch.setattr(denom, "chebyshev_image", counted)
     spec = GenSpec(1, 2, (0, -1, 1))

@@ -174,6 +174,45 @@ def test_tracer_targets_resolve():
     assert not missing, f"tracer targets that chebsum does not define: {missing}"
 
 
+TOOLS = SRC.parents[1] / "tools"
+
+
+def test_bench_layers_reads_existing_names():
+    # tools/bench_layers.py reads chebsum names, private ones included, that no
+    # test imports; a rename must fail here rather than when the layer files are
+    # next recorded.
+    tree = ast.parse((TOOLS / "bench_layers.py").read_text(), filename="bench_layers.py")
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "chebsum"
+               for alias in node.names}
+    reads = [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules]
+    reads += [(node.module.partition(".")[2], alias.name) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("chebsum.")
+              for alias in node.names]
+    assert reads
+    missing = [f"{mod}.{attr}" for mod, attr in reads
+               if not hasattr(importlib.import_module(f"chebsum.{mod}"), attr)]
+    assert not missing, f"names bench_layers.py reads that chebsum does not define: {missing}"
+
+
+def test_cold_rounds_clear_existing_caches():
+    # perfbench's lru_caches() reads its caches with getattr(..., None) and keeps
+    # only lru caches, so a rename would leave that cache warm in every cold round.
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(), filename="workloads.py")
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "lru_caches")
+    found = next(node for node in ast.walk(fn) if isinstance(node, ast.Dict))
+    reads = [(v.args[0].id, v.args[1].value) if isinstance(v, ast.Call) else (v.value.id, v.attr)
+             for v in found.values]
+    assert len(reads) == 5
+    missing = [f"{mod}.{attr}" for mod, attr in reads
+               if not hasattr(getattr(importlib.import_module(f"chebsum.{mod}"), attr, None),
+                              "cache_clear")]
+    assert not missing, f"cold-round caches that are not lru caches: {missing}"
+
+
 def test_one_seed_caller():
     # cheb_eval is the one Chebyshev evaluator: every other path seeds through it.
     callers = []

@@ -174,7 +174,7 @@ def test_stored_pair_is_lowest_terms(pair):
     for v in p.vars:
         results += [p.band(v, 0, 1), p.band(v, 0, 2), p.band(v, 1, 3, 1)]
         if not (v[0] == "x" and "s" + v[1:] in p.vars):
-            results += [p.coeff_of(v, 0), p.coeff_of(v, 1),
+            results += [p.coeff_of(v, 0), p.coeff_of(v, 1), *p.coeffs(v),
                         p.subs(v, q), p.subs(v, Fraction(3, 2))]
     for got in results:
         _assert_lowest_terms(got)
@@ -198,6 +198,9 @@ def test_subs_keeps_marker_partner():
         Poly.variable("s1")
     with pytest.raises(MarkerError):
         (s1 + xs).coeff_of("x1", 0)
+    with pytest.raises(MarkerError):
+        (s1 + xs).coeffs("x1")
+    assert (s1 + xs).coeffs("s1") == (X1, 1)
     assert (s1 + xs).subs("s1", X2) == X1 + X2
     assert (s1 + xs).coeff_of("s1", 1) == 1
 
@@ -558,7 +561,12 @@ def test_rho_coeff_examples():
     w2 = (1 - RHO ** 2) ** 2 - 4 * X1 * X2 * RHO * (1 + RHO ** 2) \
         + 4 * RHO ** 2 * (X1 ** 2 + X2 ** 2)
     assert w2.coeff_of("rho", 1) == -4 * X1 * X2
-    assert w1.coeff_of("rho", 5).is_zero()
+    # A power past the degree or below 0 has the zero coefficient, in the other
+    # variables; a variable that is absent has the whole polynomial at power 0.
+    for power in (5, -1):
+        assert w1.coeff_of("rho", power).is_zero() and w1.coeff_of("rho", power).vars == ("x1",)
+    assert w1.coeff_of("x2", 0) is w1
+    assert w1.coeff_of("x2", 1).is_zero() and w1.coeff_of("x2", 1).vars == w1.vars
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -588,6 +596,11 @@ def test_band_slices_and_moves_exponents(p, var, lo, hi, shift):
         assert got == p.band(var, 0, max(lo, hi)) - p.band(var, 0, lo)
     if var not in p.vars or var[0] == "x" and "s" + var[1:] in p.vars:
         return  # coeff_of keeps xk only without sk
+    parts = p.coeffs(var)  # one grouping pass, term for term and in order the slices' route
+    assert len(parts) == p.degree(var) + 1
+    for e, part in enumerate(parts):
+        want = p.band(var, e, e + 1, -e).drop_vars((var,))
+        assert part.vars == want.vars and _typed(part.terms.items()) == _typed(want.terms.items())
     if var[0] == "s":  # a marker moved past 1 is reduced, as a product reduces it
         marker = Poly.variable(var, ("x" + var[1:], var))
         assert got == Poly.sum([Poly.zero()] + [p.coeff_of(var, e) * marker ** (e + shift)

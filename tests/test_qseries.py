@@ -219,8 +219,8 @@ def _d2_with_markers(ctx, n):
 
 @pytest.mark.parametrize("q", [F(0), F(1, 2), F(-1, 3), F(-4, 11), F(6, 7)])
 def test_d2_matches_marker_construction(q):
-    # One context, called out of order: the memo and the resumed rolls of the
-    # conjugate halves and of h and b must give what a roll from scratch gives.
+    # One context, called out of order: the memo and the resumed rolls of d2
+    # (its q-difference roll) and of h and b must give what a roll from scratch gives.
     ctx = QContext(q)
     types = lambda p: {e: type(c) for e, c in p.terms.items()}
     for n in (14, 3, 0, 7, 20):

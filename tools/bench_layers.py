@@ -43,9 +43,10 @@ Python version and the number of usable CPUs:
   perfbench's q-exact workload.
 * ``BENCH_poly_ops.json``: single ``Poly`` operations on fixed operands: a
   same-variable product (w_2 * w_2), a mixed-variable product (x1 * rho), a
-  product whose sine markers reduce (two ``denom._cos_of_sum`` factors), a
-  sum (w_2 + rho), a sum over interleaved variables ((1 - 2 rho x1 + rho^2) +
-  (x1 x2 + 3), whose union merges x2 between x1 and rho), an int plus a
+  product whose sine markers reduce (two cosines of three-angle sums made by
+  ``denom._angle_step``), a sum (w_2 + rho), a sum over interleaved variables
+  ((1 - 2 rho x1 + rho^2) + (x1 x2 + 3), whose union merges x2 between x1 and
+  rho), an int plus a
   polynomial (3 + (1 - 2 rho x1 + rho^2)), a substitution (x2 of w_2 by
   cos(a_2 + a_3), as in ``build_w_recursive(3)``), an evaluation of w_3 at a float point (its
   Horner plan compiled by a warm-up call), an embed that keeps every field (x1
@@ -194,8 +195,10 @@ def poly_ops() -> dict:
     """The timed Poly operations by name, each a call on fixed operands."""
     x1, rho = Poly.variable("x1"), Poly.variable("rho")
     w2, w3 = denom.build_w(2).poly, denom.build_w(3).poly
-    plus = denom._cos_of_sum([0, 1, 1])
-    a, b = denom._cos_of_sum([1, 1, 1]), denom._cos_of_sum([1, -1, 1])
+    a1, a2 = (tuple(denom._angle_step(denom._UNIT, i, 1)) for i in (1, 2))
+    plus = next(denom._angle_step(a2, 3, 1))  # cos(a_2 + a_3)
+    a, b = (next(denom._angle_step(tuple(denom._angle_step(a1, 2, sign)), 3, 1))
+            for sign in (1, -1))  # cos(a_1 + a_2 + a_3), cos(a_1 - a_2 + a_3)
     point = {"x1": 0.3, "x2": -0.2, "x3": 0.5, "rho": 0.4}
     w1 = 1 - 2 * rho * x1 + rho ** 2
     x1x2 = x1 * Poly.variable("x2") + 3
